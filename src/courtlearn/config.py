@@ -8,7 +8,7 @@ starts.  See the README for the full schema and defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -28,55 +28,43 @@ from .core import (
     UniformCosts,
 )
 from .learners import LearnerFamily, LearnerKind
-from .policies import (
-    DynamicCompellingConfig,
-    EtcConfig,
-    KwikConfig,
-    NoSubsidyConfig,
-    PolicyConfig,
-    SubsidySamplingConfig,
-)
+from .policies import POLICY_CLASSES, PolicyConfig, make_policy
+from .sim import RunConfig
 
 __all__ = ["PolicyRequest", "ExperimentSpec", "load_config", "parse_config"]
 
 DEFAULT_REPLICATIONS = 100
 DEFAULT_ERR_CONSTANT = 1.0
 
-_POLICY_NAMES = ("no_subsidy", "etc", "dynamic_compelling", "subsidy_sampling", "kwik")
+_POLICY_CONFIGS = {config_class.name: config_class for config_class in POLICY_CLASSES}
+
+# Policy config fields filled from the spec rather than from the policy entry.
+_SPEC_FIELDS = ("horizon", "alpha", "c_min", "c_max")
 
 
 @dataclass(frozen=True)
 class PolicyRequest:
-    """A policy entry from the config file; horizon-dependent pieces are
-    resolved per sweep point by :meth:`materialize`."""
+    """A policy entry from the config file: its name and its own parameters.
+
+    The horizon, alpha and cost range are filled in per sweep point by
+    :meth:`materialize`.
+    """
 
     name: str
-    epsilon: float | None = None
-    delta: float | None = None
-    alpha1: float | None = None
-    alpha2: float | None = None
-    alpha1_constant: float = 1.0
+    params: dict[str, float]
 
     def materialize(self, spec: "ExperimentSpec", horizon: int) -> PolicyConfig:
-        alpha = spec.truth.alpha
-        costs = spec.costs
-        if self.name == "no_subsidy":
-            return NoSubsidyConfig()
-        if self.name == "etc":
-            return EtcConfig(horizon=horizon, alpha=alpha, c_max=costs.c_max)
-        if self.name == "dynamic_compelling":
-            return DynamicCompellingConfig(alpha=alpha, c_max=costs.c_max)
-        if self.name == "subsidy_sampling":
-            return SubsidySamplingConfig(alpha=alpha, c_min=costs.c_min, c_max=costs.c_max)
-        if self.name == "kwik":
-            return KwikConfig(
-                epsilon=self.epsilon,
-                delta=self.delta,
-                alpha1=self.alpha1,
-                alpha2=self.alpha2,
-                alpha1_constant=self.alpha1_constant,
-            )
-        raise ConfigurationError(f"unknown policy name {self.name!r}")
+        values = {
+            "horizon": horizon,
+            "alpha": spec.truth.alpha,
+            "c_min": spec.costs.c_min,
+            "c_max": spec.costs.c_max,
+            **self.params,
+        }
+        config_class = _POLICY_CONFIGS[self.name]
+        return config_class(
+            **{f.name: values[f.name] for f in fields(config_class) if f.name in values}
+        )
 
 
 @dataclass(frozen=True)
@@ -92,53 +80,18 @@ class ExperimentSpec:
     replications: int
     seed: int
     out_dir: str
-    emit: tuple[str, ...]
 
-    def canonical(self) -> dict:
-        """JSON round-trip of the spec, used for digests and provenance."""
-        truth: dict[str, Any]
-        if isinstance(self.truth, ConstantTruth):
-            truth = {"family": "constant", "mu": self.truth.mu}
-        else:
-            truth = {
-                "family": "linear",
-                "beta": [float(b) for b in self.truth.beta],
-                "beta0": self.truth.beta0,
-            }
-        truth.update(sigma=self.truth.sigma, alpha=self.truth.alpha)
-        if isinstance(self.cases, SingletonCases):
-            cases: dict[str, Any] = {"kind": "singleton"}
-        else:
-            cases = {"kind": "ball", "dim": self.cases.dim}
-        if isinstance(self.costs, PointMassCosts):
-            cost: dict[str, Any] = {"kind": "point", "c": self.costs.c}
-        elif isinstance(self.costs, UniformCosts):
-            cost = {"kind": "uniform", "c_min": self.costs.c_min, "c_max": self.costs.c_max}
-        else:
-            cost = {"kind": "sequence", "costs": list(self.costs.costs)}
-        policies = []
-        for p in self.policies:
-            entry: dict[str, Any] = {"name": p.name}
-            for key in ("epsilon", "delta", "alpha1", "alpha2"):
-                if getattr(p, key) is not None:
-                    entry[key] = getattr(p, key)
-            if p.name == "kwik":
-                entry["alpha1_constant"] = p.alpha1_constant
-            policies.append(entry)
-        return {
-            "truth": truth,
-            "cases": cases,
-            "cost": cost,
-            "learner": {
-                "kind": self.learner.family.value,
-                "err_constant": self.learner.err_constant,
-                "radius": self.learner.radius,
-            },
-            "policies": policies,
-            "sweep": list(self.sweep),
-            "replications": self.replications,
-            "seed": self.seed,
-        }
+    def run_config(self, request: PolicyRequest, horizon: int) -> RunConfig:
+        """The run configuration of one (policy, horizon) cell."""
+        return RunConfig(
+            horizon=horizon,
+            truth=self.truth,
+            cases=self.cases,
+            costs=self.costs,
+            learner=self.learner,
+            policy=request.materialize(self, horizon),
+            seed=self.seed,
+        )
 
 
 class _Reader:
@@ -252,31 +205,16 @@ def _parse_policy(entry: Any, path: str) -> PolicyRequest:
         entry = {"name": entry}
     reader = _Reader(entry, path)
     name = reader.string("name")
-    if name not in _POLICY_NAMES:
+    if name not in _POLICY_CONFIGS:
         raise ConfigurationError(
-            f"{path}.name: unknown policy {name!r} (expected one of {', '.join(_POLICY_NAMES)})"
+            f"{path}.name: unknown policy {name!r} (expected one of {', '.join(_POLICY_CONFIGS)})"
         )
-    if name == "kwik":
-        request = PolicyRequest(
-            name=name,
-            epsilon=reader.number("epsilon"),
-            delta=reader.number("delta"),
-            alpha1=reader.number("alpha1") if "alpha1" in entry else None,
-            alpha2=reader.number("alpha2") if "alpha2" in entry else None,
-            alpha1_constant=reader.number("alpha1_constant", 1.0),
-        )
-        try:
-            KwikConfig(
-                epsilon=request.epsilon,
-                delta=request.delta,
-                alpha1=request.alpha1,
-                alpha2=request.alpha2,
-                alpha1_constant=request.alpha1_constant,
-            )
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
-        return request
-    return PolicyRequest(name=name)
+    params = {
+        f.name: reader.number(f.name)
+        for f in fields(_POLICY_CONFIGS[name])
+        if f.name not in _SPEC_FIELDS and (f.default is MISSING or f.name in entry)
+    }
+    return PolicyRequest(name, params)
 
 
 def parse_config(data: dict) -> ExperimentSpec:
@@ -308,9 +246,10 @@ def parse_config(data: dict) -> ExperimentSpec:
     replications = root.integer("replications", DEFAULT_REPLICATIONS)
     if replications < 1:
         raise ConfigurationError(f"replications: must be >= 1, got {replications}")
-    emit_raw = data.get("emit", ["csv"])
-    if not isinstance(emit_raw, list) or any(e not in ("csv", "json") for e in emit_raw):
-        raise ConfigurationError("emit: expected a subset of ['csv', 'json']")
+    if "emit" in data:
+        raise ConfigurationError(
+            "emit: not supported; pass --ledgers to `courtlearn run` to write ledgers.jsonl"
+        )
 
     spec = ExperimentSpec(
         truth=truth,
@@ -322,26 +261,15 @@ def parse_config(data: dict) -> ExperimentSpec:
         replications=replications,
         seed=root.integer("seed", 0),
         out_dir=root.string("out_dir", "results"),
-        emit=tuple(emit_raw),
     )
-    # Materialize every (policy, horizon) cell now so bad combinations fail
-    # at load time, not mid-sweep.
-    from .sim import RunConfig
-
-    for i, policy in enumerate(spec.policies):
+    # Build every (policy, horizon) cell and its policy now so bad
+    # combinations fail at load time, not mid-sweep.
+    for i, request in enumerate(spec.policies):
         for horizon in spec.sweep:
             try:
-                RunConfig(
-                    horizon=horizon,
-                    truth=truth,
-                    cases=cases,
-                    costs=costs,
-                    learner=learner,
-                    policy=policy.materialize(spec, horizon),
-                    seed=spec.seed,
-                )
+                make_policy(spec.run_config(request, horizon).policy, cases.dim)
             except ConfigurationError as exc:
-                raise ConfigurationError(f"policies[{i}] ({policy.name}): {exc}") from None
+                raise ConfigurationError(f"policies[{i}] ({request.name}): {exc}") from None
     return spec
 
 

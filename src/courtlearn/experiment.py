@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentSpec
-from .core import ConfigurationError, RunLedger, canonical_digest
-from .sim import RegretReport, RunConfig, estimate_regret, run
+from .core import ConfigurationError, RunLedger
+from .sim import RegretReport, estimate_regret, run
 
 __all__ = [
     "REGRET_COLUMNS",
@@ -149,32 +149,23 @@ def _ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
 def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, Path]:
     """Run every (policy, horizon) cell and emit regret.csv + slopes.csv.
 
-    With ``ledgers=True`` (or ``"json"`` in the spec's emit formats), every
-    replication's full ledger is appended to ledgers.jsonl.
+    With ``ledgers=True``, every replication's full ledger is appended to
+    ledgers.jsonl.
     """
     out_dir = Path(spec.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from None
-    emit_ledgers = ledgers or "json" in spec.emit
 
     regret_lines = [REGRET_COLUMNS]
     ledger_lines: list[str] = []
     per_policy: dict[str, list[tuple[int, float]]] = {}
     for request in spec.policies:
         for horizon in spec.sweep:
-            config = RunConfig(
-                horizon=horizon,
-                truth=spec.truth,
-                cases=spec.cases,
-                costs=spec.costs,
-                learner=spec.learner,
-                policy=request.materialize(spec, horizon),
-                seed=spec.seed,
-            )
+            config = spec.run_config(request, horizon)
             sink = None
-            if emit_ledgers:
+            if ledgers:
                 sink = lambda rep, ledger, _p=request.name, _h=horizon: ledger_lines.append(
                     _ledger_line(_p, _h, rep, ledger)
                 )
@@ -208,7 +199,7 @@ def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, 
     slopes_path = out_dir / "slopes.csv"
     _write_text(slopes_path, slope_lines)
     outputs["slopes"] = slopes_path
-    if emit_ledgers:
+    if ledgers:
         ledgers_path = out_dir / "ledgers.jsonl"
         _write_text(ledgers_path, ledger_lines) if ledger_lines else ledgers_path.write_text("")
         outputs["ledgers"] = ledgers_path
@@ -224,7 +215,6 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     kwik_requests = [p for p in spec.policies if p.name == "kwik"]
     if len(kwik_requests) != 1:
         raise ConfigurationError("kwik report needs exactly one kwik policy in the config")
-    request = kwik_requests[0]
     dim = spec.cases.dim
     if dim is None:
         raise ConfigurationError("kwik report requires vector cases")
@@ -233,27 +223,20 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [KWIK_COLUMNS]
     for horizon in spec.sweep:
-        config = RunConfig(
-            horizon=horizon,
-            truth=spec.truth,
-            cases=spec.cases,
-            costs=spec.costs,
-            learner=spec.learner,
-            policy=request.materialize(spec, horizon),
-            seed=spec.seed,
-        )
+        config = spec.run_config(kwik_requests[0], horizon)
+        epsilon = config.policy.epsilon
         ledger = run(config, rep=0)
         settled = [r for r in ledger.records if not r.went_to_court]
         errors = [abs(r.applied_decision - r.true_value) for r in settled]
         predicted = len(settled)
-        within = sum(1 for e in errors if e <= request.epsilon)
+        within = sum(1 for e in errors if e <= epsilon)
         fraction = within / predicted if predicted else 1.0
         max_error = max(errors) if errors else 0.0
         row = KwikRow(
             horizon=horizon,
             dim=dim,
-            epsilon=request.epsilon,
-            delta=request.delta,
+            epsilon=epsilon,
+            delta=config.policy.delta,
             predicted_count=predicted,
             compelled_count=ledger.court_count,
             fraction_within_eps=fraction,
@@ -264,8 +247,3 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     kwik_path = out_dir / "kwik.csv"
     _write_text(kwik_path, lines)
     return {"kwik": kwik_path}
-
-
-def spec_digest(spec: ExperimentSpec) -> str:
-    """Digest of the full experiment spec (for provenance in logs)."""
-    return canonical_digest(spec.canonical())

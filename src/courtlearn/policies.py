@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -48,9 +48,8 @@ __all__ = [
     "SubsidySamplingConfig",
     "KwikConfig",
     "PolicyConfig",
+    "POLICY_CLASSES",
     "make_policy",
-    "policy_label",
-    "policy_tag",
 ]
 
 # Eigenvalues at or above this count as "covered" directions in the gate.
@@ -197,14 +196,25 @@ def kwik_default_alpha1(epsilon: float, delta: float, dim: int, constant: float 
     return constant * epsilon**2 / (dim * math.log(dim + 1) * math.sqrt(math.log(1.0 / (epsilon * delta))))
 
 
+# Each config class carries its config-file ``name`` and a stable ``tag`` for
+# seed derivation; adding a policy must not perturb the derived streams of
+# existing ones.
+
+
 @dataclass(frozen=True)
 class NoSubsidyConfig:
     """Status quo: no compulsion, no subsidies."""
+
+    name: ClassVar[str] = "no_subsidy"
+    tag: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
 class EtcConfig:
     """Explore-then-commit: compel a horizon-sized prefix, then leave agents alone."""
+
+    name: ClassVar[str] = "etc"
+    tag: ClassVar[int] = 2
 
     horizon: int
     alpha: float
@@ -225,6 +235,9 @@ class EtcConfig:
 class DynamicCompellingConfig:
     """Horizon-free compelling with decaying per-step probability."""
 
+    name: ClassVar[str] = "dynamic_compelling"
+    tag: ClassVar[int] = 3
+
     alpha: float
     c_max: float
 
@@ -236,6 +249,9 @@ class DynamicCompellingConfig:
 @dataclass(frozen=True)
 class SubsidySamplingConfig:
     """Random subsidies with the decaying tail law over a known cost range."""
+
+    name: ClassVar[str] = "subsidy_sampling"
+    tag: ClassVar[int] = 4
 
     alpha: float
     c_min: float
@@ -266,6 +282,9 @@ class KwikConfig:
     delta))))`` and ``epsilon / 4`` once the case dimension is known.
     """
 
+    name: ClassVar[str] = "kwik"
+    tag: ClassVar[int] = 5
+
     epsilon: float
     delta: float
     alpha1: float | None = None
@@ -289,35 +308,11 @@ PolicyConfig = Union[
     NoSubsidyConfig, EtcConfig, DynamicCompellingConfig, SubsidySamplingConfig, KwikConfig
 ]
 
-_LABELS: dict[type, str] = {
-    NoSubsidyConfig: "no_subsidy",
-    EtcConfig: "etc",
-    DynamicCompellingConfig: "dynamic_compelling",
-    SubsidySamplingConfig: "subsidy_sampling",
-    KwikConfig: "kwik",
-}
-
-# Stable per-variant integers for seed derivation; adding a policy must not
-# perturb the derived streams of existing ones.
-_TAGS: dict[type, int] = {
-    NoSubsidyConfig: 1,
-    EtcConfig: 2,
-    DynamicCompellingConfig: 3,
-    SubsidySamplingConfig: 4,
-    KwikConfig: 5,
-}
-
-
-def policy_label(config: PolicyConfig) -> str:
-    return _LABELS[type(config)]
-
-
-def policy_tag(config: PolicyConfig) -> int:
-    return _TAGS[type(config)]
-
-
 class _BasePolicy:
     """Per-run policy state; ``select`` is called once per step, in order."""
+
+    def __init__(self, config: PolicyConfig, case_dim: int | None):
+        """Set up the run's state from the policy config and the case dimension."""
 
     def select(self, t: int, case: CaseFeatures, err_before: float, rng) -> SelectionAction:
         raise NotImplementedError
@@ -339,7 +334,7 @@ class NoSubsidyPolicy(_BasePolicy):
 
 
 class EtcPolicy(_BasePolicy):
-    def __init__(self, config: EtcConfig):
+    def __init__(self, config: EtcConfig, case_dim: int | None):
         self.compel_count = config.compel_count
 
     def select(self, t, case, err_before, rng):
@@ -350,7 +345,7 @@ class EtcPolicy(_BasePolicy):
 
 
 class DynamicCompellingPolicy(_BasePolicy):
-    def __init__(self, config: DynamicCompellingConfig):
+    def __init__(self, config: DynamicCompellingConfig, case_dim: int | None):
         self.alpha = config.alpha
         self.c_max = config.c_max
 
@@ -360,7 +355,7 @@ class DynamicCompellingPolicy(_BasePolicy):
 
 
 class SubsidySamplingPolicy(_BasePolicy):
-    def __init__(self, config: SubsidySamplingConfig):
+    def __init__(self, config: SubsidySamplingConfig, case_dim: int | None):
         self.config = config
         self.transition_step = config.transition_step
         # The scaled distribution must already be a probability measure at
@@ -378,10 +373,12 @@ class SubsidySamplingPolicy(_BasePolicy):
 class KwikPolicy(_BasePolicy):
     """Maintains the Gram matrix of courted augmented cases and gates on it."""
 
-    def __init__(self, config: KwikConfig, dim: int):
-        self.alpha1 = config.resolve_alpha1(dim)
+    def __init__(self, config: KwikConfig, case_dim: int | None):
+        if case_dim is None:
+            raise ConfigurationError("kwik policy requires vector cases")
+        self.alpha1 = config.resolve_alpha1(case_dim)
         self.alpha2 = config.resolve_alpha2()
-        k = dim + 1
+        k = case_dim + 1
         self.gram = np.zeros((k, k))
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -398,18 +395,18 @@ class KwikPolicy(_BasePolicy):
         self._eig = None
 
 
+POLICY_CLASSES: dict[type, type[_BasePolicy]] = {
+    NoSubsidyConfig: NoSubsidyPolicy,
+    EtcConfig: EtcPolicy,
+    DynamicCompellingConfig: DynamicCompellingPolicy,
+    SubsidySamplingConfig: SubsidySamplingPolicy,
+    KwikConfig: KwikPolicy,
+}
+
+
 def make_policy(config: PolicyConfig, case_dim: int | None = None) -> _BasePolicy:
     """Build the per-run stateful policy for ``config``."""
-    if isinstance(config, NoSubsidyConfig):
-        return NoSubsidyPolicy()
-    if isinstance(config, EtcConfig):
-        return EtcPolicy(config)
-    if isinstance(config, DynamicCompellingConfig):
-        return DynamicCompellingPolicy(config)
-    if isinstance(config, SubsidySamplingConfig):
-        return SubsidySamplingPolicy(config)
-    if isinstance(config, KwikConfig):
-        if case_dim is None:
-            raise ConfigurationError("kwik policy requires vector cases")
-        return KwikPolicy(config, case_dim)
-    raise ConfigurationError(f"unknown policy config {config!r}")
+    policy_class = POLICY_CLASSES.get(type(config))
+    if policy_class is None:
+        raise ConfigurationError(f"unknown policy config {config!r}")
+    return policy_class(config, case_dim)

@@ -16,7 +16,7 @@ draws.  Shorter horizons consume a prefix of longer ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -55,8 +55,6 @@ from .policies import (
     SubsidySamplingConfig,
     agent_decision,
     make_policy,
-    policy_label,
-    policy_tag,
 )
 
 __all__ = [
@@ -145,7 +143,7 @@ class RunConfig:
             "err_constant": self.learner.err_constant,
             "radius": self.learner.radius,
         }
-        policy = {"name": policy_label(self.policy), **_public_fields(self.policy)}
+        policy = {"name": self.policy.name, **_public_fields(self.policy)}
         return {
             "horizon": self.horizon,
             "truth": truth,
@@ -162,11 +160,11 @@ class RunConfig:
 
 def _public_fields(obj) -> dict:
     out = {}
-    for name in getattr(obj, "__dataclass_fields__", {}):
-        value = getattr(obj, name)
+    for field in fields(obj):
+        value = getattr(obj, field.name)
         if isinstance(value, tuple):
             value = list(value)
-        out[name] = value
+        out[field.name] = value
     return out
 
 
@@ -221,7 +219,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     kind = config.learner
     case_dim = config.cases.dim
     policy = make_policy(config.policy, case_dim)
-    policy_rng = _stream(config.seed, rep, _STREAM_POLICY, policy_tag(config.policy))
+    policy_rng = _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
 
     data = Dataset(case_dim)
     rule = fit(kind, data)

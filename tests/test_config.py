@@ -1,9 +1,12 @@
 """Config parsing: defaults, field-pathed errors, and validation."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from courtlearn.cli import main
 from courtlearn.config import load_config, parse_config
 from courtlearn.core import ConfigurationError, PointMassCosts, SingletonCases, UniformCosts
 
@@ -27,7 +30,6 @@ class TestDefaults:
         assert spec.replications == 100
         assert spec.seed == 0
         assert spec.out_dir == "results"
-        assert spec.emit == ("csv",)
         assert isinstance(spec.cases, SingletonCases)
 
     def test_full_round_trip(self):
@@ -46,8 +48,6 @@ class TestDefaults:
         assert [p.name for p in spec.policies] == ["etc", "dynamic_compelling"]
         assert spec.sweep == (10, 100, 1000)
         assert spec.replications == 7
-        canonical = spec.canonical()
-        assert canonical["cost"] == {"kind": "uniform", "c_min": 0.5, "c_max": 1.0}
 
 
 class TestFieldPathedErrors:
@@ -82,8 +82,26 @@ class TestFieldPathedErrors:
             parse_config(data)
 
     def test_bad_emit(self):
-        with pytest.raises(ConfigurationError, match="emit"):
+        # ledgers are requested with --ledgers, not with a config key
+        with pytest.raises(ConfigurationError, match="emit.*--ledgers"):
             parse_config(minimal_config(emit=["yaml"]))
+
+    def test_subsidy_sampling_outside_valid_region(self, tmp_path, capsys):
+        # README demo cost range with alpha = 1: c_min < min(1, alpha**2), so the
+        # tail probability exceeds 1 at t = 1; no cell may run
+        data = minimal_config(
+            truth={"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
+            cost={"kind": "uniform", "c_min": 0.5, "c_max": 1.0},
+            policies=["no_subsidy", "subsidy_sampling"],
+            out_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(ConfigurationError, match=r"policies\[1\] \(subsidy_sampling\)"):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == 2
+        assert "policies[1] (subsidy_sampling)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "regret.csv").exists()
 
     def test_replications_floor(self):
         with pytest.raises(ConfigurationError, match="replications"):
@@ -107,3 +125,9 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_config(path)
+
+
+def test_readme_schema_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    parse_config(json.loads(re.sub(r"//.*", "", block)))

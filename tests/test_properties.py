@@ -1,12 +1,16 @@
 """Property tests for the pure operations."""
 
+import dataclasses
 import math
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from courtlearn.core import CaseFeatures, SINGLETON_CASE
+from courtlearn.config import parse_config
+from courtlearn.core import CaseFeatures, ConfigurationError, SINGLETON_CASE
+from courtlearn.experiment import run_experiment
 from courtlearn.learners import LearnerFamily, LearnerKind, LinearRule, MeanRule, err_bound, predict
 from courtlearn.policies import (
     agent_decision,
@@ -93,3 +97,64 @@ def test_sampled_subsidy_nonnegative_and_bounded(t, two_err, alpha, c_lo, width,
     s = sample_subsidy(t, two_err, alpha, c_lo, c_hi, phase1=False, rng=_FixedU(u))
     assert math.isfinite(s)
     assert 0.0 <= s <= max(0.0, c_hi - two_err)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Config mappings over all policies, cost kinds and case spaces, small horizons."""
+    alpha = draw(st.floats(min_value=0.1, max_value=3.0))
+    dim = draw(st.sampled_from([None, 1, 3]))
+    c_min = draw(st.floats(min_value=0.1, max_value=3.0))
+    c_max = c_min + draw(st.floats(min_value=0.0, max_value=2.0))
+    cost = draw(
+        st.sampled_from(
+            [
+                {"kind": "point", "c": c_min},
+                {"kind": "uniform", "c_min": c_min, "c_max": c_max},
+                {"kind": "sequence", "costs": [c_max, c_min]},
+            ]
+        )
+    )
+    sigma = alpha * draw(st.floats(min_value=0.0, max_value=1.0))
+    if dim is None or draw(st.booleans()):
+        mu = alpha * draw(st.floats(min_value=0.0, max_value=1.0))
+        truth = {"family": "constant", "mu": mu, "sigma": sigma, "alpha": alpha}
+        learners = ["empirical_mean"] if dim is None else ["empirical_mean", "ols", "norm_constrained"]
+    else:
+        # |beta| <= alpha / 4 and beta0 = alpha / 2 keep the rule inside [0, alpha]
+        b = alpha / 4 * draw(st.floats(min_value=0.0, max_value=1.0)) / math.sqrt(dim)
+        truth = {"family": "linear", "beta": [b] * dim, "beta0": alpha / 2, "sigma": sigma, "alpha": alpha}
+        learners = ["ols", "norm_constrained"]
+    policy = draw(
+        st.sampled_from(
+            [
+                "no_subsidy",
+                "etc",
+                "dynamic_compelling",
+                "subsidy_sampling",
+                {"name": "kwik", "epsilon": 0.25, "delta": 0.05},
+            ]
+        )
+    )
+    data = {
+        "truth": truth,
+        "cost": cost,
+        "learner": {"kind": draw(st.sampled_from(learners))},
+        "policies": [policy],
+        "sweep": sorted(draw(st.sets(st.integers(min_value=1, max_value=50), min_size=1, max_size=3))),
+        "replications": 1,
+    }
+    if dim is not None:
+        data["cases"] = {"kind": "ball", "dim": dim}
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=experiment_configs())
+def test_every_loadable_config_completes_a_sweep(data):
+    try:
+        spec = parse_config(data)
+    except ConfigurationError:
+        reject()
+    with tempfile.TemporaryDirectory() as out_dir:
+        run_experiment(dataclasses.replace(spec, sweep=spec.sweep[:1], out_dir=out_dir))
