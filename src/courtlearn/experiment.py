@@ -146,18 +146,23 @@ def _ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _output_dir(spec: ExperimentSpec) -> Path:
+    """Create the spec's output directory; failure is a configuration error."""
+    out_dir = Path(spec.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from None
+    return out_dir
+
+
 def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, Path]:
     """Run every (policy, horizon) cell and emit regret.csv + slopes.csv.
 
     With ``ledgers=True``, every replication's full ledger is appended to
     ledgers.jsonl.
     """
-    out_dir = Path(spec.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from None
-
+    out_dir = _output_dir(spec)
     regret_lines = [REGRET_COLUMNS]
     ledger_lines: list[str] = []
     per_policy: dict[str, list[tuple[int, float]]] = {}
@@ -219,8 +224,7 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     if dim is None:
         raise ConfigurationError("kwik report requires vector cases")
 
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(spec)
     lines = [KWIK_COLUMNS]
     for horizon in spec.sweep:
         config = spec.run_config(kwik_requests[0], horizon)

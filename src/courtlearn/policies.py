@@ -39,6 +39,8 @@ __all__ = [
     "dynamic_compel_probability",
     "subsidy_tail_probability",
     "sample_subsidy",
+    "dynamic_compel_mask",
+    "subsidy_bases",
     "GateDecision",
     "kwik_gate",
     "kwik_default_alpha1",
@@ -146,6 +148,47 @@ def sample_subsidy(
     return 0.0
 
 
+def dynamic_compel_mask(u: np.ndarray, alpha: float, c_max: float) -> np.ndarray:
+    """Compel indicators for steps 1..len(u), given one uniform draw per step.
+
+    Draw for draw equal to ``u[t - 1] < dynamic_compel_probability(t, alpha, c_max)``.
+    """
+    t = np.arange(1, u.shape[0] + 1, dtype=float)
+    return u < np.minimum(1.0, alpha / np.sqrt(t * c_max))
+
+
+def subsidy_bases(
+    u: np.ndarray, alpha: float, c_min: float, c_max: float, transition_step: int
+) -> np.ndarray:
+    """Whole-horizon form of ``sample_subsidy``: each step's subsidy before the error shift.
+
+    ``u`` holds one uniform draw per step 1..len(u).  For the same draw and
+    the same ``two_err``, ``max(0.0, bases[t - 1] - two_err)`` is bit for bit
+    what ``sample_subsidy`` returns.  Raises like ``subsidy_tail_probability``
+    at the first step whose tail probability exceeds 1.
+    """
+    t = np.arange(1, u.shape[0] + 1, dtype=float)
+    phase1 = t <= transition_step
+    p_min = alpha / np.sqrt(t * c_min)
+    p_max = alpha / np.sqrt(t * c_max)
+    p_min[phase1] /= alpha
+    p_max[phase1] /= alpha
+    bad = np.flatnonzero((p_min > 1.0) | (p_max > 1.0))
+    if bad.size:
+        step = int(bad[0]) + 1
+        for c in (c_min, c_max):
+            subsidy_tail_probability(step, c, alpha, step <= transition_step)
+    bases = np.where(u <= p_max, c_max, 0.0)
+    # The middle branch is rare; scalar ``** 2`` is libm pow, as in sample_subsidy,
+    # which rounds differently from x * x (and from numpy's power) on some draws.
+    middle = np.flatnonzero((u > p_max) & (u <= p_min))
+    for i, draw in zip(middle.tolist(), u[middle].tolist()):
+        step = i + 1
+        alpha_eff = 1.0 if step <= transition_step else alpha
+        bases[i] = (alpha_eff / (draw * math.sqrt(step))) ** 2
+    return bases
+
+
 class GateDecision(Enum):
     PREDICT = "predict"
     COMPEL = "compel"
@@ -198,7 +241,10 @@ def kwik_default_alpha1(epsilon: float, delta: float, dim: int, constant: float 
 
 # Each config class carries its config-file ``name`` and a stable ``tag`` for
 # seed derivation; adding a policy must not perturb the derived streams of
-# existing ones.
+# existing ones.  ``state_free`` marks policies whose randomness and
+# compel/subsidy law do not depend on the court history (a subsidy offer
+# reads it only through the error bound), so a whole run's actions can be
+# drawn up front.
 
 
 @dataclass(frozen=True)
@@ -207,6 +253,7 @@ class NoSubsidyConfig:
 
     name: ClassVar[str] = "no_subsidy"
     tag: ClassVar[int] = 1
+    state_free: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -215,6 +262,7 @@ class EtcConfig:
 
     name: ClassVar[str] = "etc"
     tag: ClassVar[int] = 2
+    state_free: ClassVar[bool] = True
 
     horizon: int
     alpha: float
@@ -237,6 +285,7 @@ class DynamicCompellingConfig:
 
     name: ClassVar[str] = "dynamic_compelling"
     tag: ClassVar[int] = 3
+    state_free: ClassVar[bool] = True
 
     alpha: float
     c_max: float
@@ -252,6 +301,7 @@ class SubsidySamplingConfig:
 
     name: ClassVar[str] = "subsidy_sampling"
     tag: ClassVar[int] = 4
+    state_free: ClassVar[bool] = True
 
     alpha: float
     c_min: float
@@ -284,6 +334,7 @@ class KwikConfig:
 
     name: ClassVar[str] = "kwik"
     tag: ClassVar[int] = 5
+    state_free: ClassVar[bool] = False
 
     epsilon: float
     delta: float
@@ -324,6 +375,15 @@ class _BasePolicy:
         """True if the policy is guaranteed to emit NoAction at every step >= t."""
         return False
 
+    def horizon_actions(self, horizon: int, rng) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Steps 1..horizon of a state-free policy at once: (compel mask, subsidy bases).
+
+        Consumes ``rng`` exactly as ``horizon`` calls of ``select`` would.
+        ``None`` stands for "never compels" or "never offers"; the offer at
+        step t is ``max(0.0, bases[t - 1] - 2 * err_before)``.
+        """
+        raise NotImplementedError(f"{type(self).__name__} is not state-free")
+
 
 class NoSubsidyPolicy(_BasePolicy):
     def select(self, t, case, err_before, rng):
@@ -331,6 +391,9 @@ class NoSubsidyPolicy(_BasePolicy):
 
     def inactive_from(self, t):
         return True
+
+    def horizon_actions(self, horizon, rng):
+        return None, None
 
 
 class EtcPolicy(_BasePolicy):
@@ -343,6 +406,9 @@ class EtcPolicy(_BasePolicy):
     def inactive_from(self, t):
         return t > self.compel_count
 
+    def horizon_actions(self, horizon, rng):
+        return np.arange(horizon) < self.compel_count, None
+
 
 class DynamicCompellingPolicy(_BasePolicy):
     def __init__(self, config: DynamicCompellingConfig, case_dim: int | None):
@@ -352,6 +418,9 @@ class DynamicCompellingPolicy(_BasePolicy):
     def select(self, t, case, err_before, rng):
         p = dynamic_compel_probability(t, self.alpha, self.c_max)
         return COMPEL if rng.random() < p else NO_ACTION
+
+    def horizon_actions(self, horizon, rng):
+        return dynamic_compel_mask(rng.random(horizon), self.alpha, self.c_max), None
 
 
 class SubsidySamplingPolicy(_BasePolicy):
@@ -368,6 +437,13 @@ class SubsidySamplingPolicy(_BasePolicy):
             t, 2.0 * err_before, cfg.alpha, cfg.c_min, cfg.c_max, t <= self.transition_step, rng
         )
         return subsidy_action(amount)
+
+    def horizon_actions(self, horizon, rng):
+        cfg = self.config
+        bases = subsidy_bases(
+            rng.random(horizon), cfg.alpha, cfg.c_min, cfg.c_max, self.transition_step
+        )
+        return None, bases
 
 
 class KwikPolicy(_BasePolicy):

@@ -1,11 +1,18 @@
 """Online simulation loop, offline baseline, regret, and deterrent analytics.
 
-A run proceeds case by case: draw the case and its court cost, let the
-configured policy act, resolve the agent's settle-vs-litigate choice, and
-account the squared decision error plus any court cost.  When a case goes to
-court the revealed outcome is appended to the dataset and the court decides
-from the updated fit; settled cases receive the prediction from past court
-data only.
+Each step draws the case and its court cost, lets the configured policy
+act, resolves the agent's settle-vs-litigate choice, and accounts the
+squared decision error plus any court cost.  When a case goes to court the
+revealed outcome is appended to the dataset and the court decides from the
+updated fit; settled cases receive the prediction from past court data only.
+
+Two paths compute a run, chosen from its config alone.  With an
+``empirical_mean`` learner and a state-free policy (``no_subsidy``, ``etc``,
+``dynamic_compelling``, ``subsidy_sampling``) the event engine draws the
+policy's actions for the whole horizon up front and jumps from court visit
+to court visit, since the learner's state changes only there.  Every other
+run (linear learners, ``kwik``) goes case by case through the step loop,
+which is also the reference the engine is tested against bit for bit.
 
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
@@ -15,6 +22,7 @@ draws.  Shorter horizons consume a prefix of longer ones.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -55,6 +63,7 @@ from .policies import (
     SubsidySamplingConfig,
     agent_decision,
     make_policy,
+    subsidy_action,
 )
 
 __all__ = [
@@ -75,6 +84,11 @@ _STREAM_CASE_RADIUS = 1
 _STREAM_NOISE = 2
 _STREAM_COST = 3
 _STREAM_POLICY = 4
+
+# Event engine: steps searched after each court visit (doubled while no visit
+# is found), and steps per chunk when rebuilding the step records.
+_FIRST_WINDOW = 64
+_RECORD_CHUNK = 1 << 14
 
 
 def _stream(seed: int, rep: int, stream: int, extra: int | None = None) -> np.random.Generator:
@@ -212,6 +226,14 @@ def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger
 
 
 def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
+    """One replication: the event engine when the config allows it, else the step loop."""
+    if config.learner.family is LearnerFamily.EMPIRICAL_MEAN and config.policy.state_free:
+        return _event_engine(config, env, rep, keep_records)
+    return _step_loop(config, env, rep, keep_records)
+
+
+def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
+    """Reference path: one case at a time, for every learner and policy."""
     T = config.horizon
     truth = config.truth
     alpha = truth.alpha
@@ -330,6 +352,163 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         seed=config.seed,
         config_digest=config.digest(),
     )
+
+
+def _event_engine(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
+    """Mean learner under a state-free policy: jump from court visit to court visit.
+
+    Between visits the learner's state (court count, outcome sum) and hence
+    the error bound are frozen, so the next visit is found by a vectorized
+    litigation test over a window that doubles while it finds none.  Every
+    float is produced by the same operations, in the same order, as in
+    ``_step_loop``, so ledgers and totals are bit for bit the same.
+    """
+    T = config.horizon
+    alpha = config.truth.alpha
+    mu = config.truth.mu
+    policy = make_policy(config.policy, config.cases.dim)
+    compel, bases = policy.horizon_actions(
+        T, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
+    )
+    if bases is not None and np.isinf(bases).any():
+        subsidy_action(math.inf)  # an infinite offer fails SelectionAction's check
+    costs = env.costs
+    err_scale = config.learner.err_constant * config.truth.sigma
+    cost_floor = config.costs.c_min
+
+    # Per court count m: the prediction and the error bound after m visits.
+    rule_values = [0.0]
+    errs = [alpha]
+    visits: list[int] = []
+    sum_y = 0.0
+    subsidy_paid = 0.0
+    tail_loss = 0.0
+    end = T  # steps played out one by one; the closed-form tail covers the rest
+    s = 0
+    window = _FIRST_WINDOW
+    while s < T:
+        two_err = 2.0 * errs[-1]
+        # The step loop's closed-form tail skip, at the same step: err is frozen
+        # until the next visit, and a policy that goes inactive (etc) compels
+        # every step before, so the loop's first firing step is a window start.
+        if not keep_records and two_err < cost_floor and policy.inactive_from(s + 1):
+            tail_loss = (T - s) * (rule_values[-1] - mu) ** 2
+            end = s
+            break
+        stop = min(T, s + window)
+        if bases is None:
+            litigates = costs[s:stop] <= two_err  # cost - 0.0 is cost
+        else:
+            litigates = costs[s:stop] - _offers(bases[s:stop], two_err) <= two_err
+        if compel is not None:
+            litigates |= compel[s:stop]
+        hit = int(litigates.argmax())
+        if not litigates[hit]:
+            s = stop
+            window *= 2
+            continue
+        v = s + hit
+        if bases is not None:
+            subsidy_paid += max(0.0, bases.item(v) - two_err)
+        visits.append(v)
+        m = len(visits)
+        sum_y += env.outcomes.item(v)
+        rule_values.append(min(max(sum_y / m, 0.0), alpha))
+        errs.append(min(alpha, err_scale / math.sqrt(m)))
+        s = v + 1
+        window = _FIRST_WINDOW
+
+    went = np.zeros(end, dtype=bool)
+    went[visits] = True
+    m_after = np.cumsum(went)
+    diff = np.array(rule_values)[m_after] - env.f_values[:end]
+    squared = diff * diff
+    terms = squared + np.where(went, costs[:end], 0.0)
+    total_loss = np.cumsum(terms).item(-1) if end else 0.0
+    total_loss += tail_loss
+
+    records: list[StepRecord] = []
+    if keep_records:
+        records = _event_records(
+            env, end, compel, bases, went, m_after, squared, rule_values, errs
+        )
+    return RunLedger(
+        records=records,
+        total_loss=total_loss,
+        court_count=len(visits),
+        total_subsidy_paid=subsidy_paid,
+        seed=config.seed,
+        config_digest=config.digest(),
+    )
+
+
+def _offers(bases: np.ndarray, two_err) -> np.ndarray:
+    """``max(0.0, base - two_err)`` per step, as ``sample_subsidy`` computes it."""
+    shifted = bases - two_err
+    return np.where(shifted > 0.0, shifted, 0.0)
+
+
+def _event_records(
+    env: Environment,
+    end: int,
+    compel: np.ndarray | None,
+    bases: np.ndarray | None,
+    went: np.ndarray,
+    m_after: np.ndarray,
+    squared: np.ndarray,
+    rule_values: list[float],
+    errs: list[float],
+) -> list[StepRecord]:
+    """The step loop's records, rebuilt from the event engine's columns.
+
+    Values that the loop shares between steps (one prediction and one error
+    bound per court count, the literal 0.0) are shared here too, and lists
+    are built one chunk at a time, so memory stays at the loop's level.
+    """
+    counts = list(range(len(rule_values)))
+    two_errs = 2.0 * np.array(errs)
+    records: list[StepRecord] = []
+    for a in range(0, end, _RECORD_CHUNK):
+        b = min(end, a + _RECORD_CHUNK)
+        m_before = m_after[a:b] - went[a:b]
+        if env.xs is None:
+            cases = itertools.repeat(SINGLETON_CASE)
+        else:
+            cases = map(CaseFeatures, env.xs[a:b])
+        compelled = itertools.repeat(False) if compel is None else compel[a:b].tolist()
+        if bases is None:
+            offers = itertools.repeat(0.0)
+        else:
+            offers = _offers(bases[a:b], two_errs[m_before]).tolist()
+        records.extend(
+            StepRecord(
+                t=t,
+                case=case,
+                cost=cost,
+                subsidy=offer or 0.0,
+                compelled=forced,
+                went_to_court=litigated,
+                applied_decision=rule_values[m + litigated],
+                true_value=true_value,
+                squared_error=squared_error,
+                court_cost_incurred=cost if litigated else 0.0,
+                pre_step_err_bound=errs[m],
+                m_before=counts[m],
+                settlement_value=rule_values[m],
+            )
+            for t, case, cost, offer, forced, litigated, true_value, squared_error, m in zip(
+                range(a + 1, b + 1),
+                cases,
+                env.costs[a:b].tolist(),
+                offers,
+                compelled,
+                went[a:b].tolist(),
+                env.f_values[a:b].tolist(),
+                squared[a:b].tolist(),
+                m_before.tolist(),
+            )
+        )
+    return records
 
 
 def offline_baseline(env: Environment, kind: LearnerKind, alpha: float) -> float:

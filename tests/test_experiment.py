@@ -204,3 +204,23 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert main(["kwik", str(path)]) == 0
         assert (tmp_path / "kw" / "kwik.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "kwik"])
+    def test_output_directory_under_a_file(self, tmp_path, capsys, command):
+        config = {
+            "truth": {"family": "linear", "beta": [0.2], "beta0": 0.4, "sigma": 0.0, "alpha": 1.0},
+            "cases": {"kind": "ball", "dim": 1},
+            "cost": {"kind": "point", "c": 1.0},
+            "learner": {"kind": "norm_constrained"},
+            "policies": [{"name": "kwik", "epsilon": 0.2, "delta": 0.1, "alpha1": 0.2}],
+            "sweep": [20],
+            "replications": 1,
+        }
+        path = tmp_path / "kwik.json"
+        path.write_text(json.dumps(config))
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create output directory {out}" in err
