@@ -8,6 +8,7 @@ starts.  See the README for the full schema and defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -115,9 +116,13 @@ class _Reader:
         value = self.data.get(key, default)
         if value is None:
             raise ConfigurationError(f"missing required field {self._at(key)}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"{self._at(key)}: expected a number, got {value!r}")
-        return float(value)
+        return _finite(value, self._at(key))
+
+    def numbers(self, key: str) -> list[float]:
+        values = self.require(key)
+        if not isinstance(values, list) or not values:
+            raise ConfigurationError(f"{self._at(key)}: expected a non-empty list")
+        return [_finite(value, f"{self._at(key)}[{i}]") for i, value in enumerate(values)]
 
     def integer(self, key: str, default: int | None = None) -> int:
         value = self.data.get(key, default)
@@ -139,6 +144,18 @@ class _Reader:
         return _Reader(self.require(key), self._at(key))
 
 
+def _finite(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
 def _parse_truth(reader: _Reader) -> GroundTruth:
     family = reader.string("family")
     sigma = reader.number("sigma")
@@ -147,11 +164,8 @@ def _parse_truth(reader: _Reader) -> GroundTruth:
         if family == "constant":
             return ConstantTruth(mu=reader.number("mu"), sigma=sigma, alpha=alpha)
         if family == "linear":
-            beta = reader.require("beta")
-            if not isinstance(beta, list) or not beta:
-                raise ConfigurationError(f"{reader._at('beta')}: expected a non-empty list")
             return LinearTruth(
-                beta=np.asarray(beta, dtype=float),
+                beta=np.asarray(reader.numbers("beta")),
                 beta0=reader.number("beta0"),
                 sigma=sigma,
                 alpha=alpha,
@@ -181,10 +195,7 @@ def _parse_costs(reader: _Reader) -> CostModel:
     if kind == "uniform":
         return UniformCosts(reader.number("c_min"), reader.number("c_max"))
     if kind == "sequence":
-        costs = reader.require("costs")
-        if not isinstance(costs, list):
-            raise ConfigurationError(f"{reader._at('costs')}: expected a list")
-        return FixedCosts(tuple(costs))
+        return FixedCosts(tuple(reader.numbers("costs")))
     raise ConfigurationError(f"{reader._at('kind')}: unknown cost model {kind!r}")
 
 

@@ -1,8 +1,8 @@
 """Domain types shared by the whole package.
 
 Cases, hidden decision rules, court observations, datasets, cost models,
-and the per-step / per-run accounting records produced by the simulator.
-All types are plain values; only :class:`Dataset` mutates (append-only).
+and the per-run ledger produced by the simulator.  All types are plain
+values; only :class:`Dataset` mutates (append-only).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "sample_case",
     "sample_cases",
     "court_outcome",
-    "StepRecord",
     "RunLedger",
     "canonical_digest",
 ]
@@ -179,21 +178,21 @@ class Observation:
 
 
 class Dataset:
-    """Append-only, ordered collection of court observations.
+    """Append-only court data, kept as sufficient statistics only.
 
-    Maintains sufficient statistics incrementally (outcome sum; Gram matrix
-    and feature/outcome cross products over augmented features for vector
-    runs) so fitting stays cheap as the dataset grows.  ``dim`` is the case
-    dimension, or ``None`` for singleton-space runs.
+    The statistics (count, outcome sum; Gram matrix and feature/outcome cross
+    products over augmented features for vector runs) are updated per
+    observation, so fitting stays cheap as the dataset grows.  ``dim`` is the
+    case dimension, or ``None`` for singleton-space runs.
     """
 
-    __slots__ = ("dim", "observations", "_sum_y", "_gram", "_xty")
+    __slots__ = ("dim", "_count", "_sum_y", "_gram", "_xty")
 
     def __init__(self, dim: int | None = None):
         if dim is not None and dim < 1:
             raise ConfigurationError(f"case dimension must be >= 1, got {dim}")
         self.dim = dim
-        self.observations: list[Observation] = []
+        self._count = 0
         self._sum_y = 0.0
         if dim is None:
             self._gram = None
@@ -204,11 +203,11 @@ class Dataset:
             self._xty = np.zeros(k)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self._count
 
     @property
     def size(self) -> int:
-        return len(self.observations)
+        return self._count
 
     @property
     def sum_outcomes(self) -> float:
@@ -240,7 +239,7 @@ class Dataset:
             self._gram += np.outer(xt, xt)
             self._xty += obs.outcome * xt
         self._sum_y += obs.outcome
-        self.observations.append(obs)
+        self._count += 1
 
     @classmethod
     def from_observations(cls, observations: Iterable[Observation], dim: int | None = None) -> "Dataset":
@@ -396,52 +395,15 @@ def court_outcome(truth: GroundTruth, case: CaseFeatures, rng: np.random.Generat
     return Observation(case, value + noise)
 
 
-@dataclass(frozen=True, eq=False)
-class StepRecord:
-    """Accounting for one simulated step.
-
-    ``went_to_court`` is the realized litigation indicator; ``subsidy`` is the
-    amount offered by the policy (paid only on litigation);
-    ``settlement_value`` is the prediction from pre-step data that a settling
-    agent would have received.
-    """
-
-    __slots__ = (
-        "t",
-        "case",
-        "cost",
-        "subsidy",
-        "compelled",
-        "went_to_court",
-        "applied_decision",
-        "true_value",
-        "squared_error",
-        "court_cost_incurred",
-        "pre_step_err_bound",
-        "m_before",
-        "settlement_value",
-    )
-
-    t: int
-    case: CaseFeatures
-    cost: float
-    subsidy: float
-    compelled: bool
-    went_to_court: bool
-    applied_decision: float
-    true_value: float
-    squared_error: float
-    court_cost_incurred: float
-    pre_step_err_bound: float
-    m_before: int
-    settlement_value: float
-
-
 @dataclass
 class RunLedger:
-    """Full accounting for one simulated run."""
+    """Full accounting for one simulated run.
 
-    records: list[StepRecord]
+    ``steps`` maps each per-step column name (``sim.STEP_COLUMNS``) to an
+    array over the run's steps; it is empty when the run kept no records.
+    """
+
+    steps: dict[str, np.ndarray]
     total_loss: float
     court_count: int
     total_subsidy_paid: float
@@ -449,11 +411,10 @@ class RunLedger:
     config_digest: str
 
     def recompute_total_loss(self) -> float:
-        """Re-derive the cumulative loss from the step records (same summation order)."""
-        total = 0.0
-        for record in self.records:
-            total += record.squared_error + record.court_cost_incurred
-        return total
+        """Re-derive the cumulative loss from the step columns (same summation order)."""
+        if not self.steps:
+            return 0.0
+        return np.cumsum(self.steps["squared_error"] + self.steps["court_cost_incurred"]).item(-1)
 
 
 def canonical_digest(payload: dict) -> str:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -118,19 +120,11 @@ def _check_finite(path: Path, values: list[float]) -> None:
 
 
 def _ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
+    """One replication's JSONL line.  Bool columns are written as 0/1, and
+    ``tolist`` hands floats to ``json`` as Python floats, written by repr."""
     steps = {
-        "t": [r.t for r in ledger.records],
-        "cost": [r.cost for r in ledger.records],
-        "subsidy": [r.subsidy for r in ledger.records],
-        "compelled": [int(r.compelled) for r in ledger.records],
-        "went_to_court": [int(r.went_to_court) for r in ledger.records],
-        "applied_decision": [r.applied_decision for r in ledger.records],
-        "true_value": [r.true_value for r in ledger.records],
-        "squared_error": [r.squared_error for r in ledger.records],
-        "court_cost_incurred": [r.court_cost_incurred for r in ledger.records],
-        "pre_step_err_bound": [r.pre_step_err_bound for r in ledger.records],
-        "m_before": [r.m_before for r in ledger.records],
-        "settlement_value": [r.settlement_value for r in ledger.records],
+        name: (column.astype(np.int64) if column.dtype == bool else column).tolist()
+        for name, column in ledger.steps.items()
     }
     payload = {
         "policy": policy,
@@ -159,21 +153,40 @@ def _output_dir(spec: ExperimentSpec) -> Path:
 def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, Path]:
     """Run every (policy, horizon) cell and emit regret.csv + slopes.csv.
 
-    With ``ledgers=True``, every replication's full ledger is appended to
-    ledgers.jsonl.
+    With ``ledgers=True``, every replication's full ledger is written to
+    ledgers.jsonl as one line when the replication ends.  The lines go to a
+    temporary file that becomes ledgers.jsonl only once every cell has
+    passed its finiteness check, so a failed sweep leaves no ledgers.jsonl.
     """
     out_dir = _output_dir(spec)
+    if not ledgers:
+        return _run_cells(spec, out_dir, None)
+    partial = out_dir / "ledgers.jsonl.tmp"
+    try:
+        with partial.open("w") as stream:
+            outputs = _run_cells(spec, out_dir, stream)
+        outputs["ledgers"] = out_dir / "ledgers.jsonl"
+        os.replace(partial, outputs["ledgers"])
+        return outputs
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _run_cells(spec: ExperimentSpec, out_dir: Path, stream: TextIO | None) -> dict[str, Path]:
+    """Every (policy, horizon) cell; writes regret.csv and slopes.csv, and
+    streams each replication's ledger line to ``stream`` when one is given."""
     regret_lines = [REGRET_COLUMNS]
-    ledger_lines: list[str] = []
     per_policy: dict[str, list[tuple[int, float]]] = {}
     for request in spec.policies:
         for horizon in spec.sweep:
             config = spec.run_config(request, horizon)
             sink = None
-            if ledgers:
-                sink = lambda rep, ledger, _p=request.name, _h=horizon: ledger_lines.append(
-                    _ledger_line(_p, _h, rep, ledger)
-                )
+            if stream is not None:
+
+                def sink(rep, ledger, _p=request.name, _h=horizon):
+                    stream.write(_ledger_line(_p, _h, rep, ledger))
+                    stream.write("\n")
+
             report = estimate_regret(config, spec.replications, ledger_sink=sink)
             row = RegretRow(request.name, horizon, report)
             _check_finite(
@@ -204,10 +217,6 @@ def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, 
     slopes_path = out_dir / "slopes.csv"
     _write_text(slopes_path, slope_lines)
     outputs["slopes"] = slopes_path
-    if ledgers:
-        ledgers_path = out_dir / "ledgers.jsonl"
-        _write_text(ledgers_path, ledger_lines) if ledger_lines else ledgers_path.write_text("")
-        outputs["ledgers"] = ledgers_path
     return outputs
 
 
@@ -230,12 +239,13 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
         config = spec.run_config(kwik_requests[0], horizon)
         epsilon = config.policy.epsilon
         ledger = run(config, rep=0)
-        settled = [r for r in ledger.records if not r.went_to_court]
-        errors = [abs(r.applied_decision - r.true_value) for r in settled]
-        predicted = len(settled)
-        within = sum(1 for e in errors if e <= epsilon)
+        steps = ledger.steps
+        settled = ~steps["went_to_court"]
+        errors = np.abs(steps["applied_decision"][settled] - steps["true_value"][settled])
+        predicted = int(settled.sum())
+        within = int((errors <= epsilon).sum())
         fraction = within / predicted if predicted else 1.0
-        max_error = max(errors) if errors else 0.0
+        max_error = errors.max().item() if predicted else 0.0
         row = KwikRow(
             horizon=horizon,
             dim=dim,

@@ -22,7 +22,6 @@ draws.  Shorter horizons consume a prefix of longer ones.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -42,7 +41,6 @@ from .core import (
     RunLedger,
     SINGLETON_CASE,
     SingletonCases,
-    StepRecord,
     canonical_digest,
     sample_cases,
 )
@@ -67,6 +65,7 @@ from .policies import (
 )
 
 __all__ = [
+    "STEP_COLUMNS",
     "RunConfig",
     "Environment",
     "draw_environment",
@@ -86,9 +85,25 @@ _STREAM_COST = 3
 _STREAM_POLICY = 4
 
 # Event engine: steps searched after each court visit (doubled while no visit
-# is found), and steps per chunk when rebuilding the step records.
+# is found).
 _FIRST_WINDOW = 64
-_RECORD_CHUNK = 1 << 14
+
+#: The ledger's per-step columns and their dtypes, in the order of the step
+#: loop's per-step tuples.  ``RunLedger.steps`` holds one array per name.
+STEP_COLUMNS = {
+    "t": np.int64,
+    "cost": np.float64,
+    "subsidy": np.float64,
+    "compelled": np.bool_,
+    "went_to_court": np.bool_,
+    "applied_decision": np.float64,
+    "true_value": np.float64,
+    "squared_error": np.float64,
+    "court_cost_incurred": np.float64,
+    "pre_step_err_bound": np.float64,
+    "m_before": np.int64,
+    "settlement_value": np.float64,
+}
 
 
 def _stream(seed: int, rep: int, stream: int, extra: int | None = None) -> np.random.Generator:
@@ -219,8 +234,8 @@ def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
 def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger:
     """Execute one online run and return its ledger.
 
-    ``keep_records=False`` skips the per-step records (the totals are still
-    exact); use it when aggregating many replications.
+    ``keep_records=False`` leaves ``ledger.steps`` empty (the totals are
+    still exact); use it when aggregating many replications.
     """
     return _simulate(config, draw_environment(config, rep), rep, keep_records=keep_records)
 
@@ -263,7 +278,7 @@ def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool
         not keep_records and mean_learner and isinstance(truth, ConstantTruth)
     )
 
-    records: list[StepRecord] = []
+    rows: list[tuple] = []
     total_loss = 0.0
     court_count = 0
     subsidy_paid = 0.0
@@ -326,26 +341,13 @@ def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool
         total_loss += squared_error + court_cost
 
         if keep_records:
-            records.append(
-                StepRecord(
-                    t=t,
-                    case=case,
-                    cost=cost,
-                    subsidy=offered,
-                    compelled=compelled,
-                    went_to_court=litigates,
-                    applied_decision=applied,
-                    true_value=f_values[i],
-                    squared_error=squared_error,
-                    court_cost_incurred=court_cost,
-                    pre_step_err_bound=pre_err,
-                    m_before=m_before,
-                    settlement_value=settlement,
-                )
+            rows.append(
+                (t, cost, offered, compelled, litigates, applied, f_values[i],
+                 squared_error, court_cost, pre_err, m_before, settlement)
             )
 
     return RunLedger(
-        records=records,
+        steps=_step_columns(dict(zip(STEP_COLUMNS, zip(*rows)))) if keep_records else {},
         total_loss=total_loss,
         court_count=court_count,
         total_subsidy_paid=subsidy_paid,
@@ -421,19 +423,35 @@ def _event_engine(config: RunConfig, env: Environment, rep: int, keep_records: b
     went = np.zeros(end, dtype=bool)
     went[visits] = True
     m_after = np.cumsum(went)
-    diff = np.array(rule_values)[m_after] - env.f_values[:end]
+    predictions = np.array(rule_values)
+    diff = predictions[m_after] - env.f_values[:end]
     squared = diff * diff
     terms = squared + np.where(went, costs[:end], 0.0)
     total_loss = np.cumsum(terms).item(-1) if end else 0.0
     total_loss += tail_loss
 
-    records: list[StepRecord] = []
-    if keep_records:
-        records = _event_records(
-            env, end, compel, bases, went, m_after, squared, rule_values, errs
+    steps = {}
+    if keep_records:  # the tail skip is off, so end == T
+        m_before = m_after - went
+        pre_errs = np.array(errs)[m_before]
+        steps = _step_columns(
+            {
+                "t": np.arange(1, end + 1),
+                "cost": costs,
+                "subsidy": np.zeros(end) if bases is None else _offers(bases, 2.0 * pre_errs),
+                "compelled": np.zeros(end, dtype=bool) if compel is None else compel,
+                "went_to_court": went,
+                "applied_decision": predictions[m_after],
+                "true_value": env.f_values,
+                "squared_error": squared,
+                "court_cost_incurred": np.where(went, costs, 0.0),
+                "pre_step_err_bound": pre_errs,
+                "m_before": m_before,
+                "settlement_value": predictions[m_before],
+            }
         )
     return RunLedger(
-        records=records,
+        steps=steps,
         total_loss=total_loss,
         court_count=len(visits),
         total_subsidy_paid=subsidy_paid,
@@ -442,73 +460,15 @@ def _event_engine(config: RunConfig, env: Environment, rep: int, keep_records: b
     )
 
 
+def _step_columns(columns: dict) -> dict[str, np.ndarray]:
+    """``STEP_COLUMNS``, in order and dtype, from a mapping of name to values."""
+    return {name: np.asarray(columns[name], dtype=dtype) for name, dtype in STEP_COLUMNS.items()}
+
+
 def _offers(bases: np.ndarray, two_err) -> np.ndarray:
     """``max(0.0, base - two_err)`` per step, as ``sample_subsidy`` computes it."""
     shifted = bases - two_err
     return np.where(shifted > 0.0, shifted, 0.0)
-
-
-def _event_records(
-    env: Environment,
-    end: int,
-    compel: np.ndarray | None,
-    bases: np.ndarray | None,
-    went: np.ndarray,
-    m_after: np.ndarray,
-    squared: np.ndarray,
-    rule_values: list[float],
-    errs: list[float],
-) -> list[StepRecord]:
-    """The step loop's records, rebuilt from the event engine's columns.
-
-    Values that the loop shares between steps (one prediction and one error
-    bound per court count, the literal 0.0) are shared here too, and lists
-    are built one chunk at a time, so memory stays at the loop's level.
-    """
-    counts = list(range(len(rule_values)))
-    two_errs = 2.0 * np.array(errs)
-    records: list[StepRecord] = []
-    for a in range(0, end, _RECORD_CHUNK):
-        b = min(end, a + _RECORD_CHUNK)
-        m_before = m_after[a:b] - went[a:b]
-        if env.xs is None:
-            cases = itertools.repeat(SINGLETON_CASE)
-        else:
-            cases = map(CaseFeatures, env.xs[a:b])
-        compelled = itertools.repeat(False) if compel is None else compel[a:b].tolist()
-        if bases is None:
-            offers = itertools.repeat(0.0)
-        else:
-            offers = _offers(bases[a:b], two_errs[m_before]).tolist()
-        records.extend(
-            StepRecord(
-                t=t,
-                case=case,
-                cost=cost,
-                subsidy=offer or 0.0,
-                compelled=forced,
-                went_to_court=litigated,
-                applied_decision=rule_values[m + litigated],
-                true_value=true_value,
-                squared_error=squared_error,
-                court_cost_incurred=cost if litigated else 0.0,
-                pre_step_err_bound=errs[m],
-                m_before=counts[m],
-                settlement_value=rule_values[m],
-            )
-            for t, case, cost, offer, forced, litigated, true_value, squared_error, m in zip(
-                range(a + 1, b + 1),
-                cases,
-                env.costs[a:b].tolist(),
-                offers,
-                compelled,
-                went[a:b].tolist(),
-                env.f_values[a:b].tolist(),
-                squared[a:b].tolist(),
-                m_before.tolist(),
-            )
-        )
-    return records
 
 
 def offline_baseline(env: Environment, kind: LearnerKind, alpha: float) -> float:
@@ -553,7 +513,7 @@ def estimate_regret(
 
     Each replication pairs the online run with an offline baseline scored on
     the same environment draw.  ``ledger_sink``, when given, receives each
-    replication's full ledger (records included).
+    replication's full ledger (step columns included) as soon as it ends.
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
@@ -616,9 +576,8 @@ def check_deterrent(config: RunConfig, replications: int) -> DeterrentReport:
     for rep in range(replications):
         env = draw_environment(config, rep)
         ledger = _simulate(config, env, rep, keep_records=True)
-        subsidy = np.array([r.subsidy for r in ledger.records])
-        settlement = np.array([r.settlement_value for r in ledger.records])
-        v = subsidy - env.costs - settlement
+        subsidy = ledger.steps["subsidy"]
+        v = subsidy - env.costs - ledger.steps["settlement_value"]
         sum_v += v
         sumsq_v += v * v
         sum_s += subsidy

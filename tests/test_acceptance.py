@@ -381,16 +381,17 @@ def test_criterion_8_determinism_and_accounting(tmp_path):
         ledger = cl.run(config)
         if ledger.recompute_total_loss() != ledger.total_loss:
             accounting_ok = False
-        if ledger.court_count != sum(r.went_to_court for r in ledger.records):
+        steps = ledger.steps
+        if ledger.court_count != steps["went_to_court"].sum():
             accounting_ok = False
-        for record in ledger.records:
-            # recompute with the same arithmetic form the simulator uses
-            # (d * d, not d ** 2: float pow differs in the last ulp)
-            diff = record.applied_decision - record.true_value
-            if record.squared_error != diff * diff:
-                accounting_ok = False
-            if record.court_cost_incurred != (record.cost if record.went_to_court else 0.0):
-                accounting_ok = False
+        # recompute with the same arithmetic form the simulator uses
+        # (d * d, not d ** 2: float pow differs in the last ulp)
+        diff = steps["applied_decision"] - steps["true_value"]
+        if not np.array_equal(steps["squared_error"], diff * diff):
+            accounting_ok = False
+        court = np.where(steps["went_to_court"], steps["cost"], 0.0)
+        if not np.array_equal(steps["court_cost_incurred"], court):
+            accounting_ok = False
 
     ok = bytes_ok and accounting_ok
     _report(

@@ -103,6 +103,42 @@ class TestFieldPathedErrors:
         assert "policies[1] (subsidy_sampling)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "regret.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"cost": {"kind": "uniform", "c_min": 1.0, "c_max": float("inf")}},
+                "cost.c_max: expected a finite number",
+            ),
+            (
+                {"truth": {"family": "constant", "mu": float("nan"), "sigma": 0.5, "alpha": 2.0}},
+                "truth.mu: expected a finite number",
+            ),
+            (
+                {
+                    "cases": {"kind": "ball", "dim": 2},
+                    "truth": {"family": "linear", "beta": [0.1, float("nan")], "beta0": 0.4,
+                              "sigma": 0.1, "alpha": 1.0},
+                    "learner": {"kind": "ols"},
+                },
+                "truth.beta[1]: expected a finite number",
+            ),
+            ({"cost": {"kind": "point", "c": 10**400}}, "cost.c: expected a finite number"),
+            ({"cost": {"kind": "sequence", "costs": [1.0, "x"]}}, "cost.costs[1]: expected a number"),
+        ],
+        ids=["c_max_infinity", "mu_nan", "beta_nan", "int_beyond_float", "sequence_string"],
+    )
+    def test_number_must_be_finite(self, tmp_path, capsys, overrides, message):
+        data = minimal_config(**overrides)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))  # inf and nan as the JSON extensions Infinity / NaN
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "regret.csv").exists()
+
     def test_replications_floor(self):
         with pytest.raises(ConfigurationError, match="replications"):
             parse_config(minimal_config(replications=0))

@@ -12,14 +12,12 @@ from courtlearn import sim
 from courtlearn.core import (
     SINGLETON_CASE,
     BallCases,
-    CaseFeatures,
     ConfigurationError,
     ConstantTruth,
     FixedCosts,
     LinearTruth,
     PointMassCosts,
     SingletonCases,
-    StepRecord,
     UniformCosts,
 )
 from courtlearn.learners import LearnerFamily, LearnerKind
@@ -51,9 +49,6 @@ class _Replay:
 
 def _bits(value):
     """Type plus exact value; floats by their hex form, so -0.0 != 0.0."""
-    if isinstance(value, CaseFeatures):
-        coords = None if value.coords is None else value.coords.tolist()
-        return CaseFeatures, coords
     return type(value), value.hex() if isinstance(value, float) else value
 
 
@@ -141,10 +136,13 @@ def test_event_engine_matches_step_loop(run, keep_records):
         return
     for name in ("total_loss", "court_count", "total_subsidy_paid", "seed", "config_digest"):
         assert _bits(getattr(engine, name)) == _bits(getattr(loop, name)), name
-    assert len(engine.records) == len(loop.records) == (config.horizon if keep_records else 0)
-    for got, want in zip(engine.records, loop.records):
-        for name in StepRecord.__slots__:
-            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (want.t, name)
+    assert list(engine.steps) == list(loop.steps) == (list(sim.STEP_COLUMNS) if keep_records else [])
+    for name, want in loop.steps.items():
+        got = engine.steps[name]
+        assert got.dtype == want.dtype == sim.STEP_COLUMNS[name], name
+        assert got.shape == want.shape == (config.horizon,), name
+        # bytes, not ==: -0.0 and 0.0 must not pass for each other
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_dispatch_rule_reads_the_config_only(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,26 @@ class TestRunExperiment:
             total += se + cc
         assert total == entry["total_loss"]
 
+    def test_ledger_memory_does_not_grow_with_replications(self, tmp_path):
+        # each replication's line is written when it ends, so the peak is one
+        # replication's ledger whatever the replication count
+        def peak(replications):
+            spec = small_spec(
+                tmp_path,
+                policies=["dynamic_compelling"],
+                sweep=[20_000],
+                replications=replications,
+                out_dir=str(tmp_path / f"r{replications}"),
+            )
+            tracemalloc.start()
+            try:
+                run_experiment(spec, ledgers=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) < 1.5 * peak(1)
+
 
 class TestSlopeFit:
     def test_recovers_power_law(self):
@@ -188,6 +209,27 @@ class TestCli:
         path.write_text(json.dumps({"truth": {"family": "constant"}}))
         assert main(["run", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_failed_sweep_leaves_no_files(self, tmp_path, capsys):
+        # valid config; the no_subsidy cells pass, then etc's compelled court
+        # fees of 1e308 overflow the loss in the middle of the sweep
+        config = {
+            "truth": {"family": "constant", "mu": 0.0, "sigma": 0.0, "alpha": 1e160},
+            "cost": {"kind": "point", "c": 1e308},
+            "learner": {"kind": "empirical_mean"},
+            "policies": ["no_subsidy", "etc"],
+            "sweep": [10, 100],
+            "replications": 2,
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(path), "--out", str(out), "--ledgers"]) == 2
+        assert "non-finite value would be written to regret.csv" in capsys.readouterr().err
+        assert not (out / "ledgers.jsonl").exists()
+        assert not (out / "regret.csv").exists()
+        assert list(out.iterdir()) == []
 
     def test_kwik_command(self, tmp_path):
         config = {

@@ -64,8 +64,8 @@ class TestRunProtocol:
         ledger = run(config)
         assert ledger.total_loss == 5.0
         assert ledger.court_count == 0
-        assert all(not r.went_to_court for r in ledger.records)
-        assert all(r.applied_decision == 0.0 for r in ledger.records)
+        assert not ledger.steps["went_to_court"].any()
+        assert (ledger.steps["applied_decision"] == 0.0).all()
 
     def test_compel_all_hand_trace(self):
         # zero noise: the first court visit pins the rule exactly, so the
@@ -79,7 +79,7 @@ class TestRunProtocol:
         ledger = run(config)
         assert ledger.total_loss == pytest.approx(1.5)
         assert ledger.court_count == 3
-        assert [r.m_before for r in ledger.records] == [0, 1, 2]
+        assert ledger.steps["m_before"].tolist() == [0, 1, 2]
 
     def test_court_updates_before_deciding(self):
         # litigated steps are decided from the post-update dataset: with zero
@@ -90,28 +90,29 @@ class TestRunProtocol:
             costs=PointMassCosts(0.5),
             policy=EtcConfig(horizon=1, alpha=10.0, c_max=1.0),
         )
-        record = run(config).records[0]
-        assert record.went_to_court
-        assert record.applied_decision == 1.0
-        assert record.settlement_value == 0.0  # what settling would have paid
+        steps = run(config).steps
+        assert steps["went_to_court"][0]
+        assert steps["applied_decision"][0] == 1.0
+        assert steps["settlement_value"][0] == 0.0  # what settling would have paid
 
     def test_accounting_identity(self):
         config = constant_config(horizon=200, policy=DynamicCompellingConfig(2.0, 1.0), seed=3)
         ledger = run(config)
         assert ledger.recompute_total_loss() == ledger.total_loss
-        for r in ledger.records:
-            diff = r.applied_decision - r.true_value
-            assert r.squared_error == diff * diff
-            assert r.court_cost_incurred == (r.cost if r.went_to_court else 0.0)
+        steps = ledger.steps
+        diff = steps["applied_decision"] - steps["true_value"]
+        np.testing.assert_array_equal(steps["squared_error"], diff * diff)
+        np.testing.assert_array_equal(
+            steps["court_cost_incurred"], np.where(steps["went_to_court"], steps["cost"], 0.0)
+        )
 
     def test_dataset_growth_identity(self):
         config = constant_config(horizon=300, policy=DynamicCompellingConfig(1.0, 1.0), seed=5)
         ledger = run(config)
-        courted = [r for r in ledger.records if r.went_to_court]
-        assert ledger.court_count == len(courted)
+        courted = ledger.steps["went_to_court"]
+        assert ledger.court_count == courted.sum()
         # m_before counts exactly the prior courted steps
-        for expected, record in enumerate(courted):
-            assert record.m_before == expected
+        assert ledger.steps["m_before"][courted].tolist() == list(range(ledger.court_count))
 
     def test_determinism(self):
         config = constant_config(horizon=500, policy=DynamicCompellingConfig(1.5, 1.0), seed=9)
@@ -119,29 +120,25 @@ class TestRunProtocol:
         assert a.total_loss == b.total_loss
         assert a.court_count == b.court_count
         assert a.config_digest == b.config_digest
-        for ra, rb in zip(a.records, b.records):
-            assert ra.applied_decision == rb.applied_decision
-            assert ra.cost == rb.cost and ra.subsidy == rb.subsidy
+        for name in ("applied_decision", "cost", "subsidy"):
+            np.testing.assert_array_equal(a.steps[name], b.steps[name])
 
     def test_litigation_stops_for_good_once_bound_clears_cost(self):
         # once 2 * err < c_min with no selection pressure, the dataset is
         # frozen and no later case litigates
         config = constant_config(horizon=400, seed=11, costs=UniformCosts(0.8, 1.2))
         ledger = run(config)
-        cleared = None
-        for r in ledger.records:
-            if 2.0 * r.pre_step_err_bound < config.costs.c_min and cleared is None:
-                cleared = r.t
-            if cleared is not None:
-                assert not r.went_to_court
-        assert cleared is not None
+        clears = 2.0 * ledger.steps["pre_step_err_bound"] < config.costs.c_min
+        assert clears.any()
+        cleared = int(clears.argmax())  # the first step that clears
+        assert not ledger.steps["went_to_court"][cleared:].any()
 
     def test_voluntary_litigation_threshold(self):
         # alpha = 2 makes the first two cases litigate at cost 1 (the second
         # on the boundary 2 * 0.5 <= 1), then everyone settles
         config = constant_config(horizon=50, truth=ConstantTruth(mu=1.0, sigma=0.5, alpha=2.0))
         ledger = run(config)
-        assert [r.went_to_court for r in ledger.records[:3]] == [True, True, False]
+        assert ledger.steps["went_to_court"][:3].tolist() == [True, True, False]
         assert ledger.court_count == 2
 
 
@@ -162,8 +159,8 @@ class TestEnvironment:
         config = constant_config(horizon=50, seed=13)
         env = draw_environment(config, rep=0)
         ledger = run(config, rep=0)
-        np.testing.assert_array_equal([r.cost for r in ledger.records], env.costs)
-        np.testing.assert_array_equal([r.true_value for r in ledger.records], env.f_values)
+        np.testing.assert_array_equal(ledger.steps["cost"], env.costs)
+        np.testing.assert_array_equal(ledger.steps["true_value"], env.f_values)
 
 
 class TestOfflineBaseline:
