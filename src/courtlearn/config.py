@@ -21,6 +21,7 @@ from .core import (
     ConfigurationError,
     ConstantTruth,
     CostModel,
+    Dataset,
     FixedCosts,
     GroundTruth,
     LinearTruth,
@@ -160,19 +161,20 @@ def _parse_truth(reader: _Reader) -> GroundTruth:
     family = reader.string("family")
     sigma = reader.number("sigma")
     alpha = reader.number("alpha")
+    # Field errors already name their path; only the rule's own checks get the prefix.
+    if family == "constant":
+        rule, values = ConstantTruth, {"mu": reader.number("mu")}
+    elif family == "linear":
+        rule, values = LinearTruth, {
+            "beta": np.asarray(reader.numbers("beta")),
+            "beta0": reader.number("beta0"),
+        }
+    else:
+        raise ConfigurationError(f"{reader._at('family')}: unknown family {family!r}")
     try:
-        if family == "constant":
-            return ConstantTruth(mu=reader.number("mu"), sigma=sigma, alpha=alpha)
-        if family == "linear":
-            return LinearTruth(
-                beta=np.asarray(reader.numbers("beta")),
-                beta0=reader.number("beta0"),
-                sigma=sigma,
-                alpha=alpha,
-            )
+        return rule(**values, sigma=sigma, alpha=alpha)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{reader.path}: {exc}") from None
-    raise ConfigurationError(f"{reader._at('family')}: unknown family {family!r}")
 
 
 def _parse_cases(reader: _Reader) -> CaseSpec:
@@ -278,7 +280,7 @@ def parse_config(data: dict) -> ExperimentSpec:
     for i, request in enumerate(spec.policies):
         for horizon in spec.sweep:
             try:
-                make_policy(spec.run_config(request, horizon).policy, cases.dim)
+                make_policy(spec.run_config(request, horizon).policy, Dataset(cases.dim))
             except ConfigurationError as exc:
                 raise ConfigurationError(f"policies[{i}] ({request.name}): {exc}") from None
     return spec

@@ -3,6 +3,13 @@
 Cases, hidden decision rules, court observations, datasets, cost models,
 and the per-run ledger produced by the simulator.  All types are plain
 values; only :class:`Dataset` mutates (append-only).
+
+A vector run has one spectral state: its :class:`Dataset` owns the run's
+only Gram matrix and caches one eigendecomposition of it (a
+:class:`Spectrum`) until the next append.  The linear fit, the
+norm-constrained bisection and the kwik gate all read that one
+decomposition.  The simulator passes raw case rows; :class:`CaseFeatures`
+is the checked single-case wrapper for callers outside the step loop.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -24,6 +31,9 @@ __all__ = [
     "LinearTruth",
     "GroundTruth",
     "Observation",
+    "Spectrum",
+    "decompose",
+    "augment",
     "Dataset",
     "PointMassCosts",
     "UniformCosts",
@@ -34,6 +44,7 @@ __all__ = [
     "CaseSpec",
     "sample_case",
     "sample_cases",
+    "check_unit_ball",
     "court_outcome",
     "RunLedger",
     "canonical_digest",
@@ -88,10 +99,7 @@ class CaseFeatures:
         """Feature vector with a trailing constant-1 coordinate."""
         if self.coords is None:
             raise ConfigurationError("singleton cases have no feature vector")
-        out = np.empty(self.coords.shape[0] + 1)
-        out[:-1] = self.coords
-        out[-1] = 1.0
-        return out
+        return augment(self.coords)
 
 
 #: Shared instance for runs over the singleton case space.
@@ -177,16 +185,42 @@ class Observation:
     outcome: float
 
 
+def augment(x: np.ndarray) -> np.ndarray:
+    """The augmented feature row [x, 1] of a raw case vector."""
+    out = np.empty(x.shape[0] + 1)
+    out[:-1] = x
+    out[-1] = 1.0
+    return out
+
+
+class Spectrum(NamedTuple):
+    """``np.linalg.eigh`` of a Gram matrix, plus its eigenvalues clipped at 0.
+
+    ``values`` ascend and keep eigh's round-off signs (the pseudo-inverse
+    needs them); ``floored`` is what the bisection and the kwik gate read.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    floored: np.ndarray
+
+
+def decompose(gram: np.ndarray) -> Spectrum:
+    values, vectors = np.linalg.eigh(gram)
+    return Spectrum(values, vectors, np.clip(values, 0.0, None))
+
+
 class Dataset:
     """Append-only court data, kept as sufficient statistics only.
 
     The statistics (count, outcome sum; Gram matrix and feature/outcome cross
     products over augmented features for vector runs) are updated per
     observation, so fitting stays cheap as the dataset grows.  ``dim`` is the
-    case dimension, or ``None`` for singleton-space runs.
+    case dimension, or ``None`` for singleton-space runs.  Vector datasets
+    also cache the Gram matrix's :class:`Spectrum` between appends.
     """
 
-    __slots__ = ("dim", "_count", "_sum_y", "_gram", "_xty")
+    __slots__ = ("dim", "_count", "_sum_y", "_gram", "_xty", "_spectrum")
 
     def __init__(self, dim: int | None = None):
         if dim is not None and dim < 1:
@@ -194,6 +228,7 @@ class Dataset:
         self.dim = dim
         self._count = 0
         self._sum_y = 0.0
+        self._spectrum: Spectrum | None = None
         if dim is None:
             self._gram = None
             self._xty = None
@@ -226,19 +261,31 @@ class Dataset:
             raise ConfigurationError("singleton datasets have no feature products")
         return self._xty
 
+    def spectrum(self) -> Spectrum:
+        """The Gram matrix's eigendecomposition, computed at most once per append."""
+        if self._spectrum is None:
+            self._spectrum = decompose(self.gram)
+        return self._spectrum
+
     def append(self, obs: Observation) -> None:
         if self.dim is None:
             if obs.case.coords is not None:
                 raise ConfigurationError("vector case appended to a singleton dataset")
+            self.append_row(None, obs.outcome)
         else:
             if obs.case.dim != self.dim:
                 raise ConfigurationError(
                     f"case dimension {obs.case.dim} does not match dataset dimension {self.dim}"
                 )
-            xt = obs.case.augmented()
-            self._gram += np.outer(xt, xt)
-            self._xty += obs.outcome * xt
-        self._sum_y += obs.outcome
+            self.append_row(obs.case.augmented(), obs.outcome)
+
+    def append_row(self, row: np.ndarray | None, outcome: float) -> None:
+        """Unchecked append: ``row`` is the augmented case [x, 1], or None for singleton data."""
+        if row is not None:
+            self._gram += np.outer(row, row)
+            self._xty += outcome * row
+            self._spectrum = None
+        self._sum_y += outcome
         self._count += 1
 
     @classmethod
@@ -386,6 +433,13 @@ def sample_cases(
     norms[norms == 0.0] = 1.0
     radii = rng_radius.random(count) ** (1.0 / spec.dim)
     return directions * (radii / norms)[:, None]
+
+
+def check_unit_ball(xs: np.ndarray) -> None:
+    """Raise unless every row of ``xs`` lies in the unit ball (the CaseFeatures check, vectorized)."""
+    norms = np.linalg.norm(xs, axis=1)
+    if (norms > 1.0 + _NORM_TOL).any():
+        raise ConfigurationError(f"case lies outside the unit ball: |x| = {float(norms.max())}")
 
 
 def court_outcome(truth: GroundTruth, case: CaseFeatures, rng: np.random.Generator) -> Observation:

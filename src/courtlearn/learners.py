@@ -6,6 +6,11 @@ singleton/constant setting, ordinary least squares on augmented features
 carries an error bound of the form constant * sigma * sqrt(dim+1) / sqrt(m),
 capped at the decision cap alpha, that both the agents and the selection
 policies consult.
+
+Both linear families solve from the dataset's cached eigendecomposition
+(``Dataset.spectrum``): the minimum-norm solution replays
+``np.linalg.pinv(gram, hermitian=True)`` on it, and the norm-constrained
+bisection reuses it, so a fit costs one ``eigh`` at most.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import CaseFeatures, ConfigurationError, Dataset
+from .core import CaseFeatures, ConfigurationError, Dataset, Spectrum
 
 __all__ = [
     "LearnerFamily",
@@ -33,6 +38,9 @@ __all__ = [
 
 # Bisection for the ridge multiplier stops at this relative width.
 _BISECT_RTOL = 1e-10
+
+# np.linalg.pinv's default cutoff, relative to the largest singular value.
+_PINV_RCOND = 1e-15
 
 
 class LearnerFamily(Enum):
@@ -99,21 +107,47 @@ def fit(kind: LearnerKind, data: Dataset) -> FittedRule:
         return MeanRule(mean, m)
     if data.dim is None:
         raise ConfigurationError(f"{kind.family.value} requires vector cases")
-    return _fit_linear(kind, data.gram, data.xty, m)
-
-
-def _fit_linear(kind: LearnerKind, gram: np.ndarray, xty: np.ndarray, m: int) -> LinearRule:
-    """Fit a linear rule from the sufficient statistics (Gram matrix, X^T y)."""
     if m == 0:
-        return LinearRule(np.zeros(gram.shape[0]), 0)
-    coef = np.linalg.pinv(gram, hermitian=True) @ xty
+        return LinearRule(np.zeros(data.dim + 1), 0)
+    return _fit_linear(kind, data.spectrum(), data.xty, m)
+
+
+def _fit_linear(kind: LearnerKind, spectrum: Spectrum, xty: np.ndarray, m: int) -> LinearRule:
+    """Fit a linear rule from the Gram matrix's spectrum and X^T y (m >= 1 observations)."""
+    coef = _pinv(spectrum) @ xty
     if kind.family is LearnerFamily.OLS:
         return LinearRule(coef, m)
-    radius = kind.radius
-    if float(np.linalg.norm(coef)) <= radius * (1.0 + _BISECT_RTOL):
+    if float(np.linalg.norm(coef)) <= kind.radius * (1.0 + _BISECT_RTOL):
         return LinearRule(coef, m)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    eigvals = np.clip(eigvals, 0.0, None)
+    return LinearRule(_norm_capped(spectrum, xty, kind.radius), m)
+
+
+def _pinv(spectrum: Spectrum) -> np.ndarray:
+    """``np.linalg.pinv(gram, hermitian=True)`` from ``gram``'s eigendecomposition.
+
+    numpy's pinv (2.x) takes its hermitian SVD from this eigh, re-sorted by
+    |w| descending with the signs moved into u, and cuts off at 1e-15 * s_max.
+    Replaying that arithmetic gives the same bits without a second ``eigh``;
+    ``tests/test_spectrum.py`` checks it against ``np.linalg.pinv``.
+    """
+    s = abs(spectrum.values)
+    order = np.argsort(s)[::-1]
+    s = s[order]
+    sgn = np.copysign(1.0, spectrum.values[order])
+    # take keeps u C-ordered like numpy's take_along_axis (u[:, order] would not),
+    # so the products below run the same BLAS kernels.
+    u = spectrum.vectors.take(order, axis=1)
+    us = u * sgn[None, :]
+    large = s > _PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return np.matmul(us, np.multiply(s[:, None], u.T))
+
+
+def _norm_capped(spectrum: Spectrum, xty: np.ndarray, radius: float) -> np.ndarray:
+    """Least squares with |coef| = radius: the ridge solution, multiplier found by bisection."""
+    eigvals = spectrum.floored
+    eigvecs = spectrum.vectors
     rotated = eigvecs.T @ xty
 
     def norm_at(mu: float) -> float:
@@ -130,8 +164,7 @@ def _fit_linear(kind: LearnerKind, gram: np.ndarray, xty: np.ndarray, m: int) ->
         else:
             hi = mid
     # hi is the feasible side, so the returned norm never exceeds the radius.
-    coef = eigvecs @ (rotated / (eigvals + hi))
-    return LinearRule(coef, m)
+    return eigvecs @ (rotated / (eigvals + hi))
 
 
 def _raw_prediction(rule: FittedRule, case: CaseFeatures) -> float:

@@ -15,6 +15,10 @@ litigate.
                             every cost c in the known range.
 * ``kwik``                - compel unless the courted history provably covers
                             the query direction (eigenvalue-gated prediction).
+
+Policies see raw case rows (``None`` for singleton cases).  The kwik policy
+keeps no court history of its own: it gates on the spectrum that the run's
+``Dataset`` caches for the learner, so a run holds one Gram matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import CaseFeatures, ConfigurationError
+from .core import ConfigurationError, Dataset, augment, decompose
 
 __all__ = [
     "ActionKind",
@@ -230,8 +234,8 @@ def kwik_gate(courted: np.ndarray, query: np.ndarray, alpha1: float, alpha2: flo
         gram = np.zeros((query.shape[0], query.shape[0]))
     else:
         gram = courted.T @ courted
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    return _gate_from_eig(np.clip(eigvals, 0.0, None), eigvecs, query, alpha1, alpha2)
+    spectrum = decompose(gram)
+    return _gate_from_eig(spectrum.floored, spectrum.vectors, query, alpha1, alpha2)
 
 
 def kwik_default_alpha1(epsilon: float, delta: float, dim: int, constant: float = 1.0) -> float:
@@ -362,14 +366,12 @@ PolicyConfig = Union[
 class _BasePolicy:
     """Per-run policy state; ``select`` is called once per step, in order."""
 
-    def __init__(self, config: PolicyConfig, case_dim: int | None):
-        """Set up the run's state from the policy config and the case dimension."""
+    def __init__(self, config: PolicyConfig, data: Dataset | None):
+        """Set up the run's state from the policy config and the run's court data."""
 
-    def select(self, t: int, case: CaseFeatures, err_before: float, rng) -> SelectionAction:
+    def select(self, t: int, x: np.ndarray | None, err_before: float, rng) -> SelectionAction:
+        """The action at step t for the raw case row ``x`` (None for singleton cases)."""
         raise NotImplementedError
-
-    def record_court(self, case: CaseFeatures) -> None:
-        """Observe that ``case`` went to court (compelled or voluntarily)."""
 
     def inactive_from(self, t: int) -> bool:
         """True if the policy is guaranteed to emit NoAction at every step >= t."""
@@ -386,7 +388,7 @@ class _BasePolicy:
 
 
 class NoSubsidyPolicy(_BasePolicy):
-    def select(self, t, case, err_before, rng):
+    def select(self, t, x, err_before, rng):
         return NO_ACTION
 
     def inactive_from(self, t):
@@ -397,10 +399,10 @@ class NoSubsidyPolicy(_BasePolicy):
 
 
 class EtcPolicy(_BasePolicy):
-    def __init__(self, config: EtcConfig, case_dim: int | None):
+    def __init__(self, config: EtcConfig, data: Dataset | None):
         self.compel_count = config.compel_count
 
-    def select(self, t, case, err_before, rng):
+    def select(self, t, x, err_before, rng):
         return COMPEL if t <= self.compel_count else NO_ACTION
 
     def inactive_from(self, t):
@@ -411,11 +413,11 @@ class EtcPolicy(_BasePolicy):
 
 
 class DynamicCompellingPolicy(_BasePolicy):
-    def __init__(self, config: DynamicCompellingConfig, case_dim: int | None):
+    def __init__(self, config: DynamicCompellingConfig, data: Dataset | None):
         self.alpha = config.alpha
         self.c_max = config.c_max
 
-    def select(self, t, case, err_before, rng):
+    def select(self, t, x, err_before, rng):
         p = dynamic_compel_probability(t, self.alpha, self.c_max)
         return COMPEL if rng.random() < p else NO_ACTION
 
@@ -424,14 +426,14 @@ class DynamicCompellingPolicy(_BasePolicy):
 
 
 class SubsidySamplingPolicy(_BasePolicy):
-    def __init__(self, config: SubsidySamplingConfig, case_dim: int | None):
+    def __init__(self, config: SubsidySamplingConfig, data: Dataset | None):
         self.config = config
         self.transition_step = config.transition_step
         # The scaled distribution must already be a probability measure at
         # t = 1, the worst step; fail fast instead of mid-run.
         subsidy_tail_probability(1, config.c_min, config.alpha, phase1=self.transition_step >= 1)
 
-    def select(self, t, case, err_before, rng):
+    def select(self, t, x, err_before, rng):
         cfg = self.config
         amount = sample_subsidy(
             t, 2.0 * err_before, cfg.alpha, cfg.c_min, cfg.c_max, t <= self.transition_step, rng
@@ -447,28 +449,21 @@ class SubsidySamplingPolicy(_BasePolicy):
 
 
 class KwikPolicy(_BasePolicy):
-    """Maintains the Gram matrix of courted augmented cases and gates on it."""
+    """Gates each case on the spectrum of the run's court data."""
 
-    def __init__(self, config: KwikConfig, case_dim: int | None):
-        if case_dim is None:
+    def __init__(self, config: KwikConfig, data: Dataset | None):
+        if data is None or data.dim is None:
             raise ConfigurationError("kwik policy requires vector cases")
-        self.alpha1 = config.resolve_alpha1(case_dim)
+        self.alpha1 = config.resolve_alpha1(data.dim)
         self.alpha2 = config.resolve_alpha2()
-        k = case_dim + 1
-        self.gram = np.zeros((k, k))
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self.data = data
 
-    def select(self, t, case, err_before, rng):
-        if self._eig is None:
-            eigvals, eigvecs = np.linalg.eigh(self.gram)
-            self._eig = (np.clip(eigvals, 0.0, None), eigvecs)
-        decision = _gate_from_eig(*self._eig, case.augmented(), self.alpha1, self.alpha2)
+    def select(self, t, x, err_before, rng):
+        spectrum = self.data.spectrum()
+        decision = _gate_from_eig(
+            spectrum.floored, spectrum.vectors, augment(x), self.alpha1, self.alpha2
+        )
         return COMPEL if decision is GateDecision.COMPEL else NO_ACTION
-
-    def record_court(self, case):
-        x = case.augmented()
-        self.gram += np.outer(x, x)
-        self._eig = None
 
 
 POLICY_CLASSES: dict[type, type[_BasePolicy]] = {
@@ -480,9 +475,13 @@ POLICY_CLASSES: dict[type, type[_BasePolicy]] = {
 }
 
 
-def make_policy(config: PolicyConfig, case_dim: int | None = None) -> _BasePolicy:
-    """Build the per-run stateful policy for ``config``."""
+def make_policy(config: PolicyConfig, data: Dataset | None = None) -> _BasePolicy:
+    """Build the per-run stateful policy for ``config``.
+
+    ``data`` is the run's court data, which the kwik gate reads; the other
+    policies ignore it.
+    """
     policy_class = POLICY_CLASSES.get(type(config))
     if policy_class is None:
         raise ConfigurationError(f"unknown policy config {config!r}")
-    return policy_class(config, case_dim)
+    return policy_class(config, data)

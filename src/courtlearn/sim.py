@@ -14,6 +14,13 @@ to court visit, since the learner's state changes only there.  Every other
 run (linear learners, ``kwik``) goes case by case through the step loop,
 which is also the reference the engine is tested against bit for bit.
 
+The step loop reads the raw case rows of the environment (checked against
+the unit ball once, when the environment is drawn) and builds the augmented
+row [x, 1] only when a case goes to court.  Its ``Dataset`` holds the run's
+only Gram matrix and one cached eigendecomposition of it, which the learner's
+fit and the kwik gate share: one ``eigh`` per court visit at most, plus one
+when the kwik gate meets the empty dataset.
+
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
 a given (seed, replication) and the offline baseline can score the same
@@ -29,7 +36,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    CaseFeatures,
     CaseSpec,
     ConfigurationError,
     ConstantTruth,
@@ -37,11 +43,12 @@ from .core import (
     Dataset,
     GroundTruth,
     LinearTruth,
-    Observation,
     RunLedger,
-    SINGLETON_CASE,
     SingletonCases,
+    augment,
     canonical_digest,
+    check_unit_ball,
+    decompose,
     sample_cases,
 )
 from .learners import (
@@ -50,7 +57,6 @@ from .learners import (
     MeanRule,
     _fit_linear,
     fit,
-    predict,
     predict_batch,
 )
 from .policies import (
@@ -221,6 +227,8 @@ def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
         _stream(seed, rep, _STREAM_CASE_DIRECTION),
         _stream(seed, rep, _STREAM_CASE_RADIUS),
     )
+    if xs is not None:
+        check_unit_ball(xs)
     truth = config.truth
     if isinstance(truth, ConstantTruth):
         f_values = np.full(T, truth.mu)
@@ -255,14 +263,18 @@ def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool
     sigma = truth.sigma
     kind = config.learner
     case_dim = config.cases.dim
-    policy = make_policy(config.policy, case_dim)
+    data = Dataset(case_dim)
+    policy = make_policy(config.policy, data)
     policy_rng = _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
 
-    data = Dataset(case_dim)
     rule = fit(kind, data)
     mean_learner = kind.family is LearnerFamily.EMPIRICAL_MEAN
-    # Prediction of the current rule; for mean rules a cached constant.
-    rule_value = min(max(rule.mean, 0.0), alpha) if mean_learner else None
+    # The current rule: a cached clipped constant for mean rules, else the
+    # linear rule's weights and offset.
+    if mean_learner:
+        rule_value = min(max(rule.mean, 0.0), alpha)
+    else:
+        weights, offset = rule.coef[:-1], rule.coef[-1]
 
     costs = env.costs.tolist()
     f_values = env.f_values.tolist()
@@ -293,12 +305,9 @@ def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool
             break
         i = t - 1
         cost = costs[i]
-        if xs is None:
-            case = SINGLETON_CASE
-        else:
-            case = CaseFeatures(xs[i])
+        x = None if xs is None else xs[i]
         pre_err = err_before
-        action = policy.select(t, case, pre_err, policy_rng)
+        action = policy.select(t, x, pre_err, policy_rng)
         action_kind = action.kind
         if action_kind is compel_kind:
             compelled = True
@@ -313,21 +322,24 @@ def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool
             offered = 0.0
             litigates = agent_decision(cost, 0.0, pre_err)
 
+        # learners.predict's operations, inlined, so decisions match it bit for bit.
         if mean_learner:
             settlement = rule_value
         else:
-            settlement = predict(rule, case, alpha)
+            raw = float(weights @ x + offset)
+            settlement = 0.0 if raw < 0.0 else (alpha if raw > alpha else raw)
 
         m_before = court_count
         if litigates:
-            data.append(Observation(case, outcomes[i]))
+            data.append_row(None if x is None else augment(x), outcomes[i])
             rule = fit(kind, data)
             if mean_learner:
                 rule_value = min(max(rule.mean, 0.0), alpha)
                 applied = rule_value
             else:
-                applied = predict(rule, case, alpha)
-            policy.record_court(case)
+                weights, offset = rule.coef[:-1], rule.coef[-1]
+                raw = float(weights @ x + offset)
+                applied = 0.0 if raw < 0.0 else (alpha if raw > alpha else raw)
             court_count += 1
             subsidy_paid += offered
             court_cost = cost
@@ -368,7 +380,7 @@ def _event_engine(config: RunConfig, env: Environment, rep: int, keep_records: b
     T = config.horizon
     alpha = config.truth.alpha
     mu = config.truth.mu
-    policy = make_policy(config.policy, config.cases.dim)
+    policy = make_policy(config.policy)
     compel, bases = policy.horizon_actions(
         T, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
     )
@@ -485,7 +497,7 @@ def offline_baseline(env: Environment, kind: LearnerKind, alpha: float) -> float
         if env.xs is None:
             raise ConfigurationError(f"{kind.family.value} baseline requires vector cases")
         augmented = np.hstack([env.xs, np.ones((count, 1))])
-        rule = _fit_linear(kind, augmented.T @ augmented, augmented.T @ env.outcomes, count)
+        rule = _fit_linear(kind, decompose(augmented.T @ augmented), augmented.T @ env.outcomes, count)
         predictions = predict_batch(rule, env.xs, count, alpha)
     residual = predictions - env.f_values
     return float(residual @ residual)

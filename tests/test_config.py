@@ -139,6 +139,31 @@ class TestFieldPathedErrors:
         assert message in capsys.readouterr().err
         assert not (out / "regret.csv").exists()
 
+    @pytest.mark.parametrize(
+        "truth, path",
+        [
+            ({"family": "constant", "mu": float("nan"), "sigma": 0.5, "alpha": 2.0}, "truth.mu"),
+            (
+                {"family": "linear", "beta": [0.1, float("nan")], "beta0": 0.4, "sigma": 0.1, "alpha": 1.0},
+                "truth.beta[1]",
+            ),
+            ({"family": "linear", "beta": [0.1, 0.1], "sigma": 0.1, "alpha": 1.0}, "truth.beta0"),
+        ],
+        ids=["mu", "beta", "beta0_missing"],
+    )
+    def test_truth_field_errors_name_the_path_once(self, truth, path):
+        data = minimal_config(truth=truth, cases={"kind": "ball", "dim": 2})
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_config(data)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}:") or message == f"missing required field {path}"
+        assert message.count("truth") == 1
+
+    def test_truth_rule_errors_keep_the_section_prefix(self):
+        data = minimal_config(truth={"family": "constant", "mu": 3.0, "sigma": 0.5, "alpha": 2.0})
+        with pytest.raises(ConfigurationError, match=r"^truth: constant rule value 3\.0 outside"):
+            parse_config(data)
+
     def test_replications_floor(self):
         with pytest.raises(ConfigurationError, match="replications"):
             parse_config(minimal_config(replications=0))

@@ -6,7 +6,9 @@ new values, with the largest numeric difference, in CHANGES.md.  The
 ledgers carry each cell's ``config_digest``, so the canonical run-config
 serialization is pinned too.  ``check_deterrent`` writes no file, so its
 reports are pinned by their scalars (as ``float.hex``) and a digest of the
-per-step arrays.
+per-step arrays.  The OLS, small-radius and mean-learner kwik configs pin
+the linear solve, the norm-constrained bisection and the kwik gate on the
+step loop.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from courtlearn import learners
 from courtlearn.config import parse_config
 from courtlearn.core import BallCases, ConstantTruth, LinearTruth, SingletonCases, UniformCosts
 from courtlearn.experiment import kwik_report, run_experiment
@@ -44,6 +47,43 @@ BALL_CONFIG = {
     "seed": 7,
 }
 
+_KWIK = {"name": "kwik", "epsilon": 0.25, "delta": 0.05, "alpha1_constant": 15.0}
+
+OLS_CONFIG = {
+    "truth": {"family": "linear", "beta": [0.2, 0.1], "beta0": 0.4, "sigma": 0.1, "alpha": 1.0},
+    "cases": {"kind": "ball", "dim": 2},
+    "cost": {"kind": "uniform", "c_min": 1.0, "c_max": 2.0},
+    "learner": {"kind": "ols"},
+    "policies": ["dynamic_compelling", "subsidy_sampling"],
+    "sweep": [100, 300],
+    "replications": 2,
+    "seed": 7,
+}
+
+# The unconstrained fit's norm exceeds the radius once the data pins the
+# offset near 0.5, so most fits (and the offline baseline) bisect.
+RADIUS_CONFIG = {
+    "truth": {"family": "linear", "beta": [0.15, 0.15, 0.15], "beta0": 0.5, "sigma": 0.1, "alpha": 1.0},
+    "cases": {"kind": "ball", "dim": 3},
+    "cost": {"kind": "point", "c": 1.0},
+    "learner": {"kind": "norm_constrained", "radius": 0.3},
+    "policies": ["etc", "dynamic_compelling"],
+    "sweep": [100, 300],
+    "replications": 2,
+    "seed": 7,
+}
+
+MEAN_KWIK_CONFIG = {
+    "truth": {"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
+    "cases": {"kind": "ball", "dim": 2},
+    "cost": {"kind": "point", "c": 1.0},
+    "learner": {"kind": "empirical_mean"},
+    "policies": [_KWIK],
+    "sweep": [100, 300],
+    "replications": 2,
+    "seed": 7,
+}
+
 MEAN_DIGESTS = {
     "regret": "5d03adaebd37ecde1ab0b388d4716bd7e10a4a8c7f882cb4b2b586b3e9de815c",
     "slopes": "125c2b971be33ac4b919b41334ef79c8750f923a6d9c97096c1d7dd8520446a3",
@@ -57,6 +97,26 @@ BALL_DIGESTS = {
     "kwik": "59e39ebc0765e8162760e7d9ecebfe6cb29431692599248eaa23a3598b5c5b49",
 }
 
+OLS_DIGESTS = {
+    "regret": "fb4d765a1eda6defeb40a733131a492bac2e2b379bd92df5e28fe5781ca9c7b4",
+    "slopes": "bba282f246b5f370b84f7bf5ea4564367a9c0d7a2a88c52cd0bc5118ff01b41f",
+    "ledgers": "b21454f4b712357f1b8c6d42f3f6bdbeed17daa163c40ac79496ad5e31a4041b",
+}
+
+RADIUS_DIGESTS = {
+    "regret": "758080ad1f349663d4f08b4d40fff089e08b1c374a001c41cb29e2b26cef22e9",
+    "slopes": "926cb1df44ed94bce7936a9f997cac3a2d342333f763908411c53890f84666ea",
+    "ledgers": "52647c6d8201e0ac3d6c6a515bbfb3eb473c09b31f4003f091d7f4545833eb9d",
+}
+
+MEAN_KWIK_DIGESTS = {
+    "regret": "b71582ca69fa082b029e97d199d38152a0185cb10ee8f517298567449ff659d9",
+    "slopes": "1bfd9d176bfc28e9dda2e92ac95f501b30b0cc8e133882299d73bc16ac73dcca",
+    "ledgers": "7be45c082fcf9abce83ed5bdcabf9ec71af26697f337e4d4c08e7629c8914078",
+    "kwik": "073a79cafc2a6e64a0ede36e307d1a61d0c4a5d4253e1562696f24fdc6e898b8",
+}
+
+
 
 def _digests(outputs):
     return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outputs.items()}
@@ -64,8 +124,14 @@ def _digests(outputs):
 
 @pytest.mark.parametrize(
     "config, expected, kwik",
-    [(MEAN_CONFIG, MEAN_DIGESTS, False), (BALL_CONFIG, BALL_DIGESTS, True)],
-    ids=["mean", "ball"],
+    [
+        (MEAN_CONFIG, MEAN_DIGESTS, False),
+        (BALL_CONFIG, BALL_DIGESTS, True),
+        (OLS_CONFIG, OLS_DIGESTS, False),
+        (RADIUS_CONFIG, RADIUS_DIGESTS, False),
+        (MEAN_KWIK_CONFIG, MEAN_KWIK_DIGESTS, True),
+    ],
+    ids=["mean", "ball", "ols", "radius", "mean_kwik"],
 )
 def test_output_digests(tmp_path, config, expected, kwik):
     spec = parse_config({**config, "out_dir": str(tmp_path)})
@@ -73,6 +139,14 @@ def test_output_digests(tmp_path, config, expected, kwik):
     if kwik:
         outputs.update(kwik_report(spec))
     assert _digests(outputs) == expected
+
+
+def test_radius_config_takes_the_bisection_branch(tmp_path, monkeypatch):
+    calls = []
+    norm_capped = learners._norm_capped
+    monkeypatch.setattr(learners, "_norm_capped", lambda *args: calls.append(1) or norm_capped(*args))
+    run_experiment(parse_config({**RADIUS_CONFIG, "out_dir": str(tmp_path)}))
+    assert len(calls) > 100
 
 
 _MEAN_LEARNER = LearnerKind(LearnerFamily.EMPIRICAL_MEAN)
