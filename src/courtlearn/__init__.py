@@ -28,14 +28,11 @@ from .core import (
 )
 from .learners import LearnerFamily, LearnerKind, LinearRule, MeanRule, err_bound, fit, predict
 from .policies import (
-    COMPEL,
     DynamicCompellingConfig,
     EtcConfig,
     GateDecision,
     KwikConfig,
-    NO_ACTION,
     NoSubsidyConfig,
-    SelectionAction,
     SubsidySamplingConfig,
     agent_decision,
     dynamic_compel_probability,
@@ -86,14 +83,11 @@ __all__ = [
     "err_bound",
     "fit",
     "predict",
-    "COMPEL",
     "DynamicCompellingConfig",
     "EtcConfig",
     "GateDecision",
     "KwikConfig",
-    "NO_ACTION",
     "NoSubsidyConfig",
-    "SelectionAction",
     "SubsidySamplingConfig",
     "agent_decision",
     "dynamic_compel_probability",

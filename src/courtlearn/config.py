@@ -125,12 +125,14 @@ class _Reader:
             raise ConfigurationError(f"{self._at(key)}: expected a non-empty list")
         return [_finite(value, f"{self._at(key)}[{i}]") for i, value in enumerate(values)]
 
-    def integer(self, key: str, default: int | None = None) -> int:
+    def integer(self, key: str, default: int | None = None, minimum: int | None = None) -> int:
         value = self.data.get(key, default)
         if value is None:
             raise ConfigurationError(f"missing required field {self._at(key)}")
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"{self._at(key)}: expected an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigurationError(f"{self._at(key)}: must be >= {minimum}, got {value}")
         return value
 
     def string(self, key: str, default: str | None = None) -> str:
@@ -256,9 +258,7 @@ def parse_config(data: dict) -> ExperimentSpec:
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigurationError("sweep must be increasing")
 
-    replications = root.integer("replications", DEFAULT_REPLICATIONS)
-    if replications < 1:
-        raise ConfigurationError(f"replications: must be >= 1, got {replications}")
+    replications = root.integer("replications", DEFAULT_REPLICATIONS, minimum=1)
     if "emit" in data:
         raise ConfigurationError(
             "emit: not supported; pass --ledgers to `courtlearn run` to write ledgers.jsonl"
@@ -272,7 +272,7 @@ def parse_config(data: dict) -> ExperimentSpec:
         policies=policies,
         sweep=tuple(sweep),
         replications=replications,
-        seed=root.integer("seed", 0),
+        seed=root.integer("seed", 0, minimum=0),
         out_dir=root.string("out_dir", "results"),
     )
     # Build every (policy, horizon) cell and its policy now so bad

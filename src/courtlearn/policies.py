@@ -1,10 +1,9 @@
 """Selection policies: who gets compelled or subsidized into court, and when.
 
-Five per-step mechanisms are implemented, together with the agent's
-settle-vs-litigate response.  An agent litigates exactly when the net cost
-of court, cost - subsidy, does not exceed twice the learner's current error
-bound (the largest settlement shift a court visit could produce); ties
-litigate.
+Five mechanisms are implemented, together with the agent's settle-vs-litigate
+response.  An agent litigates exactly when the net cost of court, cost -
+subsidy, does not exceed twice the learner's current error bound (the
+largest settlement shift a court visit could produce); ties litigate.
 
 * ``no_subsidy``          - leave every agent alone.
 * ``etc``                 - compel the first ceil(alpha * sqrt(T / c_max)) cases.
@@ -16,7 +15,11 @@ litigate.
 * ``kwik``                - compel unless the courted history provably covers
                             the query direction (eigenvalue-gated prediction).
 
-Policies see raw case rows (``None`` for singleton cases).  The kwik policy
+The first four are state-free: each is one whole-horizon law
+(``horizon_actions``) that draws a run's compel mask and subsidy bases up
+front.  The scalar laws (``etc_compel_count``, ``dynamic_compel_probability``,
+``sample_subsidy``) state the same laws one step at a time.  Only the kwik
+gate acts case by case (``KwikPolicy.compels``), on the raw case row.  It
 keeps no court history of its own: it gates on the spectrum that the run's
 ``Dataset`` caches for the learner, so a run holds one Gram matrix.
 """
@@ -33,11 +36,6 @@ import numpy as np
 from .core import ConfigurationError, Dataset, augment, decompose
 
 __all__ = [
-    "ActionKind",
-    "SelectionAction",
-    "NO_ACTION",
-    "COMPEL",
-    "subsidy_action",
     "agent_decision",
     "etc_compel_count",
     "dynamic_compel_probability",
@@ -60,32 +58,6 @@ __all__ = [
 
 # Eigenvalues at or above this count as "covered" directions in the gate.
 _GATE_EIGENVALUE_FLOOR = 1.0
-
-
-class ActionKind(Enum):
-    NO_ACTION = "no_action"
-    COMPEL = "compel"
-    SUBSIDY = "subsidy"
-
-
-@dataclass(frozen=True)
-class SelectionAction:
-    """Per-step policy output: do nothing, compel, or offer a subsidy."""
-
-    kind: ActionKind
-    subsidy: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.subsidy) or self.subsidy < 0.0:
-            raise ConfigurationError(f"subsidy must be finite and >= 0, got {self.subsidy}")
-
-
-NO_ACTION = SelectionAction(ActionKind.NO_ACTION)
-COMPEL = SelectionAction(ActionKind.COMPEL)
-
-
-def subsidy_action(amount: float) -> SelectionAction:
-    return SelectionAction(ActionKind.SUBSIDY, amount)
 
 
 def agent_decision(cost: float, subsidy: float, err_before: float) -> bool:
@@ -364,33 +336,26 @@ PolicyConfig = Union[
 ]
 
 class _BasePolicy:
-    """Per-run policy state; ``select`` is called once per step, in order."""
+    """Per-run policy state."""
 
     def __init__(self, config: PolicyConfig, data: Dataset | None):
         """Set up the run's state from the policy config and the run's court data."""
 
-    def select(self, t: int, x: np.ndarray | None, err_before: float, rng) -> SelectionAction:
-        """The action at step t for the raw case row ``x`` (None for singleton cases)."""
-        raise NotImplementedError
-
     def inactive_from(self, t: int) -> bool:
-        """True if the policy is guaranteed to emit NoAction at every step >= t."""
+        """True if the policy neither compels nor offers a subsidy at any step >= t."""
         return False
 
     def horizon_actions(self, horizon: int, rng) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Steps 1..horizon of a state-free policy at once: (compel mask, subsidy bases).
 
-        Consumes ``rng`` exactly as ``horizon`` calls of ``select`` would.
-        ``None`` stands for "never compels" or "never offers"; the offer at
-        step t is ``max(0.0, bases[t - 1] - 2 * err_before)``.
+        Draws one uniform per step from ``rng`` (none for ``no_subsidy`` and
+        ``etc``).  ``None`` stands for "never compels" or "never offers"; the
+        offer at step t is ``max(0.0, bases[t - 1] - 2 * err_before)``.
         """
         raise NotImplementedError(f"{type(self).__name__} is not state-free")
 
 
 class NoSubsidyPolicy(_BasePolicy):
-    def select(self, t, x, err_before, rng):
-        return NO_ACTION
-
     def inactive_from(self, t):
         return True
 
@@ -401,9 +366,6 @@ class NoSubsidyPolicy(_BasePolicy):
 class EtcPolicy(_BasePolicy):
     def __init__(self, config: EtcConfig, data: Dataset | None):
         self.compel_count = config.compel_count
-
-    def select(self, t, x, err_before, rng):
-        return COMPEL if t <= self.compel_count else NO_ACTION
 
     def inactive_from(self, t):
         return t > self.compel_count
@@ -417,10 +379,6 @@ class DynamicCompellingPolicy(_BasePolicy):
         self.alpha = config.alpha
         self.c_max = config.c_max
 
-    def select(self, t, x, err_before, rng):
-        p = dynamic_compel_probability(t, self.alpha, self.c_max)
-        return COMPEL if rng.random() < p else NO_ACTION
-
     def horizon_actions(self, horizon, rng):
         return dynamic_compel_mask(rng.random(horizon), self.alpha, self.c_max), None
 
@@ -433,18 +391,13 @@ class SubsidySamplingPolicy(_BasePolicy):
         # t = 1, the worst step; fail fast instead of mid-run.
         subsidy_tail_probability(1, config.c_min, config.alpha, phase1=self.transition_step >= 1)
 
-    def select(self, t, x, err_before, rng):
-        cfg = self.config
-        amount = sample_subsidy(
-            t, 2.0 * err_before, cfg.alpha, cfg.c_min, cfg.c_max, t <= self.transition_step, rng
-        )
-        return subsidy_action(amount)
-
     def horizon_actions(self, horizon, rng):
         cfg = self.config
         bases = subsidy_bases(
             rng.random(horizon), cfg.alpha, cfg.c_min, cfg.c_max, self.transition_step
         )
+        if np.isinf(bases).any():
+            raise ConfigurationError("subsidy must be finite and >= 0, got inf")
         return None, bases
 
 
@@ -458,12 +411,13 @@ class KwikPolicy(_BasePolicy):
         self.alpha2 = config.resolve_alpha2()
         self.data = data
 
-    def select(self, t, x, err_before, rng):
+    def compels(self, x: np.ndarray) -> bool:
+        """True when the gate sends the raw case row ``x`` to court."""
         spectrum = self.data.spectrum()
         decision = _gate_from_eig(
             spectrum.floored, spectrum.vectors, augment(x), self.alpha1, self.alpha2
         )
-        return COMPEL if decision is GateDecision.COMPEL else NO_ACTION
+        return decision is GateDecision.COMPEL
 
 
 POLICY_CLASSES: dict[type, type[_BasePolicy]] = {

@@ -1,7 +1,7 @@
 """Online simulation loop, offline baseline, regret, and deterrent analytics.
 
-Each step draws the case and its court cost, lets the configured policy
-act, resolves the agent's settle-vs-litigate choice, and accounts the
+Each step draws the case and its court cost, applies the configured policy's
+action, resolves the agent's settle-vs-litigate choice, and accounts the
 squared decision error plus any court cost.  When a case goes to court the
 revealed outcome is appended to the dataset and the court decides from the
 updated fit; settled cases receive the prediction from past court data only.
@@ -12,7 +12,9 @@ Two paths compute a run, chosen from its config alone.  With an
 policy's actions for the whole horizon up front and jumps from court visit
 to court visit, since the learner's state changes only there.  Every other
 run (linear learners, ``kwik``) goes case by case through the step loop,
-which is also the reference the engine is tested against bit for bit.
+which is also the reference the engine is tested against bit for bit.  The
+step loop reads the same pre-drawn actions as the engine for a state-free
+policy; only the kwik gate acts case by case.
 
 The step loop reads the raw case rows of the environment (checked against
 the unit ball once, when the environment is drawn) and builds the augmented
@@ -60,14 +62,12 @@ from .learners import (
     predict_batch,
 )
 from .policies import (
-    ActionKind,
     EtcConfig,
     KwikConfig,
     PolicyConfig,
     SubsidySamplingConfig,
     agent_decision,
     make_policy,
-    subsidy_action,
 )
 
 __all__ = [
@@ -256,7 +256,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
 
 
 def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
-    """Reference path: one case at a time, for every learner and policy."""
+    """Reference path: one case at a time; only the kwik gate acts per case."""
     T = config.horizon
     truth = config.truth
     alpha = truth.alpha
@@ -265,7 +265,15 @@ def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool
     case_dim = config.cases.dim
     data = Dataset(case_dim)
     policy = make_policy(config.policy, data)
-    policy_rng = _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
+    state_free = config.policy.state_free
+    if state_free:
+        compel, bases = policy.horizon_actions(
+            T, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
+        )
+        compel = [False] * T if compel is None else compel.tolist()
+        bases = [0.0] * T if bases is None else bases.tolist()
+    else:
+        compels = policy.compels
 
     rule = fit(kind, data)
     mean_learner = kind.family is LearnerFamily.EMPIRICAL_MEAN
@@ -286,6 +294,7 @@ def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool
     # Closed-form skip of the all-settle tail: sound only when the policy is
     # permanently inactive, no cost can clear the litigation threshold, and
     # the prediction no longer depends on the case.
+    # Every such run goes to the event engine: this skip is only its test oracle.
     fast_candidate = (
         not keep_records and mean_learner and isinstance(truth, ConstantTruth)
     )
@@ -296,9 +305,6 @@ def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool
     subsidy_paid = 0.0
     err_before = alpha  # err bound with the current dataset; alpha while empty
 
-    compel_kind = ActionKind.COMPEL
-    subsidy_kind = ActionKind.SUBSIDY
-
     for t in range(1, T + 1):
         if fast_candidate and 2.0 * err_before < cost_floor and policy.inactive_from(t):
             total_loss += (T - t + 1) * (rule_value - truth.mu) ** 2
@@ -307,20 +313,13 @@ def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool
         cost = costs[i]
         x = None if xs is None else xs[i]
         pre_err = err_before
-        action = policy.select(t, x, pre_err, policy_rng)
-        action_kind = action.kind
-        if action_kind is compel_kind:
-            compelled = True
-            offered = 0.0
-            litigates = True
-        elif action_kind is subsidy_kind:
-            compelled = False
-            offered = action.subsidy
-            litigates = agent_decision(cost, offered, pre_err)
+        if state_free:
+            compelled = compel[i]
+            offered = max(0.0, bases[i] - 2.0 * pre_err)
         else:
-            compelled = False
+            compelled = compels(x)
             offered = 0.0
-            litigates = agent_decision(cost, 0.0, pre_err)
+        litigates = compelled or agent_decision(cost, offered, pre_err)
 
         # learners.predict's operations, inlined, so decisions match it bit for bit.
         if mean_learner:
@@ -384,8 +383,6 @@ def _event_engine(config: RunConfig, env: Environment, rep: int, keep_records: b
     compel, bases = policy.horizon_actions(
         T, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
     )
-    if bases is not None and np.isinf(bases).any():
-        subsidy_action(math.inf)  # an infinite offer fails SelectionAction's check
     costs = env.costs
     err_scale = config.learner.err_constant * config.truth.sigma
     cost_floor = config.costs.c_min

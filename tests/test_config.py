@@ -168,6 +168,20 @@ class TestFieldPathedErrors:
         with pytest.raises(ConfigurationError, match="replications"):
             parse_config(minimal_config(replications=0))
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, source):
+        data = minimal_config(seed=-3) if source == "config" else minimal_config()
+        if source == "config":
+            with pytest.raises(ConfigurationError, match=r"^seed: must be >= 0, got -3$"):
+                parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        flag = ["--seed", "-3"] if source == "flag" else []
+        assert main(["run", str(path), "--out", str(out), *flag]) == 2
+        assert "seed: must be >= 0, got -3" in capsys.readouterr().err
+        assert not (out / "regret.csv").exists()
+
 
 class TestLoadConfig:
     def test_round_trip_file(self, tmp_path):

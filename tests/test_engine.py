@@ -1,5 +1,5 @@
 """The event engine against the step loop, and the whole-horizon policy laws
-against their per-step forms, bit for bit."""
+against their scalar per-step forms, bit for bit."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from courtlearn import sim
 from courtlearn.core import (
-    SINGLETON_CASE,
     BallCases,
     ConfigurationError,
     ConstantTruth,
@@ -22,7 +21,6 @@ from courtlearn.core import (
 )
 from courtlearn.learners import LearnerFamily, LearnerKind
 from courtlearn.policies import (
-    ActionKind,
     DynamicCompellingConfig,
     EtcConfig,
     KwikConfig,
@@ -30,6 +28,7 @@ from courtlearn.policies import (
     SubsidySamplingConfig,
     dynamic_compel_mask,
     dynamic_compel_probability,
+    etc_compel_count,
     make_policy,
     sample_subsidy,
     subsidy_bases,
@@ -175,6 +174,20 @@ def test_dispatch_rule_reads_the_config_only(monkeypatch):
     assert sim._simulate(linear, None, 0, False) == "loop"
 
 
+def _scalar_step(policy, t, err, rng):
+    """(compelled, offer or None) at step t from the scalar laws, one draw per random step."""
+    if isinstance(policy, EtcConfig):
+        return t <= etc_compel_count(policy.horizon, policy.alpha, policy.c_max), None
+    if isinstance(policy, DynamicCompellingConfig):
+        return rng.random() < dynamic_compel_probability(t, policy.alpha, policy.c_max), None
+    if isinstance(policy, SubsidySamplingConfig):
+        phase1 = t <= policy.transition_step
+        return False, sample_subsidy(
+            t, 2.0 * err, policy.alpha, policy.c_min, policy.c_max, phase1, rng
+        )
+    return False, None
+
+
 @pytest.mark.parametrize(
     "policy",
     [
@@ -190,15 +203,13 @@ def test_horizon_actions_replay_select(policy):
     rng_whole = np.random.default_rng(17)
     rng_steps = np.random.default_rng(17)
     compel, bases = make_policy(policy).horizon_actions(horizon, rng_whole)
-    stepper = make_policy(policy)
     for t in range(1, horizon + 1):
-        action = stepper.select(t, SINGLETON_CASE, err, rng_steps)
-        assert (action.kind is ActionKind.COMPEL) == (compel is not None and bool(compel[t - 1]))
+        compelled, offer = _scalar_step(policy, t, err, rng_steps)
+        assert compelled == (compel is not None and bool(compel[t - 1]))
         if bases is None:
-            assert action.kind is not ActionKind.SUBSIDY
+            assert offer is None
         else:
-            offer = max(0.0, bases.item(t - 1) - 2.0 * err)
-            assert _bits(action.subsidy) == _bits(offer)
+            assert _bits(max(0.0, bases.item(t - 1) - 2.0 * err)) == _bits(offer)
     # Both consumed the same number of draws.
     assert rng_whole.random() == rng_steps.random()
 

@@ -8,7 +8,8 @@ serialization is pinned too.  ``check_deterrent`` writes no file, so its
 reports are pinned by their scalars (as ``float.hex``) and a digest of the
 per-step arrays.  The OLS, small-radius and mean-learner kwik configs pin
 the linear solve, the norm-constrained bisection and the kwik gate on the
-step loop.
+step loop; the state-free config pins its pre-drawn-action branch under a
+point cost.
 """
 
 import hashlib
@@ -84,6 +85,19 @@ MEAN_KWIK_CONFIG = {
     "seed": 7,
 }
 
+# The step loop's state-free branch on a linear learner: pre-drawn actions
+# that never compel, with and without subsidy offers.
+STATE_FREE_CONFIG = {
+    "truth": {"family": "linear", "beta": [0.15, 0.15, 0.15], "beta0": 0.5, "sigma": 0.1, "alpha": 1.0},
+    "cases": {"kind": "ball", "dim": 3},
+    "cost": {"kind": "point", "c": 1.0},
+    "learner": {"kind": "norm_constrained"},
+    "policies": ["no_subsidy", "subsidy_sampling"],
+    "sweep": [100, 300],
+    "replications": 2,
+    "seed": 7,
+}
+
 MEAN_DIGESTS = {
     "regret": "5d03adaebd37ecde1ab0b388d4716bd7e10a4a8c7f882cb4b2b586b3e9de815c",
     "slopes": "125c2b971be33ac4b919b41334ef79c8750f923a6d9c97096c1d7dd8520446a3",
@@ -116,6 +130,11 @@ MEAN_KWIK_DIGESTS = {
     "kwik": "073a79cafc2a6e64a0ede36e307d1a61d0c4a5d4253e1562696f24fdc6e898b8",
 }
 
+STATE_FREE_DIGESTS = {
+    "regret": "5577cb7a695d12ae3331d9083bfec6a48d02484cd8485a76777efdc2eb658e4f",
+    "slopes": "bd3433ef8923e290b1381d1084df4b9c43ece7c2fee9434774ed6b303121d081",
+    "ledgers": "ea662ce8fff33d32c29ddc08156edd1619beb1342199500e07a48d1a4674f054",
+}
 
 
 def _digests(outputs):
@@ -130,8 +149,9 @@ def _digests(outputs):
         (OLS_CONFIG, OLS_DIGESTS, False),
         (RADIUS_CONFIG, RADIUS_DIGESTS, False),
         (MEAN_KWIK_CONFIG, MEAN_KWIK_DIGESTS, True),
+        (STATE_FREE_CONFIG, STATE_FREE_DIGESTS, False),
     ],
-    ids=["mean", "ball", "ols", "radius", "mean_kwik"],
+    ids=["mean", "ball", "ols", "radius", "mean_kwik", "state_free"],
 )
 def test_output_digests(tmp_path, config, expected, kwik):
     spec = parse_config({**config, "out_dir": str(tmp_path)})

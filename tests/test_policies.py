@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from courtlearn.core import CaseFeatures, ConfigurationError, SINGLETON_CASE
+from courtlearn.core import CaseFeatures, ConfigurationError
 from courtlearn.policies import (
-    ActionKind,
-    COMPEL,
     DynamicCompellingConfig,
     EtcConfig,
     GateDecision,
     KwikConfig,
-    NO_ACTION,
     NoSubsidyConfig,
     SubsidySamplingConfig,
     agent_decision,
@@ -176,43 +173,59 @@ class TestKwikGate:
         assert all(kwik_gate(history, query, 0.2, 0.1) is first for _ in range(5))
 
 
+class _Draws:
+    """Stands in for a Generator: ``random(n)`` hands out the next n fixed draws."""
+
+    def __init__(self, draws):
+        self._draws = list(draws)
+
+    def random(self, size):
+        drawn, self._draws = self._draws[:size], self._draws[size:]
+        return np.array(drawn)
+
+
 class TestSelect:
+    """Each state-free policy's whole-horizon actions (compel mask, subsidy bases)."""
+
     def test_no_subsidy_always_idle(self):
         policy = make_policy(NoSubsidyConfig())
         rng = np.random.default_rng(0)
-        assert all(
-            policy.select(t, SINGLETON_CASE, 1.0, rng) is NO_ACTION for t in (1, 5, 1000)
-        )
+        assert policy.horizon_actions(1000, rng) == (None, None)
+        assert all(policy.inactive_from(t) for t in (1, 5, 1000))
 
     def test_etc_threshold(self):
         policy = make_policy(EtcConfig(horizon=100, alpha=2.0, c_max=4.0))
         rng = np.random.default_rng(0)
-        assert policy.select(10, SINGLETON_CASE, 1.0, rng) is COMPEL
-        assert policy.select(11, SINGLETON_CASE, 1.0, rng) is NO_ACTION
+        compel, bases = policy.horizon_actions(100, rng)
+        assert compel[10 - 1] and not compel[11 - 1]
+        assert compel[:10].all() and not compel[10:].any() and bases is None
         assert policy.inactive_from(11) and not policy.inactive_from(10)
 
     def test_dynamic_compel_frequency(self):
         # Monte Carlo check of the stated per-step probability at t = 10^4
-        policy = make_policy(DynamicCompellingConfig(alpha=1.0, c_max=1.0))
         rng = np.random.default_rng(17)
         trials = 10**6
-        compels = sum(
-            1 for _ in range(trials) if policy.select(10_000, SINGLETON_CASE, 1.0, rng) is COMPEL
-        )
+        compels = int((rng.random(trials) < dynamic_compel_probability(10_000, 1.0, 1.0)).sum())
         assert compels / trials == pytest.approx(0.01, abs=0.001)
 
     def test_compelling_policies_never_subsidize(self):
         rng = np.random.default_rng(3)
         for config in (EtcConfig(horizon=50, alpha=1.0, c_max=1.0), DynamicCompellingConfig(1.0, 1.0)):
-            policy = make_policy(config)
-            kinds = {policy.select(t, SINGLETON_CASE, 0.5, rng).kind for t in range(1, 51)}
-            assert ActionKind.SUBSIDY not in kinds
+            compel, bases = make_policy(config).horizon_actions(50, rng)
+            assert compel.shape == (50,) and bases is None
 
     def test_subsidy_policy_never_compels(self):
         rng = np.random.default_rng(4)
         policy = make_policy(SubsidySamplingConfig(alpha=1.0, c_min=4.0, c_max=12.0))
-        actions = [policy.select(t, SINGLETON_CASE, 0.5, rng) for t in range(1, 200)]
-        assert all(a.kind is ActionKind.SUBSIDY and a.subsidy >= 0.0 for a in actions)
+        compel, bases = policy.horizon_actions(199, rng)
+        assert compel is None and bases.shape == (199,)
+        assert np.isfinite(bases).all() and (bases >= 0.0).all()
+
+    def test_infinite_offer_rejected(self):
+        policy = make_policy(SubsidySamplingConfig(1.0, 1.0, math.inf))
+        # A zero draw lands on the point mass at c_max.
+        with pytest.raises(ConfigurationError, match="^subsidy must be finite and >= 0, got inf$"):
+            policy.horizon_actions(3, _Draws([0.5, 0.0, 0.9]))
 
 
 class TestPolicyConfigs:

@@ -21,8 +21,6 @@ from courtlearn.core import (
 )
 from courtlearn.learners import LearnerFamily, LearnerKind, _pinv
 from courtlearn.policies import (
-    COMPEL,
-    NO_ACTION,
     DynamicCompellingConfig,
     GateDecision,
     KwikConfig,
@@ -90,13 +88,13 @@ def test_gate_on_the_shared_spectrum_matches_kwik_gate(dim, count, seed, alpha1,
 
     data = Dataset(dim)
     policy = make_policy(KwikConfig(0.25, 0.05, alpha1=alpha1, alpha2=alpha2), data)
-    policy.select(1, query, 1.0, None)  # a stale cached spectrum would show below
+    policy.compels(query)  # a stale cached spectrum would show below
     for row in courted:
         data.append_row(row, 0.0)
-    action = policy.select(count + 1, query, 1.0, None)
+    compelled = policy.compels(query)
 
     expected = kwik_gate(courted, augment(query), alpha1, alpha2)
-    assert action is (COMPEL if expected is GateDecision.COMPEL else NO_ACTION)
+    assert compelled is (expected is GateDecision.COMPEL)
 
 
 _TRUTH = LinearTruth(np.array([0.15, 0.15, 0.15]), 0.5, 0.1, 1.0)
