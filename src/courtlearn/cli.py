@@ -30,7 +30,7 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
         updates["seed"] = args.seed
     if args.replications is not None:
         if args.replications < 1:
-            raise ConfigurationError("replications: must be >= 1")
+            raise ConfigurationError(f"replications: must be >= 1, got {args.replications}")
         updates["replications"] = args.replications
     return dataclasses.replace(spec, **updates) if updates else spec
 

@@ -9,7 +9,7 @@ only Gram matrix and caches one eigendecomposition of it (a
 :class:`Spectrum`) until the next append.  The linear fit, the
 norm-constrained bisection and the kwik gate all read that one
 decomposition.  The simulator passes raw case rows; :class:`CaseFeatures`
-is the checked single-case wrapper for callers outside the step loop.
+is the checked single-case wrapper for callers outside the simulator.
 """
 
 from __future__ import annotations

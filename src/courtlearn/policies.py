@@ -321,6 +321,11 @@ class KwikConfig:
     def __post_init__(self) -> None:
         if not (0 < self.epsilon and 0 < self.delta < 1):
             raise ConfigurationError("kwik policy needs epsilon > 0 and delta in (0, 1)")
+        # The gate squares the thresholds, so a negative one would pass for its magnitude.
+        for name in ("alpha1", "alpha2", "alpha1_constant"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigurationError(f"kwik policy {name} must be > 0, got {value}")
 
     def resolve_alpha1(self, dim: int) -> float:
         if self.alpha1 is not None:

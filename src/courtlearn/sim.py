@@ -1,4 +1,4 @@
-"""Online simulation loop, offline baseline, regret, and deterrent analytics.
+"""Online simulation, offline baseline, regret, and deterrent analytics.
 
 Each step draws the case and its court cost, applies the configured policy's
 action, resolves the agent's settle-vs-litigate choice, and accounts the
@@ -6,21 +6,15 @@ squared decision error plus any court cost.  When a case goes to court the
 revealed outcome is appended to the dataset and the court decides from the
 updated fit; settled cases receive the prediction from past court data only.
 
-Two paths compute a run, chosen from its config alone.  With an
-``empirical_mean`` learner and a state-free policy (``no_subsidy``, ``etc``,
-``dynamic_compelling``, ``subsidy_sampling``) the event engine draws the
-policy's actions for the whole horizon up front and jumps from court visit
-to court visit, since the learner's state changes only there.  Every other
-run (linear learners, ``kwik``) goes case by case through the step loop,
-which is also the reference the engine is tested against bit for bit.  The
-step loop reads the same pre-drawn actions as the engine for a state-free
-policy; only the kwik gate acts case by case.
-
-The step loop reads the raw case rows of the environment (checked against
-the unit ball once, when the environment is drawn) and builds the augmented
-row [x, 1] only when a case goes to court.  Its ``Dataset`` holds the run's
-only Gram matrix and one cached eigendecomposition of it, which the learner's
-fit and the kwik gate share: one ``eigh`` per court visit at most, plus one
+The learner changes only when a case goes to court, so one driver computes
+every run by jumping from court visit to court visit.  A state-free policy
+(``no_subsidy``, ``etc``, ``dynamic_compelling``, ``subsidy_sampling``) draws
+its actions for the whole horizon up front, and the next visit is found by a
+vectorized litigation test; the ``kwik`` gate scans the raw case rows one at
+a time on the frozen spectrum.  After the last visit the predictions and the
+loss are built from each segment's frozen rule.  The run's ``Dataset`` holds
+its only Gram matrix and one cached eigendecomposition of it, shared by the
+linear fit and the kwik gate: one ``eigh`` per court visit at most, plus one
 when the kwik gate meets the empty dataset.
 
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
@@ -58,6 +52,7 @@ from .learners import (
     LearnerKind,
     MeanRule,
     _fit_linear,
+    err_bound,
     fit,
     predict_batch,
 )
@@ -66,7 +61,6 @@ from .policies import (
     KwikConfig,
     PolicyConfig,
     SubsidySamplingConfig,
-    agent_decision,
     make_policy,
 )
 
@@ -90,12 +84,12 @@ _STREAM_NOISE = 2
 _STREAM_COST = 3
 _STREAM_POLICY = 4
 
-# Event engine: steps searched after each court visit (doubled while no visit
-# is found).
+# Steps searched for the next court visit of a state-free policy (doubled
+# while no visit is found).
 _FIRST_WINDOW = 64
 
-#: The ledger's per-step columns and their dtypes, in the order of the step
-#: loop's per-step tuples.  ``RunLedger.steps`` holds one array per name.
+#: The ledger's per-step columns and their dtypes.  ``RunLedger.steps`` holds
+#: one array per name, in this order.
 STEP_COLUMNS = {
     "t": np.int64,
     "cost": np.float64,
@@ -249,200 +243,117 @@ def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger
 
 
 def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
-    """One replication: the event engine when the config allows it, else the step loop."""
-    if config.learner.family is LearnerFamily.EMPIRICAL_MEAN and config.policy.state_free:
-        return _event_engine(config, env, rep, keep_records)
-    return _step_loop(config, env, rep, keep_records)
+    """One replication, from court visit to court visit (see the module docstring).
 
-
-def _step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
-    """Reference path: one case at a time; only the kwik gate acts per case."""
+    Every float is produced by the same operations, in the same order, as in
+    the case-by-case loop of ``tests/oracle.py``, so ledgers and totals are
+    bit for bit the same.
+    """
     T = config.horizon
-    truth = config.truth
-    alpha = truth.alpha
-    sigma = truth.sigma
+    alpha = config.truth.alpha
     kind = config.learner
-    case_dim = config.cases.dim
-    data = Dataset(case_dim)
-    policy = make_policy(config.policy, data)
+    linear = kind.is_linear
     state_free = config.policy.state_free
+    data = Dataset(config.cases.dim)
+    policy = make_policy(config.policy, data)
     if state_free:
         compel, bases = policy.horizon_actions(
             T, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
         )
-        compel = [False] * T if compel is None else compel.tolist()
-        bases = [0.0] * T if bases is None else bases.tolist()
-    else:
-        compels = policy.compels
-
-    rule = fit(kind, data)
-    mean_learner = kind.family is LearnerFamily.EMPIRICAL_MEAN
-    # The current rule: a cached clipped constant for mean rules, else the
-    # linear rule's weights and offset.
-    if mean_learner:
-        rule_value = min(max(rule.mean, 0.0), alpha)
-    else:
-        weights, offset = rule.coef[:-1], rule.coef[-1]
-
-    costs = env.costs.tolist()
-    f_values = env.f_values.tolist()
-    outcomes = env.outcomes.tolist()
-    xs = env.xs
-
-    err_scale = kind.err_constant * sigma * (1.0 if mean_learner else math.sqrt(case_dim + 1))
-    cost_floor = config.costs.c_min
-    # Closed-form skip of the all-settle tail: sound only when the policy is
-    # permanently inactive, no cost can clear the litigation threshold, and
-    # the prediction no longer depends on the case.
-    # Every such run goes to the event engine: this skip is only its test oracle.
-    fast_candidate = (
-        not keep_records and mean_learner and isinstance(truth, ConstantTruth)
-    )
-
-    rows: list[tuple] = []
-    total_loss = 0.0
-    court_count = 0
-    subsidy_paid = 0.0
-    err_before = alpha  # err bound with the current dataset; alpha while empty
-
-    for t in range(1, T + 1):
-        if fast_candidate and 2.0 * err_before < cost_floor and policy.inactive_from(t):
-            total_loss += (T - t + 1) * (rule_value - truth.mu) ** 2
-            break
-        i = t - 1
-        cost = costs[i]
-        x = None if xs is None else xs[i]
-        pre_err = err_before
-        if state_free:
-            compelled = compel[i]
-            offered = max(0.0, bases[i] - 2.0 * pre_err)
-        else:
-            compelled = compels(x)
-            offered = 0.0
-        litigates = compelled or agent_decision(cost, offered, pre_err)
-
-        # learners.predict's operations, inlined, so decisions match it bit for bit.
-        if mean_learner:
-            settlement = rule_value
-        else:
-            raw = float(weights @ x + offset)
-            settlement = 0.0 if raw < 0.0 else (alpha if raw > alpha else raw)
-
-        m_before = court_count
-        if litigates:
-            data.append_row(None if x is None else augment(x), outcomes[i])
-            rule = fit(kind, data)
-            if mean_learner:
-                rule_value = min(max(rule.mean, 0.0), alpha)
-                applied = rule_value
-            else:
-                weights, offset = rule.coef[:-1], rule.coef[-1]
-                raw = float(weights @ x + offset)
-                applied = 0.0 if raw < 0.0 else (alpha if raw > alpha else raw)
-            court_count += 1
-            subsidy_paid += offered
-            court_cost = cost
-            err_before = min(alpha, err_scale / math.sqrt(court_count))
-        else:
-            applied = settlement
-            court_cost = 0.0
-
-        diff = applied - f_values[i]
-        squared_error = diff * diff
-        total_loss += squared_error + court_cost
-
-        if keep_records:
-            rows.append(
-                (t, cost, offered, compelled, litigates, applied, f_values[i],
-                 squared_error, court_cost, pre_err, m_before, settlement)
-            )
-
-    return RunLedger(
-        steps=_step_columns(dict(zip(STEP_COLUMNS, zip(*rows)))) if keep_records else {},
-        total_loss=total_loss,
-        court_count=court_count,
-        total_subsidy_paid=subsidy_paid,
-        seed=config.seed,
-        config_digest=config.digest(),
-    )
-
-
-def _event_engine(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
-    """Mean learner under a state-free policy: jump from court visit to court visit.
-
-    Between visits the learner's state (court count, outcome sum) and hence
-    the error bound are frozen, so the next visit is found by a vectorized
-    litigation test over a window that doubles while it finds none.  Every
-    float is produced by the same operations, in the same order, as in
-    ``_step_loop``, so ledgers and totals are bit for bit the same.
-    """
-    T = config.horizon
-    alpha = config.truth.alpha
-    mu = config.truth.mu
-    policy = make_policy(config.policy)
-    compel, bases = policy.horizon_actions(
-        T, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
-    )
+    else:  # kwik marks the gate's verdicts as its scan finds them
+        compels, compel, bases = policy.compels, np.zeros(T, dtype=bool), None
+    # Only the linear fit and the kwik gate read the court rows.
+    keep_rows = linear or not state_free
+    # The closed-form tail needs a case-free prediction: mean learners only.
+    skip_tail = not keep_records and not linear
     costs = env.costs
-    err_scale = config.learner.err_constant * config.truth.sigma
+    xs = env.xs
     cost_floor = config.costs.c_min
 
-    # Per court count m: the prediction and the error bound after m visits.
-    rule_values = [0.0]
+    # Per court count m: the rule (a clipped mean, or the linear coefficients
+    # with the offset last) and the error bound after m visits.
+    rule = fit(kind, data)
+    rules = [rule.coef] if linear else [min(max(rule.mean, 0.0), alpha)]
     errs = [alpha]
     visits: list[int] = []
-    sum_y = 0.0
-    subsidy_paid = 0.0
-    tail_loss = 0.0
+    sum_y = subsidy_paid = tail_loss = 0.0
     end = T  # steps played out one by one; the closed-form tail covers the rest
     s = 0
     window = _FIRST_WINDOW
     while s < T:
         two_err = 2.0 * errs[-1]
-        # The step loop's closed-form tail skip, at the same step: err is frozen
-        # until the next visit, and a policy that goes inactive (etc) compels
-        # every step before, so the loop's first firing step is a window start.
-        if not keep_records and two_err < cost_floor and policy.inactive_from(s + 1):
-            tail_loss = (T - s) * (rule_values[-1] - mu) ** 2
+        # A case-by-case loop's first tail-skip step is a window start: err is
+        # frozen until the next visit, and a policy that goes inactive (etc)
+        # compels every step before.
+        if skip_tail and two_err < cost_floor and policy.inactive_from(s + 1):
+            tail_loss = (T - s) * (rules[-1] - config.truth.mu) ** 2
             end = s
             break
-        stop = min(T, s + window)
-        if bases is None:
-            litigates = costs[s:stop] <= two_err  # cost - 0.0 is cost
+        if state_free:
+            stop = min(T, s + window)
+            if bases is None:
+                litigates = costs[s:stop] <= two_err  # cost - 0.0 is cost
+            else:
+                litigates = costs[s:stop] - _offers(bases[s:stop], two_err) <= two_err
+            if compel is not None:
+                litigates |= compel[s:stop]
+            hit = int(litigates.argmax())
+            if not litigates[hit]:
+                s = stop
+                window *= 2
+                continue
+            v = s + hit
+            window = _FIRST_WINDOW
+            if bases is not None:
+                subsidy_paid += max(0.0, bases.item(v) - two_err)
         else:
-            litigates = costs[s:stop] - _offers(bases[s:stop], two_err) <= two_err
-        if compel is not None:
-            litigates |= compel[s:stop]
-        hit = int(litigates.argmax())
-        if not litigates[hit]:
-            s = stop
-            window *= 2
-            continue
-        v = s + hit
-        if bases is not None:
-            subsidy_paid += max(0.0, bases.item(v) - two_err)
+            for v in range(s, T):
+                if compels(xs[v]):
+                    compel[v] = True
+                    break
+                if costs.item(v) <= two_err:
+                    break
+            else:
+                break  # no visit before the horizon
         visits.append(v)
         m = len(visits)
-        sum_y += env.outcomes.item(v)
-        rule_values.append(min(max(sum_y / m, 0.0), alpha))
-        errs.append(min(alpha, err_scale / math.sqrt(m)))
+        outcome = env.outcomes.item(v)
+        if keep_rows:
+            data.append_row(augment(xs[v]), outcome)
+        if linear:
+            rules.append(fit(kind, data).coef)
+        else:
+            sum_y += outcome
+            rules.append(min(max(sum_y / m, 0.0), alpha))
+        errs.append(err_bound(kind, m, config.truth.sigma, alpha, data.dim))
         s = v + 1
-        window = _FIRST_WINDOW
 
     went = np.zeros(end, dtype=bool)
     went[visits] = True
     m_after = np.cumsum(went)
-    predictions = np.array(rule_values)
-    diff = predictions[m_after] - env.f_values[:end]
-    squared = diff * diff
+    if linear:
+        # One dot per row under the rule of its segment, as learners.predict.
+        raw = np.empty(end)
+        for coef, lo, hi in zip(rules, [0, *visits], [*visits, end]):
+            w, b = coef[:-1], coef[-1]
+            raw[lo:hi] = [w @ x + b for x in xs[lo:hi]]
+        applied = _clip(raw, alpha)
+    else:
+        applied = np.array(rules)[m_after]
+    diff = applied - env.f_values[:end]
+    squared = np.multiply(diff, diff, out=diff)  # in place: one T-length array fewer
     terms = squared + np.where(went, costs[:end], 0.0)
-    total_loss = np.cumsum(terms).item(-1) if end else 0.0
-    total_loss += tail_loss
+    total_loss = (np.cumsum(terms).item(-1) if end else 0.0) + tail_loss
 
     steps = {}
     if keep_records:  # the tail skip is off, so end == T
         m_before = m_after - went
         pre_errs = np.array(errs)[m_before]
+        if linear:
+            settlement = applied.copy()
+            settlement[visits] = _clip(np.array([c[:-1] @ xs[v] + c[-1] for c, v in zip(rules, visits)]), alpha)
+        else:
+            settlement = np.array(rules)[m_before]
         steps = _step_columns(
             {
                 "t": np.arange(1, end + 1),
@@ -450,13 +361,13 @@ def _event_engine(config: RunConfig, env: Environment, rep: int, keep_records: b
                 "subsidy": np.zeros(end) if bases is None else _offers(bases, 2.0 * pre_errs),
                 "compelled": np.zeros(end, dtype=bool) if compel is None else compel,
                 "went_to_court": went,
-                "applied_decision": predictions[m_after],
+                "applied_decision": applied,
                 "true_value": env.f_values,
                 "squared_error": squared,
                 "court_cost_incurred": np.where(went, costs, 0.0),
                 "pre_step_err_bound": pre_errs,
                 "m_before": m_before,
-                "settlement_value": predictions[m_before],
+                "settlement_value": settlement,
             }
         )
     return RunLedger(
@@ -467,6 +378,11 @@ def _event_engine(config: RunConfig, env: Environment, rep: int, keep_records: b
         seed=config.seed,
         config_digest=config.digest(),
     )
+
+
+def _clip(raw: np.ndarray, alpha: float) -> np.ndarray:
+    """``raw`` clipped into [0, alpha] by ``learners.predict``'s comparisons."""
+    return np.where(raw < 0.0, 0.0, np.where(raw > alpha, alpha, raw))
 
 
 def _step_columns(columns: dict) -> dict[str, np.ndarray]:

@@ -169,6 +169,42 @@ class TestFieldPathedErrors:
             parse_config(minimal_config(replications=0))
 
     @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_zero_replications_rejected(self, tmp_path, capsys, source):
+        data = minimal_config(replications=0) if source == "config" else minimal_config()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        flag = ["--replications", "0"] if source == "flag" else []
+        assert main(["run", str(path), "--out", str(out), *flag]) == 2
+        assert "replications: must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out / "regret.csv").exists()
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"alpha1": -0.1, "alpha2": -0.5}, "kwik policy alpha1 must be > 0, got -0.1"),
+            ({"alpha2": -0.5}, "kwik policy alpha2 must be > 0, got -0.5"),
+            ({"alpha1": 0.0}, "kwik policy alpha1 must be > 0, got 0.0"),
+            ({"alpha1_constant": -15.0}, "kwik policy alpha1_constant must be > 0, got -15.0"),
+        ],
+        ids=["both_negative", "alpha2_negative", "alpha1_zero", "constant_negative"],
+    )
+    def test_kwik_thresholds_must_be_positive(self, tmp_path, capsys, params, message):
+        data = minimal_config(
+            truth={"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
+            cases={"kind": "ball", "dim": 2},
+            policies=[{"name": "kwik", "epsilon": 0.25, "delta": 0.05, **params}],
+        )
+        with pytest.raises(ConfigurationError, match=re.escape(f"policies[0] (kwik): {message}")):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["kwik", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "kwik.csv").exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
     def test_negative_seed_rejected(self, tmp_path, capsys, source):
         data = minimal_config(seed=-3) if source == "config" else minimal_config()
         if source == "config":

@@ -1,5 +1,5 @@
-"""The event engine against the step loop, and the whole-horizon policy laws
-against their scalar per-step forms, bit for bit."""
+"""The visit-to-visit driver against the step loop (``tests/oracle.py``), and
+the whole-horizon policy laws against their scalar per-step forms, bit for bit."""
 
 import math
 
@@ -34,6 +34,7 @@ from courtlearn.policies import (
     subsidy_bases,
     subsidy_tail_probability,
 )
+from oracle import step_loop
 
 
 class _Replay:
@@ -126,52 +127,125 @@ def mean_runs(draw):
 @example(run=(_mean_config(DynamicCompellingConfig(1.0, 2.0), 400, sigma=0.0,
                            cases=BallCases(2)), 2), keep_records=True)
 def test_event_engine_matches_step_loop(run, keep_records):
-    config, rep = run
+    _assert_matches_oracle(*run, keep_records)
+
+
+def _assert_matches_oracle(config, rep, keep_records):
+    """``sim._simulate`` and the step loop give the same ledger, bit for bit."""
     env = sim.draw_environment(config, rep)
-    loop = _outcome(sim._step_loop, config, env, rep, keep_records)
-    engine = _outcome(sim._simulate, config, env, rep, keep_records)
+    loop = _outcome(step_loop, config, env, rep, keep_records)
+    driver = _outcome(sim._simulate, config, env, rep, keep_records)
     if isinstance(loop, Exception):
-        assert type(engine) is type(loop) and str(engine) == str(loop)
+        assert type(driver) is type(loop) and str(driver) == str(loop)
         return
     for name in ("total_loss", "court_count", "total_subsidy_paid", "seed", "config_digest"):
-        assert _bits(getattr(engine, name)) == _bits(getattr(loop, name)), name
-    assert list(engine.steps) == list(loop.steps) == (list(sim.STEP_COLUMNS) if keep_records else [])
+        assert _bits(getattr(driver, name)) == _bits(getattr(loop, name)), name
+    assert list(driver.steps) == list(loop.steps) == (list(sim.STEP_COLUMNS) if keep_records else [])
     for name, want in loop.steps.items():
-        got = engine.steps[name]
+        got = driver.steps[name]
         assert got.dtype == want.dtype == sim.STEP_COLUMNS[name], name
         assert got.shape == want.shape == (config.horizon,), name
         # bytes, not ==: -0.0 and 0.0 must not pass for each other
         assert got.tobytes() == want.tobytes(), name
 
 
-def test_dispatch_rule_reads_the_config_only(monkeypatch):
-    def engine(*args):
-        return "engine"
-
-    def loop(*args):
-        return "loop"
-
-    monkeypatch.setattr(sim, "_event_engine", engine)
-    monkeypatch.setattr(sim, "_step_loop", loop)
-    for policy in (
-        NoSubsidyConfig(),
-        EtcConfig(100, 1.0, 2.0),
-        DynamicCompellingConfig(1.0, 2.0),
-        SubsidySamplingConfig(1.0, 1.0, 2.0),
-    ):
-        assert sim._simulate(_mean_config(policy, 100), None, 0, False) == "engine"
-    kwik = KwikConfig(epsilon=0.25, delta=0.05)
-    mean_kwik = _mean_config(kwik, 100, cases=BallCases(2))
-    assert sim._simulate(mean_kwik, None, 0, False) == "loop"
-    linear = sim.RunConfig(
-        horizon=100,
-        truth=LinearTruth(np.array([0.1, 0.1]), 0.5, 0.1, 1.0),
-        cases=BallCases(2),
-        costs=PointMassCosts(1.0),
-        learner=LearnerKind(LearnerFamily.OLS),
-        policy=DynamicCompellingConfig(1.0, 1.0),
+def _linear_config(policy, horizon, *, learner=LearnerKind(LearnerFamily.OLS), dim=3,
+                   beta_scale=0.5, beta0=0.4, alpha=1.0, sigma=0.1, costs=None, seed=0):
+    """Linear truth on the unit ball; an empirical_mean learner gets the constant truth beta0."""
+    if learner.is_linear:
+        beta = np.linspace(1.0, -0.5, dim)
+        beta *= beta_scale * min(beta0, alpha - beta0) / np.linalg.norm(beta)
+        truth = LinearTruth(beta, beta0, sigma, alpha)
+    else:
+        truth = ConstantTruth(beta0, sigma, alpha)
+    return sim.RunConfig(
+        horizon=horizon,
+        truth=truth,
+        cases=BallCases(dim),
+        costs=costs if costs is not None else PointMassCosts(1.0),
+        learner=learner,
+        policy=policy,
+        seed=seed,
     )
-    assert sim._simulate(linear, None, 0, False) == "loop"
+
+
+@st.composite
+def linear_runs(draw):
+    alpha = draw(st.sampled_from([1.0, 2.0]) | st.floats(0.2, 3.0))
+    sigma = draw(st.sampled_from([0.0, 0.05, alpha]) | st.floats(0.0, alpha))
+    c_min = draw(st.sampled_from([0.1, 1.0]) | st.floats(0.05, 3.0))
+    width = draw(st.floats(0.0, 2.0))
+    costs = draw(
+        st.sampled_from(
+            [
+                PointMassCosts(c_min),
+                UniformCosts(c_min, c_min + width),
+                FixedCosts((c_min + width, c_min, c_min + width / 2)),
+            ]
+        )
+    )
+    horizon = draw(st.integers(1, 250))
+    kwik = draw(
+        st.builds(KwikConfig, st.just(0.25), st.just(0.05),
+                  alpha1_constant=st.sampled_from([1.0, 15.0, 100.0]))
+        | st.builds(KwikConfig, st.just(0.25), st.just(0.05),
+                    alpha1=st.floats(0.01, 3.0), alpha2=st.floats(0.01, 1.0))
+    )
+    family = draw(
+        st.sampled_from([LearnerFamily.OLS, LearnerFamily.NORM_CONSTRAINED, LearnerFamily.EMPIRICAL_MEAN])
+    )
+    if family is LearnerFamily.EMPIRICAL_MEAN:
+        policy = kwik  # mean learners under state-free policies: mean_runs
+    else:
+        factor = draw(st.sampled_from([1.0, 0.1, 3.0]))
+        policy = draw(
+            st.sampled_from(
+                [
+                    kwik,
+                    NoSubsidyConfig(),
+                    EtcConfig(horizon, alpha, costs.c_max * factor),
+                    DynamicCompellingConfig(alpha, costs.c_max * factor),
+                    SubsidySamplingConfig(alpha, costs.c_min, costs.c_max * max(factor, 1.0)),
+                ]
+            )
+        )
+    config = _linear_config(
+        policy,
+        horizon,
+        learner=LearnerKind(
+            family,
+            err_constant=draw(st.sampled_from([0.3, 1.0, 5.0])),
+            radius=draw(st.sampled_from([0.05, 0.3, 1.0, 10.0])),
+        ),
+        dim=draw(st.integers(1, 9)),
+        beta_scale=draw(st.floats(0.0, 1.0)),
+        beta0=draw(st.floats(0.05, 0.5)) * alpha,
+        alpha=alpha,
+        sigma=sigma,
+        costs=costs,
+        seed=draw(st.integers(0, 50)),
+    )
+    return config, draw(st.integers(0, 3))
+
+
+_KWIK = KwikConfig(epsilon=0.25, delta=0.05, alpha1_constant=15.0)
+_RADIUS = LearnerKind(LearnerFamily.NORM_CONSTRAINED, radius=0.05)
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=linear_runs(), keep_records=st.booleans())
+@example(run=(_linear_config(_KWIK, 1), 0), keep_records=True)
+@example(run=(_linear_config(DynamicCompellingConfig(1.0, 1.0), 1, dim=1), 0), keep_records=False)
+# The unconstrained fit leaves the small ball, so fits bisect.
+@example(run=(_linear_config(_KWIK, 250, learner=_RADIUS, dim=5), 1), keep_records=True)
+@example(run=(_linear_config(SubsidySamplingConfig(1.0, 1.0, 1.0), 250, learner=_RADIUS,
+                             sigma=0.0, dim=9), 2), keep_records=False)
+@example(run=(_linear_config(KwikConfig(0.25, 0.05, alpha1=0.5, alpha2=0.1), 200, dim=9,
+                             costs=UniformCosts(0.1, 0.5)), 0), keep_records=True)
+@example(run=(_linear_config(KwikConfig(0.25, 0.05), 200, learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN),
+                             dim=2, sigma=0.0), 3), keep_records=True)
+def test_linear_and_kwik_runs_match_step_loop(run, keep_records):
+    _assert_matches_oracle(*run, keep_records)
 
 
 def _scalar_step(policy, t, err, rng):

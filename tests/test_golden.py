@@ -7,8 +7,8 @@ ledgers carry each cell's ``config_digest``, so the canonical run-config
 serialization is pinned too.  ``check_deterrent`` writes no file, so its
 reports are pinned by their scalars (as ``float.hex``) and a digest of the
 per-step arrays.  The OLS, small-radius and mean-learner kwik configs pin
-the linear solve, the norm-constrained bisection and the kwik gate on the
-step loop; the state-free config pins its pre-drawn-action branch under a
+the linear solve, the norm-constrained bisection and the kwik gate's scan;
+the state-free config pins a linear learner under pre-drawn actions and a
 point cost.
 """
 
@@ -85,8 +85,8 @@ MEAN_KWIK_CONFIG = {
     "seed": 7,
 }
 
-# The step loop's state-free branch on a linear learner: pre-drawn actions
-# that never compel, with and without subsidy offers.
+# A linear learner under pre-drawn actions that never compel, with and
+# without subsidy offers.
 STATE_FREE_CONFIG = {
     "truth": {"family": "linear", "beta": [0.15, 0.15, 0.15], "beta0": 0.5, "sigma": 0.1, "alpha": 1.0},
     "cases": {"kind": "ball", "dim": 3},
@@ -172,8 +172,8 @@ def test_radius_config_takes_the_bisection_branch(tmp_path, monkeypatch):
 _MEAN_LEARNER = LearnerKind(LearnerFamily.EMPIRICAL_MEAN)
 _MEAN_PIECES = (ConstantTruth(0.5, 0.5, 1.0), SingletonCases(), UniformCosts(1.0, 2.0), _MEAN_LEARNER)
 
-# (config, pinned report); 5 replications each.  The first two run on the
-# event engine, the OLS one on the step loop.
+# (config, pinned report); 5 replications each.  The first two run a mean
+# learner, the last an OLS one.
 DETERRENT_CASES = {
     "subsidy_sampling": (
         RunConfig(200, *_MEAN_PIECES, SubsidySamplingConfig(1.0, 1.0, 2.0), seed=3),
