@@ -38,7 +38,6 @@ from .policies import (
     dynamic_compel_probability,
     etc_compel_count,
     kwik_gate,
-    make_policy,
     sample_subsidy,
     subsidy_tail_probability,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "dynamic_compel_probability",
     "etc_compel_count",
     "kwik_gate",
-    "make_policy",
     "sample_subsidy",
     "subsidy_tail_probability",
     "DeterrentReport",

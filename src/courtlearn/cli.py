@@ -25,12 +25,8 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
     if args.out is not None:
         updates["out_dir"] = args.out
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigurationError(f"seed: must be >= 0, got {args.seed}")
         updates["seed"] = args.seed
     if args.replications is not None:
-        if args.replications < 1:
-            raise ConfigurationError(f"replications: must be >= 1, got {args.replications}")
         updates["replications"] = args.replications
     return dataclasses.replace(spec, **updates) if updates else spec
 

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .core import (
     ConfigurationError,
     ConstantTruth,
     CostModel,
-    Dataset,
     FixedCosts,
     GroundTruth,
     LinearTruth,
@@ -30,7 +29,7 @@ from .core import (
     UniformCosts,
 )
 from .learners import LearnerFamily, LearnerKind
-from .policies import POLICY_CLASSES, PolicyConfig, make_policy
+from .policies import PolicyConfig
 from .sim import RunConfig
 
 __all__ = ["PolicyRequest", "ExperimentSpec", "load_config", "parse_config"]
@@ -38,7 +37,7 @@ __all__ = ["PolicyRequest", "ExperimentSpec", "load_config", "parse_config"]
 DEFAULT_REPLICATIONS = 100
 DEFAULT_ERR_CONSTANT = 1.0
 
-_POLICY_CONFIGS = {config_class.name: config_class for config_class in POLICY_CLASSES}
+_POLICY_CONFIGS = {config_class.name: config_class for config_class in get_args(PolicyConfig)}
 
 # Policy config fields filled from the spec rather than from the policy entry.
 _SPEC_FIELDS = ("horizon", "alpha", "c_min", "c_max")
@@ -83,6 +82,13 @@ class ExperimentSpec:
     seed: int
     out_dir: str
 
+    def __post_init__(self) -> None:
+        # ``dataclasses.replace`` re-runs these, so CLI overrides meet the same rules.
+        if self.replications < 1:
+            raise ConfigurationError(f"replications: must be >= 1, got {self.replications}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
+
     def run_config(self, request: PolicyRequest, horizon: int) -> RunConfig:
         """The run configuration of one (policy, horizon) cell."""
         return RunConfig(
@@ -125,14 +131,12 @@ class _Reader:
             raise ConfigurationError(f"{self._at(key)}: expected a non-empty list")
         return [_finite(value, f"{self._at(key)}[{i}]") for i, value in enumerate(values)]
 
-    def integer(self, key: str, default: int | None = None, minimum: int | None = None) -> int:
+    def integer(self, key: str, default: int | None = None) -> int:
         value = self.data.get(key, default)
         if value is None:
             raise ConfigurationError(f"missing required field {self._at(key)}")
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"{self._at(key)}: expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigurationError(f"{self._at(key)}: must be >= {minimum}, got {value}")
         return value
 
     def string(self, key: str, default: str | None = None) -> str:
@@ -258,7 +262,7 @@ def parse_config(data: dict) -> ExperimentSpec:
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigurationError("sweep must be increasing")
 
-    replications = root.integer("replications", DEFAULT_REPLICATIONS, minimum=1)
+    replications = root.integer("replications", DEFAULT_REPLICATIONS)
     if "emit" in data:
         raise ConfigurationError(
             "emit: not supported; pass --ledgers to `courtlearn run` to write ledgers.jsonl"
@@ -272,15 +276,15 @@ def parse_config(data: dict) -> ExperimentSpec:
         policies=policies,
         sweep=tuple(sweep),
         replications=replications,
-        seed=root.integer("seed", 0, minimum=0),
+        seed=root.integer("seed", 0),
         out_dir=root.string("out_dir", "results"),
     )
-    # Build every (policy, horizon) cell and its policy now so bad
-    # combinations fail at load time, not mid-sweep.
+    # Build every (policy, horizon) cell now so bad combinations fail at
+    # load time, not mid-sweep.
     for i, request in enumerate(spec.policies):
         for horizon in spec.sweep:
             try:
-                make_policy(spec.run_config(request, horizon).policy, Dataset(cases.dim))
+                spec.run_config(request, horizon)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"policies[{i}] ({request.name}): {exc}") from None
     return spec

@@ -241,10 +241,6 @@ class Dataset:
         return self._count
 
     @property
-    def size(self) -> int:
-        return self._count
-
-    @property
     def sum_outcomes(self) -> float:
         return self._sum_y
 

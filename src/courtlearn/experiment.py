@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -20,14 +19,12 @@ import numpy as np
 
 from .config import ExperimentSpec
 from .core import ConfigurationError, RunLedger
-from .sim import RegretReport, estimate_regret, run
+from .sim import estimate_regret, run
 
 __all__ = [
     "REGRET_COLUMNS",
     "SLOPES_COLUMNS",
     "KWIK_COLUMNS",
-    "RegretRow",
-    "KwikRow",
     "fit_loglog_slope",
     "run_experiment",
     "kwik_report",
@@ -43,55 +40,20 @@ KWIK_COLUMNS = (
 )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _csv_row(values: tuple, file_name: str) -> str:
+    """One CSV line: floats with 12 significant digits, anything else by ``str``.
 
-
-@dataclass(frozen=True)
-class RegretRow:
-    policy: str
-    horizon: int
-    report: RegretReport
-
-    def render(self) -> str:
-        r = self.report
-        return ",".join(
-            [
-                self.policy,
-                str(self.horizon),
-                _fmt(r.mean_regret),
-                _fmt(r.std_error),
-                _fmt(r.mean_court_count),
-                _fmt(r.mean_total_subsidy),
-                _fmt(r.mean_offline_loss),
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class KwikRow:
-    horizon: int
-    dim: int
-    epsilon: float
-    delta: float
-    predicted_count: int
-    compelled_count: int
-    fraction_within_eps: float
-    max_abs_error: float
-
-    def render(self) -> str:
-        return ",".join(
-            [
-                str(self.horizon),
-                str(self.dim),
-                _fmt(self.epsilon),
-                _fmt(self.delta),
-                str(self.predicted_count),
-                str(self.compelled_count),
-                _fmt(self.fraction_within_eps),
-                _fmt(self.max_abs_error),
-            ]
-        )
+    Refuses a non-finite float, so every emitted number is finite.
+    """
+    cells = []
+    for value in values:
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"non-finite value would be written to {file_name}")
+            cells.append(f"{value:.12g}")
+        else:
+            cells.append(str(value))
+    return ",".join(cells)
 
 
 def fit_loglog_slope(horizons: np.ndarray, values: np.ndarray) -> float | None:
@@ -111,12 +73,6 @@ def fit_loglog_slope(horizons: np.ndarray, values: np.ndarray) -> float | None:
 
 def _write_text(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
-
-
-def _check_finite(path: Path, values: list[float]) -> None:
-    for value in values:
-        if not math.isfinite(value):
-            raise ConfigurationError(f"non-finite value would be written to {path.name}")
 
 
 def _ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
@@ -188,18 +144,11 @@ def _run_cells(spec: ExperimentSpec, out_dir: Path, stream: TextIO | None) -> di
                     stream.write("\n")
 
             report = estimate_regret(config, spec.replications, ledger_sink=sink)
-            row = RegretRow(request.name, horizon, report)
-            _check_finite(
-                out_dir / "regret.csv",
-                [
-                    report.mean_regret,
-                    report.std_error,
-                    report.mean_court_count,
-                    report.mean_total_subsidy,
-                    report.mean_offline_loss,
-                ],
+            row = (
+                request.name, horizon, report.mean_regret, report.std_error,
+                report.mean_court_count, report.mean_total_subsidy, report.mean_offline_loss,
             )
-            regret_lines.append(row.render())
+            regret_lines.append(_csv_row(row, "regret.csv"))
             per_policy.setdefault(request.name, []).append((horizon, report.mean_regret))
 
     slope_lines = [SLOPES_COLUMNS]
@@ -208,7 +157,7 @@ def _run_cells(spec: ExperimentSpec, out_dir: Path, stream: TextIO | None) -> di
         values = np.array([p[1] for p in points])
         slope = fit_loglog_slope(horizons, values)
         if slope is not None:
-            slope_lines.append(f"{name},{_fmt(slope)}")
+            slope_lines.append(_csv_row((name, slope), "slopes.csv"))
 
     outputs: dict[str, Path] = {}
     regret_path = out_dir / "regret.csv"
@@ -246,18 +195,9 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
         within = int((errors <= epsilon).sum())
         fraction = within / predicted if predicted else 1.0
         max_error = errors.max().item() if predicted else 0.0
-        row = KwikRow(
-            horizon=horizon,
-            dim=dim,
-            epsilon=epsilon,
-            delta=config.policy.delta,
-            predicted_count=predicted,
-            compelled_count=ledger.court_count,
-            fraction_within_eps=fraction,
-            max_abs_error=max_error,
-        )
-        _check_finite(out_dir / "kwik.csv", [fraction, max_error])
-        lines.append(row.render())
+        row = (horizon, dim, epsilon, config.policy.delta, predicted, ledger.court_count,
+               fraction, max_error)
+        lines.append(_csv_row(row, "kwik.csv"))
     kwik_path = out_dir / "kwik.csv"
     _write_text(kwik_path, lines)
     return {"kwik": kwik_path}

@@ -15,12 +15,14 @@ largest settlement shift a court visit could produce); ties litigate.
 * ``kwik``                - compel unless the courted history provably covers
                             the query direction (eigenvalue-gated prediction).
 
-The first four are state-free: each is one whole-horizon law
-(``horizon_actions``) that draws a run's compel mask and subsidy bases up
-front.  The scalar laws (``etc_compel_count``, ``dynamic_compel_probability``,
-``sample_subsidy``) state the same laws one step at a time.  Only the kwik
-gate acts case by case (``KwikPolicy.compels``), on the raw case row.  It
-keeps no court history of its own: it gates on the spectrum that the run's
+A policy is its frozen config.  The first four are state-free: each config
+states its whole-horizon law (``horizon_actions``), which draws a run's
+compel mask and subsidy bases up front, and the step from which it stays
+idle (``inactive_from``).  The scalar laws (``etc_compel_count``,
+``dynamic_compel_probability``, ``sample_subsidy``) state the same laws one
+step at a time.  Only the kwik gate acts case by case, and ``KwikPolicy`` is
+the one per-run policy object: ``compels`` gates the raw case row.  It keeps
+no court history of its own: it gates on the spectrum that the run's
 ``Dataset`` caches for the learner, so a run holds one Gram matrix.
 """
 
@@ -41,7 +43,6 @@ __all__ = [
     "dynamic_compel_probability",
     "subsidy_tail_probability",
     "sample_subsidy",
-    "dynamic_compel_mask",
     "subsidy_bases",
     "GateDecision",
     "kwik_gate",
@@ -52,8 +53,7 @@ __all__ = [
     "SubsidySamplingConfig",
     "KwikConfig",
     "PolicyConfig",
-    "POLICY_CLASSES",
-    "make_policy",
+    "KwikPolicy",
 ]
 
 # Eigenvalues at or above this count as "covered" directions in the gate.
@@ -72,9 +72,9 @@ def etc_compel_count(horizon: int, alpha: float, c_max: float) -> int:
     return min(horizon, math.ceil(value - 1e-9))
 
 
-def dynamic_compel_probability(t: int, alpha: float, c_max: float) -> float:
-    """Per-step compel probability min(1, alpha / sqrt(t * c_max))."""
-    return min(1.0, alpha / math.sqrt(t * c_max))
+def dynamic_compel_probability(t: int | np.ndarray, alpha: float, c_max: float):
+    """Per-step compel probability min(1, alpha / sqrt(t * c_max)); ``t`` may be an array."""
+    return np.minimum(1.0, alpha / np.sqrt(t * c_max))
 
 
 def subsidy_tail_probability(t: int, c: float, alpha: float, phase1: bool = False) -> float:
@@ -122,15 +122,6 @@ def sample_subsidy(
         c = (alpha_eff / (u * math.sqrt(t))) ** 2
         return max(0.0, c - two_err)
     return 0.0
-
-
-def dynamic_compel_mask(u: np.ndarray, alpha: float, c_max: float) -> np.ndarray:
-    """Compel indicators for steps 1..len(u), given one uniform draw per step.
-
-    Draw for draw equal to ``u[t - 1] < dynamic_compel_probability(t, alpha, c_max)``.
-    """
-    t = np.arange(1, u.shape[0] + 1, dtype=float)
-    return u < np.minimum(1.0, alpha / np.sqrt(t * c_max))
 
 
 def subsidy_bases(
@@ -220,7 +211,12 @@ def kwik_default_alpha1(epsilon: float, delta: float, dim: int, constant: float 
 # existing ones.  ``state_free`` marks policies whose randomness and
 # compel/subsidy law do not depend on the court history (a subsidy offer
 # reads it only through the error bound), so a whole run's actions can be
-# drawn up front.
+# drawn up front.  Their ``horizon_actions(horizon, rng)`` returns steps
+# 1..horizon at once as (compel mask, subsidy bases), drawing one uniform per
+# step from ``rng`` (none for ``no_subsidy`` and ``etc``).  ``None`` stands
+# for "never compels" or "never offers"; the offer at step t is
+# ``max(0.0, bases[t - 1] - 2 * err_before)``.  ``inactive_from(t)`` is True
+# if the policy neither compels nor offers a subsidy at any step >= t.
 
 
 @dataclass(frozen=True)
@@ -230,6 +226,12 @@ class NoSubsidyConfig:
     name: ClassVar[str] = "no_subsidy"
     tag: ClassVar[int] = 1
     state_free: ClassVar[bool] = True
+
+    def inactive_from(self, t: int) -> bool:
+        return True
+
+    def horizon_actions(self, horizon: int, rng) -> tuple[None, None]:
+        return None, None
 
 
 @dataclass(frozen=True)
@@ -254,6 +256,12 @@ class EtcConfig:
     def compel_count(self) -> int:
         return etc_compel_count(self.horizon, self.alpha, self.c_max)
 
+    def inactive_from(self, t: int) -> bool:
+        return t > self.compel_count
+
+    def horizon_actions(self, horizon: int, rng) -> tuple[np.ndarray, None]:
+        return np.arange(horizon) < self.compel_count, None
+
 
 @dataclass(frozen=True)
 class DynamicCompellingConfig:
@@ -270,10 +278,21 @@ class DynamicCompellingConfig:
         if not (self.alpha > 0 and self.c_max > 0):
             raise ConfigurationError("dynamic_compelling policy needs alpha > 0 and c_max > 0")
 
+    def inactive_from(self, t: int) -> bool:
+        return False
+
+    def horizon_actions(self, horizon: int, rng) -> tuple[np.ndarray, None]:
+        t = np.arange(1, horizon + 1, dtype=float)
+        return rng.random(horizon) < dynamic_compel_probability(t, self.alpha, self.c_max), None
+
 
 @dataclass(frozen=True)
 class SubsidySamplingConfig:
-    """Random subsidies with the decaying tail law over a known cost range."""
+    """Random subsidies with the decaying tail law over a known cost range.
+
+    A config may lie outside the region where the law is a distribution at
+    t = 1; ``sim.RunConfig`` refuses such a policy for a run.
+    """
 
     name: ClassVar[str] = "subsidy_sampling"
     tag: ClassVar[int] = 4
@@ -297,6 +316,17 @@ class SubsidySamplingConfig:
         if self.alpha / math.sqrt(self.c_min) > 1.0:
             return max(math.floor(self.alpha**2), math.floor(self.alpha**2 / self.c_min))
         return 0
+
+    def inactive_from(self, t: int) -> bool:
+        return False
+
+    def horizon_actions(self, horizon: int, rng) -> tuple[None, np.ndarray]:
+        bases = subsidy_bases(
+            rng.random(horizon), self.alpha, self.c_min, self.c_max, self.transition_step
+        )
+        if np.isinf(bases).any():
+            raise ConfigurationError("subsidy must be finite and >= 0, got inf")
+        return None, bases
 
 
 @dataclass(frozen=True)
@@ -340,78 +370,11 @@ PolicyConfig = Union[
     NoSubsidyConfig, EtcConfig, DynamicCompellingConfig, SubsidySamplingConfig, KwikConfig
 ]
 
-class _BasePolicy:
-    """Per-run policy state."""
 
-    def __init__(self, config: PolicyConfig, data: Dataset | None):
-        """Set up the run's state from the policy config and the run's court data."""
+class KwikPolicy:
+    """Gates each case of one run on the spectrum of the run's (vector) court data."""
 
-    def inactive_from(self, t: int) -> bool:
-        """True if the policy neither compels nor offers a subsidy at any step >= t."""
-        return False
-
-    def horizon_actions(self, horizon: int, rng) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Steps 1..horizon of a state-free policy at once: (compel mask, subsidy bases).
-
-        Draws one uniform per step from ``rng`` (none for ``no_subsidy`` and
-        ``etc``).  ``None`` stands for "never compels" or "never offers"; the
-        offer at step t is ``max(0.0, bases[t - 1] - 2 * err_before)``.
-        """
-        raise NotImplementedError(f"{type(self).__name__} is not state-free")
-
-
-class NoSubsidyPolicy(_BasePolicy):
-    def inactive_from(self, t):
-        return True
-
-    def horizon_actions(self, horizon, rng):
-        return None, None
-
-
-class EtcPolicy(_BasePolicy):
-    def __init__(self, config: EtcConfig, data: Dataset | None):
-        self.compel_count = config.compel_count
-
-    def inactive_from(self, t):
-        return t > self.compel_count
-
-    def horizon_actions(self, horizon, rng):
-        return np.arange(horizon) < self.compel_count, None
-
-
-class DynamicCompellingPolicy(_BasePolicy):
-    def __init__(self, config: DynamicCompellingConfig, data: Dataset | None):
-        self.alpha = config.alpha
-        self.c_max = config.c_max
-
-    def horizon_actions(self, horizon, rng):
-        return dynamic_compel_mask(rng.random(horizon), self.alpha, self.c_max), None
-
-
-class SubsidySamplingPolicy(_BasePolicy):
-    def __init__(self, config: SubsidySamplingConfig, data: Dataset | None):
-        self.config = config
-        self.transition_step = config.transition_step
-        # The scaled distribution must already be a probability measure at
-        # t = 1, the worst step; fail fast instead of mid-run.
-        subsidy_tail_probability(1, config.c_min, config.alpha, phase1=self.transition_step >= 1)
-
-    def horizon_actions(self, horizon, rng):
-        cfg = self.config
-        bases = subsidy_bases(
-            rng.random(horizon), cfg.alpha, cfg.c_min, cfg.c_max, self.transition_step
-        )
-        if np.isinf(bases).any():
-            raise ConfigurationError("subsidy must be finite and >= 0, got inf")
-        return None, bases
-
-
-class KwikPolicy(_BasePolicy):
-    """Gates each case on the spectrum of the run's court data."""
-
-    def __init__(self, config: KwikConfig, data: Dataset | None):
-        if data is None or data.dim is None:
-            raise ConfigurationError("kwik policy requires vector cases")
+    def __init__(self, config: KwikConfig, data: Dataset):
         self.alpha1 = config.resolve_alpha1(data.dim)
         self.alpha2 = config.resolve_alpha2()
         self.data = data
@@ -423,24 +386,3 @@ class KwikPolicy(_BasePolicy):
             spectrum.floored, spectrum.vectors, augment(x), self.alpha1, self.alpha2
         )
         return decision is GateDecision.COMPEL
-
-
-POLICY_CLASSES: dict[type, type[_BasePolicy]] = {
-    NoSubsidyConfig: NoSubsidyPolicy,
-    EtcConfig: EtcPolicy,
-    DynamicCompellingConfig: DynamicCompellingPolicy,
-    SubsidySamplingConfig: SubsidySamplingPolicy,
-    KwikConfig: KwikPolicy,
-}
-
-
-def make_policy(config: PolicyConfig, data: Dataset | None = None) -> _BasePolicy:
-    """Build the per-run stateful policy for ``config``.
-
-    ``data`` is the run's court data, which the kwik gate reads; the other
-    policies ignore it.
-    """
-    policy_class = POLICY_CLASSES.get(type(config))
-    if policy_class is None:
-        raise ConfigurationError(f"unknown policy config {config!r}")
-    return policy_class(config, data)

@@ -59,9 +59,10 @@ from .learners import (
 from .policies import (
     EtcConfig,
     KwikConfig,
+    KwikPolicy,
     PolicyConfig,
     SubsidySamplingConfig,
-    make_policy,
+    subsidy_tail_probability,
 )
 
 __all__ = [
@@ -148,6 +149,11 @@ class RunConfig:
                 raise ConfigurationError(
                     "subsidy policy cost range must cover the cost model range"
                 )
+            # The scaled distribution must already be a probability measure at
+            # t = 1, the worst step; fail fast instead of mid-run.
+            subsidy_tail_probability(
+                1, self.policy.c_min, self.policy.alpha, phase1=self.policy.transition_step >= 1
+            )
 
     def canonical(self) -> dict:
         """JSON-serializable description; the basis for the config digest."""
@@ -253,19 +259,20 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     alpha = config.truth.alpha
     kind = config.learner
     linear = kind.is_linear
-    state_free = config.policy.state_free
+    policy = config.policy
+    state_free = policy.state_free
     data = Dataset(config.cases.dim)
-    policy = make_policy(config.policy, data)
     if state_free:
         compel, bases = policy.horizon_actions(
-            T, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
+            T, _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
         )
     else:  # kwik marks the gate's verdicts as its scan finds them
-        compels, compel, bases = policy.compels, np.zeros(T, dtype=bool), None
+        compels, compel, bases = KwikPolicy(policy, data).compels, np.zeros(T, dtype=bool), None
     # Only the linear fit and the kwik gate read the court rows.
     keep_rows = linear or not state_free
-    # The closed-form tail needs a case-free prediction: mean learners only.
-    skip_tail = not keep_records and not linear
+    # The closed-form tail needs a case-free prediction (mean learners only)
+    # and a policy that can go idle for good (a state-free one).
+    skip_tail = state_free and not keep_records and not linear
     costs = env.costs
     xs = env.xs
     cost_floor = config.costs.c_min

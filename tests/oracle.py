@@ -11,7 +11,7 @@ import math
 
 from courtlearn.core import ConstantTruth, Dataset, RunLedger, augment
 from courtlearn.learners import LearnerFamily, fit
-from courtlearn.policies import agent_decision, make_policy
+from courtlearn.policies import KwikPolicy, agent_decision
 from courtlearn.sim import _STREAM_POLICY, STEP_COLUMNS, RunConfig, Environment, _step_columns, _stream
 
 
@@ -24,8 +24,8 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     kind = config.learner
     case_dim = config.cases.dim
     data = Dataset(case_dim)
-    policy = make_policy(config.policy, data)
-    state_free = config.policy.state_free
+    policy = config.policy
+    state_free = policy.state_free
     if state_free:
         compel, bases = policy.horizon_actions(
             T, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
@@ -33,7 +33,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         compel = [False] * T if compel is None else compel.tolist()
         bases = [0.0] * T if bases is None else bases.tolist()
     else:
-        compels = policy.compels
+        compels = KwikPolicy(policy, data).compels
 
     rule = fit(kind, data)
     mean_learner = kind.family is LearnerFamily.EMPIRICAL_MEAN
@@ -55,7 +55,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     # permanently inactive, no cost can clear the litigation threshold, and
     # the prediction no longer depends on the case.
     fast_candidate = (
-        not keep_records and mean_learner and isinstance(truth, ConstantTruth)
+        state_free and not keep_records and mean_learner and isinstance(truth, ConstantTruth)
     )
 
     rows: list[tuple] = []

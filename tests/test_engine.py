@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from courtlearn import sim
@@ -26,10 +26,8 @@ from courtlearn.policies import (
     KwikConfig,
     NoSubsidyConfig,
     SubsidySamplingConfig,
-    dynamic_compel_mask,
     dynamic_compel_probability,
     etc_compel_count,
-    make_policy,
     sample_subsidy,
     subsidy_bases,
     subsidy_tail_probability,
@@ -100,17 +98,20 @@ def mean_runs(draw):
             ]
         )
     )
-    config = _mean_config(
-        policy,
-        horizon,
-        alpha=alpha,
-        mu=mu,
-        sigma=sigma,
-        costs=costs,
-        cases=draw(st.sampled_from([SingletonCases(), BallCases(1), BallCases(3)])),
-        err_constant=draw(st.sampled_from([0.3, 1.0, 5.0])),
-        seed=draw(st.integers(0, 50)),
-    )
+    try:
+        config = _mean_config(
+            policy,
+            horizon,
+            alpha=alpha,
+            mu=mu,
+            sigma=sigma,
+            costs=costs,
+            cases=draw(st.sampled_from([SingletonCases(), BallCases(1), BallCases(3)])),
+            err_constant=draw(st.sampled_from([0.3, 1.0, 5.0])),
+            seed=draw(st.integers(0, 50)),
+        )
+    except ConfigurationError:  # subsidy_sampling outside its t = 1 region
+        reject()
     return config, draw(st.integers(0, 3))
 
 
@@ -209,22 +210,25 @@ def linear_runs(draw):
                 ]
             )
         )
-    config = _linear_config(
-        policy,
-        horizon,
-        learner=LearnerKind(
-            family,
-            err_constant=draw(st.sampled_from([0.3, 1.0, 5.0])),
-            radius=draw(st.sampled_from([0.05, 0.3, 1.0, 10.0])),
-        ),
-        dim=draw(st.integers(1, 9)),
-        beta_scale=draw(st.floats(0.0, 1.0)),
-        beta0=draw(st.floats(0.05, 0.5)) * alpha,
-        alpha=alpha,
-        sigma=sigma,
-        costs=costs,
-        seed=draw(st.integers(0, 50)),
-    )
+    try:
+        config = _linear_config(
+            policy,
+            horizon,
+            learner=LearnerKind(
+                family,
+                err_constant=draw(st.sampled_from([0.3, 1.0, 5.0])),
+                radius=draw(st.sampled_from([0.05, 0.3, 1.0, 10.0])),
+            ),
+            dim=draw(st.integers(1, 9)),
+            beta_scale=draw(st.floats(0.0, 1.0)),
+            beta0=draw(st.floats(0.05, 0.5)) * alpha,
+            alpha=alpha,
+            sigma=sigma,
+            costs=costs,
+            seed=draw(st.integers(0, 50)),
+        )
+    except ConfigurationError:  # subsidy_sampling outside its t = 1 region
+        reject()
     return config, draw(st.integers(0, 3))
 
 
@@ -276,7 +280,7 @@ def test_horizon_actions_replay_select(policy):
     horizon, err = 300, 0.3
     rng_whole = np.random.default_rng(17)
     rng_steps = np.random.default_rng(17)
-    compel, bases = make_policy(policy).horizon_actions(horizon, rng_whole)
+    compel, bases = policy.horizon_actions(horizon, rng_whole)
     for t in range(1, horizon + 1):
         compelled, offer = _scalar_step(policy, t, err, rng_steps)
         assert compelled == (compel is not None and bool(compel[t - 1]))
@@ -290,7 +294,7 @@ def test_horizon_actions_replay_select(policy):
 
 def test_dynamic_compel_mask_matches_per_step_draws():
     alpha, c_max, horizon = 3.0, 1.0, 2000
-    mask = dynamic_compel_mask(np.random.default_rng(4).random(horizon), alpha, c_max)
+    mask, _ = DynamicCompellingConfig(alpha, c_max).horizon_actions(horizon, np.random.default_rng(4))
     rng = np.random.default_rng(4)
     expected = [rng.random() < dynamic_compel_probability(t, alpha, c_max)
                 for t in range(1, horizon + 1)]

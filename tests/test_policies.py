@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from courtlearn.core import CaseFeatures, ConfigurationError
+from courtlearn.core import (
+    BallCases,
+    CaseFeatures,
+    ConfigurationError,
+    ConstantTruth,
+    SingletonCases,
+    UniformCosts,
+)
+from courtlearn.learners import LearnerFamily, LearnerKind
 from courtlearn.policies import (
     DynamicCompellingConfig,
     EtcConfig,
@@ -19,10 +27,10 @@ from courtlearn.policies import (
     dynamic_compel_probability,
     etc_compel_count,
     kwik_gate,
-    make_policy,
     sample_subsidy,
     subsidy_tail_probability,
 )
+from courtlearn.sim import RunConfig
 
 
 class _FixedU:
@@ -188,13 +196,13 @@ class TestSelect:
     """Each state-free policy's whole-horizon actions (compel mask, subsidy bases)."""
 
     def test_no_subsidy_always_idle(self):
-        policy = make_policy(NoSubsidyConfig())
+        policy = NoSubsidyConfig()
         rng = np.random.default_rng(0)
         assert policy.horizon_actions(1000, rng) == (None, None)
         assert all(policy.inactive_from(t) for t in (1, 5, 1000))
 
     def test_etc_threshold(self):
-        policy = make_policy(EtcConfig(horizon=100, alpha=2.0, c_max=4.0))
+        policy = EtcConfig(horizon=100, alpha=2.0, c_max=4.0)
         rng = np.random.default_rng(0)
         compel, bases = policy.horizon_actions(100, rng)
         assert compel[10 - 1] and not compel[11 - 1]
@@ -211,18 +219,18 @@ class TestSelect:
     def test_compelling_policies_never_subsidize(self):
         rng = np.random.default_rng(3)
         for config in (EtcConfig(horizon=50, alpha=1.0, c_max=1.0), DynamicCompellingConfig(1.0, 1.0)):
-            compel, bases = make_policy(config).horizon_actions(50, rng)
+            compel, bases = config.horizon_actions(50, rng)
             assert compel.shape == (50,) and bases is None
 
     def test_subsidy_policy_never_compels(self):
         rng = np.random.default_rng(4)
-        policy = make_policy(SubsidySamplingConfig(alpha=1.0, c_min=4.0, c_max=12.0))
+        policy = SubsidySamplingConfig(alpha=1.0, c_min=4.0, c_max=12.0)
         compel, bases = policy.horizon_actions(199, rng)
         assert compel is None and bases.shape == (199,)
         assert np.isfinite(bases).all() and (bases >= 0.0).all()
 
     def test_infinite_offer_rejected(self):
-        policy = make_policy(SubsidySamplingConfig(1.0, 1.0, math.inf))
+        policy = SubsidySamplingConfig(1.0, 1.0, math.inf)
         # A zero draw lands on the point mass at c_max.
         with pytest.raises(ConfigurationError, match="^subsidy must be finite and >= 0, got inf$"):
             policy.horizon_actions(3, _Draws([0.5, 0.0, 0.9]))
@@ -239,8 +247,9 @@ class TestPolicyConfigs:
 
     def test_ill_defined_first_step_rejected(self):
         # early-phase scaling cannot repair c_min < 1 at t = 1
-        with pytest.raises(ConfigurationError):
-            make_policy(SubsidySamplingConfig(alpha=1.0, c_min=0.25, c_max=1.0))
+        policy = SubsidySamplingConfig(alpha=1.0, c_min=0.25, c_max=1.0)
+        with pytest.raises(ConfigurationError, match="tail probability .* > 1 at t=1"):
+            _run_config(policy, cases=SingletonCases(), costs=UniformCosts(0.25, 1.0))
 
     def test_kwik_threshold_defaults(self):
         config = KwikConfig(epsilon=0.25, delta=0.05)
@@ -250,5 +259,17 @@ class TestPolicyConfigs:
         assert KwikConfig(epsilon=0.25, delta=0.05, alpha1=0.07, alpha2=0.2).resolve_alpha1(5) == 0.07
 
     def test_kwik_requires_vector_cases(self):
-        with pytest.raises(ConfigurationError):
-            make_policy(KwikConfig(epsilon=0.1, delta=0.1))
+        with pytest.raises(ConfigurationError, match="^kwik policy requires vector cases$"):
+            _run_config(KwikConfig(epsilon=0.1, delta=0.1), cases=SingletonCases())
+        _run_config(KwikConfig(epsilon=0.1, delta=0.1), cases=BallCases(2))
+
+
+def _run_config(policy, *, cases, costs=UniformCosts(1.0, 2.0)):
+    return RunConfig(
+        horizon=10,
+        truth=ConstantTruth(0.5, 0.5, 1.0),
+        cases=cases,
+        costs=costs,
+        learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN),
+        policy=policy,
+    )

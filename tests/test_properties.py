@@ -13,6 +13,10 @@ from courtlearn.core import CaseFeatures, ConfigurationError, SINGLETON_CASE
 from courtlearn.experiment import run_experiment
 from courtlearn.learners import LearnerFamily, LearnerKind, LinearRule, MeanRule, err_bound, predict
 from courtlearn.policies import (
+    DynamicCompellingConfig,
+    EtcConfig,
+    NoSubsidyConfig,
+    SubsidySamplingConfig,
     agent_decision,
     dynamic_compel_probability,
     sample_subsidy,
@@ -97,6 +101,40 @@ def test_sampled_subsidy_nonnegative_and_bounded(t, two_err, alpha, c_lo, width,
     s = sample_subsidy(t, two_err, alpha, c_lo, c_hi, phase1=False, rng=_FixedU(u))
     assert math.isfinite(s)
     assert 0.0 <= s <= max(0.0, c_hi - two_err)
+
+
+@st.composite
+def state_free_runs(draw):
+    """(state-free policy config, horizon) pairs, horizons 1 to 300."""
+    horizon = draw(st.integers(min_value=1, max_value=300))
+    alpha = draw(st.floats(min_value=0.05, max_value=5.0))
+    c_max = draw(st.floats(min_value=0.05, max_value=5.0))
+    # c_min >= min(1, alpha**2) keeps subsidy_sampling well-defined from t = 1 on
+    c_min = draw(st.floats(min_value=min(1.0, alpha**2), max_value=5.0))
+    policy = draw(
+        st.sampled_from(
+            [
+                NoSubsidyConfig(),
+                EtcConfig(horizon, alpha, c_max),
+                DynamicCompellingConfig(alpha, c_max),
+                SubsidySamplingConfig(alpha, c_min, c_min + c_max),
+            ]
+        )
+    )
+    return policy, horizon
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=state_free_runs(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_inactive_policies_neither_compel_nor_offer(run, seed):
+    # The tail skip's soundness: from the first step where inactive_from holds,
+    # the drawn actions compel nobody and offer no subsidy.
+    policy, horizon = run
+    compel, bases = policy.horizon_actions(horizon, np.random.default_rng(seed))
+    for t in range(1, horizon + 1):
+        if policy.inactive_from(t):
+            assert compel is None or not compel[t - 1 :].any()
+            assert bases is None or not bases[t - 1 :].any()
 
 
 @st.composite

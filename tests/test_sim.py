@@ -314,9 +314,8 @@ class TestRunConfigValidation:
             )
 
     def test_ill_defined_subsidy_distribution_aborts_before_step_one(self):
-        config = constant_config(
-            costs=UniformCosts(0.25, 1.0),
-            policy=SubsidySamplingConfig(alpha=1.0, c_min=0.25, c_max=1.0),
-        )
         with pytest.raises(ConfigurationError):
-            run(config)
+            constant_config(
+                costs=UniformCosts(0.25, 1.0),
+                policy=SubsidySamplingConfig(alpha=1.0, c_min=0.25, c_max=1.0),
+            )

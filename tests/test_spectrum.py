@@ -24,8 +24,8 @@ from courtlearn.policies import (
     DynamicCompellingConfig,
     GateDecision,
     KwikConfig,
+    KwikPolicy,
     kwik_gate,
-    make_policy,
 )
 
 
@@ -87,7 +87,7 @@ def test_gate_on_the_shared_spectrum_matches_kwik_gate(dim, count, seed, alpha1,
     assume(_margins_clear(courted, augment(query), alpha1, alpha2))
 
     data = Dataset(dim)
-    policy = make_policy(KwikConfig(0.25, 0.05, alpha1=alpha1, alpha2=alpha2), data)
+    policy = KwikPolicy(KwikConfig(0.25, 0.05, alpha1=alpha1, alpha2=alpha2), data)
     policy.compels(query)  # a stale cached spectrum would show below
     for row in courted:
         data.append_row(row, 0.0)
@@ -148,7 +148,7 @@ def test_mean_learner_kwik_decomposes_at_most_once_per_visit(monkeypatch):
 
 def test_kwik_policy_keeps_no_gram_of_its_own():
     data = Dataset(3)
-    policy = make_policy(_KWIK, data)
+    policy = KwikPolicy(_KWIK, data)
     assert policy.data is data
     assert not hasattr(policy, "gram")
     assert not hasattr(policy, "record_court")
