@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, get_args
+from typing import Any, Callable, get_args
 
 import numpy as np
 
@@ -103,24 +103,39 @@ class ExperimentSpec:
 
 
 class _Reader:
-    """Mapping access with field-pathed errors."""
+    """Mapping access with field-pathed errors.
+
+    Every key the section's parser asks for is remembered, so
+    :meth:`reject_unknown` can refuse the keys it never read.
+    """
 
     def __init__(self, data: dict, path: str = ""):
         if not isinstance(data, dict):
             raise ConfigurationError(f"{path or 'config'}: expected an object")
         self.data = data
         self.path = path
+        self._read: set[str] = set()
 
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
+    def get(self, key: str, default: Any = None) -> Any:
+        self._read.add(key)
+        return self.data.get(key, default)
+
+    def reject_unknown(self) -> None:
+        for key in self.data:
+            if key not in self._read:
+                raise ConfigurationError(f"{self._at(key)}: unknown field")
+
     def require(self, key: str) -> Any:
+        self._read.add(key)
         if key not in self.data:
             raise ConfigurationError(f"missing required field {self._at(key)}")
         return self.data[key]
 
     def number(self, key: str, default: float | None = None) -> float:
-        value = self.data.get(key, default)
+        value = self.get(key, default)
         if value is None:
             raise ConfigurationError(f"missing required field {self._at(key)}")
         return _finite(value, self._at(key))
@@ -132,7 +147,7 @@ class _Reader:
         return [_finite(value, f"{self._at(key)}[{i}]") for i, value in enumerate(values)]
 
     def integer(self, key: str, default: int | None = None) -> int:
-        value = self.data.get(key, default)
+        value = self.get(key, default)
         if value is None:
             raise ConfigurationError(f"missing required field {self._at(key)}")
         if isinstance(value, bool) or not isinstance(value, int):
@@ -140,7 +155,7 @@ class _Reader:
         return value
 
     def string(self, key: str, default: str | None = None) -> str:
-        value = self.data.get(key, default)
+        value = self.get(key, default)
         if value is None:
             raise ConfigurationError(f"missing required field {self._at(key)}")
         if not isinstance(value, str):
@@ -219,6 +234,13 @@ def _parse_learner(reader: _Reader) -> LearnerKind:
     )
 
 
+def _parse_section(parse: Callable[[_Reader], Any], reader: _Reader) -> Any:
+    """``parse(reader)``, refusing any key of the section that ``parse`` did not read."""
+    value = parse(reader)
+    reader.reject_unknown()
+    return value
+
+
 def _parse_policy(entry: Any, path: str) -> PolicyRequest:
     if isinstance(entry, str):
         entry = {"name": entry}
@@ -233,16 +255,17 @@ def _parse_policy(entry: Any, path: str) -> PolicyRequest:
         for f in fields(_POLICY_CONFIGS[name])
         if f.name not in _SPEC_FIELDS and (f.default is MISSING or f.name in entry)
     }
+    reader.reject_unknown()
     return PolicyRequest(name, params)
 
 
 def parse_config(data: dict) -> ExperimentSpec:
     """Validate a parsed config mapping into an :class:`ExperimentSpec`."""
     root = _Reader(data)
-    truth = _parse_truth(root.child("truth"))
-    cases = _parse_cases(root.child("cases")) if "cases" in data else SingletonCases()
-    costs = _parse_costs(root.child("cost"))
-    learner = _parse_learner(root.child("learner"))
+    truth = _parse_section(_parse_truth, root.child("truth"))
+    cases = _parse_section(_parse_cases, root.child("cases")) if "cases" in data else SingletonCases()
+    costs = _parse_section(_parse_costs, root.child("cost"))
+    learner = _parse_section(_parse_learner, root.child("learner"))
 
     raw_policies = root.require("policies")
     if not isinstance(raw_policies, list) or not raw_policies:
@@ -250,6 +273,11 @@ def parse_config(data: dict) -> ExperimentSpec:
     policies = tuple(
         _parse_policy(entry, f"policies[{i}]") for i, entry in enumerate(raw_policies)
     )
+    # Rows and slopes are keyed by policy name, so a repeated name would be ambiguous.
+    names = [request.name for request in policies]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigurationError(f"policies[{i}]: duplicate policy {name!r}")
 
     raw_sweep = root.require("sweep")
     if not isinstance(raw_sweep, list) or not raw_sweep:
@@ -267,6 +295,9 @@ def parse_config(data: dict) -> ExperimentSpec:
         raise ConfigurationError(
             "emit: not supported; pass --ledgers to `courtlearn run` to write ledgers.jsonl"
         )
+    seed = root.integer("seed", 0)
+    out_dir = root.string("out_dir", "results")
+    root.reject_unknown()
 
     spec = ExperimentSpec(
         truth=truth,
@@ -276,8 +307,8 @@ def parse_config(data: dict) -> ExperimentSpec:
         policies=policies,
         sweep=tuple(sweep),
         replications=replications,
-        seed=root.integer("seed", 0),
-        out_dir=root.string("out_dir", "results"),
+        seed=seed,
+        out_dir=out_dir,
     )
     # Build every (policy, horizon) cell now so bad combinations fail at
     # load time, not mid-sweep.

@@ -467,7 +467,7 @@ class RunLedger:
         return np.cumsum(self.steps["squared_error"] + self.steps["court_cost_incurred"]).item(-1)
 
 
-def canonical_digest(payload: dict) -> str:
+def canonical_digest(mapping: dict) -> str:
     """Stable short hash of a JSON-serializable configuration mapping."""
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    encoded = json.dumps(mapping, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(encoded).hexdigest()[:16]

@@ -3,8 +3,9 @@
 Outputs are plain CSV (plus optional JSON-lines ledgers) and are bit-exact
 reproducible from (config, master seed): every policy/horizon/replication
 cell derives its own RNG streams, environments depend only on the master
-seed and the replication index, and floats are written with 12 significant
-digits.
+seed and the replication index.  CSV floats are written with 12 significant
+digits; ledger floats in ``json``'s shortest round-trip form, byte-equal to
+``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the whole line.
 """
 
 from __future__ import annotations
@@ -75,25 +76,65 @@ def _write_text(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
-    """One replication's JSONL line.  Bool columns are written as 0/1, and
-    ``tolist`` hands floats to ``json`` as Python floats, written by repr."""
-    steps = {
-        name: (column.astype(np.int64) if column.dtype == bool else column).tolist()
-        for name, column in ledger.steps.items()
-    }
-    payload = {
-        "policy": policy,
-        "T": horizon,
-        "replication": rep,
-        "seed": ledger.seed,
-        "config_digest": ledger.config_digest,
-        "total_loss": ledger.total_loss,
-        "court_count": ledger.court_count,
-        "total_subsidy_paid": ledger.total_subsidy_paid,
-        "steps": steps,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _column_json(column: np.ndarray) -> str:
+    """A step column's JSON array body, byte-equal to ``json``'s encoding of
+    ``column.tolist()`` (bool columns as 0/1).  The column is bool, int64 or
+    float64, as in ``sim.STEP_COLUMNS``.
+
+    Each distinct value is encoded once, by ``json`` itself, and the texts are
+    gathered by the column's inverse index.  ``np.unique`` runs on the int64
+    bit view: a float-valued unique would merge -0.0 with 0.0, which ``json``
+    writes differently.  A mostly-distinct column that is int, or all finite,
+    skips the gather; ``json`` writes such values by ``int.__repr__`` and
+    ``float.__repr__``.
+    """
+    if column.dtype == bool:
+        chars = np.full(2 * len(column), ord(","), dtype=np.uint8)
+        chars[::2] = column
+        chars[::2] += ord("0")
+        return chars[:-1].tobytes().decode("ascii")
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    values = distinct.view(column.dtype)
+    is_float = column.dtype == np.float64
+    mostly_distinct = 2 * len(values) > len(column)
+    if mostly_distinct and (not is_float or np.isfinite(values).all()):
+        return ",".join(map(float.__repr__ if is_float else int.__repr__, column.tolist()))
+    texts = json.dumps(values.tolist(), separators=(",", ":"))[1:-1].split(",")
+    return ",".join(map(texts.__getitem__, inverse.tolist()))
+
+
+def _ledger_line(stream: TextIO, policy: str, horizon: int, rep: int, ledger: RunLedger) -> None:
+    """Write one replication's JSONL line (without its newline) to ``stream``.
+
+    The bytes equal ``json.dumps(line, sort_keys=True, separators=(",", ":"))``
+    of the whole line, but each step column is encoded by :func:`_column_json`
+    and written as its own piece, so the line is never held as one string.
+    """
+    header = json.dumps(
+        {
+            "policy": policy,
+            "T": horizon,
+            "replication": rep,
+            "seed": ledger.seed,
+            "config_digest": ledger.config_digest,
+            "total_loss": ledger.total_loss,
+            "court_count": ledger.court_count,
+            "total_subsidy_paid": ledger.total_subsidy_paid,
+            "steps": None,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    # Quotes inside JSON strings are escaped, so this text can only be the key.
+    head, _, tail = header.partition('"steps":null')
+    stream.write(head)
+    stream.write('"steps":{')
+    for i, name in enumerate(sorted(ledger.steps)):
+        stream.write(f'{"," if i else ""}{json.dumps(name)}:[')
+        stream.write(_column_json(ledger.steps[name]))
+        stream.write("]")
+    stream.write("}")
+    stream.write(tail)
 
 
 def _output_dir(spec: ExperimentSpec) -> Path:
@@ -140,7 +181,7 @@ def _run_cells(spec: ExperimentSpec, out_dir: Path, stream: TextIO | None) -> di
             if stream is not None:
 
                 def sink(rep, ledger, _p=request.name, _h=horizon):
-                    stream.write(_ledger_line(_p, _h, rep, ledger))
+                    _ledger_line(stream, _p, _h, rep, ledger)
                     stream.write("\n")
 
             report = estimate_regret(config, spec.replications, ledger_sink=sink)

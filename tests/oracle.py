@@ -1,13 +1,20 @@
-"""The case-by-case step loop: the reference that ``sim._simulate`` is tested against.
+"""Reference implementations that the fast paths in ``src/`` are tested against.
 
-It plays a run one case at a time: the policy's action, the agent's
-settle-vs-litigate choice, the prediction, and on a court visit the append
-and the refit.  ``sim._simulate`` jumps from court visit to court visit
+``step_loop`` plays a run one case at a time: the policy's action, the
+agent's settle-vs-litigate choice, the prediction, and on a court visit the
+append and the refit.  ``sim._simulate`` jumps from court visit to court visit
 instead and must give the same ledger, bit for bit.  The closed-form skip of
 the all-settle tail is the reference for the driver's skip.
+
+``ledger_line`` encodes a ledger line with one ``json.dumps`` of the whole
+payload; ``experiment._ledger_line`` streams it column by column and must
+write the same bytes.
 """
 
+import json
 import math
+
+import numpy as np
 
 from courtlearn.core import ConstantTruth, Dataset, RunLedger, augment
 from courtlearn.learners import LearnerFamily, fit
@@ -124,3 +131,24 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         seed=config.seed,
         config_digest=config.digest(),
     )
+
+
+def ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
+    """One replication's JSONL line.  Bool columns are written as 0/1, and
+    ``tolist`` hands floats to ``json`` as Python floats, written by repr."""
+    steps = {
+        name: (column.astype(np.int64) if column.dtype == bool else column).tolist()
+        for name, column in ledger.steps.items()
+    }
+    payload = {
+        "policy": policy,
+        "T": horizon,
+        "replication": rep,
+        "seed": ledger.seed,
+        "config_digest": ledger.config_digest,
+        "total_loss": ledger.total_loss,
+        "court_count": ledger.court_count,
+        "total_subsidy_paid": ledger.total_subsidy_paid,
+        "steps": steps,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -218,6 +218,50 @@ class TestFieldPathedErrors:
         assert "seed: must be >= 0, got -3" in capsys.readouterr().err
         assert not (out / "regret.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"replicatons": 50}, "replicatons: unknown field"),
+            (
+                {"truth": {"family": "constant", "mu": 1.0, "sigma": 0.5, "alpha": 2.0, "sigmaa": 0.1}},
+                "truth.sigmaa: unknown field",
+            ),
+            ({"cases": {"kind": "singleton", "dim": 3}}, "cases.dim: unknown field"),
+            ({"cost": {"kind": "uniform", "c_min": 1.0, "c_max": 2.0, "cmax": 3.0}}, "cost.cmax: unknown field"),
+            ({"learner": {"kind": "empirical_mean", "err_constnt": 2.0}}, "learner.err_constnt: unknown field"),
+            ({"policies": [{"name": "etc", "compel_cout": 3}]}, "policies[0].compel_cout: unknown field"),
+            # filled from the spec per sweep point, so not a policy entry's own field
+            ({"policies": ["no_subsidy", {"name": "etc", "horizon": 5}]}, "policies[1].horizon: unknown field"),
+        ],
+        ids=["top_level", "truth", "cases", "cost", "learner", "policy", "policy_spec_field"],
+    )
+    def test_unknown_field_rejected(self, tmp_path, capsys, overrides, message):
+        data = minimal_config(**overrides)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "regret.csv").exists()
+
+    def test_duplicate_policy_rejected(self, tmp_path, capsys):
+        data = minimal_config(
+            truth={"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
+            cost={"kind": "uniform", "c_min": 1.0, "c_max": 2.0},
+            policies=["no_subsidy", "dynamic_compelling", {"name": "dynamic_compelling"}],
+        )
+        message = "policies[2]: duplicate policy 'dynamic_compelling'"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "regret.csv").exists()
+
 
 class TestLoadConfig:
     def test_round_trip_file(self, tmp_path):
@@ -238,7 +282,19 @@ class TestLoadConfig:
             load_config(path)
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*_ROOT.glob("configs/*.json"), *_ROOT.glob("bench/configs/*.json")]),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_shipped_configs_load(path):
+    load_config(path)
+
+
 def test_readme_schema_example_loads():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (_ROOT / "README.md").read_text()
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     parse_config(json.loads(re.sub(r"//.*", "", block)))

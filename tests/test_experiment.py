@@ -1,23 +1,29 @@
 """Result emission: CSV contracts, reproducibility, ledgers, and the CLI."""
 
+import io
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from courtlearn.cli import main
 from courtlearn.config import parse_config
+from courtlearn.core import RunLedger
 from courtlearn.experiment import (
     KWIK_COLUMNS,
     REGRET_COLUMNS,
     SLOPES_COLUMNS,
+    _ledger_line,
     fit_loglog_slope,
     kwik_report,
     run_experiment,
 )
-from courtlearn.sim import RunConfig, run
+from courtlearn.sim import STEP_COLUMNS, RunConfig, run
+from oracle import ledger_line
 
 
 def small_spec(tmp_path, **overrides):
@@ -138,6 +144,99 @@ class TestRunExperiment:
                 tracemalloc.stop()
 
         assert peak(4) < 1.5 * peak(1)
+
+
+# Values whose JSON text differs from a naive formatting, or that a
+# float-valued ``np.unique`` would merge: signed zeros, the smallest
+# subnormal, exponent forms and the non-finite extensions.
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2e-308, 1e16, 1e-5, 2.5e-7, math.nan, math.inf, -math.inf]
+INT64_EXTREMES = [-(2**63), 2**63 - 1, 0, -1]
+
+
+def _ledger(steps, total_loss=1.5):
+    return RunLedger(
+        steps=steps, total_loss=total_loss, court_count=3, total_subsidy_paid=0.25,
+        seed=7, config_digest="0123456789abcdef",
+    )
+
+
+def _streamed(policy, horizon, rep, ledger):
+    stream = io.StringIO()
+    _ledger_line(stream, policy, horizon, rep, ledger)
+    return stream.getvalue()
+
+
+_ELEMENTS = {
+    np.float64: st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+    np.int64: st.one_of(
+        st.sampled_from(INT64_EXTREMES), st.integers(min_value=-(2**63), max_value=2**63 - 1)
+    ),
+    np.bool_: st.booleans(),
+}
+
+
+@st.composite
+def step_columns(draw):
+    """Every ``STEP_COLUMNS`` column at one length: each is drawn either from a
+    pool of one to three values (few distinct, or constant) or element by
+    element (mostly distinct)."""
+    horizon = draw(st.integers(min_value=1, max_value=24))
+    steps = {}
+    for name, dtype in STEP_COLUMNS.items():
+        elements = _ELEMENTS[dtype]
+        if draw(st.booleans()):
+            pool = draw(st.lists(elements, min_size=1, max_size=3))
+            values = [pool[i] for i in draw(st.lists(
+                st.integers(min_value=0, max_value=len(pool) - 1), min_size=horizon, max_size=horizon
+            ))]
+        else:
+            values = draw(st.lists(elements, min_size=horizon, max_size=horizon))
+        steps[name] = np.array(values, dtype=dtype)
+    return steps
+
+
+class TestLedgerEncoding:
+    """The streamed column encoder writes the bytes of one ``json.dumps``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        steps=step_columns(),
+        policy=st.text(),
+        total_loss=st.floats(),
+        rep=st.integers(min_value=0, max_value=2**40),
+    )
+    def test_streamed_line_matches_json_dumps(self, steps, policy, total_loss, rep):
+        ledger = _ledger(steps, total_loss)
+        horizon = len(steps["t"])
+        assert _streamed(policy, horizon, rep, ledger) == ledger_line(policy, horizon, rep, ledger)
+
+    @pytest.mark.parametrize("horizon", [1, 3, 8])
+    @pytest.mark.parametrize("distinct", ["constant", "few", "all"])
+    def test_special_values(self, horizon, distinct):
+        def column(pool, dtype):
+            if distinct == "constant":
+                pool = pool[:1]
+            elif distinct == "few":
+                pool = pool[:2]
+            return np.array([pool[i % len(pool)] for i in range(horizon)], dtype=dtype)
+
+        finite = [v for v in SPECIAL_FLOATS if math.isfinite(v)]
+        steps = {
+            name: column(INT64_EXTREMES, dtype) if dtype is np.int64 else column([True, False], dtype)
+            for name, dtype in STEP_COLUMNS.items()
+        }
+        steps["cost"] = column(finite, np.float64)
+        steps["subsidy"] = column(SPECIAL_FLOATS, np.float64)
+        steps["squared_error"] = column(SPECIAL_FLOATS[::-1], np.float64)
+        steps["true_value"] = column([-0.0, 0.0], np.float64)
+        steps["compelled"] = np.zeros(horizon, dtype=bool)
+        steps["went_to_court"] = np.ones(horizon, dtype=bool)
+        ledger = _ledger(steps)
+        assert _streamed("etc", horizon, 0, ledger) == ledger_line("etc", horizon, 0, ledger)
+
+    def test_ledger_without_steps(self):
+        ledger = _ledger({})
+        assert _streamed("etc", 5, 1, ledger) == ledger_line("etc", 5, 1, ledger)
 
 
 class TestSlopeFit:

@@ -161,6 +161,32 @@ def test_output_digests(tmp_path, config, expected, kwik):
     assert _digests(outputs) == expected
 
 
+# The ledger_emit benchmark model at its own horizons: long ledgers whose
+# columns repeat few values, so the column encoder's gather path carries most
+# of the bytes.  Pinned before the encoder replaced the whole-line json.dumps.
+LONG_LEDGER_CONFIG = {
+    "truth": {"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
+    "cases": {"kind": "singleton"},
+    "cost": {"kind": "uniform", "c_min": 1.0, "c_max": 2.0},
+    "learner": {"kind": "empirical_mean"},
+    "policies": ["etc", "dynamic_compelling", "subsidy_sampling"],
+    "sweep": [5000, 25000],
+    "replications": 2,
+    "seed": 7,
+}
+
+LONG_LEDGER_DIGESTS = {
+    "regret": "67a3f6816ef794b3e38b40d8a38cd56b58aaf8bafdca5f7fa9bce56c621e0eb2",
+    "slopes": "73ac9453066ac2578ec1ca5b137940a5ba2507a074e98c9206c5316b8c6f29db",
+    "ledgers": "4f1d4f369b4e30526f2ed2affad6165e27ce0cfb92e6c03051c9f038edccab44",
+}
+
+
+def test_long_ledger_digests(tmp_path):
+    spec = parse_config({**LONG_LEDGER_CONFIG, "out_dir": str(tmp_path)})
+    assert _digests(run_experiment(spec, ledgers=True)) == LONG_LEDGER_DIGESTS
+
+
 def test_radius_config_takes_the_bisection_branch(tmp_path, monkeypatch):
     calls = []
     norm_capped = learners._norm_capped

@@ -163,22 +163,27 @@ def experiment_configs(draw):
         b = alpha / 4 * draw(st.floats(min_value=0.0, max_value=1.0)) / math.sqrt(dim)
         truth = {"family": "linear", "beta": [b] * dim, "beta0": alpha / 2, "sigma": sigma, "alpha": alpha}
         learners = ["ols", "norm_constrained"]
-    policy = draw(
-        st.sampled_from(
-            [
-                "no_subsidy",
-                "etc",
-                "dynamic_compelling",
-                "subsidy_sampling",
-                {"name": "kwik", "epsilon": 0.25, "delta": 0.05},
-            ]
+    # Two entries may name the same policy, which the loader refuses.
+    policies = draw(
+        st.lists(
+            st.sampled_from(
+                [
+                    "no_subsidy",
+                    "etc",
+                    "dynamic_compelling",
+                    "subsidy_sampling",
+                    {"name": "kwik", "epsilon": 0.25, "delta": 0.05},
+                ]
+            ),
+            min_size=1,
+            max_size=2,
         )
     )
     data = {
         "truth": truth,
         "cost": cost,
         "learner": {"kind": draw(st.sampled_from(learners))},
-        "policies": [policy],
+        "policies": policies,
         "sweep": sorted(draw(st.sets(st.integers(min_value=1, max_value=50), min_size=1, max_size=3))),
         "replications": 1,
     }
