@@ -9,35 +9,27 @@ to an offline baseline.
 
 from .core import (
     BallCases,
-    CaseFeatures,
-    CaseKind,
     ConfigurationError,
     ConstantTruth,
     Dataset,
     FixedCosts,
     LinearTruth,
-    Observation,
     PointMassCosts,
     RunLedger,
-    SINGLETON_CASE,
     SingletonCases,
     UniformCosts,
-    court_outcome,
-    sample_case,
     sample_cases,
 )
-from .learners import LearnerFamily, LearnerKind, LinearRule, MeanRule, err_bound, fit, predict
+from .learners import LearnerFamily, LearnerKind, LinearRule, MeanRule, err_bound, fit
 from .policies import (
     DynamicCompellingConfig,
     EtcConfig,
-    GateDecision,
     KwikConfig,
     NoSubsidyConfig,
     SubsidySamplingConfig,
     agent_decision,
     dynamic_compel_probability,
     etc_compel_count,
-    kwik_gate,
     sample_subsidy,
     subsidy_tail_probability,
 )
@@ -59,21 +51,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallCases",
-    "CaseFeatures",
-    "CaseKind",
     "ConfigurationError",
     "ConstantTruth",
     "Dataset",
     "FixedCosts",
     "LinearTruth",
-    "Observation",
     "PointMassCosts",
     "RunLedger",
-    "SINGLETON_CASE",
     "SingletonCases",
     "UniformCosts",
-    "court_outcome",
-    "sample_case",
     "sample_cases",
     "LearnerFamily",
     "LearnerKind",
@@ -81,17 +67,14 @@ __all__ = [
     "MeanRule",
     "err_bound",
     "fit",
-    "predict",
     "DynamicCompellingConfig",
     "EtcConfig",
-    "GateDecision",
     "KwikConfig",
     "NoSubsidyConfig",
     "SubsidySamplingConfig",
     "agent_decision",
     "dynamic_compel_probability",
     "etc_compel_count",
-    "kwik_gate",
     "sample_subsidy",
     "subsidy_tail_probability",
     "DeterrentReport",

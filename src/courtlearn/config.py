@@ -227,11 +227,12 @@ def _parse_learner(reader: _Reader) -> LearnerKind:
     families = {f.value: f for f in LearnerFamily}
     if kind not in families:
         raise ConfigurationError(f"{reader._at('kind')}: unknown learner {kind!r}")
-    return LearnerKind(
-        family=families[kind],
-        err_constant=reader.number("err_constant", DEFAULT_ERR_CONSTANT),
-        radius=reader.number("radius", 1.0),
-    )
+    family = families[kind]
+    err_constant = reader.number("err_constant", DEFAULT_ERR_CONSTANT)
+    # Only the norm-constrained family reads a radius; elsewhere the key is refused as unknown.
+    if family is LearnerFamily.NORM_CONSTRAINED:
+        return LearnerKind(family, err_constant, reader.number("radius", 1.0))
+    return LearnerKind(family, err_constant)
 
 
 def _parse_section(parse: Callable[[_Reader], Any], reader: _Reader) -> Any:
@@ -256,6 +257,8 @@ def _parse_policy(entry: Any, path: str) -> PolicyRequest:
         if f.name not in _SPEC_FIELDS and (f.default is MISSING or f.name in entry)
     }
     reader.reject_unknown()
+    if "alpha1" in params and "alpha1_constant" in params:
+        raise ConfigurationError(f"{path}.alpha1_constant: ignored when {path}.alpha1 is set")
     return PolicyRequest(name, params)
 
 

@@ -1,36 +1,33 @@
 """Domain types shared by the whole package.
 
-Cases, hidden decision rules, court observations, datasets, cost models,
-and the per-run ledger produced by the simulator.  All types are plain
-values; only :class:`Dataset` mutates (append-only).
+Case spaces, hidden decision rules, datasets, cost models, and the per-run
+ledger produced by the simulator.  All types are plain values; only
+:class:`Dataset` mutates (append-only).
 
 A vector run has one spectral state: its :class:`Dataset` owns the run's
 only Gram matrix and caches one eigendecomposition of it (a
 :class:`Spectrum`) until the next append.  The linear fit, the
 norm-constrained bisection and the kwik gate all read that one
-decomposition.  The simulator passes raw case rows; :class:`CaseFeatures`
-is the checked single-case wrapper for callers outside the simulator.
+decomposition.  A case is a raw row of the array that :func:`sample_cases`
+draws (checked once by :func:`check_unit_ball`); the dataset takes it as
+the augmented row [x, 1].
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 __all__ = [
     "ConfigurationError",
-    "CaseKind",
-    "CaseFeatures",
-    "SINGLETON_CASE",
     "ConstantTruth",
     "LinearTruth",
     "GroundTruth",
-    "Observation",
     "Spectrum",
     "decompose",
     "augment",
@@ -42,10 +39,8 @@ __all__ = [
     "SingletonCases",
     "BallCases",
     "CaseSpec",
-    "sample_case",
     "sample_cases",
     "check_unit_ball",
-    "court_outcome",
     "RunLedger",
     "canonical_digest",
 ]
@@ -56,54 +51,6 @@ _NORM_TOL = 1e-9
 
 class ConfigurationError(ValueError):
     """A run or experiment is configured inconsistently."""
-
-
-class CaseKind(Enum):
-    SINGLETON = "singleton"
-    VECTOR = "vector"
-
-
-@dataclass(frozen=True, eq=False)
-class CaseFeatures:
-    """A case: the singleton space's only element, or a point in the unit ball.
-
-    ``coords is None`` marks the singleton case.  Vector cases must have
-    dimension >= 1 and Euclidean norm <= 1.  Treat instances (including the
-    coords array) as immutable.
-    """
-
-    coords: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.coords is None:
-            return
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.shape[0] < 1:
-            raise ConfigurationError(
-                f"case coordinates must be a vector of dimension >= 1, got shape {coords.shape}"
-            )
-        norm = float(np.linalg.norm(coords))
-        if norm > 1.0 + _NORM_TOL:
-            raise ConfigurationError(f"case lies outside the unit ball: |x| = {norm}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def kind(self) -> CaseKind:
-        return CaseKind.SINGLETON if self.coords is None else CaseKind.VECTOR
-
-    @property
-    def dim(self) -> int:
-        return 0 if self.coords is None else int(self.coords.shape[0])
-
-    def augmented(self) -> np.ndarray:
-        """Feature vector with a trailing constant-1 coordinate."""
-        if self.coords is None:
-            raise ConfigurationError("singleton cases have no feature vector")
-        return augment(self.coords)
-
-
-#: Shared instance for runs over the singleton case space.
-SINGLETON_CASE = CaseFeatures()
 
 
 @dataclass(frozen=True)
@@ -126,9 +73,6 @@ class ConstantTruth:
     def dim(self) -> int | None:
         return None
 
-    def value(self, case: CaseFeatures) -> float:
-        return self.mu
-
 
 @dataclass(frozen=True, eq=False)
 class LinearTruth:
@@ -150,7 +94,7 @@ class LinearTruth:
         object.__setattr__(self, "beta", beta)
         if not self.alpha > 0:
             raise ConfigurationError(f"decision cap must be positive, got {self.alpha}")
-        norm = float(np.linalg.norm(beta))
+        norm = math.hypot(*beta)  # no overflow in the squares
         if norm > self.beta0 + _NORM_TOL:
             raise ConfigurationError(
                 f"|beta| = {norm} exceeds beta0 = {self.beta0}; rule would go below 0 on the ball"
@@ -166,23 +110,8 @@ class LinearTruth:
     def dim(self) -> int | None:
         return int(self.beta.shape[0])
 
-    def value(self, case: CaseFeatures) -> float:
-        if case.coords is None or case.dim != self.beta.shape[0]:
-            raise ConfigurationError(
-                f"case dimension {case.dim} does not match rule dimension {self.beta.shape[0]}"
-            )
-        return float(self.beta @ case.coords + self.beta0)
-
 
 GroundTruth = Union[ConstantTruth, LinearTruth]
-
-
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """One court outcome: the case and its noisy revealed value y = f(x) + eta."""
-
-    case: CaseFeatures
-    outcome: float
 
 
 def augment(x: np.ndarray) -> np.ndarray:
@@ -263,33 +192,14 @@ class Dataset:
             self._spectrum = decompose(self.gram)
         return self._spectrum
 
-    def append(self, obs: Observation) -> None:
-        if self.dim is None:
-            if obs.case.coords is not None:
-                raise ConfigurationError("vector case appended to a singleton dataset")
-            self.append_row(None, obs.outcome)
-        else:
-            if obs.case.dim != self.dim:
-                raise ConfigurationError(
-                    f"case dimension {obs.case.dim} does not match dataset dimension {self.dim}"
-                )
-            self.append_row(obs.case.augmented(), obs.outcome)
-
     def append_row(self, row: np.ndarray | None, outcome: float) -> None:
-        """Unchecked append: ``row`` is the augmented case [x, 1], or None for singleton data."""
+        """Append one court outcome; ``row`` is the augmented case [x, 1] (unchecked), or None for singleton data."""
         if row is not None:
             self._gram += np.outer(row, row)
             self._xty += outcome * row
             self._spectrum = None
         self._sum_y += outcome
         self._count += 1
-
-    @classmethod
-    def from_observations(cls, observations: Iterable[Observation], dim: int | None = None) -> "Dataset":
-        data = cls(dim)
-        for obs in observations:
-            data.append(obs)
-        return data
 
 
 @dataclass(frozen=True)
@@ -310,10 +220,6 @@ class PointMassCosts:
     def c_max(self) -> float:
         return self.c
 
-    @property
-    def c_bar(self) -> float:
-        return self.c
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(count, self.c)
 
@@ -332,10 +238,6 @@ class UniformCosts:
             raise ConfigurationError(
                 f"cost.c_max = {self.c_max} below cost.c_min = {self.c_min}"
             )
-
-    @property
-    def c_bar(self) -> float:
-        return 0.5 * (self.c_min + self.c_max)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return self.c_min + (self.c_max - self.c_min) * rng.random(count)
@@ -362,10 +264,6 @@ class FixedCosts:
     @property
     def c_max(self) -> float:
         return max(self.costs)
-
-    @property
-    def c_bar(self) -> float:
-        return sum(self.costs) / len(self.costs)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         reps = -(-count // len(self.costs))
@@ -398,19 +296,6 @@ class BallCases:
 CaseSpec = Union[SingletonCases, BallCases]
 
 
-def sample_case(spec: CaseSpec, rng: np.random.Generator) -> CaseFeatures:
-    """Draw one case from the configured case distribution."""
-    if isinstance(spec, SingletonCases):
-        return SINGLETON_CASE
-    direction = rng.standard_normal(spec.dim)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:  # measure-zero guard
-        direction[0] = 1.0
-        norm = 1.0
-    radius = rng.random() ** (1.0 / spec.dim)
-    return CaseFeatures(direction * (radius / norm))
-
-
 def sample_cases(
     spec: CaseSpec,
     count: int,
@@ -432,17 +317,10 @@ def sample_cases(
 
 
 def check_unit_ball(xs: np.ndarray) -> None:
-    """Raise unless every row of ``xs`` lies in the unit ball (the CaseFeatures check, vectorized)."""
+    """Raise unless every row of ``xs`` lies in the unit ball."""
     norms = np.linalg.norm(xs, axis=1)
     if (norms > 1.0 + _NORM_TOL).any():
         raise ConfigurationError(f"case lies outside the unit ball: |x| = {float(norms.max())}")
-
-
-def court_outcome(truth: GroundTruth, case: CaseFeatures, rng: np.random.Generator) -> Observation:
-    """Litigate ``case``: reveal y = f(x) + noise.  The noise is never truncated."""
-    value = truth.value(case)
-    noise = truth.sigma * rng.standard_normal() if truth.sigma > 0 else 0.0
-    return Observation(case, value + noise)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import CaseFeatures, ConfigurationError, Dataset, Spectrum
+from .core import ConfigurationError, Dataset, Spectrum
 
 __all__ = [
     "LearnerFamily",
@@ -31,7 +31,6 @@ __all__ = [
     "LinearRule",
     "FittedRule",
     "fit",
-    "predict",
     "predict_batch",
     "err_bound",
 ]
@@ -167,30 +166,8 @@ def _norm_capped(spectrum: Spectrum, xty: np.ndarray, radius: float) -> np.ndarr
     return eigvecs @ (rotated / (eigvals + hi))
 
 
-def _raw_prediction(rule: FittedRule, case: CaseFeatures) -> float:
-    if isinstance(rule, MeanRule):
-        return rule.mean
-    if case.coords is None:
-        raise ConfigurationError("linear rule applied to a singleton case")
-    if case.dim + 1 != rule.coef.shape[0]:
-        raise ConfigurationError(
-            f"case dimension {case.dim} does not match rule dimension {rule.coef.shape[0] - 1}"
-        )
-    return float(rule.coef[:-1] @ case.coords + rule.coef[-1])
-
-
-def predict(rule: FittedRule, case: CaseFeatures, alpha: float) -> float:
-    """Predicted decision for ``case``, clipped into the valid range [0, alpha]."""
-    raw = _raw_prediction(rule, case)
-    if raw < 0.0:
-        return 0.0
-    if raw > alpha:
-        return alpha
-    return raw
-
-
 def predict_batch(rule: FittedRule, xs: np.ndarray | None, count: int, alpha: float) -> np.ndarray:
-    """Vectorized predictions for ``count`` cases given as rows of ``xs``."""
+    """Predictions for ``count`` cases given as rows of ``xs``, clipped into [0, alpha]."""
     if isinstance(rule, MeanRule):
         return np.full(count, min(max(rule.mean, 0.0), alpha))
     if xs is None:

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import ConfigurationError, Dataset, augment, decompose
+from .core import ConfigurationError, Dataset, augment
 
 __all__ = [
     "agent_decision",
@@ -44,8 +43,6 @@ __all__ = [
     "subsidy_tail_probability",
     "sample_subsidy",
     "subsidy_bases",
-    "GateDecision",
-    "kwik_gate",
     "kwik_default_alpha1",
     "NoSubsidyConfig",
     "EtcConfig",
@@ -60,8 +57,11 @@ __all__ = [
 _GATE_EIGENVALUE_FLOOR = 1.0
 
 
-def agent_decision(cost: float, subsidy: float, err_before: float) -> bool:
-    """True when the agent litigates: cost - subsidy <= 2 * err_before (ties litigate)."""
+def agent_decision(cost: float | np.ndarray, subsidy: float | np.ndarray, err_before: float):
+    """True when the agent litigates: cost - subsidy <= 2 * err_before (ties litigate).
+
+    ``cost`` and ``subsidy`` may be arrays over steps; the result is then elementwise.
+    """
     return cost - subsidy <= 2.0 * err_before
 
 
@@ -156,19 +156,14 @@ def subsidy_bases(
     return bases
 
 
-class GateDecision(Enum):
-    PREDICT = "predict"
-    COMPEL = "compel"
-
-
 def _gate_from_eig(
     eigvals: np.ndarray,
     eigvecs: np.ndarray,
     query: np.ndarray,
     alpha1: float,
     alpha2: float,
-) -> GateDecision:
-    """Gate on the courted-history spectrum: predict only if the query is covered.
+) -> bool:
+    """Gate on the courted-history spectrum: True (compel) unless the query is covered.
 
     Splits the query across the eigenvectors of the courted Gram matrix.
     Directions with eigenvalue >= 1 contribute projection^2 / eigenvalue to
@@ -179,26 +174,7 @@ def _gate_from_eig(
     sq = projections * projections
     covered_mass = float((sq[covered] / eigvals[covered]).sum())
     novel_mass = float(sq[~covered].sum())
-    if covered_mass <= alpha1 * alpha1 and novel_mass <= alpha2 * alpha2:
-        return GateDecision.PREDICT
-    return GateDecision.COMPEL
-
-
-def kwik_gate(courted: np.ndarray, query: np.ndarray, alpha1: float, alpha2: float) -> GateDecision:
-    """Decide whether past courted (augmented) cases cover an augmented query.
-
-    ``courted`` is the (m, k) stack of augmented feature rows already sent to
-    court; an empty history leaves every direction uncovered, so any query
-    with norm above ``alpha2`` is compelled.
-    """
-    courted = np.asarray(courted, dtype=float)
-    query = np.asarray(query, dtype=float)
-    if courted.size == 0:
-        gram = np.zeros((query.shape[0], query.shape[0]))
-    else:
-        gram = courted.T @ courted
-    spectrum = decompose(gram)
-    return _gate_from_eig(spectrum.floored, spectrum.vectors, query, alpha1, alpha2)
+    return not (covered_mass <= alpha1 * alpha1 and novel_mass <= alpha2 * alpha2)
 
 
 def kwik_default_alpha1(epsilon: float, delta: float, dim: int, constant: float = 1.0) -> float:
@@ -382,7 +358,4 @@ class KwikPolicy:
     def compels(self, x: np.ndarray) -> bool:
         """True when the gate sends the raw case row ``x`` to court."""
         spectrum = self.data.spectrum()
-        decision = _gate_from_eig(
-            spectrum.floored, spectrum.vectors, augment(x), self.alpha1, self.alpha2
-        )
-        return decision is GateDecision.COMPEL
+        return _gate_from_eig(spectrum.floored, spectrum.vectors, augment(x), self.alpha1, self.alpha2)

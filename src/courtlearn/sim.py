@@ -31,6 +31,9 @@ from typing import Callable
 
 import numpy as np
 
+# The agent's rule is called as ``policies.agent_decision``, on arrays too;
+# ``bench/child.py`` would wrap a ``sim.agent_decision`` as a scalar hook.
+from . import policies
 from .core import (
     CaseSpec,
     ConfigurationError,
@@ -84,6 +87,11 @@ _STREAM_CASE_RADIUS = 1
 _STREAM_NOISE = 2
 _STREAM_COST = 3
 _STREAM_POLICY = 4
+
+# RunConfig refuses a run whose worst-case total could exceed this.  The
+# headroom below the float maximum (about 1.8e8) keeps sums of such totals
+# over replications finite as well.
+_TOTAL_LIMIT = 1e300
 
 # Steps searched for the next court visit of a state-free policy (doubled
 # while no visit is found).
@@ -150,9 +158,21 @@ class RunConfig:
                     "subsidy policy cost range must cover the cost model range"
                 )
             # The scaled distribution must already be a probability measure at
-            # t = 1, the worst step; fail fast instead of mid-run.
-            subsidy_tail_probability(
-                1, self.policy.c_min, self.policy.alpha, phase1=self.policy.transition_step >= 1
+            # t = 1, the worst step; fail fast instead of mid-run.  The early
+            # phase exists exactly when alpha > sqrt(c_min); its length,
+            # ``transition_step``, may overflow for a config refused here.
+            phase1 = self.policy.alpha / math.sqrt(self.policy.c_min) > 1.0
+            subsidy_tail_probability(1, self.policy.c_min, self.policy.alpha, phase1)
+        # A step's squared error, court fee, subsidy and deterrent payoff each
+        # stay within w, so a run's sums stay within T * w, and a regret's
+        # squared deviation from the mean within (2 * w)^2.
+        alpha, c_max = self.truth.alpha, self.costs.c_max
+        w = alpha * alpha + alpha + 2.0 * c_max
+        worst = max(self.horizon * w, 4.0 * w * w)
+        if not worst <= _TOTAL_LIMIT:
+            raise ConfigurationError(
+                f"worst-case total max(T * w, (2 * w)^2) = {worst:.3g} with"
+                f" w = alpha^2 + alpha + 2 * c_max exceeds {_TOTAL_LIMIT:g}"
             )
 
     def canonical(self) -> dict:
@@ -288,7 +308,8 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     s = 0
     window = _FIRST_WINDOW
     while s < T:
-        two_err = 2.0 * errs[-1]
+        err = errs[-1]
+        two_err = 2.0 * err
         # A case-by-case loop's first tail-skip step is a window start: err is
         # frozen until the next visit, and a policy that goes inactive (etc)
         # compels every step before.
@@ -298,10 +319,8 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             break
         if state_free:
             stop = min(T, s + window)
-            if bases is None:
-                litigates = costs[s:stop] <= two_err  # cost - 0.0 is cost
-            else:
-                litigates = costs[s:stop] - _offers(bases[s:stop], two_err) <= two_err
+            offers = 0.0 if bases is None else _offers(bases[s:stop], two_err)
+            litigates = policies.agent_decision(costs[s:stop], offers, err)
             if compel is not None:
                 litigates |= compel[s:stop]
             hit = int(litigates.argmax())
@@ -318,7 +337,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
                 if compels(xs[v]):
                     compel[v] = True
                     break
-                if costs.item(v) <= two_err:
+                if policies.agent_decision(costs.item(v), 0.0, err):
                     break
             else:
                 break  # no visit before the horizon
@@ -339,7 +358,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     went[visits] = True
     m_after = np.cumsum(went)
     if linear:
-        # One dot per row under the rule of its segment, as learners.predict.
+        # One dot per row under the rule of its segment, as the reference loop predicts.
         raw = np.empty(end)
         for coef, lo, hi in zip(rules, [0, *visits], [*visits, end]):
             w, b = coef[:-1], coef[-1]
@@ -388,7 +407,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
 
 
 def _clip(raw: np.ndarray, alpha: float) -> np.ndarray:
-    """``raw`` clipped into [0, alpha] by ``learners.predict``'s comparisons."""
+    """``raw`` clipped into [0, alpha] by the reference loop's two comparisons."""
     return np.where(raw < 0.0, 0.0, np.where(raw > alpha, alpha, raw))
 
 

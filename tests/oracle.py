@@ -9,6 +9,10 @@ the all-settle tail is the reference for the driver's skip.
 ``ledger_line`` encodes a ledger line with one ``json.dumps`` of the whole
 payload; ``experiment._ledger_line`` streams it column by column and must
 write the same bytes.
+
+``kwik_gate`` gates a query on a Gram matrix built afresh from the courted
+rows; ``KwikPolicy.compels`` gates on the spectrum that the run's
+``Dataset`` caches between appends and must give the same verdict.
 """
 
 import json
@@ -16,9 +20,9 @@ import math
 
 import numpy as np
 
-from courtlearn.core import ConstantTruth, Dataset, RunLedger, augment
+from courtlearn.core import ConstantTruth, Dataset, RunLedger, augment, decompose
 from courtlearn.learners import LearnerFamily, fit
-from courtlearn.policies import KwikPolicy, agent_decision
+from courtlearn.policies import KwikPolicy, _gate_from_eig, agent_decision
 from courtlearn.sim import _STREAM_POLICY, STEP_COLUMNS, RunConfig, Environment, _step_columns, _stream
 
 
@@ -87,7 +91,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             offered = 0.0
         litigates = compelled or agent_decision(cost, offered, pre_err)
 
-        # learners.predict's operations, inlined, so decisions match it bit for bit.
+        # The rule's prediction for this case, clipped into [0, alpha].
         if mean_learner:
             settlement = rule_value
         else:
@@ -152,3 +156,20 @@ def ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
         "steps": steps,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def kwik_gate(courted: np.ndarray, query: np.ndarray, alpha1: float, alpha2: float) -> bool:
+    """True when past courted (augmented) cases do not cover an augmented query: compel.
+
+    ``courted`` is the (m, k) stack of augmented feature rows already sent to
+    court; an empty history leaves every direction uncovered, so any query
+    with norm above ``alpha2`` is compelled.
+    """
+    courted = np.asarray(courted, dtype=float)
+    query = np.asarray(query, dtype=float)
+    if courted.size == 0:
+        gram = np.zeros((query.shape[0], query.shape[0]))
+    else:
+        gram = courted.T @ courted
+    spectrum = decompose(gram)
+    return _gate_from_eig(spectrum.floored, spectrum.vectors, query, alpha1, alpha2)

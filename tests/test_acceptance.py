@@ -13,7 +13,8 @@ from scipy.integrate import quad
 import courtlearn as cl
 from courtlearn.config import parse_config
 from courtlearn.experiment import fit_loglog_slope, kwik_report, run_experiment
-from courtlearn.learners import LearnerFamily, LearnerKind, fit
+from courtlearn.core import augment
+from courtlearn.learners import LearnerFamily, LearnerKind, fit, predict_batch
 from courtlearn.policies import subsidy_tail_probability
 
 MEAN = LearnerKind(LearnerFamily.EMPIRICAL_MEAN)
@@ -219,9 +220,9 @@ def test_criterion_6_learner_error_bounds():
         if abs(rmse - target) > 0.05 * target:
             mean_ok = False
     # the vectorized estimator above is the learner's own fit
-    spot = cl.Dataset.from_observations(
-        [cl.Observation(cl.SINGLETON_CASE, y) for y in draws[0]]
-    )
+    spot = cl.Dataset()
+    for y in draws[0]:
+        spot.append_row(None, y)
     assert fit(MEAN, spot).mean == pytest.approx(float(draws[0].mean()), rel=1e-12)
 
     # linear rate: RMSE * sqrt(m) stays flat as m grows
@@ -236,12 +237,13 @@ def test_criterion_6_learner_error_bounds():
         for i in range(3000):
             xs = cl.sample_cases(cl.BallCases(n), m, rng, rng)
             ys = xs @ truth.beta + truth.beta0 + truth.sigma * rng.standard_normal(m)
-            data = cl.Dataset.from_observations(
-                [cl.Observation(cl.CaseFeatures(x), y) for x, y in zip(xs, ys)], dim=n
-            )
+            data = cl.Dataset(n)
+            for x, y in zip(xs, ys):
+                data.append_row(augment(x), y)
             rule = fit(ols, data)
-            query = cl.sample_case(cl.BallCases(n), rng)
-            errors[i] = cl.predict(rule, query, truth.alpha) - truth.value(query)
+            query = cl.sample_cases(cl.BallCases(n), 1, rng, rng)
+            prediction = predict_batch(rule, query, 1, truth.alpha)[0]
+            errors[i] = prediction - (query[0] @ truth.beta + truth.beta0)
         scaled[m] = math.sqrt(float(np.mean(errors**2))) * math.sqrt(m)
     ratio = max(scaled.values()) / min(scaled.values())
     ols_ok = ratio < 3.0

@@ -204,6 +204,70 @@ class TestFieldPathedErrors:
         assert message in capsys.readouterr().err
         assert not (out / "kwik.csv").exists()
 
+    def test_kwik_constant_beside_alpha1_rejected(self, tmp_path, capsys):
+        # alpha1_constant only derives a missing alpha1, so beside alpha1 it would be ignored
+        data = minimal_config(
+            truth={"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
+            cases={"kind": "ball", "dim": 2},
+            policies=[
+                "no_subsidy",
+                {"name": "kwik", "epsilon": 0.25, "delta": 0.05, "alpha1": 0.1, "alpha1_constant": 1000.0},
+            ],
+        )
+        message = "policies[1].alpha1_constant: ignored when policies[1].alpha1 is set"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["kwik", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "kwik.csv").exists()
+
+    def test_overflowing_totals_rejected_at_load(self, tmp_path, capsys):
+        # At T = 10, etc's compelled fees of 1e308 would sum to inf mid-sweep.
+        data = minimal_config(
+            truth={"family": "constant", "mu": 0.0, "sigma": 0.0, "alpha": 1e160},
+            cost={"kind": "point", "c": 1e308},
+            policies=["no_subsidy", "etc"],
+            sweep=[10, 100],
+            replications=2,
+        )
+        message = "policies[0] (no_subsidy): worst-case total max(T * w, (2 * w)^2) = inf"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "w = alpha^2 + alpha + 2 * c_max exceeds 1e+300" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "horizon, alpha, c, ok",
+        [
+            # (2 * w)^2 decides: w is about 1e200, or 2e150, or 4e149
+            (1, 1e100, 1.0, False),
+            (1, 1.0, 1e150, False),
+            (1, 1.0, 2e149, True),
+            # T * w decides: w is about 2e295, or 2e140
+            (10**5, 1.0, 1e295, False),
+            (10**5, 1.0, 1e140, True),
+        ],
+    )
+    def test_worst_case_total_bound(self, horizon, alpha, c, ok):
+        data = minimal_config(
+            truth={"family": "constant", "mu": 0.0, "sigma": 0.0, "alpha": alpha},
+            cost={"kind": "point", "c": c},
+            sweep=[horizon],
+        )
+        if ok:
+            parse_config(data)
+        else:
+            with pytest.raises(ConfigurationError, match="worst-case total"):
+                parse_config(data)
+
     @pytest.mark.parametrize("source", ["config", "flag"])
     def test_negative_seed_rejected(self, tmp_path, capsys, source):
         data = minimal_config(seed=-3) if source == "config" else minimal_config()
@@ -232,8 +296,21 @@ class TestFieldPathedErrors:
             ({"policies": [{"name": "etc", "compel_cout": 3}]}, "policies[0].compel_cout: unknown field"),
             # filled from the spec per sweep point, so not a policy entry's own field
             ({"policies": ["no_subsidy", {"name": "etc", "horizon": 5}]}, "policies[1].horizon: unknown field"),
+            # read only by the norm-constrained family, so ignored by the others
+            ({"learner": {"kind": "empirical_mean", "radius": 0.01}}, "learner.radius: unknown field"),
+            (
+                {
+                    "truth": {"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
+                    "cases": {"kind": "ball", "dim": 2},
+                    "learner": {"kind": "ols", "radius": 0.01},
+                },
+                "learner.radius: unknown field",
+            ),
         ],
-        ids=["top_level", "truth", "cases", "cost", "learner", "policy", "policy_spec_field"],
+        ids=[
+            "top_level", "truth", "cases", "cost", "learner", "policy", "policy_spec_field",
+            "mean_radius", "ols_radius",
+        ],
     )
     def test_unknown_field_rejected(self, tmp_path, capsys, overrides, message):
         data = minimal_config(**overrides)

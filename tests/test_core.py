@@ -7,49 +7,54 @@ import pytest
 
 from courtlearn.core import (
     BallCases,
-    CaseFeatures,
-    CaseKind,
     ConfigurationError,
     ConstantTruth,
     Dataset,
     FixedCosts,
     LinearTruth,
-    Observation,
     PointMassCosts,
-    SINGLETON_CASE,
     SingletonCases,
     UniformCosts,
+    augment,
     canonical_digest,
-    court_outcome,
-    sample_case,
+    check_unit_ball,
     sample_cases,
 )
+from courtlearn.learners import LearnerFamily, LearnerKind
+from courtlearn.policies import NoSubsidyConfig
+from courtlearn.sim import RunConfig, draw_environment
+
+
+def _environment(truth, cases, horizon, seed=0):
+    """One environment draw; its ``outcomes`` are what a court would reveal at each step."""
+    family = LearnerFamily.EMPIRICAL_MEAN if cases.dim is None else LearnerFamily.OLS
+    policy = NoSubsidyConfig()
+    config = RunConfig(horizon, truth, cases, PointMassCosts(1.0), LearnerKind(family), policy, seed)
+    return draw_environment(config)
 
 
 class TestCaseFeatures:
     def test_singleton(self):
-        assert SINGLETON_CASE.kind is CaseKind.SINGLETON
-        assert SINGLETON_CASE.dim == 0
+        # the singleton space has no feature rows at all
+        assert SingletonCases().dim is None
+        rng = np.random.default_rng(0)
+        assert sample_cases(SingletonCases(), 5, rng, rng) is None
 
     def test_vector(self):
-        case = CaseFeatures(np.array([0.6, 0.8]))
-        assert case.kind is CaseKind.VECTOR
-        assert case.dim == 2
-        np.testing.assert_allclose(case.augmented(), [0.6, 0.8, 1.0])
+        assert BallCases(2).dim == 2
+        np.testing.assert_allclose(augment(np.array([0.6, 0.8])), [0.6, 0.8, 1.0])
 
     def test_outside_unit_ball_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CaseFeatures(np.array([1.0, 0.5]))
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CaseFeatures(np.array([[0.1, 0.2]]))
-        with pytest.raises(ConfigurationError):
-            CaseFeatures(np.array([], dtype=float))
+        check_unit_ball(np.array([[0.6, 0.8], [0.0, 0.0]]))
+        with pytest.raises(ConfigurationError, match="outside the unit ball"):
+            check_unit_ball(np.array([[0.6, 0.8], [1.0, 0.5]]))
 
     def test_singleton_has_no_feature_vector(self):
+        data = Dataset()
         with pytest.raises(ConfigurationError):
-            SINGLETON_CASE.augmented()
+            data.gram
+        with pytest.raises(ConfigurationError):
+            data.xty
 
 
 class TestGroundTruth:
@@ -66,9 +71,9 @@ class TestGroundTruth:
         truth = LinearTruth(beta=np.array([0.3, 0.4]), beta0=0.5, sigma=0.1, alpha=1.0)
         assert truth.dim == 2
         # |beta| = 0.5 = beta0 and beta0 + |beta| = 1.0 = alpha: boundary is legal
-        for x in ([0.6, 0.8], [-0.6, -0.8], [0.0, 0.0]):
-            value = truth.value(CaseFeatures(np.array(x)))
-            assert 0.0 <= value <= truth.alpha
+        xs = np.array([[0.6, 0.8], [-0.6, -0.8], [0.0, 0.0]])
+        values = xs @ truth.beta + truth.beta0  # as draw_environment computes f
+        assert np.all((0.0 <= values) & (values <= truth.alpha))
 
     def test_linear_rejects_escaping_rules(self):
         with pytest.raises(ConfigurationError):
@@ -78,29 +83,27 @@ class TestGroundTruth:
 
     def test_linear_dimension_mismatch(self):
         truth = LinearTruth(beta=np.array([0.2, 0.2]), beta0=0.5, sigma=0.0, alpha=1.0)
-        with pytest.raises(ConfigurationError):
-            truth.value(CaseFeatures(np.array([0.5])))
-        with pytest.raises(ConfigurationError):
-            truth.value(SINGLETON_CASE)
+        with pytest.raises(ConfigurationError, match="needs matching vector cases"):
+            _environment(truth, BallCases(1), 10)
+        with pytest.raises(ConfigurationError, match="needs matching vector cases"):
+            _environment(truth, SingletonCases(), 10)
 
 
 class TestSampleCase:
     def test_singleton_spec(self):
         rng = np.random.default_rng(0)
-        assert sample_case(SingletonCases(), rng) is SINGLETON_CASE
+        assert sample_cases(SingletonCases(), 1, rng, rng) is None
 
     def test_vector_draws_stay_in_ball(self):
         rng = np.random.default_rng(1)
-        spec = BallCases(3)
-        for _ in range(500):
-            case = sample_case(spec, rng)
-            assert np.linalg.norm(case.coords) <= 1.0 + 1e-12
+        xs = sample_cases(BallCases(3), 500, rng, rng)
+        assert xs.shape == (500, 3)
+        assert np.all(np.linalg.norm(xs, axis=1) <= 1.0 + 1e-12)
 
     def test_one_dimensional_ball_is_symmetric(self):
         # Monte Carlo check against the symmetry of the ball distribution.
-        rng = np.random.default_rng(2)
-        draws = np.array([sample_case(BallCases(1), rng).coords[0] for _ in range(10**5)])
-        assert abs(draws.mean()) < 0.02
+        draws = sample_cases(BallCases(1), 10**5, np.random.default_rng(2), np.random.default_rng(3))
+        assert abs(draws[:, 0].mean()) < 0.02
 
     def test_batch_matches_invariants_and_prefix(self):
         spec = BallCases(4)
@@ -116,30 +119,28 @@ class TestSampleCase:
 
 
 class TestCourtOutcome:
+    """The outcome a court would reveal at each step: y = f(x) + noise, never truncated."""
+
     def test_noise_free_constant(self):
-        rng = np.random.default_rng(0)
-        obs = court_outcome(ConstantTruth(mu=1.0, sigma=0.0, alpha=2.0), SINGLETON_CASE, rng)
-        assert obs.outcome == 1.0
+        env = _environment(ConstantTruth(mu=1.0, sigma=0.0, alpha=2.0), SingletonCases(), 50)
+        assert np.all(env.outcomes == 1.0)
 
     def test_noise_free_offset_only_linear(self):
-        rng = np.random.default_rng(0)
         truth = LinearTruth(beta=np.zeros(2), beta0=0.5, sigma=0.0, alpha=1.0)
-        obs = court_outcome(truth, CaseFeatures(np.array([0.3, -0.2])), rng)
-        assert obs.outcome == 0.5
+        env = _environment(truth, BallCases(2), 50)
+        assert np.all(env.outcomes == 0.5)
 
     def test_gaussian_moments(self):
         # Monte Carlo check against the first two moments of the noise.
-        rng = np.random.default_rng(3)
         truth = ConstantTruth(mu=2.0, sigma=1.0, alpha=4.0)
-        draws = np.array([court_outcome(truth, SINGLETON_CASE, rng).outcome for _ in range(10**5)])
+        draws = _environment(truth, SingletonCases(), 10**5, seed=3).outcomes
         assert abs(draws.mean() - 2.0) < 0.02
         assert abs(draws.var() - 1.0) < 0.05
 
     def test_dimension_mismatch(self):
-        rng = np.random.default_rng(0)
         truth = LinearTruth(beta=np.array([0.1]), beta0=0.5, sigma=0.0, alpha=1.0)
-        with pytest.raises(ConfigurationError):
-            court_outcome(truth, CaseFeatures(np.array([0.1, 0.2])), rng)
+        with pytest.raises(ConfigurationError, match="needs matching vector cases"):
+            _environment(truth, BallCases(2), 10)
 
 
 class TestDataset:
@@ -147,48 +148,43 @@ class TestDataset:
         data = Dataset()
         assert len(data) == 0
         for i, y in enumerate([1.0, 3.0]):
-            data.append(Observation(SINGLETON_CASE, y))
+            data.append_row(None, y)
             assert len(data) == i + 1
         assert data.sum_outcomes == 4.0
 
     def test_vector_statistics_match_direct_computation(self):
         rng = np.random.default_rng(4)
         data = Dataset(dim=3)
-        rows, ys = [], []
-        for _ in range(20):
-            case = sample_case(BallCases(3), rng)
-            y = rng.normal()
-            data.append(Observation(case, y))
-            rows.append(case.augmented())
-            ys.append(y)
-        x = np.array(rows)
+        xs = sample_cases(BallCases(3), 20, rng, rng)
+        ys = rng.normal(size=20)
+        for x, y in zip(xs, ys):
+            data.append_row(augment(x), y)
+        x = np.hstack([xs, np.ones((20, 1))])
         np.testing.assert_allclose(data.gram, x.T @ x, atol=1e-12)
-        np.testing.assert_allclose(data.xty, x.T @ np.array(ys), atol=1e-12)
+        np.testing.assert_allclose(data.xty, x.T @ ys, atol=1e-12)
+        assert len(data) == 20
+        assert data.sum_outcomes == pytest.approx(ys.sum())
 
     def test_dimension_checks(self):
+        with pytest.raises(ConfigurationError, match="case dimension must be >= 1"):
+            Dataset(dim=0)
         data = Dataset(dim=2)
-        with pytest.raises(ConfigurationError):
-            data.append(Observation(SINGLETON_CASE, 1.0))
-        with pytest.raises(ConfigurationError):
-            data.append(Observation(CaseFeatures(np.array([0.5])), 1.0))
-        singleton = Dataset()
-        with pytest.raises(ConfigurationError):
-            singleton.append(Observation(CaseFeatures(np.array([0.5])), 1.0))
+        assert data.gram.shape == (3, 3) and data.xty.shape == (3,)
 
 
 class TestCostModels:
     def test_point_mass(self):
         costs = PointMassCosts(2.0)
-        assert costs.c_min == costs.c_max == costs.c_bar == 2.0
+        assert costs.c_min == costs.c_max == 2.0
         np.testing.assert_array_equal(costs.sample(3, np.random.default_rng(0)), [2.0, 2.0, 2.0])
         with pytest.raises(ConfigurationError):
             PointMassCosts(0.0)
 
     def test_uniform_range_and_mean(self):
         costs = UniformCosts(0.5, 1.5)
-        assert costs.c_bar == 1.0
         draws = costs.sample(10_000, np.random.default_rng(5))
         assert draws.min() >= 0.5 and draws.max() <= 1.5
+        assert abs(draws.mean() - 1.0) < 0.02
         with pytest.raises(ConfigurationError):
             UniformCosts(0.0, 1.0)
         with pytest.raises(ConfigurationError):
@@ -196,7 +192,7 @@ class TestCostModels:
 
     def test_fixed_sequence_cycles(self):
         costs = FixedCosts((1.0, 2.0, 3.0))
-        assert costs.c_min == 1.0 and costs.c_max == 3.0 and costs.c_bar == 2.0
+        assert costs.c_min == 1.0 and costs.c_max == 3.0
         np.testing.assert_array_equal(
             costs.sample(5, np.random.default_rng(0)), [1.0, 2.0, 3.0, 1.0, 2.0]
         )

@@ -1,5 +1,6 @@
 """Result emission: CSV contracts, reproducibility, ledgers, and the CLI."""
 
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from courtlearn import experiment
 from courtlearn.cli import main
 from courtlearn.config import parse_config
 from courtlearn.core import RunLedger
@@ -309,22 +311,30 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    def test_failed_sweep_leaves_no_files(self, tmp_path, capsys):
-        # valid config; the no_subsidy cells pass, then etc's compelled court
-        # fees of 1e308 overflow the loss in the middle of the sweep
+    def test_failed_sweep_leaves_no_files(self, tmp_path, capsys, monkeypatch):
+        # the no_subsidy cells pass, then etc's first cell reports a non-finite
+        # regret, which the CSV writer refuses in the middle of the sweep
+        estimate = experiment.estimate_regret
+
+        def estimate_or_overflow(config, replications, ledger_sink=None):
+            report = estimate(config, replications, ledger_sink=ledger_sink)
+            if config.policy.name == "etc":
+                report = dataclasses.replace(report, mean_regret=math.inf)
+            return report
+
+        monkeypatch.setattr(experiment, "estimate_regret", estimate_or_overflow)
         config = {
-            "truth": {"family": "constant", "mu": 0.0, "sigma": 0.0, "alpha": 1e160},
-            "cost": {"kind": "point", "c": 1e308},
+            "truth": {"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
+            "cost": {"kind": "point", "c": 1.0},
             "learner": {"kind": "empirical_mean"},
             "policies": ["no_subsidy", "etc"],
             "sweep": [10, 100],
             "replications": 2,
         }
-        path = tmp_path / "overflow.json"
+        path = tmp_path / "failing.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", str(path), "--out", str(out), "--ledgers"]) == 2
+        assert main(["run", str(path), "--out", str(out), "--ledgers"]) == 2
         assert "non-finite value would be written to regret.csv" in capsys.readouterr().err
         assert not (out / "ledgers.jsonl").exists()
         assert not (out / "regret.csv").exists()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from courtlearn.core import BallCases, CaseFeatures, Dataset, Observation, SINGLETON_CASE, sample_case
+from courtlearn.core import BallCases, Dataset, augment, sample_cases
 from courtlearn.learners import (
     LearnerFamily,
     LearnerKind,
@@ -13,7 +13,6 @@ from courtlearn.learners import (
     MeanRule,
     err_bound,
     fit,
-    predict,
     predict_batch,
 )
 
@@ -23,14 +22,16 @@ NCL = LearnerKind(LearnerFamily.NORM_CONSTRAINED, radius=1.0)
 
 
 def _singleton_data(*ys):
-    return Dataset.from_observations([Observation(SINGLETON_CASE, y) for y in ys])
+    data = Dataset()
+    for y in ys:
+        data.append_row(None, y)
+    return data
 
 
-def _line_data(xs, slope, intercept, dim=1):
-    data = Dataset(dim=dim)
+def _line_data(xs, slope, intercept):
+    data = Dataset(dim=1)
     for x in xs:
-        case = CaseFeatures(np.atleast_1d(np.asarray(x, dtype=float)))
-        data.append(Observation(case, slope * float(np.atleast_1d(x)[0]) + intercept))
+        data.append_row(augment(np.array([x])), slope * x + intercept)
     return data
 
 
@@ -53,10 +54,9 @@ class TestFit:
     def test_ols_rank_deficient_uses_minimum_norm(self):
         # one observation in 2-d: infinitely many interpolants, pick the shortest
         data = Dataset(dim=2)
-        case = CaseFeatures(np.array([0.6, 0.0]))
-        data.append(Observation(case, 1.2))
+        x = augment(np.array([0.6, 0.0]))
+        data.append_row(x, 1.2)
         rule = fit(OLS, data)
-        x = case.augmented()
         lstsq_coef = np.linalg.lstsq(x[None, :], np.array([1.2]), rcond=None)[0]
         np.testing.assert_allclose(rule.coef, lstsq_coef, atol=1e-10)
         assert abs(float(rule.coef @ x) - 1.2) < 1e-10
@@ -94,21 +94,24 @@ class TestFit:
 
 class TestPredict:
     def test_in_range_identity(self):
-        assert predict(MeanRule(2.0, 4), SINGLETON_CASE, alpha=5.0) == 2.0
+        np.testing.assert_array_equal(predict_batch(MeanRule(2.0, 4), None, 3, alpha=5.0), [2.0] * 3)
 
     def test_lower_clip(self):
-        assert predict(MeanRule(-0.3, 4), SINGLETON_CASE, alpha=5.0) == 0.0
+        np.testing.assert_array_equal(predict_batch(MeanRule(-0.3, 4), None, 2, alpha=5.0), [0.0] * 2)
 
     def test_upper_clip_linear(self):
         rule = LinearRule(np.array([2.0, 1.0]), 3)
-        assert predict(rule, CaseFeatures(np.array([1.0])), alpha=2.0) == 2.0
+        xs = np.array([[1.0], [-0.8], [0.25]])
+        np.testing.assert_array_equal(predict_batch(rule, xs, 3, alpha=2.0), [2.0, 0.0, 1.5])
 
     def test_batch_matches_scalar(self):
+        # the offline baseline's batch against the online driver's one dot per row
         rule = LinearRule(np.array([0.8, -0.2, 0.4]), 5)
         rng = np.random.default_rng(3)
-        xs = np.array([sample_case(BallCases(2), rng).coords for _ in range(50)])
+        xs = sample_cases(BallCases(2), 50, rng, rng)
         batch = predict_batch(rule, xs, 50, alpha=1.0)
-        scalar = [predict(rule, CaseFeatures(row), alpha=1.0) for row in xs]
+        w, b = rule.coef[:-1], rule.coef[-1]
+        scalar = [min(max(float(w @ x + b), 0.0), 1.0) for x in xs]
         np.testing.assert_allclose(batch, scalar, atol=1e-15)
 
 

