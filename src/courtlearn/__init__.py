@@ -30,7 +30,6 @@ from .policies import (
     agent_decision,
     dynamic_compel_probability,
     etc_compel_count,
-    sample_subsidy,
     subsidy_tail_probability,
 )
 from .sim import (
@@ -75,7 +74,6 @@ __all__ = [
     "agent_decision",
     "dynamic_compel_probability",
     "etc_compel_count",
-    "sample_subsidy",
     "subsidy_tail_probability",
     "DeterrentReport",
     "Environment",

@@ -6,7 +6,8 @@ subsidy, does not exceed twice the learner's current error bound (the
 largest settlement shift a court visit could produce); ties litigate.
 
 * ``no_subsidy``          - leave every agent alone.
-* ``etc``                 - compel the first ceil(alpha * sqrt(T / c_max)) cases.
+* ``etc``                 - compel the first ceil(alpha * sqrt(T / c_max)) cases
+                            (at least one).
 * ``dynamic_compelling``  - compel each case independently with probability
                             min(1, alpha / sqrt(t * c_max)); needs no horizon.
 * ``subsidy_sampling``    - draw a random subsidy whose tail probability
@@ -18,12 +19,12 @@ largest settlement shift a court visit could produce); ties litigate.
 A policy is its frozen config.  The first four are state-free: each config
 states its whole-horizon law (``horizon_actions``), which draws a run's
 compel mask and subsidy bases up front, and the step from which it stays
-idle (``inactive_from``).  The scalar laws (``etc_compel_count``,
-``dynamic_compel_probability``, ``sample_subsidy``) state the same laws one
-step at a time.  Only the kwik gate acts case by case, and ``KwikPolicy`` is
-the one per-run policy object: ``compels`` gates the raw case row.  It keeps
-no court history of its own: it gates on the spectrum that the run's
-``Dataset`` caches for the learner, so a run holds one Gram matrix.
+idle (``inactive_from``).  Each law is stated once: ``etc_compel_count``
+gives the compel phase's length, and ``dynamic_compel_probability``,
+``subsidy_tail_probability`` and ``subsidy_bases`` work elementwise on the
+step numbers.  Only the kwik gate acts case by case: a run gates each raw
+case row, at ``KwikConfig.thresholds``, on the spectrum that its ``Dataset``
+caches for the learner, so a run holds one Gram matrix.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import ConfigurationError, Dataset, augment
+from .core import ConfigurationError
 
 __all__ = [
     "agent_decision",
     "etc_compel_count",
     "dynamic_compel_probability",
     "subsidy_tail_probability",
-    "sample_subsidy",
     "subsidy_bases",
     "kwik_default_alpha1",
     "NoSubsidyConfig",
@@ -50,7 +50,6 @@ __all__ = [
     "SubsidySamplingConfig",
     "KwikConfig",
     "PolicyConfig",
-    "KwikPolicy",
 ]
 
 # Eigenvalues at or above this count as "covered" directions in the gate.
@@ -68,8 +67,9 @@ def agent_decision(cost: float | np.ndarray, subsidy: float | np.ndarray, err_be
 def etc_compel_count(horizon: int, alpha: float, c_max: float) -> int:
     """Length of the compel phase: ceil(alpha * sqrt(T / c_max)), capped at T."""
     value = alpha * math.sqrt(horizon / c_max)
-    # tiny slack guards ceil against float fuzz on exact integers
-    return min(horizon, math.ceil(value - 1e-9))
+    # tiny slack guards ceil against float fuzz on exact integers; a positive
+    # value, however small (or underflowed to 0), still compels one case
+    return min(horizon, max(1, math.ceil(value - 1e-9)))
 
 
 def dynamic_compel_probability(t: int | np.ndarray, alpha: float, c_max: float):
@@ -77,82 +77,50 @@ def dynamic_compel_probability(t: int | np.ndarray, alpha: float, c_max: float):
     return np.minimum(1.0, alpha / np.sqrt(t * c_max))
 
 
-def subsidy_tail_probability(t: int, c: float, alpha: float, phase1: bool = False) -> float:
+def subsidy_tail_probability(t: int | np.ndarray, c: float, alpha: float, phase1=False):
     """Pr[subsidy >= c - 2*err] under the sampling distribution at step t.
 
     Equals alpha / sqrt(t * c), scaled by 1/alpha during the early phase in
     which the unscaled distribution would not be a probability measure.
+    ``t`` and ``phase1`` may be arrays over steps; the result is then
+    elementwise.  Raises at the first step whose probability exceeds 1.
     """
-    p = alpha / math.sqrt(t * c)
-    if phase1:
-        p /= alpha
-    if p > 1.0:
+    t = np.asarray(t)
+    p = alpha / np.sqrt(t * c)
+    p = np.where(phase1, p / alpha, p)
+    bad = np.flatnonzero(p > 1.0)
+    if bad.size:
+        i = bad[0]
         raise ConfigurationError(
-            f"subsidy tail probability {p} > 1 at t={t}, c={c}: distribution ill-defined"
+            f"subsidy tail probability {float(p.flat[i])} > 1 at t={int(t.flat[i])}, c={c}:"
+            " distribution ill-defined"
         )
-    return p
-
-
-def sample_subsidy(
-    t: int,
-    two_err: float,
-    alpha: float,
-    c_min: float,
-    c_max: float,
-    phase1: bool,
-    rng,
-) -> float:
-    """Draw a subsidy by inverse-transform sampling.
-
-    The distribution places a point mass at c_max - two_err, a density
-    proportional to (s + two_err)^(-3/2) on [c_min - two_err, c_max - two_err],
-    and the remaining mass at 0, so that the tail identity
-    Pr[s >= c - two_err] = alpha / sqrt(t * c) holds for every c in
-    [c_min, c_max] (scaled uniformly by 1/alpha during phase 1).  Support
-    points below zero are floored at 0; the affected agents litigate at
-    s = 0 anyway, so their decisions are unchanged.
-    """
-    p_min = subsidy_tail_probability(t, c_min, alpha, phase1)
-    p_max = subsidy_tail_probability(t, c_max, alpha, phase1)
-    u = rng.random()
-    if u <= p_max:
-        return max(0.0, c_max - two_err)
-    if u <= p_min:
-        alpha_eff = 1.0 if phase1 else alpha
-        c = (alpha_eff / (u * math.sqrt(t))) ** 2
-        return max(0.0, c - two_err)
-    return 0.0
+    return p[()]
 
 
 def subsidy_bases(
-    u: np.ndarray, alpha: float, c_min: float, c_max: float, transition_step: int
+    u: np.ndarray, t: np.ndarray, alpha: float, c_min: float, c_max: float, transition_step: int
 ) -> np.ndarray:
-    """Whole-horizon form of ``sample_subsidy``: each step's subsidy before the error shift.
+    """Each step's subsidy before the error shift, by inverse-transform sampling.
 
-    ``u`` holds one uniform draw per step 1..len(u).  For the same draw and
-    the same ``two_err``, ``max(0.0, bases[t - 1] - two_err)`` is bit for bit
-    what ``sample_subsidy`` returns.  Raises like ``subsidy_tail_probability``
-    at the first step whose tail probability exceeds 1.
+    ``u`` holds one uniform draw per step number in ``t``.  The offer
+    ``max(0.0, base - two_err)`` has a point mass at c_max - two_err, a
+    density proportional to (s + two_err)^(-3/2) on [c_min - two_err,
+    c_max - two_err] and the remaining mass at 0 (support points below zero
+    are floored at 0; those agents litigate at s = 0 anyway), so that
+    Pr[s >= c - two_err] = alpha / sqrt(t * c) for every c in [c_min, c_max],
+    scaled by 1/alpha while t <= transition_step.
     """
-    t = np.arange(1, u.shape[0] + 1, dtype=float)
     phase1 = t <= transition_step
-    p_min = alpha / np.sqrt(t * c_min)
-    p_max = alpha / np.sqrt(t * c_max)
-    p_min[phase1] /= alpha
-    p_max[phase1] /= alpha
-    bad = np.flatnonzero((p_min > 1.0) | (p_max > 1.0))
-    if bad.size:
-        step = int(bad[0]) + 1
-        for c in (c_min, c_max):
-            subsidy_tail_probability(step, c, alpha, step <= transition_step)
+    p_min = subsidy_tail_probability(t, c_min, alpha, phase1)
+    p_max = subsidy_tail_probability(t, c_max, alpha, phase1)
     bases = np.where(u <= p_max, c_max, 0.0)
-    # The middle branch is rare; scalar ``** 2`` is libm pow, as in sample_subsidy,
-    # which rounds differently from x * x (and from numpy's power) on some draws.
+    # The middle branch is rare; scalar ``** 2`` is libm pow, which rounds
+    # differently from x * x (and from numpy's power) on some draws.
     middle = np.flatnonzero((u > p_max) & (u <= p_min))
-    for i, draw in zip(middle.tolist(), u[middle].tolist()):
-        step = i + 1
-        alpha_eff = 1.0 if step <= transition_step else alpha
-        bases[i] = (alpha_eff / (draw * math.sqrt(step))) ** 2
+    alpha_eff = np.where(phase1, 1.0, alpha)
+    for i in middle.tolist():
+        bases[i] = (alpha_eff.item(i) / (u.item(i) * math.sqrt(t.item(i)))) ** 2
     return bases
 
 
@@ -298,7 +266,8 @@ class SubsidySamplingConfig:
 
     def horizon_actions(self, horizon: int, rng) -> tuple[None, np.ndarray]:
         bases = subsidy_bases(
-            rng.random(horizon), self.alpha, self.c_min, self.c_max, self.transition_step
+            rng.random(horizon), np.arange(1, horizon + 1), self.alpha, self.c_min, self.c_max,
+            self.transition_step,
         )
         if np.isinf(bases).any():
             raise ConfigurationError("subsidy must be finite and >= 0, got inf")
@@ -333,29 +302,24 @@ class KwikConfig:
             if value is not None and not value > 0:
                 raise ConfigurationError(f"kwik policy {name} must be > 0, got {value}")
 
-    def resolve_alpha1(self, dim: int) -> float:
+    def thresholds(self, dim: int) -> tuple[float, float]:
+        """(alpha1, alpha2) for case dimension ``dim``; a default alpha1 must be finite and > 0."""
+        alpha2 = self.alpha2 if self.alpha2 is not None else self.epsilon / 4.0
         if self.alpha1 is not None:
-            return self.alpha1
-        return kwik_default_alpha1(self.epsilon, self.delta, dim, self.alpha1_constant)
-
-    def resolve_alpha2(self) -> float:
-        return self.alpha2 if self.alpha2 is not None else self.epsilon / 4.0
+            return self.alpha1, alpha2
+        try:
+            alpha1 = kwik_default_alpha1(self.epsilon, self.delta, dim, self.alpha1_constant)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            alpha1 = math.nan
+        if not 0.0 < alpha1 < math.inf:
+            raise ConfigurationError(
+                f"kwik policy alpha1: default {alpha1} for epsilon={self.epsilon},"
+                f" delta={self.delta}, dim={dim} is not a finite number > 0; set alpha1"
+            )
+        return alpha1, alpha2
 
 
 PolicyConfig = Union[
     NoSubsidyConfig, EtcConfig, DynamicCompellingConfig, SubsidySamplingConfig, KwikConfig
 ]
 
-
-class KwikPolicy:
-    """Gates each case of one run on the spectrum of the run's (vector) court data."""
-
-    def __init__(self, config: KwikConfig, data: Dataset):
-        self.alpha1 = config.resolve_alpha1(data.dim)
-        self.alpha2 = config.resolve_alpha2()
-        self.data = data
-
-    def compels(self, x: np.ndarray) -> bool:
-        """True when the gate sends the raw case row ``x`` to court."""
-        spectrum = self.data.spectrum()
-        return _gate_from_eig(spectrum.floored, spectrum.vectors, augment(x), self.alpha1, self.alpha2)

@@ -62,9 +62,9 @@ from .learners import (
 from .policies import (
     EtcConfig,
     KwikConfig,
-    KwikPolicy,
     PolicyConfig,
     SubsidySamplingConfig,
+    _gate_from_eig,
     subsidy_tail_probability,
 )
 
@@ -150,8 +150,10 @@ class RunConfig:
             raise ConfigurationError(
                 f"etc policy horizon {self.policy.horizon} does not match run horizon {self.horizon}"
             )
-        if isinstance(self.policy, KwikConfig) and case_dim is None:
-            raise ConfigurationError("kwik policy requires vector cases")
+        if isinstance(self.policy, KwikConfig):
+            if case_dim is None:
+                raise ConfigurationError("kwik policy requires vector cases")
+            self.policy.thresholds(case_dim)  # refuses an undefined default alpha1
         if isinstance(self.policy, SubsidySamplingConfig):
             if self.policy.c_min > self.costs.c_min or self.policy.c_max < self.costs.c_max:
                 raise ConfigurationError(
@@ -287,7 +289,8 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             T, _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
         )
     else:  # kwik marks the gate's verdicts as its scan finds them
-        compels, compel, bases = KwikPolicy(policy, data).compels, np.zeros(T, dtype=bool), None
+        compel, bases = np.zeros(T, dtype=bool), None
+        alpha1, alpha2 = policy.thresholds(data.dim)
     # Only the linear fit and the kwik gate read the court rows.
     keep_rows = linear or not state_free
     # The closed-form tail needs a case-free prediction (mean learners only)
@@ -331,10 +334,11 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             v = s + hit
             window = _FIRST_WINDOW
             if bases is not None:
-                subsidy_paid += max(0.0, bases.item(v) - two_err)
+                subsidy_paid += offers.item(hit)
         else:
+            spectrum = data.spectrum()  # frozen until the next visit
             for v in range(s, T):
-                if compels(xs[v]):
+                if _gate_from_eig(spectrum.floored, spectrum.vectors, augment(xs[v]), alpha1, alpha2):
                     compel[v] = True
                     break
                 if policies.agent_decision(costs.item(v), 0.0, err):
@@ -417,7 +421,7 @@ def _step_columns(columns: dict) -> dict[str, np.ndarray]:
 
 
 def _offers(bases: np.ndarray, two_err) -> np.ndarray:
-    """``max(0.0, base - two_err)`` per step, as ``sample_subsidy`` computes it."""
+    """Each step's offer ``max(0.0, base - two_err)`` from its ``subsidy_bases`` entry."""
     shifted = bases - two_err
     return np.where(shifted > 0.0, shifted, 0.0)
 

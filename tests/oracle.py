@@ -11,8 +11,12 @@ payload; ``experiment._ledger_line`` streams it column by column and must
 write the same bytes.
 
 ``kwik_gate`` gates a query on a Gram matrix built afresh from the courted
-rows; ``KwikPolicy.compels`` gates on the spectrum that the run's
-``Dataset`` caches between appends and must give the same verdict.
+rows; the runs gate on the spectrum that the run's ``Dataset`` caches
+between appends and must give the same verdict.
+
+``sample_subsidy`` draws one step's subsidy offer with scalar arithmetic;
+``policies.subsidy_bases`` and ``sim._offers`` draw every step's offer at
+once and must give the same offer for the same draw, bit for bit.
 """
 
 import json
@@ -22,7 +26,7 @@ import numpy as np
 
 from courtlearn.core import ConstantTruth, Dataset, RunLedger, augment, decompose
 from courtlearn.learners import LearnerFamily, fit
-from courtlearn.policies import KwikPolicy, _gate_from_eig, agent_decision
+from courtlearn.policies import _gate_from_eig, agent_decision, subsidy_tail_probability
 from courtlearn.sim import _STREAM_POLICY, STEP_COLUMNS, RunConfig, Environment, _step_columns, _stream
 
 
@@ -44,7 +48,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         compel = [False] * T if compel is None else compel.tolist()
         bases = [0.0] * T if bases is None else bases.tolist()
     else:
-        compels = KwikPolicy(policy, data).compels
+        alpha1, alpha2 = policy.thresholds(case_dim)
 
     rule = fit(kind, data)
     mean_learner = kind.family is LearnerFamily.EMPIRICAL_MEAN
@@ -87,7 +91,8 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             compelled = compel[i]
             offered = max(0.0, bases[i] - 2.0 * pre_err)
         else:
-            compelled = compels(x)
+            spectrum = data.spectrum()
+            compelled = _gate_from_eig(spectrum.floored, spectrum.vectors, augment(x), alpha1, alpha2)
             offered = 0.0
         litigates = compelled or agent_decision(cost, offered, pre_err)
 
@@ -173,3 +178,34 @@ def kwik_gate(courted: np.ndarray, query: np.ndarray, alpha1: float, alpha2: flo
         gram = courted.T @ courted
     spectrum = decompose(gram)
     return _gate_from_eig(spectrum.floored, spectrum.vectors, query, alpha1, alpha2)
+
+
+def sample_subsidy(
+    t: int,
+    two_err: float,
+    alpha: float,
+    c_min: float,
+    c_max: float,
+    phase1: bool,
+    rng,
+) -> float:
+    """Draw a subsidy by inverse-transform sampling.
+
+    The distribution places a point mass at c_max - two_err, a density
+    proportional to (s + two_err)^(-3/2) on [c_min - two_err, c_max - two_err],
+    and the remaining mass at 0, so that the tail identity
+    Pr[s >= c - two_err] = alpha / sqrt(t * c) holds for every c in
+    [c_min, c_max] (scaled uniformly by 1/alpha during phase 1).  Support
+    points below zero are floored at 0; the affected agents litigate at
+    s = 0 anyway, so their decisions are unchanged.
+    """
+    p_min = subsidy_tail_probability(t, c_min, alpha, phase1)
+    p_max = subsidy_tail_probability(t, c_max, alpha, phase1)
+    u = rng.random()
+    if u <= p_max:
+        return max(0.0, c_max - two_err)
+    if u <= p_min:
+        alpha_eff = 1.0 if phase1 else alpha
+        c = (alpha_eff / (u * math.sqrt(t))) ** 2
+        return max(0.0, c - two_err)
+    return 0.0

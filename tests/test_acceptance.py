@@ -15,7 +15,8 @@ from courtlearn.config import parse_config
 from courtlearn.experiment import fit_loglog_slope, kwik_report, run_experiment
 from courtlearn.core import augment
 from courtlearn.learners import LearnerFamily, LearnerKind, fit, predict_batch
-from courtlearn.policies import subsidy_tail_probability
+from courtlearn.policies import subsidy_bases, subsidy_tail_probability
+from courtlearn.sim import _offers
 
 MEAN = LearnerKind(LearnerFamily.EMPIRICAL_MEAN)
 
@@ -170,13 +171,10 @@ def test_criterion_5_subsidy_distribution_exactness():
     for t, alpha, c_min, c_max, two_err in tuples:
         transition = cl.SubsidySamplingConfig(alpha=alpha, c_min=c_min, c_max=c_max).transition_step
         phase1 = t <= transition
-        draws = np.fromiter(
-            (
-                cl.sample_subsidy(t, two_err, alpha, c_min, c_max, phase1, rng)
-                for _ in range(draws_per_tuple)
-            ),
-            dtype=float,
-            count=draws_per_tuple,
+        steps = np.full(draws_per_tuple, t)
+        draws = _offers(
+            subsidy_bases(rng.random(draws_per_tuple), steps, alpha, c_min, c_max, transition),
+            two_err,
         )
         scale = 1.0 / alpha if phase1 else 1.0
         for c in (c_min, 0.5 * (c_min + c_max), c_max):

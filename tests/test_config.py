@@ -224,6 +224,28 @@ class TestFieldPathedErrors:
         assert message in capsys.readouterr().err
         assert not (out / "kwik.csv").exists()
 
+    @pytest.mark.parametrize(
+        "epsilon, delta", [(2.0, 0.5), (20.0, 0.5)], ids=["log_of_one", "log_below_one"]
+    )
+    @pytest.mark.parametrize("command", ["kwik", "run"])
+    def test_kwik_demo_with_undefined_default_alpha1_rejected(self, tmp_path, capsys, epsilon, delta, command):
+        # log(1 / (epsilon * delta)) is 0, or negative: the default alpha1 divides
+        # by its square root, which used to fail mid-run.
+        data = json.loads((_ROOT / "configs" / "kwik_demo.json").read_text())
+        data["policies"][0].update(epsilon=epsilon, delta=delta)
+        message = (
+            f"policies[0] (kwik): kwik policy alpha1: default nan for epsilon={epsilon},"
+            f" delta={delta}, dim=5 is not a finite number > 0; set alpha1"
+        )
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_totals_rejected_at_load(self, tmp_path, capsys):
         # At T = 10, etc's compelled fees of 1e308 would sum to inf mid-sweep.
         data = minimal_config(

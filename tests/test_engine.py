@@ -28,11 +28,10 @@ from courtlearn.policies import (
     SubsidySamplingConfig,
     dynamic_compel_probability,
     etc_compel_count,
-    sample_subsidy,
     subsidy_bases,
     subsidy_tail_probability,
 )
-from oracle import step_loop
+from oracle import sample_subsidy, step_loop
 
 
 class _Replay:
@@ -310,22 +309,24 @@ def test_subsidy_bases_match_sample_subsidy_draw_for_draw(alpha, c_min, c_max):
     horizon = 400
     transition = SubsidySamplingConfig(alpha, c_min, c_max).transition_step
     draws = np.random.default_rng(5).random(horizon)
-    bases = subsidy_bases(draws, alpha, c_min, c_max, transition)
-    for two_err in (0.0, 0.25, 3.0):
-        replay = _Replay(draws.tolist())
-        for t in range(1, horizon + 1):
-            expected = sample_subsidy(t, two_err, alpha, c_min, c_max, t <= transition, replay)
-            assert _bits(max(0.0, bases.item(t - 1) - two_err)) == _bits(expected), (t, two_err)
-    branches = set()
-    for t, u in enumerate(draws.tolist(), start=1):
-        phase1 = t <= transition
-        if u <= subsidy_tail_probability(t, c_max, alpha, phase1):
-            branches.add("point mass")
-        elif u <= subsidy_tail_probability(t, c_min, alpha, phase1):
-            branches.add("density")
-        else:
-            branches.add("zero")
-    assert branches == {"point mass", "density", "zero"}
+    # Steps 1..400, then step 3 throughout (in phase 1 for the first case).
+    for steps in (np.arange(1, horizon + 1), np.full(horizon, 3)):
+        bases = subsidy_bases(draws, steps, alpha, c_min, c_max, transition)
+        for two_err in (0.0, 0.25, 3.0):
+            replay = _Replay(draws.tolist())
+            for i, t in enumerate(steps.tolist()):
+                expected = sample_subsidy(t, two_err, alpha, c_min, c_max, t <= transition, replay)
+                assert _bits(max(0.0, bases.item(i) - two_err)) == _bits(expected), (t, two_err)
+        branches = set()
+        for t, u in zip(steps.tolist(), draws.tolist()):
+            phase1 = t <= transition
+            if u <= subsidy_tail_probability(t, c_max, alpha, phase1):
+                branches.add("point mass")
+            elif u <= subsidy_tail_probability(t, c_min, alpha, phase1):
+                branches.add("density")
+            else:
+                branches.add("zero")
+        assert branches == {"point mass", "density", "zero"}
     assert (transition >= 1) == (alpha == 2.0)  # the first case covers phase 1
 
 
@@ -349,11 +350,9 @@ def test_subsidy_bases_square_like_sample_subsidy(t, draw_hex):
     u = float.fromhex(draw_hex)
     x = 1.0 / (u * math.sqrt(t))
     assert x ** 2 != x * x  # a draw on which the two roundings differ
-    draws = np.full(t, 0.999)
-    draws[-1] = u
-    bases = subsidy_bases(draws, 1.0, 1.0, 4.0, 0)
+    bases = subsidy_bases(np.array([u]), np.array([t]), 1.0, 1.0, 4.0, 0)
     expected = sample_subsidy(t, 0.0, 1.0, 1.0, 4.0, False, _Replay([u]))
-    assert _bits(bases.item(-1)) == _bits(expected)
+    assert _bits(bases.item(0)) == _bits(expected)
 
 
 def test_subsidy_bases_raise_like_the_tail_law():
@@ -362,5 +361,40 @@ def test_subsidy_bases_raise_like_the_tail_law():
     with pytest.raises(ConfigurationError) as scalar:
         subsidy_tail_probability(1, c_min, alpha, 1 <= transition)
     with pytest.raises(ConfigurationError) as whole:
-        subsidy_bases(np.full(10, 0.5), alpha, c_min, c_max, transition)
+        subsidy_bases(np.full(10, 0.5), np.arange(1, 11), alpha, c_min, c_max, transition)
     assert str(whole.value) == str(scalar.value)
+
+
+def _scalar_tail(t, c, alpha, phase1):
+    """The tail law in Python float arithmetic, one step at a time."""
+    p = alpha / math.sqrt(t * c)
+    return p / alpha if phase1 else p
+
+
+@pytest.mark.parametrize(
+    "c, alpha, transition",
+    [(1.5, 1.0, 0), (2.5, 1.3, 1), (1.0, 2.0, 4), (4.0, 2.0, 4), (0.3, 0.5, 0), (1.0, 3.0, 9)],
+)
+def test_tail_law_over_steps_matches_scalar_calls(c, alpha, transition):
+    steps = np.arange(1, 2001)
+    phase1 = steps <= transition
+    tails = subsidy_tail_probability(steps, c, alpha, phase1)
+    for t, p in zip(steps.tolist(), tails.tolist()):
+        expected = subsidy_tail_probability(t, c, alpha, t <= transition)
+        assert _bits(p) == _bits(float(expected)) == _bits(_scalar_tail(t, c, alpha, t <= transition))
+
+
+@pytest.mark.parametrize(
+    "steps, c, alpha, transition, first_bad",
+    [
+        (np.arange(9, 0, -1), 0.25, 1.0, 0, 3),  # steps in reverse: the first bad one in order
+        (np.arange(1, 10), 1.0, 2.0, 2, 3),  # phase 1 ends too early: step 3 is unscaled
+    ],
+)
+def test_tail_law_raises_at_the_first_bad_step(steps, c, alpha, transition, first_bad):
+    with pytest.raises(ConfigurationError) as scalar:
+        subsidy_tail_probability(first_bad, c, alpha, first_bad <= transition)
+    with pytest.raises(ConfigurationError) as whole:
+        subsidy_tail_probability(steps, c, alpha, steps <= transition)
+    assert str(whole.value) == str(scalar.value)
+    assert f"> 1 at t={first_bad}, c={c}:" in str(whole.value)

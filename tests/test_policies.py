@@ -24,21 +24,17 @@ from courtlearn.policies import (
     agent_decision,
     dynamic_compel_probability,
     etc_compel_count,
-    sample_subsidy,
+    subsidy_bases,
     subsidy_tail_probability,
 )
-from courtlearn.sim import RunConfig
+from courtlearn.sim import RunConfig, _offers
 from oracle import kwik_gate
 
 
-class _FixedU:
-    """Stand-in RNG that returns a preset uniform draw."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+def _offer(t, two_err, alpha, c_min, c_max, phase1, u):
+    """The subsidy law's offer at step t for the uniform draw u."""
+    bases = subsidy_bases(np.array([u]), np.array([t]), alpha, c_min, c_max, t if phase1 else 0)
+    return _offers(bases, two_err).item(0)
 
 
 class TestAgentDecision:
@@ -61,6 +57,11 @@ class TestEtcCompelCount:
 
     def test_capped_at_horizon(self):
         assert etc_compel_count(4, alpha=10.0, c_max=1.0) == 4
+
+    def test_tiny_positive_value_compels_one_case(self):
+        # ceil(1e-12 * sqrt(10)) = 1; the product may also underflow to 0.0
+        assert etc_compel_count(10, alpha=1e-12, c_max=1.0) == 1
+        assert etc_compel_count(10, alpha=1e-300, c_max=1e300) == 1
 
 
 class TestDynamicCompelProbability:
@@ -100,24 +101,24 @@ class TestSubsidyTailProbability:
 class TestSampleSubsidy:
     def test_residual_mass_at_zero(self):
         # u above the tail probability at c_min lands on the zero atom
-        assert sample_subsidy(9, 0.0, 1.0, 0.25, 1.0, False, _FixedU(0.9)) == 0.0
+        assert _offer(9, 0.0, 1.0, 0.25, 1.0, False, 0.9) == 0.0
 
     def test_point_mass_branch(self):
         # P(point mass) = 1/sqrt(4 * 1) = 0.5, so u = 0.3 hits c_max - e
-        s = sample_subsidy(4, 0.1, 1.0, 0.25, 1.0, True, _FixedU(0.3))
+        s = _offer(4, 0.1, 1.0, 0.25, 1.0, True, 0.3)
         assert s == pytest.approx(0.9)
 
     def test_density_branch_inverts_the_tail(self):
         # u between the endpoint tails solves u = alpha / sqrt(t c)
         t, alpha, e = 9, 1.0, 0.05
         u = 0.4
-        s = sample_subsidy(t, e, alpha, 0.25, 1.0, False, _FixedU(u))
+        s = _offer(t, e, alpha, 0.25, 1.0, False, u)
         c = (alpha / (u * math.sqrt(t))) ** 2
         assert s == pytest.approx(c - e)
 
     def test_negative_support_floored_at_zero(self):
         # huge threshold gap: every support point c - e is negative
-        s = sample_subsidy(4, 5.0, 1.0, 0.25, 1.0, True, _FixedU(0.3))
+        s = _offer(4, 5.0, 1.0, 0.25, 1.0, True, 0.3)
         assert s == 0.0
 
     def test_monte_carlo_tail_identity(self):
@@ -125,9 +126,9 @@ class TestSampleSubsidy:
         # t=4, alpha=1 gives Pr[s >= c] = 1 / (2 sqrt(c))
         rng = np.random.default_rng(12)
         t, alpha, c_min, c_max = 4, 1.0, 0.25, 1.0
-        draws = np.array(
-            [sample_subsidy(t, 0.0, alpha, c_min, c_max, True, rng) for _ in range(10**6)]
-        )
+        # transition step t: every draw is in phase 1
+        bases = subsidy_bases(rng.random(10**6), np.full(10**6, t), alpha, c_min, c_max, t)
+        draws = _offers(bases, 0.0)
         for c in (0.25, 0.5, 1.0):
             empirical = float(np.mean(draws >= c))
             assert empirical == pytest.approx(1.0 / (2.0 * math.sqrt(c)), abs=0.01)
@@ -250,11 +251,20 @@ class TestPolicyConfigs:
             _run_config(policy, cases=SingletonCases(), costs=UniformCosts(0.25, 1.0))
 
     def test_kwik_threshold_defaults(self):
-        config = KwikConfig(epsilon=0.25, delta=0.05)
-        assert config.resolve_alpha2() == 0.0625
+        alpha1, alpha2 = KwikConfig(epsilon=0.25, delta=0.05).thresholds(5)
+        assert alpha2 == 0.0625
         expected = 0.25**2 / (5 * math.log(6) * math.sqrt(math.log(1.0 / (0.25 * 0.05))))
-        assert config.resolve_alpha1(5) == pytest.approx(expected)
-        assert KwikConfig(epsilon=0.25, delta=0.05, alpha1=0.07, alpha2=0.2).resolve_alpha1(5) == 0.07
+        assert alpha1 == pytest.approx(expected)
+        assert KwikConfig(epsilon=0.25, delta=0.05, alpha1=0.07, alpha2=0.2).thresholds(5) == (0.07, 0.2)
+
+    @pytest.mark.parametrize(
+        "epsilon, delta, value", [(1e-200, 0.5, "0.0"), (1e200, 1e-300, "nan")], ids=["underflow", "overflow"]
+    )
+    def test_out_of_range_default_alpha1_rejected(self, epsilon, delta, value):
+        # epsilon^2 underflows to 0, or overflows; an explicit alpha1 needs no default
+        with pytest.raises(ConfigurationError, match=f"^kwik policy alpha1: default {value} for"):
+            KwikConfig(epsilon=epsilon, delta=delta).thresholds(5)
+        assert KwikConfig(epsilon, delta, alpha1=0.1).thresholds(5)[0] == 0.1
 
     def test_kwik_requires_vector_cases(self):
         with pytest.raises(ConfigurationError, match="^kwik policy requires vector cases$"):

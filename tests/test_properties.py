@@ -19,20 +19,13 @@ from courtlearn.policies import (
     SubsidySamplingConfig,
     agent_decision,
     dynamic_compel_probability,
-    sample_subsidy,
+    subsidy_bases,
     subsidy_tail_probability,
 )
+from courtlearn.sim import _offers
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
-
-
-class _FixedU:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 @given(
@@ -98,7 +91,7 @@ def test_tail_probability_decays_in_t(t, c, alpha):
 )
 def test_sampled_subsidy_nonnegative_and_bounded(t, two_err, alpha, c_lo, width, u):
     c_hi = c_lo + width
-    s = sample_subsidy(t, two_err, alpha, c_lo, c_hi, phase1=False, rng=_FixedU(u))
+    s = _offers(subsidy_bases(np.array([u]), np.array([t]), alpha, c_lo, c_hi, 0), two_err).item(0)
     assert math.isfinite(s)
     assert 0.0 <= s <= max(0.0, c_hi - two_err)
 
@@ -171,6 +164,11 @@ def experiment_configs(draw, extreme=False):
         b = alpha / 4 * draw(st.floats(min_value=0.0, max_value=1.0)) / math.sqrt(dim)
         truth = {"family": "linear", "beta": [b] * dim, "beta0": alpha / 2, "sigma": sigma, "alpha": alpha}
         learners = ["ols", "norm_constrained"]
+    kwik = {
+        "name": "kwik",
+        "epsilon": 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)),
+        "delta": draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+    }
     # Two entries may name the same policy, which the loader refuses.
     policies = draw(
         st.lists(
@@ -180,7 +178,7 @@ def experiment_configs(draw, extreme=False):
                     "etc",
                     "dynamic_compelling",
                     "subsidy_sampling",
-                    {"name": "kwik", "epsilon": 0.25, "delta": 0.05},
+                    kwik,
                 ]
             ),
             min_size=1,

@@ -20,7 +20,7 @@ from courtlearn.core import (
     sample_cases,
 )
 from courtlearn.learners import LearnerFamily, LearnerKind, _pinv
-from courtlearn.policies import DynamicCompellingConfig, KwikConfig, KwikPolicy
+from courtlearn.policies import DynamicCompellingConfig, KwikConfig, _gate_from_eig
 from oracle import kwik_gate
 
 
@@ -82,11 +82,15 @@ def test_gate_on_the_shared_spectrum_matches_kwik_gate(dim, count, seed, alpha1,
     assume(_margins_clear(courted, augment(query), alpha1, alpha2))
 
     data = Dataset(dim)
-    policy = KwikPolicy(KwikConfig(0.25, 0.05, alpha1=alpha1, alpha2=alpha2), data)
-    policy.compels(query)  # a stale cached spectrum would show below
+
+    def compels():
+        spectrum = data.spectrum()
+        return _gate_from_eig(spectrum.floored, spectrum.vectors, augment(query), alpha1, alpha2)
+
+    compels()  # a stale cached spectrum would show below
     for row in courted:
         data.append_row(row, 0.0)
-    compelled = policy.compels(query)
+    compelled = compels()
 
     assert compelled is kwik_gate(courted, augment(query), alpha1, alpha2)
 
@@ -138,14 +142,6 @@ def test_mean_learner_kwik_decomposes_at_most_once_per_visit(monkeypatch):
     ledger = sim.run(config)
     assert 0 < ledger.court_count < config.horizon
     assert 0 < len(calls) <= ledger.court_count + 1
-
-
-def test_kwik_policy_keeps_no_gram_of_its_own():
-    data = Dataset(3)
-    policy = KwikPolicy(_KWIK, data)
-    assert policy.data is data
-    assert not hasattr(policy, "gram")
-    assert not hasattr(policy, "record_court")
 
 
 def test_unit_ball_checked_when_the_environment_is_drawn(monkeypatch):
