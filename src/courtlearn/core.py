@@ -4,13 +4,14 @@ Case spaces, hidden decision rules, datasets, cost models, and the per-run
 ledger produced by the simulator.  All types are plain values; only
 :class:`Dataset` mutates (append-only).
 
-A vector run has one spectral state: its :class:`Dataset` owns the run's
-only Gram matrix and caches one eigendecomposition of it (a
-:class:`Spectrum`) until the next append.  The linear fit, the
+A :class:`Dataset` owns a Gram matrix and caches one eigendecomposition
+of it (a :class:`Spectrum`) until the next append; the linear fit, the
 norm-constrained bisection and the kwik gate all read that one
-decomposition.  A case is a raw row of the array that :func:`sample_cases`
-draws (checked once by :func:`check_unit_ball`); the dataset takes it as
-the augmented row [x, 1].
+decomposition.  A :class:`Spectrum` may also hold a stack of
+decompositions, one per prefix of a run's court rows.  A case is a raw row
+of the array that :func:`sample_cases` draws (checked once by
+:func:`check_unit_ball`); the Gram matrix takes it as the augmented row
+[x, 1].
 """
 
 from __future__ import annotations
@@ -115,10 +116,10 @@ GroundTruth = Union[ConstantTruth, LinearTruth]
 
 
 def augment(x: np.ndarray) -> np.ndarray:
-    """The augmented feature row [x, 1] of a raw case vector."""
-    out = np.empty(x.shape[0] + 1)
-    out[:-1] = x
-    out[-1] = 1.0
+    """The augmented feature row [x, 1] of a raw case vector, or of each row of a stack."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = x
+    out[..., -1] = 1.0
     return out
 
 
@@ -132,6 +133,10 @@ class Spectrum(NamedTuple):
     values: np.ndarray
     vectors: np.ndarray
     floored: np.ndarray
+
+    def pick(self, index) -> Spectrum:
+        """The stacked decompositions at ``index`` (an int, a slice, or ``None`` to stack one)."""
+        return Spectrum(*(part[index] for part in self))
 
 
 def decompose(gram: np.ndarray) -> Spectrum:

@@ -7,10 +7,13 @@ carries an error bound of the form constant * sigma * sqrt(dim+1) / sqrt(m),
 capped at the decision cap alpha, that both the agents and the selection
 policies consult.
 
-Both linear families solve from the dataset's cached eigendecomposition
-(``Dataset.spectrum``): the minimum-norm solution replays
-``np.linalg.pinv(gram, hermitian=True)`` on it, and the norm-constrained
-bisection reuses it, so a fit costs one ``eigh`` at most.
+Both linear families solve from an eigendecomposition of the Gram matrix:
+the minimum-norm solution replays ``np.linalg.pinv(gram, hermitian=True)``
+on it, and the norm-constrained bisection reuses it, so no fit decomposes a
+matrix itself.  The solve works on stacks of (spectrum, X^T y) pairs, one
+fit per matrix and bit for bit the same as fitting each alone: the
+simulator fits a batch of court visits at once, and ``fit`` and the offline
+baseline are stacks of one.
 """
 
 from __future__ import annotations
@@ -108,39 +111,45 @@ def fit(kind: LearnerKind, data: Dataset) -> FittedRule:
         raise ConfigurationError(f"{kind.family.value} requires vector cases")
     if m == 0:
         return LinearRule(np.zeros(data.dim + 1), 0)
-    return _fit_linear(kind, data.spectrum(), data.xty, m)
+    return LinearRule(_fit_linear(kind, data.spectrum().pick(None), data.xty[None])[0], m)
 
 
-def _fit_linear(kind: LearnerKind, spectrum: Spectrum, xty: np.ndarray, m: int) -> LinearRule:
-    """Fit a linear rule from the Gram matrix's spectrum and X^T y (m >= 1 observations)."""
-    coef = _pinv(spectrum) @ xty
-    if kind.family is LearnerFamily.OLS:
-        return LinearRule(coef, m)
-    if float(np.linalg.norm(coef)) <= kind.radius * (1.0 + _BISECT_RTOL):
-        return LinearRule(coef, m)
-    return LinearRule(_norm_capped(spectrum, xty, kind.radius), m)
+def _fit_linear(kind: LearnerKind, spectra: Spectrum, xty: np.ndarray) -> np.ndarray:
+    """Coefficients, one row per matrix, from stacked Gram spectra and (n, k) X^T y (m >= 1 each).
+
+    The products and the norm are the one-matrix ``gemv`` and ``ddot`` calls,
+    batched by ``np.matmul``; the bisection runs per matrix, only where the
+    minimum-norm fit leaves the ball.
+    """
+    coef = np.matmul(_pinv(spectra), xty[:, :, None])[:, :, 0]
+    if kind.family is LearnerFamily.NORM_CONSTRAINED:
+        norms = np.sqrt(np.matmul(coef[:, None, :], coef[:, :, None])[:, 0, 0])
+        inside = norms <= kind.radius * (1.0 + _BISECT_RTOL)
+        for i in np.flatnonzero(~inside).tolist():
+            coef[i] = _norm_capped(spectra.pick(i), xty[i], kind.radius)
+    return coef
 
 
 def _pinv(spectrum: Spectrum) -> np.ndarray:
-    """``np.linalg.pinv(gram, hermitian=True)`` from ``gram``'s eigendecomposition.
+    """``np.linalg.pinv(gram, hermitian=True)`` from ``gram``'s eigendecomposition, stacked or not.
 
     numpy's pinv (2.x) takes its hermitian SVD from this eigh, re-sorted by
     |w| descending with the signs moved into u, and cuts off at 1e-15 * s_max.
-    Replaying that arithmetic gives the same bits without a second ``eigh``;
-    ``tests/test_spectrum.py`` checks it against ``np.linalg.pinv``.
+    Replaying that arithmetic, step for step, gives the same bits without a
+    second ``eigh``; ``tests/test_spectrum.py`` checks it against
+    ``np.linalg.pinv``.
     """
+    sgn = np.copysign(1.0, spectrum.values)
     s = abs(spectrum.values)
-    order = np.argsort(s)[::-1]
-    s = s[order]
-    sgn = np.copysign(1.0, spectrum.values[order])
-    # take keeps u C-ordered like numpy's take_along_axis (u[:, order] would not),
-    # so the products below run the same BLAS kernels.
-    u = spectrum.vectors.take(order, axis=1)
-    us = u * sgn[None, :]
+    order = np.argsort(s)[..., ::-1]
+    sgn = np.take_along_axis(sgn, order, axis=-1)
+    s = np.take_along_axis(s, order, axis=-1)
+    u = np.take_along_axis(spectrum.vectors, order[..., None, :], axis=-1)
+    us = u * sgn[..., None, :]
     large = s > _PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
-    return np.matmul(us, np.multiply(s[:, None], u.T))
+    return np.matmul(us, np.multiply(s[..., None], np.swapaxes(u, -1, -2)))
 
 
 def _norm_capped(spectrum: Spectrum, xty: np.ndarray, radius: float) -> np.ndarray:
@@ -176,20 +185,23 @@ def predict_batch(rule: FittedRule, xs: np.ndarray | None, count: int, alpha: fl
     return np.clip(raw, 0.0, alpha)
 
 
-def err_bound(kind: LearnerKind, m: int, sigma: float, alpha: float, dim: int | None = None) -> float:
+def err_bound(kind: LearnerKind, m, sigma: float, alpha: float, dim: int | None = None):
     """Upper bound on the rule's root-mean-square error after ``m`` court observations.
 
     The empty dataset is bounded by alpha (decisions live in [0, alpha]); the
-    bound is independent of the queried case and non-increasing in m.
+    bound is independent of the queried case and non-increasing in m.  ``m``
+    may be an array of counts; the result is then elementwise, by the same
+    operations in the same order.
     """
-    if m < 0:
-        raise ValueError(f"dataset size must be >= 0, got {m}")
-    if m == 0:
-        return alpha
+    m = np.asarray(m)
+    negative = np.flatnonzero(m < 0)
+    if negative.size:
+        raise ValueError(f"dataset size must be >= 0, got {m.flat[negative[0]]}")
     if kind.family is LearnerFamily.EMPIRICAL_MEAN:
         scale = 1.0
     else:
         if dim is None:
             raise ConfigurationError(f"{kind.family.value} error bound needs the case dimension")
         scale = math.sqrt(dim + 1)
-    return min(alpha, kind.err_constant * sigma * scale / math.sqrt(m))
+    bound = np.minimum(alpha, kind.err_constant * sigma * scale / np.sqrt(np.maximum(m, 1)))
+    return np.where(m == 0, alpha, bound)[()]

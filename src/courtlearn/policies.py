@@ -22,9 +22,11 @@ compel mask and subsidy bases up front, and the step from which it stays
 idle (``inactive_from``).  Each law is stated once: ``etc_compel_count``
 gives the compel phase's length, and ``dynamic_compel_probability``,
 ``subsidy_tail_probability`` and ``subsidy_bases`` work elementwise on the
-step numbers.  Only the kwik gate acts case by case: a run gates each raw
-case row, at ``KwikConfig.thresholds``, on the spectrum that its ``Dataset``
-caches for the learner, so a run holds one Gram matrix.
+step numbers.  The kwik gate depends on the court history, so it cannot be
+drawn up front; still, ``_gate`` checks many case rows in one stacked pass,
+at ``KwikConfig.thresholds``: a window of rows on the spectrum frozen since
+the last court visit, or a block of rows each on its own prefix of the
+court rows.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import ConfigurationError
+from .core import ConfigurationError, Spectrum
 
 __all__ = [
     "agent_decision",
@@ -124,25 +126,26 @@ def subsidy_bases(
     return bases
 
 
-def _gate_from_eig(
-    eigvals: np.ndarray,
-    eigvecs: np.ndarray,
-    query: np.ndarray,
-    alpha1: float,
-    alpha2: float,
-) -> bool:
-    """Gate on the courted-history spectrum: True (compel) unless the query is covered.
+def _gate(spectrum: Spectrum, queries: np.ndarray, alpha1: float, alpha2: float) -> np.ndarray:
+    """Gate each augmented query row on a courted-history spectrum: True (compel) unless covered.
 
-    Splits the query across the eigenvectors of the courted Gram matrix.
-    Directions with eigenvalue >= 1 contribute projection^2 / eigenvalue to
-    the covered mass; the rest contribute their raw squared projection.
+    ``spectrum`` is one decomposition shared by every row, or a stack with one
+    per row.  Each query is split across the eigenvectors of its courted Gram
+    matrix.  Directions with eigenvalue >= 1 contribute projection^2 /
+    eigenvalue to the covered mass; the rest contribute their raw squared
+    projection.  Both masses are summed left to right over the directions
+    (``np.cumsum``), the order of the one-row gate in ``tests/oracle.py``.
     """
-    projections = eigvecs.T @ query
+    projections = np.matmul(np.swapaxes(spectrum.vectors, -1, -2), queries[:, :, None])[:, :, 0]
+    eigvals = spectrum.floored
     covered = eigvals >= _GATE_EIGENVALUE_FLOOR
     sq = projections * projections
-    covered_mass = float((sq[covered] / eigvals[covered]).sum())
-    novel_mass = float(sq[~covered].sum())
-    return not (covered_mass <= alpha1 * alpha1 and novel_mass <= alpha2 * alpha2)
+    # Covered eigenvalues are at the floor or above; the maximum only keeps the
+    # division defined where its term is dropped.
+    covered_terms = np.where(covered, sq / np.maximum(eigvals, _GATE_EIGENVALUE_FLOOR), 0.0)
+    covered_mass = np.cumsum(covered_terms, axis=-1)[:, -1]
+    novel_mass = np.cumsum(np.where(covered, 0.0, sq), axis=-1)[:, -1]
+    return ~((covered_mass <= alpha1 * alpha1) & (novel_mass <= alpha2 * alpha2))
 
 
 def kwik_default_alpha1(epsilon: float, delta: float, dim: int, constant: float = 1.0) -> float:

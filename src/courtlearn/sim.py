@@ -7,15 +7,21 @@ revealed outcome is appended to the dataset and the court decides from the
 updated fit; settled cases receive the prediction from past court data only.
 
 The learner changes only when a case goes to court, so one driver computes
-every run by jumping from court visit to court visit.  A state-free policy
-(``no_subsidy``, ``etc``, ``dynamic_compelling``, ``subsidy_sampling``) draws
-its actions for the whole horizon up front, and the next visit is found by a
-vectorized litigation test; the ``kwik`` gate scans the raw case rows one at
-a time on the frozen spectrum.  After the last visit the predictions and the
-loss are built from each segment's frozen rule.  The run's ``Dataset`` holds
-its only Gram matrix and one cached eigendecomposition of it, shared by the
-linear fit and the kwik gate: one ``eigh`` per court visit at most, plus one
-when the kwik gate meets the empty dataset.
+every run in two phases.  The search finds the court visits: it needs only
+the error bound, which depends on the visit count alone, and for ``kwik``
+the spectrum of the courted Gram matrix, never a fitted rule.  A state-free
+policy (``no_subsidy``, ``etc``, ``dynamic_compelling``,
+``subsidy_sampling``) draws its actions for the whole horizon up front, and
+the next visit is found by a vectorized litigation test over a doubling
+window.  The ``kwik`` gate checks a doubling window of rows at once on the
+spectrum frozen since the last visit; after a visit it speculates that the
+next rows visit too, and decomposes their Gram prefixes in one stacked
+``eigh`` (see ``_kwik_visits``).  The fit then computes the linear rule
+after each visit in stacked passes of ``_FLUSH`` visits, from the spectra
+the search kept or, for a state-free policy, from one stacked ``eigh`` of
+the Gram prefixes; a mean learner keeps a running mean.  Last, the
+predictions and the loss are built from each row's rule, gathered by its
+visit count (linear rows in fixed-size chunks).
 
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
@@ -44,6 +50,7 @@ from .core import (
     LinearTruth,
     RunLedger,
     SingletonCases,
+    Spectrum,
     augment,
     canonical_digest,
     check_unit_ball,
@@ -53,6 +60,7 @@ from .core import (
 from .learners import (
     LearnerFamily,
     LearnerKind,
+    LinearRule,
     MeanRule,
     _fit_linear,
     err_bound,
@@ -64,7 +72,6 @@ from .policies import (
     KwikConfig,
     PolicyConfig,
     SubsidySamplingConfig,
-    _gate_from_eig,
     subsidy_tail_probability,
 )
 
@@ -93,9 +100,14 @@ _STREAM_POLICY = 4
 # over replications finite as well.
 _TOTAL_LIMIT = 1e300
 
-# Steps searched for the next court visit of a state-free policy (doubled
-# while no visit is found).
+# Steps searched for the next court visit (doubled while no visit is found).
 _FIRST_WINDOW = 64
+# The kwik gate's window stops doubling here: it gates (window, dim + 1) arrays.
+_LAST_WINDOW = 1024
+# Court visits fitted in one stacked pass, and the longest speculative kwik block.
+_FLUSH = 256
+# Rows per stacked prediction product.
+_PREDICT_CHUNK = 1024
 
 #: The ledger's per-step columns and their dtypes.  ``RunLedger.steps`` holds
 #: one array per name, in this order.
@@ -271,7 +283,7 @@ def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger
 
 
 def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
-    """One replication, from court visit to court visit (see the module docstring).
+    """One replication: search for the court visits, fit after each, then score (see the module docstring).
 
     Every float is produced by the same operations, in the same order, as in
     the case-by-case loop of ``tests/oracle.py``, so ledgers and totals are
@@ -282,45 +294,44 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     kind = config.learner
     linear = kind.is_linear
     policy = config.policy
-    state_free = policy.state_free
-    data = Dataset(config.cases.dim)
-    if state_free:
+    dim = config.cases.dim
+    costs = env.costs
+    xs = env.xs
+    empty_rule = fit(kind, Dataset(dim))
+    if linear:
+        fits = _LinearFits(kind, empty_rule.coef, xs, env.outcomes)
+    else:
+        fits = _MeanFits(min(max(empty_rule.mean, 0.0), alpha), alpha, env.outcomes)
+
+    def bound(m: np.ndarray) -> np.ndarray:
+        return err_bound(kind, m, config.truth.sigma, alpha, dim)
+
+    subsidy_paid = tail_loss = 0.0
+    end = T  # steps played out one by one; the closed-form tail covers the rest
+    if not policy.state_free:
+        compel, bases = np.zeros(T, dtype=bool), None
+        visits = _kwik_visits(xs, costs, policy.thresholds(dim), bound, compel, fits)
+    else:
         compel, bases = policy.horizon_actions(
             T, _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
         )
-    else:  # kwik marks the gate's verdicts as its scan finds them
-        compel, bases = np.zeros(T, dtype=bool), None
-        alpha1, alpha2 = policy.thresholds(data.dim)
-    # Only the linear fit and the kwik gate read the court rows.
-    keep_rows = linear or not state_free
-    # The closed-form tail needs a case-free prediction (mean learners only)
-    # and a policy that can go idle for good (a state-free one).
-    skip_tail = state_free and not keep_records and not linear
-    costs = env.costs
-    xs = env.xs
-    cost_floor = config.costs.c_min
-
-    # Per court count m: the rule (a clipped mean, or the linear coefficients
-    # with the offset last) and the error bound after m visits.
-    rule = fit(kind, data)
-    rules = [rule.coef] if linear else [min(max(rule.mean, 0.0), alpha)]
-    errs = [alpha]
-    visits: list[int] = []
-    sum_y = subsidy_paid = tail_loss = 0.0
-    end = T  # steps played out one by one; the closed-form tail covers the rest
-    s = 0
-    window = _FIRST_WINDOW
-    while s < T:
-        err = errs[-1]
-        two_err = 2.0 * err
-        # A case-by-case loop's first tail-skip step is a window start: err is
-        # frozen until the next visit, and a policy that goes inactive (etc)
-        # compels every step before.
-        if skip_tail and two_err < cost_floor and policy.inactive_from(s + 1):
-            tail_loss = (T - s) * (rules[-1] - config.truth.mu) ** 2
-            end = s
-            break
-        if state_free:
+        # The closed-form tail needs a case-free prediction (mean learners only).
+        skip_tail = not keep_records and not linear
+        cost_floor = config.costs.c_min
+        visits: list[int] = []
+        errs = bound(np.arange(_FIRST_WINDOW))
+        s = 0
+        window = _FIRST_WINDOW
+        while s < T:
+            err = errs.item(len(visits))
+            two_err = 2.0 * err
+            # A case-by-case loop's first tail-skip step is a window start: err is
+            # frozen until the next visit, and a policy that goes inactive (etc)
+            # compels every step before.
+            if skip_tail and two_err < cost_floor and policy.inactive_from(s + 1):
+                tail_loss = (T - s) * (fits.rules[-1] - config.truth.mu) ** 2
+                end = s
+                break
             stop = min(T, s + window)
             offers = 0.0 if bases is None else _offers(bases[s:stop], two_err)
             litigates = policies.agent_decision(costs[s:stop], offers, err)
@@ -335,41 +346,19 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             window = _FIRST_WINDOW
             if bases is not None:
                 subsidy_paid += offers.item(hit)
-        else:
-            spectrum = data.spectrum()  # frozen until the next visit
-            for v in range(s, T):
-                if _gate_from_eig(spectrum.floored, spectrum.vectors, augment(xs[v]), alpha1, alpha2):
-                    compel[v] = True
-                    break
-                if policies.agent_decision(costs.item(v), 0.0, err):
-                    break
-            else:
-                break  # no visit before the horizon
-        visits.append(v)
-        m = len(visits)
-        outcome = env.outcomes.item(v)
-        if keep_rows:
-            data.append_row(augment(xs[v]), outcome)
-        if linear:
-            rules.append(fit(kind, data).coef)
-        else:
-            sum_y += outcome
-            rules.append(min(max(sum_y / m, 0.0), alpha))
-        errs.append(err_bound(kind, m, config.truth.sigma, alpha, data.dim))
-        s = v + 1
+            visits.append(v)
+            fits.add((v,))
+            errs = _err_table(bound, errs, len(visits))
+            s = v + 1
 
     went = np.zeros(end, dtype=bool)
     went[visits] = True
     m_after = np.cumsum(went)
     if linear:
-        # One dot per row under the rule of its segment, as the reference loop predicts.
-        raw = np.empty(end)
-        for coef, lo, hi in zip(rules, [0, *visits], [*visits, end]):
-            w, b = coef[:-1], coef[-1]
-            raw[lo:hi] = [w @ x + b for x in xs[lo:hi]]
-        applied = _clip(raw, alpha)
+        coefs = fits.coefs()
+        applied = _clip(_predict(xs, coefs, m_after), alpha)
     else:
-        applied = np.array(rules)[m_after]
+        applied = np.array(fits.rules)[m_after]
     diff = applied - env.f_values[:end]
     squared = np.multiply(diff, diff, out=diff)  # in place: one T-length array fewer
     terms = squared + np.where(went, costs[:end], 0.0)
@@ -378,12 +367,12 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     steps = {}
     if keep_records:  # the tail skip is off, so end == T
         m_before = m_after - went
-        pre_errs = np.array(errs)[m_before]
+        pre_errs = bound(np.arange(len(visits) + 1))[m_before]
         if linear:
             settlement = applied.copy()
-            settlement[visits] = _clip(np.array([c[:-1] @ xs[v] + c[-1] for c, v in zip(rules, visits)]), alpha)
+            settlement[visits] = _clip(_predict(xs[visits], coefs, np.arange(len(visits))), alpha)
         else:
-            settlement = np.array(rules)[m_before]
+            settlement = np.array(fits.rules)[m_before]
         steps = _step_columns(
             {
                 "t": np.arange(1, end + 1),
@@ -408,6 +397,159 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         seed=config.seed,
         config_digest=config.digest(),
     )
+
+
+def _err_table(bound: Callable, errs: np.ndarray, m: int) -> np.ndarray:
+    """``errs``, the error bound by court count, extended (doubling) to cover count ``m``."""
+    return errs if m < len(errs) else bound(np.arange(2 * m + 1))
+
+
+def _kwik_visits(
+    xs: np.ndarray,
+    costs: np.ndarray,
+    thresholds: tuple[float, float],
+    bound: Callable,
+    compel: np.ndarray,
+    fits: _MeanFits | _LinearFits,
+) -> list[int]:
+    """The court visits of a kwik run; ``compel`` is set where the gate fired.
+
+    Between visits the spectrum is frozen, so a doubling window of rows is
+    gated at once.  After a visit, the next k rows are speculated to visit
+    too: their Gram prefixes (``np.cumsum`` from the current Gram matrix) get
+    one stacked ``eigh``, row j is gated on prefix j - 1 and tested against
+    the bound after the visits before it, and the longest prefix of rows that
+    really visit is accepted.  k doubles after a block accepted whole, up to
+    ``_FLUSH``, and falls back to 1 after a rejection.  The spectrum after
+    each accepted visit goes to ``fits`` with it, so no fit decomposes again.
+    """
+    T = costs.shape[0]
+    alpha1, alpha2 = thresholds
+    gram = np.zeros((xs.shape[1] + 1,) * 2)
+    spectrum = decompose(gram)
+    errs = bound(np.arange(_FIRST_WINDOW))
+    visits: list[int] = []
+    s = 0
+    while s < T:
+        err = errs.item(len(visits))
+        window = _FIRST_WINDOW
+        while True:
+            stop = min(T, s + window)
+            gated = policies._gate(spectrum, augment(xs[s:stop]), alpha1, alpha2)
+            went = gated | policies.agent_decision(costs[s:stop], 0.0, err)
+            hit = int(went.argmax())
+            if went[hit] or stop == T:
+                break
+            s = stop
+            window = min(2 * window, _LAST_WINDOW)
+        if not went[hit]:
+            break  # no visit before the horizon
+        v = s + hit
+        compel[v] = gated[hit]
+        k = 1
+        while True:  # speculative blocks: row v visits, rows v + 1 .. v + n may
+            n = min(k, T - 1 - v)
+            m = len(visits)  # visits before v
+            rows = augment(xs[v : v + n + 1])
+            prefix = rows[: max(n, 1)]  # prefix j holds rows v .. v + j
+            grams = _prefix_sums(gram, prefix[:, :, None] * prefix[:, None, :])
+            spectra = decompose(grams)
+            errs = _err_table(bound, errs, m + n)
+            gated = policies._gate(spectra.pick(slice(n)), rows[1:], alpha1, alpha2)
+            went = gated | policies.agent_decision(costs[v + 1 : v + n + 1], 0.0, errs[m + 1 : m + n + 1])
+            accepted = n if went.all() else int(went.argmin())
+            compel[v + 1 : v + accepted + 1] = gated[:accepted]
+            # Visits whose spectrum this block holds; when all n rows visit, the
+            # last one's spectrum is the next block's first prefix.
+            done = accepted + 1 if accepted < n else max(n, 1)
+            visits.extend(range(v, v + done))
+            fits.add(range(v, v + done), spectra.pick(slice(done)))
+            gram = grams[done - 1]
+            spectrum = spectra.pick(done - 1)
+            if accepted < n or n == 0:
+                break
+            v += n
+            k = min(2 * k, _FLUSH)
+        s = v + accepted + 2  # row v + accepted + 1 was gated and did not visit
+    return visits
+
+
+def _prefix_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``start + terms[0]``, then ``+ terms[1]``, ...: each sum is the sequential ``+=``'s, bit for bit."""
+    terms[0] += start
+    return np.cumsum(terms, axis=0, out=terms)
+
+
+class _MeanFits:
+    """The clipped empirical mean after each court visit, one visit at a time."""
+
+    def __init__(self, empty_rule: float, alpha: float, outcomes: np.ndarray):
+        self.rules = [empty_rule]
+        self._alpha = alpha
+        self._outcomes = outcomes
+        self._sum_y = 0.0
+
+    def add(self, visits, spectra: Spectrum | None = None) -> None:
+        for v in visits:
+            self._sum_y += self._outcomes.item(v)
+            self.rules.append(min(max(self._sum_y / len(self.rules), 0.0), self._alpha))
+
+
+class _LinearFits:
+    """The linear rule after each court visit, fitted in stacked passes of ``_FLUSH`` visits.
+
+    ``add`` queues visits (with the spectra of the Gram matrices after each,
+    when a kwik search has them); a flush builds the ``X^T y`` prefixes, and
+    the Gram prefixes and their stacked ``eigh`` when no spectra came, and
+    fits every queued visit at once.
+    """
+
+    def __init__(self, kind: LearnerKind, empty_rule: np.ndarray, xs: np.ndarray, outcomes: np.ndarray):
+        self._kind = kind
+        self._xs = xs
+        self._outcomes = outcomes
+        self._gram = np.zeros((empty_rule.shape[0],) * 2)
+        self._xty = np.zeros(empty_rule.shape[0])
+        self._coefs = [empty_rule[None]]
+        self._queue: list[int] = []
+        self._spectra: list[Spectrum] = []
+
+    def add(self, visits, spectra: Spectrum | None = None) -> None:
+        self._queue.extend(visits)
+        if spectra is not None:
+            self._spectra.append(spectra)
+        if len(self._queue) >= _FLUSH:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._queue:
+            return
+        rows = augment(self._xs[self._queue])
+        xty = _prefix_sums(self._xty, self._outcomes[self._queue][:, None] * rows)
+        if self._spectra:
+            spectra = Spectrum(*map(np.concatenate, zip(*self._spectra)))
+        else:
+            grams = _prefix_sums(self._gram, rows[:, :, None] * rows[:, None, :])
+            self._gram = grams[-1]
+            spectra = decompose(grams)
+        self._xty = xty[-1]
+        self._coefs.append(_fit_linear(self._kind, spectra, xty))
+        self._queue, self._spectra = [], []
+
+    def coefs(self) -> np.ndarray:
+        """Every rule so far, one row per court count (the offset last)."""
+        self._flush()
+        return np.concatenate(self._coefs)
+
+
+def _predict(xs: np.ndarray, coefs: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Row i's raw prediction under rule ``which[i]``: one ``ddot`` per row, as the reference loop's ``w @ x + b``."""
+    raw = np.empty(len(which))
+    for lo in range(0, len(which), _PREDICT_CHUNK):
+        rule = coefs[which[lo : lo + _PREDICT_CHUNK]]
+        rows = xs[lo : lo + _PREDICT_CHUNK]
+        raw[lo : lo + _PREDICT_CHUNK] = np.matmul(rows[:, None, :], rule[:, :-1, None])[:, 0, 0] + rule[:, -1]
+    return raw
 
 
 def _clip(raw: np.ndarray, alpha: float) -> np.ndarray:
@@ -439,8 +581,9 @@ def offline_baseline(env: Environment, kind: LearnerKind, alpha: float) -> float
     else:
         if env.xs is None:
             raise ConfigurationError(f"{kind.family.value} baseline requires vector cases")
-        augmented = np.hstack([env.xs, np.ones((count, 1))])
-        rule = _fit_linear(kind, decompose(augmented.T @ augmented), augmented.T @ env.outcomes, count)
+        augmented = augment(env.xs)
+        spectrum = decompose(augmented.T @ augmented).pick(None)
+        rule = LinearRule(_fit_linear(kind, spectrum, (augmented.T @ env.outcomes)[None])[0], count)
         predictions = predict_batch(rule, env.xs, count, alpha)
     residual = predictions - env.f_values
     return float(residual @ residual)

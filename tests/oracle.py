@@ -10,9 +10,11 @@ the all-settle tail is the reference for the driver's skip.
 payload; ``experiment._ledger_line`` streams it column by column and must
 write the same bytes.
 
-``kwik_gate`` gates a query on a Gram matrix built afresh from the courted
-rows; the runs gate on the spectrum that the run's ``Dataset`` caches
-between appends and must give the same verdict.
+``gate_from_eig`` gates one query row on one spectrum, summing its masses
+with Python floats; ``step_loop`` gates each case with it on the spectrum
+that its ``Dataset`` caches between appends.  ``kwik_gate`` gates a query
+on a Gram matrix built afresh from the courted rows.  ``policies._gate``
+gates stacks of rows at once and must give the same verdicts.
 
 ``sample_subsidy`` draws one step's subsidy offer with scalar arithmetic;
 ``policies.subsidy_bases`` and ``sim._offers`` draw every step's offer at
@@ -26,7 +28,7 @@ import numpy as np
 
 from courtlearn.core import ConstantTruth, Dataset, RunLedger, augment, decompose
 from courtlearn.learners import LearnerFamily, fit
-from courtlearn.policies import _gate_from_eig, agent_decision, subsidy_tail_probability
+from courtlearn.policies import agent_decision, subsidy_tail_probability
 from courtlearn.sim import _STREAM_POLICY, STEP_COLUMNS, RunConfig, Environment, _step_columns, _stream
 
 
@@ -92,7 +94,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             offered = max(0.0, bases[i] - 2.0 * pre_err)
         else:
             spectrum = data.spectrum()
-            compelled = _gate_from_eig(spectrum.floored, spectrum.vectors, augment(x), alpha1, alpha2)
+            compelled = gate_from_eig(spectrum.floored, spectrum.vectors, augment(x), alpha1, alpha2)
             offered = 0.0
         litigates = compelled or agent_decision(cost, offered, pre_err)
 
@@ -163,6 +165,32 @@ def ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def gate_from_eig(
+    eigvals: np.ndarray,
+    eigvecs: np.ndarray,
+    query: np.ndarray,
+    alpha1: float,
+    alpha2: float,
+) -> bool:
+    """Gate on the courted-history spectrum: True (compel) unless the query is covered.
+
+    Splits the query across the eigenvectors of the courted Gram matrix.
+    Directions with eigenvalue >= 1 contribute projection^2 / eigenvalue to
+    the covered mass; the rest contribute their raw squared projection.  Each
+    mass is summed left to right, one term at a time (numpy's ``sum`` would
+    switch to pairwise summing at 8 or more terms).
+    """
+    projections = eigvecs.T @ query
+    covered = eigvals >= 1.0
+    sq = projections * projections
+    covered_mass = novel_mass = 0.0
+    for term in (sq[covered] / eigvals[covered]).tolist():
+        covered_mass += term
+    for term in sq[~covered].tolist():
+        novel_mass += term
+    return not (covered_mass <= alpha1 * alpha1 and novel_mass <= alpha2 * alpha2)
+
+
 def kwik_gate(courted: np.ndarray, query: np.ndarray, alpha1: float, alpha2: float) -> bool:
     """True when past courted (augmented) cases do not cover an augmented query: compel.
 
@@ -177,7 +205,7 @@ def kwik_gate(courted: np.ndarray, query: np.ndarray, alpha1: float, alpha2: flo
     else:
         gram = courted.T @ courted
     spectrum = decompose(gram)
-    return _gate_from_eig(spectrum.floored, spectrum.vectors, query, alpha1, alpha2)
+    return gate_from_eig(spectrum.floored, spectrum.vectors, query, alpha1, alpha2)
 
 
 def sample_subsidy(

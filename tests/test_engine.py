@@ -2,6 +2,7 @@
 the whole-horizon policy laws against their scalar per-step forms, bit for bit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,56 @@ _RADIUS = LearnerKind(LearnerFamily.NORM_CONSTRAINED, radius=0.05)
                              dim=2, sigma=0.0), 3), keep_records=True)
 def test_linear_and_kwik_runs_match_step_loop(run, keep_records):
     _assert_matches_oracle(*run, keep_records)
+
+
+# The gate compels every case: the opening block doubles up to the flush size.
+_COMPEL_ALL = KwikConfig(0.25, 0.05, alpha1=1e-3, alpha2=1e-3)
+# The gate never compels; only the first case litigates (cost 1.5 <= 2 * alpha).
+_GATE_NEVER = KwikConfig(0.25, 0.05, alpha1=10.0, alpha2=10.0)
+
+
+def _one_cheap_case(horizon):
+    return FixedCosts((1.5,) + (5.0,) * (horizon - 1))
+
+
+@pytest.mark.parametrize(
+    "config, court_count",
+    [
+        (_linear_config(_KWIK, 1, dim=5), 1),
+        (_linear_config(DynamicCompellingConfig(1.0, 1.0), 1, learner=_RADIUS), 1),
+        # every block after the first doubles; the last is cut off by the horizon
+        (_linear_config(_COMPEL_ALL, 100, learner=_RADIUS, dim=4), 100),
+        # blocks of 256 rows: flushes land between blocks of the same sequence
+        (_linear_config(_COMPEL_ALL, 1000, learner=_RADIUS, dim=7), 1000),
+        # the block after the only visit is rejected at its first row, then
+        # windows run to the horizon without a visit
+        (_linear_config(_GATE_NEVER, 3000, learner=_RADIUS, costs=_one_cheap_case(3000)), 1),
+        (_linear_config(_GATE_NEVER, 3000, learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN),
+                        costs=_one_cheap_case(3000)), 1),
+    ],
+    ids=["kwik_T1", "state_free_T1", "block_cut_by_horizon", "flush_inside_block_sequence",
+         "no_visit_after_the_first", "mean_learner_no_visit_after_the_first"],
+)
+def test_run_edge_cases_match_step_loop(config, court_count):
+    _assert_matches_oracle(config, 0, keep_records=True)
+    assert sim.run(config).court_count == court_count
+
+
+def test_kwik_run_memory_per_step_is_bounded():
+    # The spectra of visits not yet fitted are flushed every sim._FLUSH
+    # visits; kept to the end, they would take about 880 B a step here.
+    horizon = 10_000
+    config = _linear_config(_KWIK, horizon, learner=LearnerKind(LearnerFamily.NORM_CONSTRAINED),
+                            dim=5, beta_scale=0.7, beta0=0.6, sigma=0.05, seed=7)
+    env = sim.draw_environment(config, 0)
+    tracemalloc.start()
+    try:
+        ledger = sim._simulate(config, env, 0, keep_records=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ledger.court_count > 2000
+    assert peak / horizon < 200
 
 
 def _scalar_step(policy, t, err, rng):

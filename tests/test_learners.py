@@ -133,6 +133,30 @@ class TestErrBound:
         with pytest.raises(ValueError):
             err_bound(MEAN, -1, sigma=1.0, alpha=1.0)
 
+    @pytest.mark.parametrize(
+        "kind, dim, sigma, alpha",
+        [
+            (MEAN, None, 0.7, 2.0),
+            (MEAN, None, 0.0, 1.0),
+            (LearnerKind(LearnerFamily.EMPIRICAL_MEAN, err_constant=0.3), None, 5.0, 1.0),
+            (OLS, 3, 0.05, 1.0),
+            (LearnerKind(LearnerFamily.NORM_CONSTRAINED, err_constant=5.0), 9, 0.1, 3),
+        ],
+    )
+    def test_array_of_counts_matches_scalar_calls(self, kind, dim, sigma, alpha):
+        counts = np.arange(0, 2000)
+        values = err_bound(kind, counts, sigma, alpha, dim)
+        scale = 1.0 if dim is None else math.sqrt(dim + 1)
+        assert values[0] == alpha
+        for m, value in zip(counts.tolist(), values.tolist()):
+            # The scalar call, and the bound in Python float arithmetic.
+            expected = alpha if m == 0 else min(alpha, kind.err_constant * sigma * scale / math.sqrt(m))
+            assert value.hex() == float(err_bound(kind, m, sigma, alpha, dim)).hex() == float(expected).hex()
+
+    def test_negative_size_in_an_array_rejected(self):
+        with pytest.raises(ValueError, match="got -3"):
+            err_bound(MEAN, np.array([0, 4, -3, -1]), sigma=1.0, alpha=1.0)
+
     def test_non_increasing_in_m(self):
         values = [err_bound(MEAN, m, sigma=0.7, alpha=2.0) for m in range(0, 200)]
         assert all(a >= b for a, b in zip(values, values[1:]))

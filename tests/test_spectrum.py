@@ -1,5 +1,6 @@
-"""One spectral state per run: the pseudo-inverse replica, the shared kwik
-gate, the eigh budget, and the unit-ball check on raw case rows."""
+"""Spectral state: the pseudo-inverse replica, the stacked fit and kwik gate
+against their one-matrix and one-row forms, the eigh budget, and the
+unit-ball check on raw case rows."""
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from courtlearn.core import (
     decompose,
     sample_cases,
 )
-from courtlearn.learners import LearnerFamily, LearnerKind, _pinv
-from courtlearn.policies import DynamicCompellingConfig, KwikConfig, _gate_from_eig
-from oracle import kwik_gate
+from courtlearn.learners import LearnerFamily, LearnerKind, _fit_linear, _pinv
+from courtlearn.policies import DynamicCompellingConfig, KwikConfig, _gate
+from oracle import gate_from_eig, kwik_gate
 
 
 @st.composite
@@ -84,8 +85,7 @@ def test_gate_on_the_shared_spectrum_matches_kwik_gate(dim, count, seed, alpha1,
     data = Dataset(dim)
 
     def compels():
-        spectrum = data.spectrum()
-        return _gate_from_eig(spectrum.floored, spectrum.vectors, augment(query), alpha1, alpha2)
+        return bool(_gate(data.spectrum(), augment(query)[None], alpha1, alpha2)[0])
 
     compels()  # a stale cached spectrum would show below
     for row in courted:
@@ -93,6 +93,50 @@ def test_gate_on_the_shared_spectrum_matches_kwik_gate(dim, count, seed, alpha1,
     compelled = compels()
 
     assert compelled is kwik_gate(courted, augment(query), alpha1, alpha2)
+
+
+@st.composite
+def court_histories(draw):
+    """Court rows (augmented, dim 1..9) with outcomes, often fewer than dim + 1 or repeated."""
+    dim = draw(st.integers(min_value=1, max_value=9))
+    count = draw(st.integers(min_value=1, max_value=3 * (dim + 1)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    xs = sample_cases(BallCases(dim), count, rng, rng)
+    repeats = draw(st.integers(min_value=0, max_value=count - 1))
+    xs[count - repeats :] = xs[0]  # repeated rows keep the Gram matrix singular
+    return augment(xs), rng.standard_normal(count), rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    history=court_histories(),
+    family=st.sampled_from([LearnerFamily.OLS, LearnerFamily.NORM_CONSTRAINED]),
+    radius=st.sampled_from([1e-3, 0.05, 1.0, 10.0]),  # the small ones force the bisection
+    alpha1=st.floats(min_value=0.01, max_value=2.0),
+    alpha2=st.floats(min_value=0.01, max_value=2.0),
+)
+def test_stacked_forms_match_the_one_matrix_and_one_row_forms(history, family, radius, alpha1, alpha2):
+    rows, outcomes, rng = history
+    kind = LearnerKind(family, radius=radius)
+    count, k = rows.shape
+    grams = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+    xty = np.cumsum(outcomes[:, None] * rows, axis=0)
+    spectra = decompose(grams)
+    pinvs = _pinv(spectra)
+    coefs = _fit_linear(kind, spectra, xty)
+    queries = augment(sample_cases(BallCases(k - 1), count, rng, rng))
+    gated = _gate(spectra, queries, alpha1, alpha2)
+    for i in range(count):
+        one = decompose(grams[i])
+        assert pinvs[i].tobytes() == _pinv(one).tobytes()
+        assert coefs[i].tobytes() == _fit_linear(kind, one.pick(None), xty[i][None])[0].tobytes()
+        # The one-row gate on the same spectrum, ties included; a Gram matrix
+        # built afresh may differ in the last ulp, so only clear margins there.
+        assert bool(gated[i]) is gate_from_eig(one.floored, one.vectors, queries[i], alpha1, alpha2)
+        if _margins_clear(rows[: i + 1], queries[i], alpha1, alpha2):
+            assert bool(gated[i]) is kwik_gate(rows[: i + 1], queries[i], alpha1, alpha2)
+        # A window shares one spectrum among its rows.
+        assert _gate(one, queries[i:], alpha1, alpha2)[0] == _gate(one, queries[i : i + 1], alpha1, alpha2)[0]
 
 
 _TRUTH = LinearTruth(np.array([0.15, 0.15, 0.15]), 0.5, 0.1, 1.0)
@@ -105,22 +149,13 @@ def _run_config(truth, family, policy):
     )
 
 
-@pytest.mark.parametrize(
-    "config, extra",
-    [
-        # every fit decomposes once; the empty dataset needs no fit
-        (_run_config(_TRUTH, LearnerFamily.OLS, DynamicCompellingConfig(1.0, 1.0)), 0),
-        # the gate decomposes the empty dataset; after that it reuses the fit's
-        (_run_config(_TRUTH, LearnerFamily.NORM_CONSTRAINED, _KWIK), 1),
-    ],
-    ids=["ols", "norm_constrained_kwik"],
-)
-def test_one_eigh_per_court_visit(monkeypatch, config, extra):
+def _count_eigh_matrices(monkeypatch):
+    """Forbid other decompositions; return the list of matrix counts per ``eigh`` call."""
     calls = []
     eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
+        calls.append(a.shape[0] if a.ndim == 3 else 1)
         return eigh(a, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
@@ -129,19 +164,39 @@ def test_one_eigh_per_court_visit(monkeypatch, config, extra):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "pinv", forbidden)
     monkeypatch.setattr(np.linalg, "svd", forbidden)
-    ledger = sim.run(config)
-    assert 0 < ledger.court_count < config.horizon
-    assert len(calls) == ledger.court_count + extra
+    return calls
 
 
-def test_mean_learner_kwik_decomposes_at_most_once_per_visit(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-    config = _run_config(ConstantTruth(0.5, 0.5, 1.0), LearnerFamily.EMPIRICAL_MEAN, _KWIK)
+@pytest.mark.parametrize(
+    "config",
+    [_run_config(_TRUTH, LearnerFamily.OLS, DynamicCompellingConfig(1.0, 1.0))],
+    ids=["ols"],
+)
+def test_one_eigh_per_court_visit(monkeypatch, config):
+    # A state-free run decomposes each visit's Gram matrix once, in stacked
+    # calls of up to 256 visits; the empty dataset needs no fit.
+    calls = _count_eigh_matrices(monkeypatch)
     ledger = sim.run(config)
     assert 0 < ledger.court_count < config.horizon
-    assert 0 < len(calls) <= ledger.court_count + 1
+    assert sum(calls) == ledger.court_count
+    assert len(calls) == -(-ledger.court_count // sim._FLUSH)
+
+
+@pytest.mark.parametrize(
+    "truth, family",
+    [(_TRUTH, LearnerFamily.NORM_CONSTRAINED), (ConstantTruth(0.5, 0.5, 1.0), LearnerFamily.EMPIRICAL_MEAN)],
+    ids=["norm_constrained", "empirical_mean"],
+)
+def test_kwik_eigh_budget(monkeypatch, truth, family):
+    # One matrix for the empty Gram matrix, one per court visit, and the
+    # prefixes of speculated rows past a rejection: a block of k rows follows
+    # k - 1 visits accepted in the blocks before it, so at most one more per visit.
+    calls = _count_eigh_matrices(monkeypatch)
+    config = _run_config(truth, family, _KWIK)
+    ledger = sim.run(config)
+    assert 0 < ledger.court_count < config.horizon
+    assert ledger.court_count + 1 <= sum(calls) <= 2 * ledger.court_count + 1
+    assert len(calls) < ledger.court_count  # visits are decomposed in stacks
 
 
 def test_unit_ball_checked_when_the_environment_is_drawn(monkeypatch):
