@@ -343,12 +343,6 @@ class RunLedger:
     seed: int
     config_digest: str
 
-    def recompute_total_loss(self) -> float:
-        """Re-derive the cumulative loss from the step columns (same summation order)."""
-        if not self.steps:
-            return 0.0
-        return np.cumsum(self.steps["squared_error"] + self.steps["court_cost_incurred"]).item(-1)
-
 
 def canonical_digest(mapping: dict) -> str:
     """Stable short hash of a JSON-serializable configuration mapping."""

@@ -5,7 +5,8 @@ reproducible from (config, master seed): every policy/horizon/replication
 cell derives its own RNG streams, environments depend only on the master
 seed and the replication index.  CSV floats are written with 12 significant
 digits; ledger floats in ``json``'s shortest round-trip form, byte-equal to
-``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the whole line.
+``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the whole line,
+although each run of equal values in a step column is encoded once.
 """
 
 from __future__ import annotations
@@ -81,26 +82,24 @@ def _column_json(column: np.ndarray) -> str:
     ``column.tolist()`` (bool columns as 0/1).  The column is bool, int64 or
     float64, as in ``sim.STEP_COLUMNS``.
 
-    Each distinct value is encoded once, by ``json`` itself, and the texts are
-    gathered by the column's inverse index.  ``np.unique`` runs on the int64
-    bit view: a float-valued unique would merge -0.0 with 0.0, which ``json``
-    writes differently.  A mostly-distinct column that is int, or all finite,
-    skips the gather; ``json`` writes such values by ``int.__repr__`` and
-    ``float.__repr__``.
+    Runs of equal values are found on the int64 bit view, which keeps -0.0
+    apart from 0.0.  When at most half the steps start a run, the run values
+    are encoded once, by ``json``, and each run's text is repeated by ``str``
+    multiplication; any other column is encoded by ``json`` as a whole.
     """
     if column.dtype == bool:
         chars = np.full(2 * len(column), ord(","), dtype=np.uint8)
         chars[::2] = column
         chars[::2] += ord("0")
         return chars[:-1].tobytes().decode("ascii")
-    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    values = distinct.view(column.dtype)
-    is_float = column.dtype == np.float64
-    mostly_distinct = 2 * len(values) > len(column)
-    if mostly_distinct and (not is_float or np.isfinite(values).all()):
-        return ",".join(map(float.__repr__ if is_float else int.__repr__, column.tolist()))
-    texts = json.dumps(values.tolist(), separators=(",", ":"))[1:-1].split(",")
-    return ",".join(map(texts.__getitem__, inverse.tolist()))
+    bits = column.view(np.int64)
+    ends = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, len(column))
+    if 2 * len(ends) > len(column):
+        return json.dumps(column.tolist(), separators=(",", ":"))[1:-1]
+    texts = json.dumps(column[ends - 1].tolist(), separators=(",", ":"))[1:-1].split(",")
+    counts = np.diff(ends, prepend=0)
+    counts[-1] -= 1  # the last step's text goes in without its comma
+    return "".join([*map(str.__mul__, [t + "," for t in texts], counts.tolist()), texts[-1]])
 
 
 def _ledger_line(stream: TextIO, policy: str, horizon: int, rep: int, ledger: RunLedger) -> None:

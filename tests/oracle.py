@@ -8,7 +8,8 @@ the all-settle tail is the reference for the driver's skip.
 
 ``ledger_line`` encodes a ledger line with one ``json.dumps`` of the whole
 payload; ``experiment._ledger_line`` streams it column by column and must
-write the same bytes.
+write the same bytes.  ``recompute_total_loss`` re-derives a ledger's total
+loss from its columns.
 
 ``gate_from_eig`` gates one query row on one spectrum, summing its masses
 with Python floats; ``step_loop`` gates each case with it on the spectrum
@@ -163,6 +164,14 @@ def ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
         "steps": steps,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def recompute_total_loss(ledger: RunLedger) -> float:
+    """Re-derive a run's cumulative loss from its step columns, in the
+    summation order of the simulator's running total."""
+    if not ledger.steps:
+        return 0.0
+    return np.cumsum(ledger.steps["squared_error"] + ledger.steps["court_cost_incurred"]).item(-1)
 
 
 def gate_from_eig(

@@ -17,6 +17,7 @@ from courtlearn.core import augment
 from courtlearn.learners import LearnerFamily, LearnerKind, fit, predict_batch
 from courtlearn.policies import subsidy_bases, subsidy_tail_probability
 from courtlearn.sim import _offers
+from oracle import recompute_total_loss
 
 MEAN = LearnerKind(LearnerFamily.EMPIRICAL_MEAN)
 
@@ -379,7 +380,7 @@ def test_criterion_8_determinism_and_accounting(tmp_path):
     for _ in range(100):
         config = _random_run_config(rng)
         ledger = cl.run(config)
-        if ledger.recompute_total_loss() != ledger.total_loss:
+        if recompute_total_loss(ledger) != ledger.total_loss:
             accounting_ok = False
         steps = ledger.steps
         if ledger.court_count != steps["went_to_court"].sum():

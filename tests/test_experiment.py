@@ -149,7 +149,7 @@ class TestRunExperiment:
 
 
 # Values whose JSON text differs from a naive formatting, or that a
-# float-valued ``np.unique`` would merge: signed zeros, the smallest
+# float-valued run search would merge: signed zeros, the smallest
 # subnormal, exponent forms and the non-finite extensions.
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2e-308, 1e16, 1e-5, 2.5e-7, math.nan, math.inf, -math.inf]
 INT64_EXTREMES = [-(2**63), 2**63 - 1, 0, -1]
@@ -179,20 +179,29 @@ _ELEMENTS = {
 
 @st.composite
 def step_columns(draw):
-    """Every ``STEP_COLUMNS`` column at one length: each is drawn either from a
-    pool of one to three values (few distinct, or constant) or element by
-    element (mostly distinct)."""
-    horizon = draw(st.integers(min_value=1, max_value=24))
+    """Every ``STEP_COLUMNS`` column at one length, from 0 to 64 steps: each is
+    drawn from a pool of one to three values (few distinct, or constant),
+    element by element (mostly distinct), or as runs of random length over a
+    pool of up to four values (piecewise constant)."""
+    horizon = draw(st.integers(min_value=0, max_value=64))
     steps = {}
     for name, dtype in STEP_COLUMNS.items():
         elements = _ELEMENTS[dtype]
-        if draw(st.booleans()):
+        mode = draw(st.sampled_from(["pool", "distinct", "runs"]))
+        if mode == "pool":
             pool = draw(st.lists(elements, min_size=1, max_size=3))
             values = [pool[i] for i in draw(st.lists(
                 st.integers(min_value=0, max_value=len(pool) - 1), min_size=horizon, max_size=horizon
             ))]
-        else:
+        elif mode == "distinct":
             values = draw(st.lists(elements, min_size=horizon, max_size=horizon))
+        else:
+            pool = draw(st.lists(elements, min_size=1, max_size=4))
+            values = []
+            while len(values) < horizon:
+                value = pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
+                values += [value] * draw(st.integers(min_value=1, max_value=6))
+            values = values[:horizon]
         steps[name] = np.array(values, dtype=dtype)
     return steps
 
@@ -212,15 +221,22 @@ class TestLedgerEncoding:
         horizon = len(steps["t"])
         assert _streamed(policy, horizon, rep, ledger) == ledger_line(policy, horizon, rep, ledger)
 
-    @pytest.mark.parametrize("horizon", [1, 3, 8])
-    @pytest.mark.parametrize("distinct", ["constant", "few", "all"])
+    @pytest.mark.parametrize("horizon", [0, 1, 3, 8])
+    @pytest.mark.parametrize("distinct", ["constant", "few", "all", "runs", "runs+1"])
     def test_special_values(self, horizon, distinct):
+        # "runs" cuts each column into horizon // 2 runs, the most that still
+        # takes the run path, and "runs+1" into one run more
+        runs = horizon // 2 + (distinct == "runs+1")
+
         def column(pool, dtype):
             if distinct == "constant":
                 pool = pool[:1]
             elif distinct == "few":
                 pool = pool[:2]
-            return np.array([pool[i % len(pool)] for i in range(horizon)], dtype=dtype)
+            indices = range(horizon)
+            if distinct.startswith("runs"):
+                indices = [i * runs // horizon for i in indices]
+            return np.array([pool[i % len(pool)] for i in indices], dtype=dtype)
 
         finite = [v for v in SPECIAL_FLOATS if math.isfinite(v)]
         steps = {
@@ -235,6 +251,21 @@ class TestLedgerEncoding:
         steps["went_to_court"] = np.ones(horizon, dtype=bool)
         ledger = _ledger(steps)
         assert _streamed("etc", horizon, 0, ledger) == ledger_line("etc", horizon, 0, ledger)
+
+    def test_run_expansion_peak_memory_is_bounded(self):
+        # a piecewise-constant column of 200 runs: the peak holds the run
+        # pieces and the joined text (about 2x the text), and no further
+        # full-length copy beside them, such as a slice of the joined text
+        rng = np.random.default_rng(5)
+        column = np.repeat(rng.random(200), 1000)
+        tracemalloc.start()
+        try:
+            text = experiment._column_json(column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == json.dumps(column.tolist(), separators=(",", ":"))[1:-1]
+        assert peak < 2.5 * len(text)
 
     def test_ledger_without_steps(self):
         ledger = _ledger({})

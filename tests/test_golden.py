@@ -162,8 +162,9 @@ def test_output_digests(tmp_path, config, expected, kwik):
 
 
 # The ledger_emit benchmark model at its own horizons: long ledgers whose
-# columns repeat few values, so the column encoder's gather path carries most
-# of the bytes.  Pinned before the encoder replaced the whole-line json.dumps.
+# columns change only at court visits, so the column encoder's run path
+# carries most of the bytes.  Pinned before the encoder replaced the
+# whole-line json.dumps.
 LONG_LEDGER_CONFIG = {
     "truth": {"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
     "cases": {"kind": "singleton"},

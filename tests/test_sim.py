@@ -29,6 +29,7 @@ from courtlearn.sim import (
     offline_baseline,
     run,
 )
+from oracle import recompute_total_loss
 
 MEAN = LearnerKind(LearnerFamily.EMPIRICAL_MEAN)
 
@@ -98,7 +99,7 @@ class TestRunProtocol:
     def test_accounting_identity(self):
         config = constant_config(horizon=200, policy=DynamicCompellingConfig(2.0, 1.0), seed=3)
         ledger = run(config)
-        assert ledger.recompute_total_loss() == ledger.total_loss
+        assert recompute_total_loss(ledger) == ledger.total_loss
         steps = ledger.steps
         diff = steps["applied_decision"] - steps["true_value"]
         np.testing.assert_array_equal(steps["squared_error"], diff * diff)
