@@ -20,11 +20,20 @@ import pytest
 
 from courtlearn import learners
 from courtlearn.config import parse_config
-from courtlearn.core import BallCases, ConstantTruth, LinearTruth, SingletonCases, UniformCosts
+from courtlearn.core import (
+    BallCases,
+    ConfigurationError,
+    ConstantTruth,
+    LinearTruth,
+    PointMassCosts,
+    SingletonCases,
+    UniformCosts,
+    augment,
+)
 from courtlearn.experiment import kwik_report, run_experiment
 from courtlearn.learners import LearnerFamily, LearnerKind
-from courtlearn.policies import DynamicCompellingConfig, SubsidySamplingConfig
-from courtlearn.sim import RunConfig, check_deterrent
+from courtlearn.policies import DynamicCompellingConfig, NoSubsidyConfig, SubsidySamplingConfig
+from courtlearn.sim import RunConfig, check_deterrent, draw_environment, offline_baseline
 
 MEAN_CONFIG = {
     "truth": {"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
@@ -262,3 +271,50 @@ def test_check_deterrent_bits(name):
     report = check_deterrent(config, 5)
     assert [t for t, _ in report.per_step_estimates] == list(range(1, config.horizon + 1))
     assert _deterrent_fingerprint(report) == expected
+
+
+# (truth, cases, learner family, radius, horizon, seed) -> float.hex of the
+# offline baseline.  ``regret.csv`` writes 12 significant digits, so only
+# these pins catch a last-ulp move in the baseline's fit or prediction.
+_RADIUS_TRUTH = LinearTruth(np.array([0.15, 0.15, 0.15]), 0.5, 0.1, 1.0)
+_CLIP_TRUTH = LinearTruth(np.array([0.5]), 0.5, 1.0, 1.0)
+BASELINE_CASES = {
+    "mean": (ConstantTruth(0.5, 0.5, 1.0), SingletonCases(), LearnerFamily.EMPIRICAL_MEAN, 1.0, 500, 7),
+    "ols": (LinearTruth(np.array([0.2, 0.1]), 0.4, 0.1, 1.0), BallCases(2), LearnerFamily.OLS, 1.0, 300, 7),
+    "radius": (_RADIUS_TRUTH, BallCases(3), LearnerFamily.NORM_CONSTRAINED, 0.3, 300, 7),
+    "clipped": (_CLIP_TRUTH, BallCases(1), LearnerFamily.OLS, 1.0, 12, 2),
+}
+
+BASELINE_BITS = {
+    "mean": "0x1.2938e94476050p-3",
+    "ols": "0x1.480e67caf67eap-9",
+    "radius": "0x1.a1753f3892d05p+3",
+    "clipped": "0x1.3658e58db510fp-2",
+}
+
+
+def _baseline_env(name):
+    truth, cases, family, radius, horizon, seed = BASELINE_CASES[name]
+    kind = LearnerKind(family, radius=radius)
+    config = RunConfig(horizon, truth, cases, PointMassCosts(1.0), kind, NoSubsidyConfig(), seed)
+    return draw_environment(config), kind, truth.alpha
+
+
+def test_offline_baseline_bits():
+    bits = {}
+    for name in BASELINE_CASES:
+        env, kind, alpha = _baseline_env(name)
+        bits[name] = offline_baseline(env, kind, alpha).hex()
+    assert bits == BASELINE_BITS
+
+    # The cases take the branches they are named for: the unconstrained fit
+    # leaves the radius, and the clip acts at both 0 and alpha.
+    env, kind, _ = _baseline_env("radius")
+    assert np.linalg.norm(np.linalg.lstsq(augment(env.xs), env.outcomes, rcond=None)[0]) > kind.radius
+    env, _, alpha = _baseline_env("clipped")
+    raw = augment(env.xs) @ np.linalg.lstsq(augment(env.xs), env.outcomes, rcond=None)[0]
+    assert raw.min() < 0.0 and raw.max() > alpha
+
+    env, _, alpha = _baseline_env("mean")
+    with pytest.raises(ConfigurationError, match="ols baseline requires vector cases"):
+        offline_baseline(env, LearnerKind(LearnerFamily.OLS), alpha)
