@@ -11,7 +11,6 @@ from .core import (
     BallCases,
     ConfigurationError,
     ConstantTruth,
-    Dataset,
     FixedCosts,
     LinearTruth,
     PointMassCosts,
@@ -20,7 +19,7 @@ from .core import (
     UniformCosts,
     sample_cases,
 )
-from .learners import LearnerFamily, LearnerKind, LinearRule, MeanRule, err_bound, fit
+from .learners import LearnerFamily, LearnerKind, err_bound
 from .policies import (
     DynamicCompellingConfig,
     EtcConfig,
@@ -52,7 +51,6 @@ __all__ = [
     "BallCases",
     "ConfigurationError",
     "ConstantTruth",
-    "Dataset",
     "FixedCosts",
     "LinearTruth",
     "PointMassCosts",
@@ -62,10 +60,7 @@ __all__ = [
     "sample_cases",
     "LearnerFamily",
     "LearnerKind",
-    "LinearRule",
-    "MeanRule",
     "err_bound",
-    "fit",
     "DynamicCompellingConfig",
     "EtcConfig",
     "KwikConfig",

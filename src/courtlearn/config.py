@@ -119,26 +119,22 @@ class _Reader:
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def get(self, key: str, default: Any = None) -> Any:
-        self._read.add(key)
-        return self.data.get(key, default)
-
     def reject_unknown(self) -> None:
         for key in self.data:
             if key not in self._read:
                 raise ConfigurationError(f"{self._at(key)}: unknown field")
 
-    def require(self, key: str) -> Any:
+    def require(self, key: str, default: Any = None) -> Any:
+        """The value at ``key``, a JSON null included; if absent, ``default``, or an error when that is None."""
         self._read.add(key)
-        if key not in self.data:
+        if key in self.data:
+            return self.data[key]
+        if default is None:
             raise ConfigurationError(f"missing required field {self._at(key)}")
-        return self.data[key]
+        return default
 
     def number(self, key: str, default: float | None = None) -> float:
-        value = self.get(key, default)
-        if value is None:
-            raise ConfigurationError(f"missing required field {self._at(key)}")
-        return _finite(value, self._at(key))
+        return _finite(self.require(key, default), self._at(key))
 
     def numbers(self, key: str) -> list[float]:
         values = self.require(key)
@@ -147,17 +143,13 @@ class _Reader:
         return [_finite(value, f"{self._at(key)}[{i}]") for i, value in enumerate(values)]
 
     def integer(self, key: str, default: int | None = None) -> int:
-        value = self.get(key, default)
-        if value is None:
-            raise ConfigurationError(f"missing required field {self._at(key)}")
+        value = self.require(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"{self._at(key)}: expected an integer, got {value!r}")
         return value
 
     def string(self, key: str, default: str | None = None) -> str:
-        value = self.get(key, default)
-        if value is None:
-            raise ConfigurationError(f"missing required field {self._at(key)}")
+        value = self.require(key, default)
         if not isinstance(value, str):
             raise ConfigurationError(f"{self._at(key)}: expected a string, got {value!r}")
         return value

@@ -1,15 +1,12 @@
 """Domain types shared by the whole package.
 
-Case spaces, hidden decision rules, datasets, cost models, and the per-run
-ledger produced by the simulator.  All types are plain values; only
-:class:`Dataset` mutates (append-only).
+Case spaces, hidden decision rules, cost models, and the per-run ledger
+produced by the simulator.  All types are plain values.
 
-A :class:`Dataset` owns a Gram matrix and caches one eigendecomposition
-of it (a :class:`Spectrum`) until the next append; the linear fit, the
-norm-constrained bisection and the kwik gate all read that one
-decomposition.  A :class:`Spectrum` may also hold a stack of
-decompositions, one per prefix of a run's court rows.  A case is a raw row
-of the array that :func:`sample_cases` draws (checked once by
+A :class:`Spectrum` is the eigendecomposition of a Gram matrix, or a stack
+of them, one per prefix of a run's court rows; the linear fit, the
+norm-constrained bisection and the kwik gate all read it.  A case is a raw
+row of the array that :func:`sample_cases` draws (checked once by
 :func:`check_unit_ball`); the Gram matrix takes it as the augmented row
 [x, 1].
 """
@@ -32,7 +29,6 @@ __all__ = [
     "Spectrum",
     "decompose",
     "augment",
-    "Dataset",
     "PointMassCosts",
     "UniformCosts",
     "FixedCosts",
@@ -142,69 +138,6 @@ class Spectrum(NamedTuple):
 def decompose(gram: np.ndarray) -> Spectrum:
     values, vectors = np.linalg.eigh(gram)
     return Spectrum(values, vectors, np.clip(values, 0.0, None))
-
-
-class Dataset:
-    """Append-only court data, kept as sufficient statistics only.
-
-    The statistics (count, outcome sum; Gram matrix and feature/outcome cross
-    products over augmented features for vector runs) are updated per
-    observation, so fitting stays cheap as the dataset grows.  ``dim`` is the
-    case dimension, or ``None`` for singleton-space runs.  Vector datasets
-    also cache the Gram matrix's :class:`Spectrum` between appends.
-    """
-
-    __slots__ = ("dim", "_count", "_sum_y", "_gram", "_xty", "_spectrum")
-
-    def __init__(self, dim: int | None = None):
-        if dim is not None and dim < 1:
-            raise ConfigurationError(f"case dimension must be >= 1, got {dim}")
-        self.dim = dim
-        self._count = 0
-        self._sum_y = 0.0
-        self._spectrum: Spectrum | None = None
-        if dim is None:
-            self._gram = None
-            self._xty = None
-        else:
-            k = dim + 1
-            self._gram = np.zeros((k, k))
-            self._xty = np.zeros(k)
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def sum_outcomes(self) -> float:
-        return self._sum_y
-
-    @property
-    def gram(self) -> np.ndarray:
-        """Gram matrix of augmented features [x, 1] (vector runs only). Read-only."""
-        if self._gram is None:
-            raise ConfigurationError("singleton datasets have no Gram matrix")
-        return self._gram
-
-    @property
-    def xty(self) -> np.ndarray:
-        if self._xty is None:
-            raise ConfigurationError("singleton datasets have no feature products")
-        return self._xty
-
-    def spectrum(self) -> Spectrum:
-        """The Gram matrix's eigendecomposition, computed at most once per append."""
-        if self._spectrum is None:
-            self._spectrum = decompose(self.gram)
-        return self._spectrum
-
-    def append_row(self, row: np.ndarray | None, outcome: float) -> None:
-        """Append one court outcome; ``row`` is the augmented case [x, 1] (unchecked), or None for singleton data."""
-        if row is not None:
-            self._gram += np.outer(row, row)
-            self._xty += outcome * row
-            self._spectrum = None
-        self._sum_y += outcome
-        self._count += 1
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Decision learning algorithms with explicit, computable error bounds.
 
-Three learners map datasets to decision rules: the empirical mean for the
+Three learners map court data to decision rules: the empirical mean for the
 singleton/constant setting, ordinary least squares on augmented features
 [x, 1], and least squares constrained to a coefficient-norm ball.  Each
 carries an error bound of the form constant * sigma * sqrt(dim+1) / sqrt(m),
@@ -12,8 +12,8 @@ the minimum-norm solution replays ``np.linalg.pinv(gram, hermitian=True)``
 on it, and the norm-constrained bisection reuses it, so no fit decomposes a
 matrix itself.  The solve works on stacks of (spectrum, X^T y) pairs, one
 fit per matrix and bit for bit the same as fitting each alone: the
-simulator fits a batch of court visits at once, and ``fit`` and the offline
-baseline are stacks of one.
+simulator fits a batch of court visits at once, and the offline baseline is
+a stack of one.
 """
 
 from __future__ import annotations
@@ -21,20 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
-from .core import ConfigurationError, Dataset, Spectrum
+from .core import ConfigurationError, Spectrum
 
 __all__ = [
     "LearnerFamily",
     "LearnerKind",
-    "MeanRule",
-    "LinearRule",
-    "FittedRule",
-    "fit",
-    "predict_batch",
     "err_bound",
 ]
 
@@ -75,49 +69,13 @@ class LearnerKind:
         return self.family is not LearnerFamily.EMPIRICAL_MEAN
 
 
-@dataclass(frozen=True)
-class MeanRule:
-    """Constant decision rule: the mean outcome of the fitted dataset."""
-
-    mean: float
-    fitted_on: int
-
-
-@dataclass(frozen=True, eq=False)
-class LinearRule:
-    """Linear decision rule over augmented features; coef[-1] is the offset."""
-
-    coef: np.ndarray
-    fitted_on: int
-
-
-FittedRule = Union[MeanRule, LinearRule]
-
-
-def fit(kind: LearnerKind, data: Dataset) -> FittedRule:
-    """Fit ``kind`` on ``data``.  The empty dataset yields the zero rule.
-
-    OLS returns the minimum-norm least-squares solution when the Gram matrix
-    is singular.  The norm-constrained family solves least squares subject to
-    |coef| <= radius exactly: the unconstrained solution if it already
-    satisfies the constraint, otherwise the ridge solution whose multiplier
-    is found by monotone bisection.
-    """
-    m = len(data)
-    if kind.family is LearnerFamily.EMPIRICAL_MEAN:
-        mean = data.sum_outcomes / m if m > 0 else 0.0
-        return MeanRule(mean, m)
-    if data.dim is None:
-        raise ConfigurationError(f"{kind.family.value} requires vector cases")
-    if m == 0:
-        return LinearRule(np.zeros(data.dim + 1), 0)
-    return LinearRule(_fit_linear(kind, data.spectrum().pick(None), data.xty[None])[0], m)
-
-
 def _fit_linear(kind: LearnerKind, spectra: Spectrum, xty: np.ndarray) -> np.ndarray:
     """Coefficients, one row per matrix, from stacked Gram spectra and (n, k) X^T y (m >= 1 each).
 
-    The products and the norm are the one-matrix ``gemv`` and ``ddot`` calls,
+    OLS is the minimum-norm least-squares solution.  The norm-constrained
+    family keeps it where |coef| <= radius, else solves least squares on the
+    sphere |coef| = radius exactly (the ridge multiplier by bisection).  The
+    products and the norm are the one-matrix ``gemv`` and ``ddot`` calls,
     batched by ``np.matmul``; the bisection runs per matrix, only where the
     minimum-norm fit leaves the ball.
     """
@@ -173,16 +131,6 @@ def _norm_capped(spectrum: Spectrum, xty: np.ndarray, radius: float) -> np.ndarr
             hi = mid
     # hi is the feasible side, so the returned norm never exceeds the radius.
     return eigvecs @ (rotated / (eigvals + hi))
-
-
-def predict_batch(rule: FittedRule, xs: np.ndarray | None, count: int, alpha: float) -> np.ndarray:
-    """Predictions for ``count`` cases given as rows of ``xs``, clipped into [0, alpha]."""
-    if isinstance(rule, MeanRule):
-        return np.full(count, min(max(rule.mean, 0.0), alpha))
-    if xs is None:
-        raise ConfigurationError("linear rule applied to singleton cases")
-    raw = xs @ rule.coef[:-1] + rule.coef[-1]
-    return np.clip(raw, 0.0, alpha)
 
 
 def err_bound(kind: LearnerKind, m, sigma: float, alpha: float, dim: int | None = None):

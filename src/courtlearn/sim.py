@@ -3,7 +3,7 @@
 Each step draws the case and its court cost, applies the configured policy's
 action, resolves the agent's settle-vs-litigate choice, and accounts the
 squared decision error plus any court cost.  When a case goes to court the
-revealed outcome is appended to the dataset and the court decides from the
+revealed outcome is appended to the court data and the court decides from the
 updated fit; settled cases receive the prediction from past court data only.
 
 The learner changes only when a case goes to court, so one driver computes
@@ -45,7 +45,6 @@ from .core import (
     ConfigurationError,
     ConstantTruth,
     CostModel,
-    Dataset,
     GroundTruth,
     LinearTruth,
     RunLedger,
@@ -57,16 +56,7 @@ from .core import (
     decompose,
     sample_cases,
 )
-from .learners import (
-    LearnerFamily,
-    LearnerKind,
-    LinearRule,
-    MeanRule,
-    _fit_linear,
-    err_bound,
-    fit,
-    predict_batch,
-)
+from .learners import LearnerFamily, LearnerKind, _fit_linear, err_bound
 from .policies import (
     EtcConfig,
     KwikConfig,
@@ -297,11 +287,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     dim = config.cases.dim
     costs = env.costs
     xs = env.xs
-    empty_rule = fit(kind, Dataset(dim))
-    if linear:
-        fits = _LinearFits(kind, empty_rule.coef, xs, env.outcomes)
-    else:
-        fits = _MeanFits(min(max(empty_rule.mean, 0.0), alpha), alpha, env.outcomes)
+    fits = _LinearFits(kind, xs, env.outcomes) if linear else _MeanFits(alpha, env.outcomes)
 
     def bound(m: np.ndarray) -> np.ndarray:
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
@@ -481,10 +467,10 @@ def _prefix_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 class _MeanFits:
-    """The clipped empirical mean after each court visit, one visit at a time."""
+    """The clipped empirical mean after each court visit, one visit at a time (0 before any)."""
 
-    def __init__(self, empty_rule: float, alpha: float, outcomes: np.ndarray):
-        self.rules = [empty_rule]
+    def __init__(self, alpha: float, outcomes: np.ndarray):
+        self.rules = [0.0]
         self._alpha = alpha
         self._outcomes = outcomes
         self._sum_y = 0.0
@@ -504,13 +490,14 @@ class _LinearFits:
     fits every queued visit at once.
     """
 
-    def __init__(self, kind: LearnerKind, empty_rule: np.ndarray, xs: np.ndarray, outcomes: np.ndarray):
+    def __init__(self, kind: LearnerKind, xs: np.ndarray, outcomes: np.ndarray):
+        k = xs.shape[1] + 1
         self._kind = kind
         self._xs = xs
         self._outcomes = outcomes
-        self._gram = np.zeros((empty_rule.shape[0],) * 2)
-        self._xty = np.zeros(empty_rule.shape[0])
-        self._coefs = [empty_rule[None]]
+        self._gram = np.zeros((k, k))
+        self._xty = np.zeros(k)
+        self._coefs = [np.zeros((1, k))]  # the rule before any visit
         self._queue: list[int] = []
         self._spectra: list[Spectrum] = []
 
@@ -574,17 +561,16 @@ def offline_baseline(env: Environment, kind: LearnerKind, alpha: float) -> float
     The baseline learner sees every (case, outcome) pair regardless of what
     the online run litigated; it pays no court costs and offers no subsidies.
     """
-    count = env.outcomes.shape[0]
     if kind.family is LearnerFamily.EMPIRICAL_MEAN:
-        rule = MeanRule(float(env.outcomes.mean()), count)
-        predictions = predict_batch(rule, None, count, alpha)
+        mean = float(env.outcomes.mean())
+        predictions = np.full(env.outcomes.shape[0], min(max(mean, 0.0), alpha))
     else:
         if env.xs is None:
             raise ConfigurationError(f"{kind.family.value} baseline requires vector cases")
         augmented = augment(env.xs)
         spectrum = decompose(augmented.T @ augmented).pick(None)
-        rule = LinearRule(_fit_linear(kind, spectrum, (augmented.T @ env.outcomes)[None])[0], count)
-        predictions = predict_batch(rule, env.xs, count, alpha)
+        coef = _fit_linear(kind, spectrum, (augmented.T @ env.outcomes)[None])[0]
+        predictions = np.clip(env.xs @ coef[:-1] + coef[-1], 0.0, alpha)
     residual = predictions - env.f_values
     return float(residual @ residual)
 

@@ -13,9 +13,10 @@ loss from its columns.
 
 ``gate_from_eig`` gates one query row on one spectrum, summing its masses
 with Python floats; ``step_loop`` gates each case with it on the spectrum
-that its ``Dataset`` caches between appends.  ``kwik_gate`` gates a query
-on a Gram matrix built afresh from the courted rows.  ``policies._gate``
-gates stacks of rows at once and must give the same verdicts.
+of its Gram matrix, decomposed after each court visit.  ``kwik_gate`` gates
+a query on a Gram matrix built afresh from the courted rows.
+``policies._gate`` gates stacks of rows at once and must give the same
+verdicts.
 
 ``sample_subsidy`` draws one step's subsidy offer with scalar arithmetic;
 ``policies.subsidy_bases`` and ``sim._offers`` draw every step's offer at
@@ -27,8 +28,8 @@ import math
 
 import numpy as np
 
-from courtlearn.core import ConstantTruth, Dataset, RunLedger, augment, decompose
-from courtlearn.learners import LearnerFamily, fit
+from courtlearn.core import ConstantTruth, RunLedger, augment, decompose
+from courtlearn.learners import LearnerFamily, _fit_linear
 from courtlearn.policies import agent_decision, subsidy_tail_probability
 from courtlearn.sim import _STREAM_POLICY, STEP_COLUMNS, RunConfig, Environment, _step_columns, _stream
 
@@ -41,7 +42,6 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     sigma = truth.sigma
     kind = config.learner
     case_dim = config.cases.dim
-    data = Dataset(case_dim)
     policy = config.policy
     state_free = policy.state_free
     if state_free:
@@ -53,14 +53,20 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     else:
         alpha1, alpha2 = policy.thresholds(case_dim)
 
-    rule = fit(kind, data)
     mean_learner = kind.family is LearnerFamily.EMPIRICAL_MEAN
+    # The court data's sums, added one visit at a time; vector cases also keep
+    # the augmented Gram matrix, X^T y and the Gram matrix's spectrum.
+    sum_y = 0.0
+    if case_dim is not None:
+        gram = np.zeros((case_dim + 1, case_dim + 1))
+        xty = np.zeros(case_dim + 1)
+        spectrum = decompose(gram)
     # The current rule: a cached clipped constant for mean rules, else the
-    # linear rule's weights and offset.
+    # linear rule's weights and offset; 0 before any visit.
     if mean_learner:
-        rule_value = min(max(rule.mean, 0.0), alpha)
+        rule_value = 0.0
     else:
-        weights, offset = rule.coef[:-1], rule.coef[-1]
+        weights, offset = np.zeros(case_dim), 0.0
 
     costs = env.costs.tolist()
     f_values = env.f_values.tolist()
@@ -94,7 +100,6 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             compelled = compel[i]
             offered = max(0.0, bases[i] - 2.0 * pre_err)
         else:
-            spectrum = data.spectrum()
             compelled = gate_from_eig(spectrum.floored, spectrum.vectors, augment(x), alpha1, alpha2)
             offered = 0.0
         litigates = compelled or agent_decision(cost, offered, pre_err)
@@ -108,16 +113,22 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
 
         m_before = court_count
         if litigates:
-            data.append_row(None if x is None else augment(x), outcomes[i])
-            rule = fit(kind, data)
+            y = outcomes[i]
+            if x is not None:
+                row = augment(x)
+                gram += np.outer(row, row)
+                xty += y * row
+                spectrum = decompose(gram)
+            sum_y += y
+            court_count += 1
             if mean_learner:
-                rule_value = min(max(rule.mean, 0.0), alpha)
+                rule_value = min(max(sum_y / court_count, 0.0), alpha)
                 applied = rule_value
             else:
-                weights, offset = rule.coef[:-1], rule.coef[-1]
+                coef = _fit_linear(kind, spectrum.pick(None), xty[None])[0]
+                weights, offset = coef[:-1], coef[-1]
                 raw = float(weights @ x + offset)
                 applied = 0.0 if raw < 0.0 else (alpha if raw > alpha else raw)
-            court_count += 1
             subsidy_paid += offered
             court_cost = cost
             err_before = min(alpha, err_scale / math.sqrt(court_count))

@@ -13,13 +13,11 @@ from scipy.integrate import quad
 import courtlearn as cl
 from courtlearn.config import parse_config
 from courtlearn.experiment import fit_loglog_slope, kwik_report, run_experiment
-from courtlearn.core import augment
-from courtlearn.learners import LearnerFamily, LearnerKind, fit, predict_batch
+from courtlearn.core import augment, decompose
+from courtlearn.learners import LearnerFamily, LearnerKind, _fit_linear
 from courtlearn.policies import subsidy_bases, subsidy_tail_probability
-from courtlearn.sim import _offers
+from courtlearn.sim import _MeanFits, _offers
 from oracle import recompute_total_loss
-
-MEAN = LearnerKind(LearnerFamily.EMPIRICAL_MEAN)
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -218,11 +216,11 @@ def test_criterion_6_learner_error_bounds():
         mean_details.append(f"m={m}: {rmse:.4f} vs {target:.4f}")
         if abs(rmse - target) > 0.05 * target:
             mean_ok = False
-    # the vectorized estimator above is the learner's own fit
-    spot = cl.Dataset()
-    for y in draws[0]:
-        spot.append_row(None, y)
-    assert fit(MEAN, spot).mean == pytest.approx(float(draws[0].mean()), rel=1e-12)
+    # the vectorized estimator above is the simulator's own mean fit (the
+    # draws shifted into [0, alpha], so that the fit's clip does not act)
+    spot = _MeanFits(10.0, draws[0] + 5.0)
+    spot.add(range(len(draws[0])))
+    assert spot.rules[-1] == pytest.approx(float(estimates[0]) + 5.0, rel=1e-12)
 
     # linear rate: RMSE * sqrt(m) stays flat as m grows
     n = 5
@@ -236,12 +234,10 @@ def test_criterion_6_learner_error_bounds():
         for i in range(3000):
             xs = cl.sample_cases(cl.BallCases(n), m, rng, rng)
             ys = xs @ truth.beta + truth.beta0 + truth.sigma * rng.standard_normal(m)
-            data = cl.Dataset(n)
-            for x, y in zip(xs, ys):
-                data.append_row(augment(x), y)
-            rule = fit(ols, data)
+            rows = augment(xs)
+            coef = _fit_linear(ols, decompose(rows.T @ rows).pick(None), (rows.T @ ys)[None])[0]
             query = cl.sample_cases(cl.BallCases(n), 1, rng, rng)
-            prediction = predict_batch(rule, query, 1, truth.alpha)[0]
+            prediction = min(max(float(query[0] @ coef[:-1] + coef[-1]), 0.0), truth.alpha)
             errors[i] = prediction - (query[0] @ truth.beta + truth.beta0)
         scaled[m] = math.sqrt(float(np.mean(errors**2))) * math.sqrt(m)
     ratio = max(scaled.values()) / min(scaled.values())

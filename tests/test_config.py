@@ -125,8 +125,26 @@ class TestFieldPathedErrors:
             ),
             ({"cost": {"kind": "point", "c": 10**400}}, "cost.c: expected a finite number"),
             ({"cost": {"kind": "sequence", "costs": [1.0, "x"]}}, "cost.costs[1]: expected a number"),
+            # An explicit null is present, not missing, even where the field is optional.
+            (
+                {"learner": {"kind": "empirical_mean", "err_constant": None}},
+                "learner.err_constant: expected a number, got None",
+            ),
+            ({"replications": None}, "replications: expected an integer, got None"),
+            ({"seed": None}, "seed: expected an integer, got None"),
+            ({"out_dir": None}, "out_dir: expected a string, got None"),
         ],
-        ids=["c_max_infinity", "mu_nan", "beta_nan", "int_beyond_float", "sequence_string"],
+        ids=[
+            "c_max_infinity",
+            "mu_nan",
+            "beta_nan",
+            "int_beyond_float",
+            "sequence_string",
+            "err_constant_null",
+            "replications_null",
+            "seed_null",
+            "out_dir_null",
+        ],
     )
     def test_number_must_be_finite(self, tmp_path, capsys, overrides, message):
         data = minimal_config(**overrides)

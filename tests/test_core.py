@@ -9,7 +9,6 @@ from courtlearn.core import (
     BallCases,
     ConfigurationError,
     ConstantTruth,
-    Dataset,
     FixedCosts,
     LinearTruth,
     PointMassCosts,
@@ -48,13 +47,6 @@ class TestCaseFeatures:
         check_unit_ball(np.array([[0.6, 0.8], [0.0, 0.0]]))
         with pytest.raises(ConfigurationError, match="outside the unit ball"):
             check_unit_ball(np.array([[0.6, 0.8], [1.0, 0.5]]))
-
-    def test_singleton_has_no_feature_vector(self):
-        data = Dataset()
-        with pytest.raises(ConfigurationError):
-            data.gram
-        with pytest.raises(ConfigurationError):
-            data.xty
 
 
 class TestGroundTruth:
@@ -141,35 +133,6 @@ class TestCourtOutcome:
         truth = LinearTruth(beta=np.array([0.1]), beta0=0.5, sigma=0.0, alpha=1.0)
         with pytest.raises(ConfigurationError, match="needs matching vector cases"):
             _environment(truth, BallCases(2), 10)
-
-
-class TestDataset:
-    def test_append_only_growth(self):
-        data = Dataset()
-        assert len(data) == 0
-        for i, y in enumerate([1.0, 3.0]):
-            data.append_row(None, y)
-            assert len(data) == i + 1
-        assert data.sum_outcomes == 4.0
-
-    def test_vector_statistics_match_direct_computation(self):
-        rng = np.random.default_rng(4)
-        data = Dataset(dim=3)
-        xs = sample_cases(BallCases(3), 20, rng, rng)
-        ys = rng.normal(size=20)
-        for x, y in zip(xs, ys):
-            data.append_row(augment(x), y)
-        x = np.hstack([xs, np.ones((20, 1))])
-        np.testing.assert_allclose(data.gram, x.T @ x, atol=1e-12)
-        np.testing.assert_allclose(data.xty, x.T @ ys, atol=1e-12)
-        assert len(data) == 20
-        assert data.sum_outcomes == pytest.approx(ys.sum())
-
-    def test_dimension_checks(self):
-        with pytest.raises(ConfigurationError, match="case dimension must be >= 1"):
-            Dataset(dim=0)
-        data = Dataset(dim=2)
-        assert data.gram.shape == (3, 3) and data.xty.shape == (3,)
 
 
 class TestCostModels:

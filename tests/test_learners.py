@@ -5,71 +5,60 @@ import math
 import numpy as np
 import pytest
 
-from courtlearn.core import BallCases, Dataset, augment, sample_cases
-from courtlearn.learners import (
-    LearnerFamily,
-    LearnerKind,
-    LinearRule,
-    MeanRule,
-    err_bound,
-    fit,
-    predict_batch,
-)
+from courtlearn.core import BallCases, augment, decompose, sample_cases
+from courtlearn.learners import LearnerFamily, LearnerKind, _fit_linear, err_bound
+from courtlearn.sim import _clip, _LinearFits, _MeanFits, _predict
 
 MEAN = LearnerKind(LearnerFamily.EMPIRICAL_MEAN)
 OLS = LearnerKind(LearnerFamily.OLS)
 NCL = LearnerKind(LearnerFamily.NORM_CONSTRAINED, radius=1.0)
 
 
-def _singleton_data(*ys):
-    data = Dataset()
-    for y in ys:
-        data.append_row(None, y)
-    return data
+def _fit(kind, rows, ys):
+    """``_fit_linear`` on the Gram matrix and X^T y of augmented ``rows``, summed one row at a time."""
+    gram = np.zeros((rows.shape[1], rows.shape[1]))
+    xty = np.zeros(rows.shape[1])
+    for row, y in zip(rows, ys):
+        gram += np.outer(row, row)
+        xty += y * row
+    return _fit_linear(kind, decompose(gram).pick(None), xty[None])[0]
 
 
-def _line_data(xs, slope, intercept):
-    data = Dataset(dim=1)
-    for x in xs:
-        data.append_row(augment(np.array([x])), slope * x + intercept)
-    return data
+def _line_fit(kind, xs, slope, intercept):
+    return _fit(kind, augment(np.array(xs)[:, None]), [slope * x + intercept for x in xs])
 
 
 class TestFit:
     def test_empirical_mean(self):
-        rule = fit(MEAN, _singleton_data(1.0, 3.0))
-        assert rule == MeanRule(2.0, 2)
+        fits = _MeanFits(5.0, np.array([1.0, 3.0]))
+        fits.add(range(2))
+        assert fits.rules == [0.0, 1.0, 2.0]
 
     def test_empty_dataset_gives_zero_rule(self):
-        assert fit(MEAN, Dataset()) == MeanRule(0.0, 0)
-        rule = fit(OLS, Dataset(dim=2))
-        np.testing.assert_array_equal(rule.coef, np.zeros(3))
+        assert _MeanFits(5.0, np.array([1.0])).rules == [0.0]
+        fits = _LinearFits(OLS, np.zeros((4, 2)), np.ones(4))
+        np.testing.assert_array_equal(fits.coefs(), np.zeros((1, 3)))
 
     def test_ols_noiseless_interpolation(self):
-        data = _line_data([-0.4, 0.0, 0.3], slope=2.0, intercept=1.0)
-        rule = fit(OLS, data)
-        np.testing.assert_allclose(rule.coef, [2.0, 1.0], atol=1e-9)
-        assert rule.fitted_on == 3
+        coef = _line_fit(OLS, [-0.4, 0.0, 0.3], slope=2.0, intercept=1.0)
+        np.testing.assert_allclose(coef, [2.0, 1.0], atol=1e-9)
 
     def test_ols_rank_deficient_uses_minimum_norm(self):
         # one observation in 2-d: infinitely many interpolants, pick the shortest
-        data = Dataset(dim=2)
         x = augment(np.array([0.6, 0.0]))
-        data.append_row(x, 1.2)
-        rule = fit(OLS, data)
+        coef = _fit(OLS, x[None], [1.2])
         lstsq_coef = np.linalg.lstsq(x[None, :], np.array([1.2]), rcond=None)[0]
-        np.testing.assert_allclose(rule.coef, lstsq_coef, atol=1e-10)
-        assert abs(float(rule.coef @ x) - 1.2) < 1e-10
+        np.testing.assert_allclose(coef, lstsq_coef, atol=1e-10)
+        assert abs(float(coef @ x) - 1.2) < 1e-10
 
     def test_norm_constraint_inactive_inside_ball(self):
-        data = _line_data([-0.4, 0.0, 0.3], slope=0.5, intercept=0.2)
-        np.testing.assert_allclose(fit(NCL, data).coef, fit(OLS, data).coef, atol=1e-12)
+        line = ([-0.4, 0.0, 0.3], 0.5, 0.2)
+        np.testing.assert_allclose(_line_fit(NCL, *line), _line_fit(OLS, *line), atol=1e-12)
 
     def test_norm_constraint_active_on_steep_line(self):
         # true coefficients (3, 0.5) have norm > 1, so the constraint binds
-        data = _line_data([-0.8, -0.3, 0.2, 0.6, 0.9], slope=3.0, intercept=0.5)
-        rule = fit(NCL, data)
-        norm = float(np.linalg.norm(rule.coef))
+        coef = _line_fit(NCL, [-0.8, -0.3, 0.2, 0.6, 0.9], slope=3.0, intercept=0.5)
+        norm = float(np.linalg.norm(coef))
         assert abs(norm - 1.0) <= 1e-8
 
         # oracle: no random unit-norm candidate does better on the data
@@ -79,7 +68,7 @@ class TestFit:
         def residual(coef):
             return float(np.sum((x @ coef - y) ** 2))
 
-        fitted_residual = residual(rule.coef)
+        fitted_residual = residual(coef)
         rng = np.random.default_rng(11)
         for _ in range(100):
             candidate = rng.standard_normal(2)
@@ -87,30 +76,29 @@ class TestFit:
             assert fitted_residual <= residual(candidate) + 1e-9
 
     def test_fit_is_pure(self):
-        build = lambda: _line_data([-0.5, 0.1, 0.7], slope=1.5, intercept=0.3)
-        a, b = fit(NCL, build()), fit(NCL, build())
-        np.testing.assert_array_equal(a.coef, b.coef)
+        line = ([-0.5, 0.1, 0.7], 1.5, 0.3)
+        np.testing.assert_array_equal(_line_fit(NCL, *line), _line_fit(NCL, *line))
 
 
 class TestPredict:
     def test_in_range_identity(self):
-        np.testing.assert_array_equal(predict_batch(MeanRule(2.0, 4), None, 3, alpha=5.0), [2.0] * 3)
+        np.testing.assert_array_equal(_clip(np.full(3, 2.0), alpha=5.0), [2.0] * 3)
 
     def test_lower_clip(self):
-        np.testing.assert_array_equal(predict_batch(MeanRule(-0.3, 4), None, 2, alpha=5.0), [0.0] * 2)
+        np.testing.assert_array_equal(_clip(np.full(2, -0.3), alpha=5.0), [0.0] * 2)
 
     def test_upper_clip_linear(self):
-        rule = LinearRule(np.array([2.0, 1.0]), 3)
         xs = np.array([[1.0], [-0.8], [0.25]])
-        np.testing.assert_array_equal(predict_batch(rule, xs, 3, alpha=2.0), [2.0, 0.0, 1.5])
+        raw = _predict(xs, np.array([[2.0, 1.0]]), np.zeros(3, dtype=int))
+        np.testing.assert_array_equal(_clip(raw, alpha=2.0), [2.0, 0.0, 1.5])
 
     def test_batch_matches_scalar(self):
-        # the offline baseline's batch against the online driver's one dot per row
-        rule = LinearRule(np.array([0.8, -0.2, 0.4]), 5)
+        # the driver's stacked prediction against one dot per row
+        coef = np.array([0.8, -0.2, 0.4])
         rng = np.random.default_rng(3)
         xs = sample_cases(BallCases(2), 50, rng, rng)
-        batch = predict_batch(rule, xs, 50, alpha=1.0)
-        w, b = rule.coef[:-1], rule.coef[-1]
+        batch = _clip(_predict(xs, coef[None], np.zeros(50, dtype=int)), alpha=1.0)
+        w, b = coef[:-1], coef[-1]
         scalar = [min(max(float(w @ x + b), 0.0), 1.0) for x in xs]
         np.testing.assert_allclose(batch, scalar, atol=1e-15)
 

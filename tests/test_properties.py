@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from courtlearn.config import parse_config
 from courtlearn.core import ConfigurationError
 from courtlearn.experiment import run_experiment
-from courtlearn.learners import LearnerFamily, LearnerKind, LinearRule, MeanRule, err_bound, predict_batch
+from courtlearn.learners import LearnerFamily, LearnerKind, err_bound
 from courtlearn.policies import (
     DynamicCompellingConfig,
     EtcConfig,
@@ -22,7 +22,7 @@ from courtlearn.policies import (
     subsidy_bases,
     subsidy_tail_probability,
 )
-from courtlearn.sim import _offers
+from courtlearn.sim import _clip, _offers, _predict
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -42,7 +42,7 @@ def test_err_bound_non_increasing_in_m(sigma, alpha, constant, m_small, extra):
 
 @given(mean=finite, alpha=positive)
 def test_mean_prediction_stays_in_range(mean, alpha):
-    (value,) = predict_batch(MeanRule(mean, 1), None, 1, alpha)
+    (value,) = _clip(np.array([mean]), alpha)
     assert 0.0 <= value <= alpha
 
 
@@ -53,8 +53,7 @@ def test_mean_prediction_stays_in_range(mean, alpha):
     alpha=positive,
 )
 def test_linear_prediction_stays_in_range(coef, x, y, alpha):
-    rule = LinearRule(np.asarray(coef), 5)
-    (value,) = predict_batch(rule, np.array([[x, y]]), 1, alpha)
+    (value,) = _clip(_predict(np.array([[x, y]]), np.array([coef]), np.zeros(1, dtype=int)), alpha)
     assert 0.0 <= value <= alpha
 
 

@@ -13,7 +13,6 @@ from courtlearn.core import (
     BallCases,
     ConfigurationError,
     ConstantTruth,
-    Dataset,
     LinearTruth,
     PointMassCosts,
     augment,
@@ -82,15 +81,10 @@ def test_gate_on_the_shared_spectrum_matches_kwik_gate(dim, count, seed, alpha1,
     query = xs[count]
     assume(_margins_clear(courted, augment(query), alpha1, alpha2))
 
-    data = Dataset(dim)
-
-    def compels():
-        return bool(_gate(data.spectrum(), augment(query)[None], alpha1, alpha2)[0])
-
-    compels()  # a stale cached spectrum would show below
+    gram = np.zeros((dim + 1, dim + 1))
     for row in courted:
-        data.append_row(row, 0.0)
-    compelled = compels()
+        gram += np.outer(row, row)
+    compelled = bool(_gate(decompose(gram), augment(query)[None], alpha1, alpha2)[0])
 
     assert compelled is kwik_gate(courted, augment(query), alpha1, alpha2)
 
