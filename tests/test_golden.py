@@ -318,3 +318,63 @@ def test_offline_baseline_bits():
     env, _, alpha = _baseline_env("mean")
     with pytest.raises(ConfigurationError, match="ols baseline requires vector cases"):
         offline_baseline(env, LearnerKind(LearnerFamily.OLS), alpha)
+
+
+# Every policy under every cost kind at two horizons: the digest keys each
+# ledger cell, so a policy's run values (horizon, alpha, cost range) must
+# enter the canonical description however the policy config holds them.
+_DIGEST_COSTS = {
+    "point": {"kind": "point", "c": 2.0},
+    "uniform": {"kind": "uniform", "c_min": 1.0, "c_max": 3.0},
+    "sequence": {"kind": "sequence", "costs": [1.5, 2.5, 1.25]},
+}
+
+CONFIG_DIGESTS = {
+    "no_subsidy/point/100": "289773620f5cbc21",
+    "no_subsidy/point/300": "ee8a6c105933df88",
+    "etc/point/100": "baf4376f54dc621d",
+    "etc/point/300": "5a76e27642ca9474",
+    "dynamic_compelling/point/100": "99d024aa02a11e57",
+    "dynamic_compelling/point/300": "a3705c3458ab5d0e",
+    "subsidy_sampling/point/100": "694a0b0c7a3bf9fb",
+    "subsidy_sampling/point/300": "0d72d4d6c8381deb",
+    "kwik/point/100": "8104a7afa172e30d",
+    "kwik/point/300": "e33007cfb2d6536f",
+    "no_subsidy/uniform/100": "dee1bb7ff5ac639c",
+    "no_subsidy/uniform/300": "0cb6302f07e8d6ed",
+    "etc/uniform/100": "4cc3ee594f002a27",
+    "etc/uniform/300": "0b16f02668804d36",
+    "dynamic_compelling/uniform/100": "845f6591adb990bb",
+    "dynamic_compelling/uniform/300": "781f2d334b109558",
+    "subsidy_sampling/uniform/100": "e358cf074226caab",
+    "subsidy_sampling/uniform/300": "75a000ece8a7f234",
+    "kwik/uniform/100": "99f1f922ee88c76b",
+    "kwik/uniform/300": "bf7cf1dcabb01e9b",
+    "no_subsidy/sequence/100": "666a96e6d4edee2b",
+    "no_subsidy/sequence/300": "dbc0cb834211a765",
+    "etc/sequence/100": "c0658d68ba9bfc92",
+    "etc/sequence/300": "f04d98ef47ae9377",
+    "dynamic_compelling/sequence/100": "33eef199f36320f6",
+    "dynamic_compelling/sequence/300": "38e9eaf9418e8d35",
+    "subsidy_sampling/sequence/100": "2f7ec8a694334d59",
+    "subsidy_sampling/sequence/300": "863fed97c2350d7c",
+    "kwik/sequence/100": "0892eeef2f6760b5",
+    "kwik/sequence/300": "3c901c00c13cd2b0",
+}
+
+
+def test_config_digests():
+    digests = {}
+    for cost_name, cost in _DIGEST_COSTS.items():
+        spec = parse_config({
+            "truth": {"family": "linear", "beta": [0.2, 0.1], "beta0": 0.4, "sigma": 0.1, "alpha": 1.5},
+            "cases": {"kind": "ball", "dim": 2},
+            "cost": cost,
+            "learner": {"kind": "ols"},
+            "policies": ["no_subsidy", "etc", "dynamic_compelling", "subsidy_sampling", _KWIK],
+            "sweep": [100, 300],
+        })
+        for policy in spec.policies:
+            for horizon in spec.sweep:
+                digests[f"{policy.name}/{cost_name}/{horizon}"] = spec.run_config(policy, horizon).digest()
+    assert digests == CONFIG_DIGESTS
