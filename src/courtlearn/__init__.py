@@ -42,7 +42,7 @@ from .sim import (
     offline_baseline,
     run,
 )
-from .config import ExperimentSpec, PolicyRequest, load_config, parse_config
+from .config import ExperimentSpec, load_config, parse_config
 from .experiment import kwik_report, run_experiment
 
 __version__ = "0.1.0"
@@ -80,7 +80,6 @@ __all__ = [
     "offline_baseline",
     "run",
     "ExperimentSpec",
-    "PolicyRequest",
     "load_config",
     "parse_config",
     "kwik_report",

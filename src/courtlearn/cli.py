@@ -26,7 +26,7 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
         updates["out_dir"] = args.out
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.replications is not None:
+    if getattr(args, "replications", None) is not None:
         updates["replications"] = args.replications
     return dataclasses.replace(spec, **updates) if updates else spec
 
@@ -35,9 +35,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("config", help="path to the experiment config (JSON)")
     parser.add_argument("--out", help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    parser.add_argument(
-        "--replications", type=int, help="replications per cell (overrides the config)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,6 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="sweep policies and emit regret/slope tables")
     _add_common_arguments(run_parser)
+    run_parser.add_argument(
+        "--replications", type=int, help="replications per cell (overrides the config)"
+    )
     run_parser.add_argument(
         "--ledgers", action="store_true", help="also emit per-replication ledgers (JSON lines)"
     )

@@ -32,41 +32,12 @@ from .learners import LearnerFamily, LearnerKind
 from .policies import PolicyConfig
 from .sim import RunConfig
 
-__all__ = ["PolicyRequest", "ExperimentSpec", "load_config", "parse_config"]
+__all__ = ["ExperimentSpec", "load_config", "parse_config"]
 
 DEFAULT_REPLICATIONS = 100
 DEFAULT_ERR_CONSTANT = 1.0
 
 _POLICY_CONFIGS = {config_class.name: config_class for config_class in get_args(PolicyConfig)}
-
-# Policy config fields filled from the spec rather than from the policy entry.
-_SPEC_FIELDS = ("horizon", "alpha", "c_min", "c_max")
-
-
-@dataclass(frozen=True)
-class PolicyRequest:
-    """A policy entry from the config file: its name and its own parameters.
-
-    The horizon, alpha and cost range are filled in per sweep point by
-    :meth:`materialize`.
-    """
-
-    name: str
-    params: dict[str, float]
-
-    def materialize(self, spec: "ExperimentSpec", horizon: int) -> PolicyConfig:
-        values = {
-            "horizon": horizon,
-            "alpha": spec.truth.alpha,
-            "c_min": spec.costs.c_min,
-            "c_max": spec.costs.c_max,
-            **self.params,
-        }
-        config_class = _POLICY_CONFIGS[self.name]
-        return config_class(
-            **{f.name: values[f.name] for f in fields(config_class) if f.name in values}
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -76,7 +47,7 @@ class ExperimentSpec:
     cases: CaseSpec
     costs: CostModel
     learner: LearnerKind
-    policies: tuple[PolicyRequest, ...]
+    policies: tuple[PolicyConfig, ...]
     sweep: tuple[int, ...]
     replications: int
     seed: int
@@ -89,7 +60,7 @@ class ExperimentSpec:
         if self.seed < 0:
             raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
 
-    def run_config(self, request: PolicyRequest, horizon: int) -> RunConfig:
+    def run_config(self, policy: PolicyConfig, horizon: int) -> RunConfig:
         """The run configuration of one (policy, horizon) cell."""
         return RunConfig(
             horizon=horizon,
@@ -97,7 +68,7 @@ class ExperimentSpec:
             cases=self.cases,
             costs=self.costs,
             learner=self.learner,
-            policy=request.materialize(self, horizon),
+            policy=policy,
             seed=self.seed,
         )
 
@@ -234,7 +205,7 @@ def _parse_section(parse: Callable[[_Reader], Any], reader: _Reader) -> Any:
     return value
 
 
-def _parse_policy(entry: Any, path: str) -> PolicyRequest:
+def _parse_policy(entry: Any, path: str) -> PolicyConfig:
     if isinstance(entry, str):
         entry = {"name": entry}
     reader = _Reader(entry, path)
@@ -243,15 +214,19 @@ def _parse_policy(entry: Any, path: str) -> PolicyRequest:
         raise ConfigurationError(
             f"{path}.name: unknown policy {name!r} (expected one of {', '.join(_POLICY_CONFIGS)})"
         )
+    config_class = _POLICY_CONFIGS[name]
     params = {
         f.name: reader.number(f.name)
-        for f in fields(_POLICY_CONFIGS[name])
-        if f.name not in _SPEC_FIELDS and (f.default is MISSING or f.name in entry)
+        for f in fields(config_class)
+        if f.default is MISSING or f.name in entry
     }
     reader.reject_unknown()
     if "alpha1" in params and "alpha1_constant" in params:
         raise ConfigurationError(f"{path}.alpha1_constant: ignored when {path}.alpha1 is set")
-    return PolicyRequest(name, params)
+    try:
+        return config_class(**params)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path} ({name}): {exc}") from None
 
 
 def parse_config(data: dict) -> ExperimentSpec:
@@ -269,7 +244,7 @@ def parse_config(data: dict) -> ExperimentSpec:
         _parse_policy(entry, f"policies[{i}]") for i, entry in enumerate(raw_policies)
     )
     # Rows and slopes are keyed by policy name, so a repeated name would be ambiguous.
-    names = [request.name for request in policies]
+    names = [policy.name for policy in policies]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigurationError(f"policies[{i}]: duplicate policy {name!r}")
@@ -307,12 +282,12 @@ def parse_config(data: dict) -> ExperimentSpec:
     )
     # Build every (policy, horizon) cell now so bad combinations fail at
     # load time, not mid-sweep.
-    for i, request in enumerate(spec.policies):
+    for i, policy in enumerate(spec.policies):
         for horizon in spec.sweep:
             try:
-                spec.run_config(request, horizon)
+                spec.run_config(policy, horizon)
             except ConfigurationError as exc:
-                raise ConfigurationError(f"policies[{i}] ({request.name}): {exc}") from None
+                raise ConfigurationError(f"policies[{i}] ({policy.name}): {exc}") from None
     return spec
 
 

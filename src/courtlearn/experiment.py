@@ -173,23 +173,23 @@ def _run_cells(spec: ExperimentSpec, out_dir: Path, stream: TextIO | None) -> di
     streams each replication's ledger line to ``stream`` when one is given."""
     regret_lines = [REGRET_COLUMNS]
     per_policy: dict[str, list[tuple[int, float]]] = {}
-    for request in spec.policies:
+    for policy in spec.policies:
         for horizon in spec.sweep:
-            config = spec.run_config(request, horizon)
+            config = spec.run_config(policy, horizon)
             sink = None
             if stream is not None:
 
-                def sink(rep, ledger, _p=request.name, _h=horizon):
+                def sink(rep, ledger, _p=policy.name, _h=horizon):
                     _ledger_line(stream, _p, _h, rep, ledger)
                     stream.write("\n")
 
             report = estimate_regret(config, spec.replications, ledger_sink=sink)
             row = (
-                request.name, horizon, report.mean_regret, report.std_error,
+                policy.name, horizon, report.mean_regret, report.std_error,
                 report.mean_court_count, report.mean_total_subsidy, report.mean_offline_loss,
             )
             regret_lines.append(_csv_row(row, "regret.csv"))
-            per_policy.setdefault(request.name, []).append((horizon, report.mean_regret))
+            per_policy.setdefault(policy.name, []).append((horizon, report.mean_regret))
 
     slope_lines = [SLOPES_COLUMNS]
     for name, points in per_policy.items():
@@ -215,8 +215,8 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     One deterministic run per horizon (replication 0); prediction accuracy
     is measured against the true rule on every settled case.
     """
-    kwik_requests = [p for p in spec.policies if p.name == "kwik"]
-    if len(kwik_requests) != 1:
+    kwik_policies = [p for p in spec.policies if p.name == "kwik"]
+    if len(kwik_policies) != 1:
         raise ConfigurationError("kwik report needs exactly one kwik policy in the config")
     dim = spec.cases.dim
     if dim is None:
@@ -225,7 +225,7 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     out_dir = _output_dir(spec)
     lines = [KWIK_COLUMNS]
     for horizon in spec.sweep:
-        config = spec.run_config(kwik_requests[0], horizon)
+        config = spec.run_config(kwik_policies[0], horizon)
         epsilon = config.policy.epsilon
         ledger = run(config, rep=0)
         steps = ledger.steps

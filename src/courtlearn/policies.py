@@ -16,17 +16,20 @@ largest settlement shift a court visit could produce); ties litigate.
 * ``kwik``                - compel unless the courted history provably covers
                             the query direction (eigenvalue-gated prediction).
 
-A policy is its frozen config.  The first four are state-free: each config
-states its whole-horizon law (``horizon_actions``), which draws a run's
-compel mask and subsidy bases up front, and the step from which it stays
-idle (``inactive_from``).  Each law is stated once: ``etc_compel_count``
-gives the compel phase's length, and ``dynamic_compel_probability``,
-``subsidy_tail_probability`` and ``subsidy_bases`` work elementwise on the
-step numbers.  The kwik gate depends on the court history, so it cannot be
-drawn up front; still, ``_gate`` checks many case rows in one stacked pass,
-at ``KwikConfig.thresholds``: a window of rows on the spectrum frozen since
-the last court visit, or a block of rows each on its own prefix of the
-court rows.
+A policy is its frozen config, which holds only the policy's own parameters:
+its law reads the horizon, the truth's alpha and the cost model's range from
+the run.  The first four are state-free: each config states its
+whole-horizon law (``horizon_actions``), which draws a run's compel mask and
+subsidy bases up front, and the step from which it stays idle
+(``inactive_from``).  Each law is stated once: ``etc_compel_count`` gives the
+compel phase's length, ``transition_step`` the subsidy law's early phase, and
+``dynamic_compel_probability``, ``subsidy_tail_probability`` and
+``subsidy_bases`` work elementwise on the step numbers.  The kwik gate
+depends on the court history, so it cannot be drawn up front; still,
+``_gate`` checks many case rows in one stacked pass, at
+``KwikConfig.thresholds``: a window of rows on the spectrum frozen since the
+last court visit, or a block of rows each on its own prefix of the court
+rows.
 """
 
 from __future__ import annotations
@@ -100,6 +103,13 @@ def subsidy_tail_probability(t: int | np.ndarray, c: float, alpha: float, phase1
     return p[()]
 
 
+def transition_step(alpha: float, c_min: float) -> int:
+    """Last step of the subsidy law's scaled early phase; 0 when no scaling is needed."""
+    if alpha / math.sqrt(c_min) > 1.0:
+        return max(math.floor(alpha**2), math.floor(alpha**2 / c_min))
+    return 0
+
+
 def subsidy_bases(
     u: np.ndarray, t: np.ndarray, alpha: float, c_min: float, c_max: float, transition_step: int
 ) -> np.ndarray:
@@ -155,15 +165,18 @@ def kwik_default_alpha1(epsilon: float, delta: float, dim: int, constant: float 
 
 # Each config class carries its config-file ``name`` and a stable ``tag`` for
 # seed derivation; adding a policy must not perturb the derived streams of
-# existing ones.  ``state_free`` marks policies whose randomness and
-# compel/subsidy law do not depend on the court history (a subsidy offer
-# reads it only through the error bound), so a whole run's actions can be
-# drawn up front.  Their ``horizon_actions(horizon, rng)`` returns steps
-# 1..horizon at once as (compel mask, subsidy bases), drawing one uniform per
-# step from ``rng`` (none for ``no_subsidy`` and ``etc``).  ``None`` stands
-# for "never compels" or "never offers"; the offer at step t is
-# ``max(0.0, bases[t - 1] - 2 * err_before)``.  ``inactive_from(t)`` is True
-# if the policy neither compels nor offers a subsidy at any step >= t.
+# existing ones.  ``run_fields`` names the run values its law reads (the
+# horizon, the truth's alpha, the cost model's c_min and c_max); the run's
+# canonical description records them with the policy.  ``state_free`` marks
+# policies whose randomness and compel/subsidy law do not depend on the court
+# history (a subsidy offer reads it only through the error bound), so a whole
+# run's actions can be drawn up front.  Their ``horizon_actions(run, rng)``
+# returns steps 1..run.horizon at once as (compel mask, subsidy bases),
+# drawing one uniform per step from ``rng`` (none for ``no_subsidy`` and
+# ``etc``).  ``None`` stands for "never compels" or "never offers"; the offer
+# at step t is ``max(0.0, bases[t - 1] - 2 * err_before)``.
+# ``inactive_from(run, t)`` is True if the policy neither compels nor offers a
+# subsidy at any step >= t.  ``run`` is the ``sim.RunConfig`` being played.
 
 
 @dataclass(frozen=True)
@@ -173,11 +186,12 @@ class NoSubsidyConfig:
     name: ClassVar[str] = "no_subsidy"
     tag: ClassVar[int] = 1
     state_free: ClassVar[bool] = True
+    run_fields: ClassVar[tuple[str, ...]] = ()
 
-    def inactive_from(self, t: int) -> bool:
+    def inactive_from(self, run, t: int) -> bool:
         return True
 
-    def horizon_actions(self, horizon: int, rng) -> tuple[None, None]:
+    def horizon_actions(self, run, rng) -> tuple[None, None]:
         return None, None
 
 
@@ -188,26 +202,14 @@ class EtcConfig:
     name: ClassVar[str] = "etc"
     tag: ClassVar[int] = 2
     state_free: ClassVar[bool] = True
+    run_fields: ClassVar[tuple[str, ...]] = ("horizon", "alpha", "c_max")
 
-    horizon: int
-    alpha: float
-    c_max: float
+    def inactive_from(self, run, t: int) -> bool:
+        return t > etc_compel_count(run.horizon, run.truth.alpha, run.costs.c_max)
 
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ConfigurationError(f"policy horizon must be >= 1, got {self.horizon}")
-        if not (self.alpha > 0 and self.c_max > 0):
-            raise ConfigurationError("etc policy needs alpha > 0 and c_max > 0")
-
-    @property
-    def compel_count(self) -> int:
-        return etc_compel_count(self.horizon, self.alpha, self.c_max)
-
-    def inactive_from(self, t: int) -> bool:
-        return t > self.compel_count
-
-    def horizon_actions(self, horizon: int, rng) -> tuple[np.ndarray, None]:
-        return np.arange(horizon) < self.compel_count, None
+    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None]:
+        count = etc_compel_count(run.horizon, run.truth.alpha, run.costs.c_max)
+        return np.arange(run.horizon) < count, None
 
 
 @dataclass(frozen=True)
@@ -217,60 +219,38 @@ class DynamicCompellingConfig:
     name: ClassVar[str] = "dynamic_compelling"
     tag: ClassVar[int] = 3
     state_free: ClassVar[bool] = True
+    run_fields: ClassVar[tuple[str, ...]] = ("alpha", "c_max")
 
-    alpha: float
-    c_max: float
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.c_max > 0):
-            raise ConfigurationError("dynamic_compelling policy needs alpha > 0 and c_max > 0")
-
-    def inactive_from(self, t: int) -> bool:
+    def inactive_from(self, run, t: int) -> bool:
         return False
 
-    def horizon_actions(self, horizon: int, rng) -> tuple[np.ndarray, None]:
-        t = np.arange(1, horizon + 1, dtype=float)
-        return rng.random(horizon) < dynamic_compel_probability(t, self.alpha, self.c_max), None
+    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None]:
+        t = np.arange(1, run.horizon + 1, dtype=float)
+        p = dynamic_compel_probability(t, run.truth.alpha, run.costs.c_max)
+        return rng.random(run.horizon) < p, None
 
 
 @dataclass(frozen=True)
 class SubsidySamplingConfig:
-    """Random subsidies with the decaying tail law over a known cost range.
+    """Random subsidies with the decaying tail law over the run's cost range.
 
-    A config may lie outside the region where the law is a distribution at
-    t = 1; ``sim.RunConfig`` refuses such a policy for a run.
+    A run may lie outside the region where the law is a distribution at
+    t = 1; ``sim.RunConfig`` refuses such a run.
     """
 
     name: ClassVar[str] = "subsidy_sampling"
     tag: ClassVar[int] = 4
     state_free: ClassVar[bool] = True
+    run_fields: ClassVar[tuple[str, ...]] = ("alpha", "c_min", "c_max")
 
-    alpha: float
-    c_min: float
-    c_max: float
-
-    def __post_init__(self) -> None:
-        if not self.c_min > 0:
-            raise ConfigurationError(f"subsidy policy c_min must be > 0, got {self.c_min}")
-        if self.c_max < self.c_min:
-            raise ConfigurationError("subsidy policy needs c_max >= c_min")
-        if not self.alpha > 0:
-            raise ConfigurationError("subsidy policy needs alpha > 0")
-
-    @property
-    def transition_step(self) -> int:
-        """Last step of the scaled early phase; 0 when no scaling is needed."""
-        if self.alpha / math.sqrt(self.c_min) > 1.0:
-            return max(math.floor(self.alpha**2), math.floor(self.alpha**2 / self.c_min))
-        return 0
-
-    def inactive_from(self, t: int) -> bool:
+    def inactive_from(self, run, t: int) -> bool:
         return False
 
-    def horizon_actions(self, horizon: int, rng) -> tuple[None, np.ndarray]:
+    def horizon_actions(self, run, rng) -> tuple[None, np.ndarray]:
+        alpha, c_min = run.truth.alpha, run.costs.c_min
         bases = subsidy_bases(
-            rng.random(horizon), np.arange(1, horizon + 1), self.alpha, self.c_min, self.c_max,
-            self.transition_step,
+            rng.random(run.horizon), np.arange(1, run.horizon + 1), alpha, c_min, run.costs.c_max,
+            transition_step(alpha, c_min),
         )
         if np.isinf(bases).any():
             raise ConfigurationError("subsidy must be finite and >= 0, got inf")
@@ -289,6 +269,7 @@ class KwikConfig:
     name: ClassVar[str] = "kwik"
     tag: ClassVar[int] = 5
     state_free: ClassVar[bool] = False
+    run_fields: ClassVar[tuple[str, ...]] = ()
 
     epsilon: float
     delta: float

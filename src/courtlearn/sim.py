@@ -57,13 +57,7 @@ from .core import (
     sample_cases,
 )
 from .learners import LearnerFamily, LearnerKind, _fit_linear, err_bound
-from .policies import (
-    EtcConfig,
-    KwikConfig,
-    PolicyConfig,
-    SubsidySamplingConfig,
-    subsidy_tail_probability,
-)
+from .policies import KwikConfig, PolicyConfig, SubsidySamplingConfig, subsidy_tail_probability
 
 __all__ = [
     "STEP_COLUMNS",
@@ -148,25 +142,17 @@ class RunConfig:
                 raise ConfigurationError("empirical_mean learner requires a constant truth")
         elif case_dim is None:
             raise ConfigurationError(f"{self.learner.family.value} learner requires vector cases")
-        if isinstance(self.policy, EtcConfig) and self.policy.horizon != self.horizon:
-            raise ConfigurationError(
-                f"etc policy horizon {self.policy.horizon} does not match run horizon {self.horizon}"
-            )
         if isinstance(self.policy, KwikConfig):
             if case_dim is None:
                 raise ConfigurationError("kwik policy requires vector cases")
             self.policy.thresholds(case_dim)  # refuses an undefined default alpha1
         if isinstance(self.policy, SubsidySamplingConfig):
-            if self.policy.c_min > self.costs.c_min or self.policy.c_max < self.costs.c_max:
-                raise ConfigurationError(
-                    "subsidy policy cost range must cover the cost model range"
-                )
             # The scaled distribution must already be a probability measure at
             # t = 1, the worst step; fail fast instead of mid-run.  The early
             # phase exists exactly when alpha > sqrt(c_min); its length,
-            # ``transition_step``, may overflow for a config refused here.
-            phase1 = self.policy.alpha / math.sqrt(self.policy.c_min) > 1.0
-            subsidy_tail_probability(1, self.policy.c_min, self.policy.alpha, phase1)
+            # ``policies.transition_step``, may overflow for a run refused here.
+            alpha, c_min = self.truth.alpha, self.costs.c_min
+            subsidy_tail_probability(1, c_min, alpha, alpha / math.sqrt(c_min) > 1.0)
         # A step's squared error, court fee, subsidy and deterrent payoff each
         # stay within w, so a run's sums stay within T * w, and a regret's
         # squared deviation from the mean within (2 * w)^2.
@@ -202,7 +188,17 @@ class RunConfig:
             "err_constant": self.learner.err_constant,
             "radius": self.learner.radius,
         }
-        policy = {"name": self.policy.name, **_public_fields(self.policy)}
+        run_values = {
+            "horizon": self.horizon,
+            "alpha": self.truth.alpha,
+            "c_min": self.costs.c_min,
+            "c_max": self.costs.c_max,
+        }
+        policy = {
+            "name": self.policy.name,
+            **_public_fields(self.policy),
+            **{name: run_values[name] for name in self.policy.run_fields},
+        }
         return {
             "horizon": self.horizon,
             "truth": truth,
@@ -229,7 +225,7 @@ def _public_fields(obj) -> dict:
 
 @dataclass
 class Environment:
-    """One fully materialized draw of cases, outcomes, and costs.
+    """One full draw of cases, outcomes, and costs.
 
     ``outcomes`` holds the would-be court information for every step, settled
     or not; the online run only ever reads the entries of litigated steps,
@@ -299,7 +295,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         visits = _kwik_visits(xs, costs, policy.thresholds(dim), bound, compel, fits)
     else:
         compel, bases = policy.horizon_actions(
-            T, _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
+            config, _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
         )
         # The closed-form tail needs a case-free prediction (mean learners only).
         skip_tail = not keep_records and not linear
@@ -314,7 +310,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             # A case-by-case loop's first tail-skip step is a window start: err is
             # frozen until the next visit, and a policy that goes inactive (etc)
             # compels every step before.
-            if skip_tail and two_err < cost_floor and policy.inactive_from(s + 1):
+            if skip_tail and two_err < cost_floor and policy.inactive_from(config, s + 1):
                 tail_loss = (T - s) * (fits.rules[-1] - config.truth.mu) ** 2
                 end = s
                 break

@@ -46,7 +46,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     state_free = policy.state_free
     if state_free:
         compel, bases = policy.horizon_actions(
-            T, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
+            config, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
         )
         compel = [False] * T if compel is None else compel.tolist()
         bases = [0.0] * T if bases is None else bases.tolist()
@@ -89,7 +89,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     err_before = alpha  # err bound with the current dataset; alpha while empty
 
     for t in range(1, T + 1):
-        if fast_candidate and 2.0 * err_before < cost_floor and policy.inactive_from(t):
+        if fast_candidate and 2.0 * err_before < cost_floor and policy.inactive_from(config, t):
             total_loss += (T - t + 1) * (rule_value - truth.mu) ** 2
             break
         i = t - 1

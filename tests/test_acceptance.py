@@ -15,7 +15,7 @@ from courtlearn.config import parse_config
 from courtlearn.experiment import fit_loglog_slope, kwik_report, run_experiment
 from courtlearn.core import augment, decompose
 from courtlearn.learners import LearnerFamily, LearnerKind, _fit_linear
-from courtlearn.policies import subsidy_bases, subsidy_tail_probability
+from courtlearn.policies import subsidy_bases, subsidy_tail_probability, transition_step
 from courtlearn.sim import _MeanFits, _offers
 from oracle import recompute_total_loss
 
@@ -67,12 +67,12 @@ def test_criterion_1_learning_stalls_without_selection():
     assert ok
 
 
-def _sweep_slope(policy_factory, costs, replications=200, seed=0):
+def _sweep_slope(policy, costs, replications=200, seed=0):
     points = []
     reports = {}
     for horizon in (1000, 10_000, 100_000):
         config = _constant_config(
-            horizon, policy_factory(horizon), mu=0.5, sigma=0.5, alpha=1.0, costs=costs, seed=seed
+            horizon, policy, mu=0.5, sigma=0.5, alpha=1.0, costs=costs, seed=seed
         )
         report = cl.estimate_regret(config, replications)
         points.append((horizon, report.mean_regret))
@@ -85,9 +85,7 @@ def _sweep_slope(policy_factory, costs, replications=200, seed=0):
 
 def test_criterion_2_explore_then_commit_rate():
     """Regret of the compel-a-prefix policy decays like 1/sqrt(T)."""
-    slope, _ = _sweep_slope(
-        lambda T: cl.EtcConfig(horizon=T, alpha=1.0, c_max=1.0), cl.UniformCosts(0.5, 1.0)
-    )
+    slope, _ = _sweep_slope(cl.EtcConfig(), cl.UniformCosts(0.5, 1.0))
     ok = -0.65 <= slope <= -0.35
     _report(2, "explore-then-commit rate", ok, f"log-log slope {slope:.3f} in [-0.65, -0.35]")
     assert ok
@@ -95,9 +93,7 @@ def test_criterion_2_explore_then_commit_rate():
 
 def test_criterion_3_dynamic_compelling_rate_and_exploration():
     """Horizon-free compelling matches the same rate and its court budget."""
-    slope, reports = _sweep_slope(
-        lambda T: cl.DynamicCompellingConfig(alpha=1.0, c_max=1.0), cl.UniformCosts(0.5, 1.0)
-    )
+    slope, reports = _sweep_slope(cl.DynamicCompellingConfig(), cl.UniformCosts(0.5, 1.0))
     slope_ok = -0.65 <= slope <= -0.35
     courts_ok = True
     details = []
@@ -121,7 +117,7 @@ def test_criterion_3_dynamic_compelling_rate_and_exploration():
 def test_criterion_4_subsidy_sampling():
     """Random subsidies: deterrence holds, offers stay bounded, rate matches."""
     costs = cl.UniformCosts(4.0, 12.0)  # mean 8, c_max = 12 <= (8/2)^2
-    policy = cl.SubsidySamplingConfig(alpha=1.0, c_min=4.0, c_max=12.0)
+    policy = cl.SubsidySamplingConfig()
 
     deterrent_config = _constant_config(
         1000, policy, mu=0.5, sigma=0.5, alpha=1.0, costs=costs, seed=0
@@ -136,7 +132,7 @@ def test_criterion_4_subsidy_sampling():
     cap_slack = subsidy_cap + 3.0 * deterrent.per_step_subsidy_std_errors
     subsidy_ok = bool(np.all(deterrent.per_step_mean_subsidy <= cap_slack))
 
-    slope, _ = _sweep_slope(lambda T: policy, costs)
+    slope, _ = _sweep_slope(policy, costs)
     slope_ok = -0.65 <= slope <= -0.35
 
     ok = violation_ok and subsidy_ok and slope_ok
@@ -168,7 +164,7 @@ def test_criterion_5_subsidy_distribution_exactness():
     mass_ok = True
     worst_gap = 0.0
     for t, alpha, c_min, c_max, two_err in tuples:
-        transition = cl.SubsidySamplingConfig(alpha=alpha, c_min=c_min, c_max=c_max).transition_step
+        transition = transition_step(alpha, c_min)
         phase1 = t <= transition
         steps = np.full(draws_per_tuple, t)
         draws = _offers(
@@ -335,13 +331,13 @@ def _random_run_config(rng: np.random.Generator) -> cl.RunConfig:
     if name == "no_subsidy":
         policy = cl.NoSubsidyConfig()
     elif name == "etc":
-        policy = cl.EtcConfig(horizon=horizon, alpha=alpha, c_max=costs.c_max)
+        policy = cl.EtcConfig()
     elif name == "dynamic":
-        policy = cl.DynamicCompellingConfig(alpha=alpha, c_max=costs.c_max)
+        policy = cl.DynamicCompellingConfig()
     elif name == "kwik":
         policy = cl.KwikConfig(epsilon=0.25, delta=0.1, alpha1_constant=float(rng.uniform(1.0, 20.0)))
     else:
-        policy = cl.SubsidySamplingConfig(alpha=alpha, c_min=costs.c_min, c_max=costs.c_max)
+        policy = cl.SubsidySamplingConfig()
     return cl.RunConfig(
         horizon=horizon,
         truth=truth,

@@ -31,6 +31,7 @@ from courtlearn.policies import (
     etc_compel_count,
     subsidy_bases,
     subsidy_tail_probability,
+    transition_step,
 )
 from oracle import sample_subsidy, step_loop
 
@@ -87,15 +88,9 @@ def mean_runs(draw):
         )
     )
     horizon = draw(st.integers(1, 1500))
-    factor = draw(st.sampled_from([1.0, 0.1, 3.0]))
     policy = draw(
         st.sampled_from(
-            [
-                NoSubsidyConfig(),
-                EtcConfig(horizon, alpha, costs.c_max * factor),
-                DynamicCompellingConfig(alpha, costs.c_max * factor),
-                SubsidySamplingConfig(alpha, costs.c_min, costs.c_max * max(factor, 1.0)),
-            ]
+            [NoSubsidyConfig(), EtcConfig(), DynamicCompellingConfig(), SubsidySamplingConfig()]
         )
     )
     try:
@@ -122,10 +117,10 @@ def mean_runs(draw):
                            costs=PointMassCosts(1.0)), 0), keep_records=False)
 # After one visit 2 * err == c_min == 1.0 exactly: the strict test keeps the skip off.
 @example(run=(_mean_config(NoSubsidyConfig(), 1500), 1), keep_records=False)
-@example(run=(_mean_config(EtcConfig(1500, 1.0, 2.0), 1500), 2), keep_records=False)
-@example(run=(_mean_config(SubsidySamplingConfig(1.0, 1.0, 2.0), 1, sigma=0.0), 0),
+@example(run=(_mean_config(EtcConfig(), 1500), 2), keep_records=False)
+@example(run=(_mean_config(SubsidySamplingConfig(), 1, sigma=0.0), 0),
          keep_records=True)
-@example(run=(_mean_config(DynamicCompellingConfig(1.0, 2.0), 400, sigma=0.0,
+@example(run=(_mean_config(DynamicCompellingConfig(), 400, sigma=0.0,
                            cases=BallCases(2)), 2), keep_records=True)
 def test_event_engine_matches_step_loop(run, keep_records):
     _assert_matches_oracle(*run, keep_records)
@@ -198,16 +193,9 @@ def linear_runs(draw):
     if family is LearnerFamily.EMPIRICAL_MEAN:
         policy = kwik  # mean learners under state-free policies: mean_runs
     else:
-        factor = draw(st.sampled_from([1.0, 0.1, 3.0]))
         policy = draw(
             st.sampled_from(
-                [
-                    kwik,
-                    NoSubsidyConfig(),
-                    EtcConfig(horizon, alpha, costs.c_max * factor),
-                    DynamicCompellingConfig(alpha, costs.c_max * factor),
-                    SubsidySamplingConfig(alpha, costs.c_min, costs.c_max * max(factor, 1.0)),
-                ]
+                [kwik, NoSubsidyConfig(), EtcConfig(), DynamicCompellingConfig(), SubsidySamplingConfig()]
             )
         )
     try:
@@ -239,10 +227,10 @@ _RADIUS = LearnerKind(LearnerFamily.NORM_CONSTRAINED, radius=0.05)
 @settings(max_examples=120, deadline=None)
 @given(run=linear_runs(), keep_records=st.booleans())
 @example(run=(_linear_config(_KWIK, 1), 0), keep_records=True)
-@example(run=(_linear_config(DynamicCompellingConfig(1.0, 1.0), 1, dim=1), 0), keep_records=False)
+@example(run=(_linear_config(DynamicCompellingConfig(), 1, dim=1), 0), keep_records=False)
 # The unconstrained fit leaves the small ball, so fits bisect.
 @example(run=(_linear_config(_KWIK, 250, learner=_RADIUS, dim=5), 1), keep_records=True)
-@example(run=(_linear_config(SubsidySamplingConfig(1.0, 1.0, 1.0), 250, learner=_RADIUS,
+@example(run=(_linear_config(SubsidySamplingConfig(), 250, learner=_RADIUS,
                              sigma=0.0, dim=9), 2), keep_records=False)
 @example(run=(_linear_config(KwikConfig(0.25, 0.05, alpha1=0.5, alpha2=0.1), 200, dim=9,
                              costs=UniformCosts(0.1, 0.5)), 0), keep_records=True)
@@ -266,7 +254,7 @@ def _one_cheap_case(horizon):
     "config, court_count",
     [
         (_linear_config(_KWIK, 1, dim=5), 1),
-        (_linear_config(DynamicCompellingConfig(1.0, 1.0), 1, learner=_RADIUS), 1),
+        (_linear_config(DynamicCompellingConfig(), 1, learner=_RADIUS), 1),
         # every block after the first doubles; the last is cut off by the horizon
         (_linear_config(_COMPEL_ALL, 100, learner=_RADIUS, dim=4), 100),
         # blocks of 256 rows: flushes land between blocks of the same sequence
@@ -302,37 +290,36 @@ def test_kwik_run_memory_per_step_is_bounded():
     assert peak / horizon < 200
 
 
-def _scalar_step(policy, t, err, rng):
+def _scalar_step(config, t, err, rng):
     """(compelled, offer or None) at step t from the scalar laws, one draw per random step."""
+    policy, alpha, costs = config.policy, config.truth.alpha, config.costs
     if isinstance(policy, EtcConfig):
-        return t <= etc_compel_count(policy.horizon, policy.alpha, policy.c_max), None
+        return t <= etc_compel_count(config.horizon, alpha, costs.c_max), None
     if isinstance(policy, DynamicCompellingConfig):
-        return rng.random() < dynamic_compel_probability(t, policy.alpha, policy.c_max), None
+        return rng.random() < dynamic_compel_probability(t, alpha, costs.c_max), None
     if isinstance(policy, SubsidySamplingConfig):
-        phase1 = t <= policy.transition_step
-        return False, sample_subsidy(
-            t, 2.0 * err, policy.alpha, policy.c_min, policy.c_max, phase1, rng
-        )
+        phase1 = t <= transition_step(alpha, costs.c_min)
+        return False, sample_subsidy(t, 2.0 * err, alpha, costs.c_min, costs.c_max, phase1, rng)
     return False, None
 
 
 @pytest.mark.parametrize(
-    "policy",
+    "config",
     [
-        NoSubsidyConfig(),
-        EtcConfig(300, 2.0, 1.0),
-        DynamicCompellingConfig(3.0, 1.0),
-        SubsidySamplingConfig(2.0, 1.0, 4.0),
+        _mean_config(NoSubsidyConfig(), 300),
+        _mean_config(EtcConfig(), 300, alpha=2.0, costs=PointMassCosts(1.0)),
+        _mean_config(DynamicCompellingConfig(), 300, alpha=3.0, costs=PointMassCosts(1.0)),
+        _mean_config(SubsidySamplingConfig(), 300, alpha=2.0, costs=UniformCosts(1.0, 4.0)),
     ],
-    ids=lambda p: p.name,
+    ids=lambda config: config.policy.name,
 )
-def test_horizon_actions_replay_select(policy):
-    horizon, err = 300, 0.3
+def test_horizon_actions_replay_select(config):
+    horizon, err = config.horizon, 0.3
     rng_whole = np.random.default_rng(17)
     rng_steps = np.random.default_rng(17)
-    compel, bases = policy.horizon_actions(horizon, rng_whole)
+    compel, bases = config.policy.horizon_actions(config, rng_whole)
     for t in range(1, horizon + 1):
-        compelled, offer = _scalar_step(policy, t, err, rng_steps)
+        compelled, offer = _scalar_step(config, t, err, rng_steps)
         assert compelled == (compel is not None and bool(compel[t - 1]))
         if bases is None:
             assert offer is None
@@ -344,7 +331,8 @@ def test_horizon_actions_replay_select(policy):
 
 def test_dynamic_compel_mask_matches_per_step_draws():
     alpha, c_max, horizon = 3.0, 1.0, 2000
-    mask, _ = DynamicCompellingConfig(alpha, c_max).horizon_actions(horizon, np.random.default_rng(4))
+    config = _mean_config(DynamicCompellingConfig(), horizon, alpha=alpha, costs=PointMassCosts(c_max))
+    mask, _ = config.policy.horizon_actions(config, np.random.default_rng(4))
     rng = np.random.default_rng(4)
     expected = [rng.random() < dynamic_compel_probability(t, alpha, c_max)
                 for t in range(1, horizon + 1)]
@@ -358,7 +346,7 @@ def test_dynamic_compel_mask_matches_per_step_draws():
 )
 def test_subsidy_bases_match_sample_subsidy_draw_for_draw(alpha, c_min, c_max):
     horizon = 400
-    transition = SubsidySamplingConfig(alpha, c_min, c_max).transition_step
+    transition = transition_step(alpha, c_min)
     draws = np.random.default_rng(5).random(horizon)
     # Steps 1..400, then step 3 throughout (in phase 1 for the first case).
     for steps in (np.arange(1, horizon + 1), np.full(horizon, 3)):
@@ -408,7 +396,7 @@ def test_subsidy_bases_square_like_sample_subsidy(t, draw_hex):
 
 def test_subsidy_bases_raise_like_the_tail_law():
     alpha, c_min, c_max = 1.0, 0.25, 1.0
-    transition = SubsidySamplingConfig(alpha, c_min, c_max).transition_step
+    transition = transition_step(alpha, c_min)
     with pytest.raises(ConfigurationError) as scalar:
         subsidy_tail_probability(1, c_min, alpha, 1 <= transition)
     with pytest.raises(ConfigurationError) as whole:

@@ -118,7 +118,7 @@ class TestRunExperiment:
             cases=spec.cases,
             costs=spec.costs,
             learner=spec.learner,
-            policy=spec.policies[0].materialize(spec, 30),
+            policy=spec.policies[0],
             seed=spec.seed,
         )
         assert entry["config_digest"] == config.digest()
@@ -386,6 +386,25 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert main(["kwik", str(path)]) == 0
         assert (tmp_path / "kw" / "kwik.csv").exists()
+
+    def test_kwik_command_refuses_replications(self, tmp_path, capsys):
+        # kwik.csv comes from replication 0 at each horizon, so the flag has nothing to set
+        config = {
+            "truth": {"family": "linear", "beta": [0.2], "beta0": 0.4, "sigma": 0.0, "alpha": 1.0},
+            "cases": {"kind": "ball", "dim": 1},
+            "cost": {"kind": "point", "c": 1.0},
+            "learner": {"kind": "norm_constrained"},
+            "policies": [{"name": "kwik", "epsilon": 0.2, "delta": 0.1, "alpha1": 0.2}],
+            "sweep": [20],
+            "out_dir": str(tmp_path / "kw"),
+        }
+        path = tmp_path / "kwik.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["kwik", str(path), "--replications", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --replications 2" in capsys.readouterr().err
+        assert not (tmp_path / "kw").exists()
 
     @pytest.mark.parametrize("command", ["run", "kwik"])
     def test_output_directory_under_a_file(self, tmp_path, capsys, command):

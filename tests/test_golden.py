@@ -212,7 +212,7 @@ _MEAN_PIECES = (ConstantTruth(0.5, 0.5, 1.0), SingletonCases(), UniformCosts(1.0
 # learner, the last an OLS one.
 DETERRENT_CASES = {
     "subsidy_sampling": (
-        RunConfig(200, *_MEAN_PIECES, SubsidySamplingConfig(1.0, 1.0, 2.0), seed=3),
+        RunConfig(200, *_MEAN_PIECES, SubsidySamplingConfig(), seed=3),
         {
             "max_violation": "-0x1.e9f15916ba01dp-1",
             "max_violation_std_error": "0x1.7c54746133459p-2",
@@ -221,7 +221,7 @@ DETERRENT_CASES = {
         },
     ),
     "dynamic_compelling": (
-        RunConfig(200, *_MEAN_PIECES, DynamicCompellingConfig(1.0, 2.0), seed=3),
+        RunConfig(200, *_MEAN_PIECES, DynamicCompellingConfig(), seed=3),
         {
             "max_violation": "-0x1.53d1dc1a73ea2p+0",
             "max_violation_std_error": "0x1.29c1558e282ecp-3",
@@ -236,7 +236,7 @@ DETERRENT_CASES = {
             BallCases(2),
             UniformCosts(0.5, 1.0),
             LearnerKind(LearnerFamily.OLS),
-            DynamicCompellingConfig(1.0, 1.0),
+            DynamicCompellingConfig(),
             seed=3,
         ),
         {

@@ -2,6 +2,7 @@
 sampling, and the eigenvalue-gated prediction rule."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from courtlearn.core import (
     BallCases,
     ConfigurationError,
     ConstantTruth,
+    PointMassCosts,
     SingletonCases,
     UniformCosts,
 )
@@ -26,6 +28,7 @@ from courtlearn.policies import (
     etc_compel_count,
     subsidy_bases,
     subsidy_tail_probability,
+    transition_step,
 )
 from courtlearn.sim import RunConfig, _offers
 from oracle import kwik_gate
@@ -195,18 +198,18 @@ class TestSelect:
     """Each state-free policy's whole-horizon actions (compel mask, subsidy bases)."""
 
     def test_no_subsidy_always_idle(self):
-        policy = NoSubsidyConfig()
+        run = _run_config(NoSubsidyConfig(), horizon=1000)
         rng = np.random.default_rng(0)
-        assert policy.horizon_actions(1000, rng) == (None, None)
-        assert all(policy.inactive_from(t) for t in (1, 5, 1000))
+        assert run.policy.horizon_actions(run, rng) == (None, None)
+        assert all(run.policy.inactive_from(run, t) for t in (1, 5, 1000))
 
     def test_etc_threshold(self):
-        policy = EtcConfig(horizon=100, alpha=2.0, c_max=4.0)
+        run = _run_config(EtcConfig(), horizon=100, alpha=2.0, costs=PointMassCosts(4.0))
         rng = np.random.default_rng(0)
-        compel, bases = policy.horizon_actions(100, rng)
+        compel, bases = run.policy.horizon_actions(run, rng)
         assert compel[10 - 1] and not compel[11 - 1]
         assert compel[:10].all() and not compel[10:].any() and bases is None
-        assert policy.inactive_from(11) and not policy.inactive_from(10)
+        assert run.policy.inactive_from(run, 11) and not run.policy.inactive_from(run, 10)
 
     def test_dynamic_compel_frequency(self):
         # Monte Carlo check of the stated per-step probability at t = 10^4
@@ -217,38 +220,38 @@ class TestSelect:
 
     def test_compelling_policies_never_subsidize(self):
         rng = np.random.default_rng(3)
-        for config in (EtcConfig(horizon=50, alpha=1.0, c_max=1.0), DynamicCompellingConfig(1.0, 1.0)):
-            compel, bases = config.horizon_actions(50, rng)
+        for policy in (EtcConfig(), DynamicCompellingConfig()):
+            run = _run_config(policy, horizon=50, costs=PointMassCosts(1.0))
+            compel, bases = policy.horizon_actions(run, rng)
             assert compel.shape == (50,) and bases is None
 
     def test_subsidy_policy_never_compels(self):
         rng = np.random.default_rng(4)
-        policy = SubsidySamplingConfig(alpha=1.0, c_min=4.0, c_max=12.0)
-        compel, bases = policy.horizon_actions(199, rng)
+        run = _run_config(SubsidySamplingConfig(), horizon=199, costs=UniformCosts(4.0, 12.0))
+        compel, bases = run.policy.horizon_actions(run, rng)
         assert compel is None and bases.shape == (199,)
         assert np.isfinite(bases).all() and (bases >= 0.0).all()
 
     def test_infinite_offer_rejected(self):
-        policy = SubsidySamplingConfig(1.0, 1.0, math.inf)
+        # RunConfig refuses an infinite c_max (its worst-case total), so the
+        # law meets one through a stand-in run.
+        run = SimpleNamespace(horizon=3, truth=ConstantTruth(0.5, 0.5, 1.0), costs=UniformCosts(1.0, math.inf))
         # A zero draw lands on the point mass at c_max.
         with pytest.raises(ConfigurationError, match="^subsidy must be finite and >= 0, got inf$"):
-            policy.horizon_actions(3, _Draws([0.5, 0.0, 0.9]))
+            SubsidySamplingConfig().horizon_actions(run, _Draws([0.5, 0.0, 0.9]))
 
 
 class TestPolicyConfigs:
     def test_transition_step_active(self):
-        config = SubsidySamplingConfig(alpha=2.0, c_min=1.0, c_max=4.0)
-        assert config.transition_step == 4  # max(floor(4), floor(4/1))
+        assert transition_step(alpha=2.0, c_min=1.0) == 4  # max(floor(4), floor(4/1))
 
     def test_transition_step_inactive(self):
-        config = SubsidySamplingConfig(alpha=1.0, c_min=4.0, c_max=12.0)
-        assert config.transition_step == 0
+        assert transition_step(alpha=1.0, c_min=4.0) == 0
 
     def test_ill_defined_first_step_rejected(self):
         # early-phase scaling cannot repair c_min < 1 at t = 1
-        policy = SubsidySamplingConfig(alpha=1.0, c_min=0.25, c_max=1.0)
         with pytest.raises(ConfigurationError, match="tail probability .* > 1 at t=1"):
-            _run_config(policy, cases=SingletonCases(), costs=UniformCosts(0.25, 1.0))
+            _run_config(SubsidySamplingConfig(), costs=UniformCosts(0.25, 1.0))
 
     def test_kwik_threshold_defaults(self):
         alpha1, alpha2 = KwikConfig(epsilon=0.25, delta=0.05).thresholds(5)
@@ -272,10 +275,10 @@ class TestPolicyConfigs:
         _run_config(KwikConfig(epsilon=0.1, delta=0.1), cases=BallCases(2))
 
 
-def _run_config(policy, *, cases, costs=UniformCosts(1.0, 2.0)):
+def _run_config(policy, *, cases=SingletonCases(), costs=UniformCosts(1.0, 2.0), horizon=10, alpha=1.0):
     return RunConfig(
-        horizon=10,
-        truth=ConstantTruth(0.5, 0.5, 1.0),
+        horizon=horizon,
+        truth=ConstantTruth(0.5, 0.5, alpha),
         cases=cases,
         costs=costs,
         learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN),

@@ -9,7 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from courtlearn.config import parse_config
-from courtlearn.core import ConfigurationError
+from courtlearn.core import ConfigurationError, ConstantTruth, PointMassCosts, SingletonCases, UniformCosts
 from courtlearn.experiment import run_experiment
 from courtlearn.learners import LearnerFamily, LearnerKind, err_bound
 from courtlearn.policies import (
@@ -22,7 +22,7 @@ from courtlearn.policies import (
     subsidy_bases,
     subsidy_tail_probability,
 )
-from courtlearn.sim import _clip, _offers, _predict
+from courtlearn.sim import RunConfig, _clip, _offers, _predict
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -97,7 +97,11 @@ def test_sampled_subsidy_nonnegative_and_bounded(t, two_err, alpha, c_lo, width,
 
 @st.composite
 def state_free_runs(draw):
-    """(state-free policy config, horizon) pairs, horizons 1 to 300."""
+    """Run configs under a state-free policy, horizons 1 to 300.
+
+    The compelling policies meet a point cost ``c_max``; ``subsidy_sampling``
+    meets costs uniform on [c_min, c_min + c_max].
+    """
     horizon = draw(st.integers(min_value=1, max_value=300))
     alpha = draw(st.floats(min_value=0.05, max_value=5.0))
     c_max = draw(st.floats(min_value=0.05, max_value=5.0))
@@ -105,15 +109,18 @@ def state_free_runs(draw):
     c_min = draw(st.floats(min_value=min(1.0, alpha**2), max_value=5.0))
     policy = draw(
         st.sampled_from(
-            [
-                NoSubsidyConfig(),
-                EtcConfig(horizon, alpha, c_max),
-                DynamicCompellingConfig(alpha, c_max),
-                SubsidySamplingConfig(alpha, c_min, c_min + c_max),
-            ]
+            [NoSubsidyConfig(), EtcConfig(), DynamicCompellingConfig(), SubsidySamplingConfig()]
         )
     )
-    return policy, horizon
+    subsidy = isinstance(policy, SubsidySamplingConfig)
+    return RunConfig(
+        horizon=horizon,
+        truth=ConstantTruth(0.0, 0.0, alpha),
+        cases=SingletonCases(),
+        costs=UniformCosts(c_min, c_min + c_max) if subsidy else PointMassCosts(c_max),
+        learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN),
+        policy=policy,
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,10 +128,10 @@ def state_free_runs(draw):
 def test_inactive_policies_neither_compel_nor_offer(run, seed):
     # The tail skip's soundness: from the first step where inactive_from holds,
     # the drawn actions compel nobody and offer no subsidy.
-    policy, horizon = run
-    compel, bases = policy.horizon_actions(horizon, np.random.default_rng(seed))
+    policy, horizon = run.policy, run.horizon
+    compel, bases = policy.horizon_actions(run, np.random.default_rng(seed))
     for t in range(1, horizon + 1):
-        if policy.inactive_from(t):
+        if policy.inactive_from(run, t):
             assert compel is None or not compel[t - 1 :].any()
             assert bases is None or not bases[t - 1 :].any()
 

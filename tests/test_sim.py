@@ -20,6 +20,7 @@ from courtlearn.policies import (
     EtcConfig,
     NoSubsidyConfig,
     SubsidySamplingConfig,
+    etc_compel_count,
 )
 from courtlearn.sim import (
     RunConfig,
@@ -48,9 +49,11 @@ def constant_config(**overrides):
     return RunConfig(**base)
 
 
-def compel_all(horizon, alpha):
-    # a compel phase at least as long as the horizon
-    return EtcConfig(horizon=horizon, alpha=alpha * math.sqrt(horizon) + 1, c_max=1.0)
+def compel_all(horizon, **overrides):
+    """An etc run that compels every case: its point cost is at most alpha^2 / T."""
+    config = constant_config(horizon=horizon, costs=PointMassCosts(1e-9), policy=EtcConfig(), **overrides)
+    assert etc_compel_count(horizon, config.truth.alpha, config.costs.c_max) == horizon
+    return config
 
 
 class TestRunProtocol:
@@ -75,7 +78,7 @@ class TestRunProtocol:
             horizon=3,
             truth=ConstantTruth(mu=1.0, sigma=0.0, alpha=10.0),
             costs=PointMassCosts(0.5),
-            policy=EtcConfig(horizon=3, alpha=10.0, c_max=1.0),
+            policy=EtcConfig(),
         )
         ledger = run(config)
         assert ledger.total_loss == pytest.approx(1.5)
@@ -89,7 +92,7 @@ class TestRunProtocol:
             horizon=1,
             truth=ConstantTruth(mu=1.0, sigma=0.0, alpha=10.0),
             costs=PointMassCosts(0.5),
-            policy=EtcConfig(horizon=1, alpha=10.0, c_max=1.0),
+            policy=EtcConfig(),
         )
         steps = run(config).steps
         assert steps["went_to_court"][0]
@@ -97,7 +100,7 @@ class TestRunProtocol:
         assert steps["settlement_value"][0] == 0.0  # what settling would have paid
 
     def test_accounting_identity(self):
-        config = constant_config(horizon=200, policy=DynamicCompellingConfig(2.0, 1.0), seed=3)
+        config = constant_config(horizon=200, policy=DynamicCompellingConfig(), seed=3)
         ledger = run(config)
         assert recompute_total_loss(ledger) == ledger.total_loss
         steps = ledger.steps
@@ -108,7 +111,7 @@ class TestRunProtocol:
         )
 
     def test_dataset_growth_identity(self):
-        config = constant_config(horizon=300, policy=DynamicCompellingConfig(1.0, 1.0), seed=5)
+        config = constant_config(horizon=300, policy=DynamicCompellingConfig(), seed=5)
         ledger = run(config)
         courted = ledger.steps["went_to_court"]
         assert ledger.court_count == courted.sum()
@@ -116,7 +119,7 @@ class TestRunProtocol:
         assert ledger.steps["m_before"][courted].tolist() == list(range(ledger.court_count))
 
     def test_determinism(self):
-        config = constant_config(horizon=500, policy=DynamicCompellingConfig(1.5, 1.0), seed=9)
+        config = constant_config(horizon=500, policy=DynamicCompellingConfig(), seed=9)
         a, b = run(config), run(config)
         assert a.total_loss == b.total_loss
         assert a.court_count == b.court_count
@@ -152,7 +155,7 @@ class TestEnvironment:
 
     def test_policy_does_not_perturb_environment(self):
         a = draw_environment(constant_config(seed=4, policy=NoSubsidyConfig()))
-        b = draw_environment(constant_config(seed=4, policy=DynamicCompellingConfig(1.0, 1.0)))
+        b = draw_environment(constant_config(seed=4, policy=DynamicCompellingConfig()))
         np.testing.assert_array_equal(a.costs, b.costs)
         np.testing.assert_array_equal(a.outcomes, b.outcomes)
 
@@ -180,7 +183,7 @@ class TestOfflineBaseline:
 
     def test_independent_of_online_policy(self):
         cfg_a = constant_config(seed=6, policy=NoSubsidyConfig())
-        cfg_b = constant_config(seed=6, policy=DynamicCompellingConfig(1.0, 1.0))
+        cfg_b = constant_config(seed=6, policy=DynamicCompellingConfig())
         la = offline_baseline(draw_environment(cfg_a, 3), MEAN, 2.0)
         lb = offline_baseline(draw_environment(cfg_b, 3), MEAN, 2.0)
         assert la == lb
@@ -203,17 +206,12 @@ class TestEstimateRegret:
     def test_zero_loss_both_sides(self):
         # zero noise and (effectively) free court: compel-all learns exactly
         # and only pays a vanishing fee
-        config = constant_config(
-            horizon=100,
-            truth=ConstantTruth(mu=1.0, sigma=0.0, alpha=10.0),
-            costs=PointMassCosts(1e-9),
-            policy=compel_all(100, 10.0),
-        )
+        config = compel_all(100, truth=ConstantTruth(mu=1.0, sigma=0.0, alpha=10.0))
         report = estimate_regret(config, 20)
         assert abs(report.mean_regret) <= 1e-6
 
     def test_report_identity(self):
-        config = constant_config(horizon=200, policy=DynamicCompellingConfig(2.0, 1.0))
+        config = constant_config(horizon=200, policy=DynamicCompellingConfig())
         report = estimate_regret(config, 30)
         derived = (report.mean_online_loss - report.mean_offline_loss) / config.horizon
         assert report.mean_regret == pytest.approx(derived, rel=1e-12)
@@ -229,15 +227,7 @@ class TestEstimateRegret:
     def test_compel_all_regret_vanishes(self):
         # per-case regret from always litigating decays like log(T)/T
         reports = {
-            horizon: estimate_regret(
-                constant_config(
-                    horizon=horizon,
-                    costs=PointMassCosts(1e-9),
-                    policy=compel_all(horizon, 2.0),
-                    seed=7,
-                ),
-                60,
-            )
+            horizon: estimate_regret(compel_all(horizon, seed=7), 60)
             for horizon in (1000, 10_000)
         }
         assert reports[10_000].mean_regret < reports[1000].mean_regret
@@ -249,7 +239,7 @@ class TestEstimateRegret:
                     horizon=horizon,
                     truth=ConstantTruth(mu=0.5, sigma=0.5, alpha=1.0),
                     costs=UniformCosts(0.5, 1.0),
-                    policy=EtcConfig(horizon=horizon, alpha=1.0, c_max=1.0),
+                    policy=EtcConfig(),
                     seed=3,
                 ),
                 80,
@@ -274,7 +264,7 @@ class TestCheckDeterrent:
             horizon=40,
             truth=ConstantTruth(mu=0.5, sigma=0.5, alpha=1.0),
             costs=UniformCosts(4.0, 12.0),
-            policy=SubsidySamplingConfig(alpha=1.0, c_min=4.0, c_max=12.0),
+            policy=SubsidySamplingConfig(),
             seed=8,
         )
         report = check_deterrent(config, 200)
@@ -303,20 +293,9 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigurationError):
             constant_config(learner=LearnerKind(LearnerFamily.OLS))
 
-    def test_etc_horizon_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            constant_config(horizon=50, policy=EtcConfig(horizon=49, alpha=1.0, c_max=1.0))
-
-    def test_subsidy_range_must_cover_costs(self):
-        with pytest.raises(ConfigurationError):
-            constant_config(
-                costs=UniformCosts(4.0, 12.0),
-                policy=SubsidySamplingConfig(alpha=1.0, c_min=5.0, c_max=12.0),
-            )
-
     def test_ill_defined_subsidy_distribution_aborts_before_step_one(self):
         with pytest.raises(ConfigurationError):
             constant_config(
                 costs=UniformCosts(0.25, 1.0),
-                policy=SubsidySamplingConfig(alpha=1.0, c_min=0.25, c_max=1.0),
+                policy=SubsidySamplingConfig(),
             )

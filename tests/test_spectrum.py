@@ -163,7 +163,7 @@ def _count_eigh_matrices(monkeypatch):
 
 @pytest.mark.parametrize(
     "config",
-    [_run_config(_TRUTH, LearnerFamily.OLS, DynamicCompellingConfig(1.0, 1.0))],
+    [_run_config(_TRUTH, LearnerFamily.OLS, DynamicCompellingConfig())],
     ids=["ols"],
 )
 def test_one_eigh_per_court_visit(monkeypatch, config):
@@ -200,6 +200,6 @@ def test_unit_ball_checked_when_the_environment_is_drawn(monkeypatch):
         return xs
 
     monkeypatch.setattr(sim, "sample_cases", outside)
-    config = _run_config(_TRUTH, LearnerFamily.OLS, DynamicCompellingConfig(1.0, 1.0))
+    config = _run_config(_TRUTH, LearnerFamily.OLS, DynamicCompellingConfig())
     with pytest.raises(ConfigurationError, match="outside the unit ball"):
         sim.run(config)
