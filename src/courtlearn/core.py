@@ -6,9 +6,8 @@ produced by the simulator.  All types are plain values.
 A :class:`Spectrum` is the eigendecomposition of a Gram matrix, or a stack
 of them, one per prefix of a run's court rows; the linear fit, the
 norm-constrained bisection and the kwik gate all read it.  A case is a raw
-row of the array that :func:`sample_cases` draws (checked once by
-:func:`check_unit_ball`); the Gram matrix takes it as the augmented row
-[x, 1].
+row of the array that :func:`sample_cases` draws, scaled into the unit
+ball; the Gram matrix takes it as the augmented row [x, 1].
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "BallCases",
     "CaseSpec",
     "sample_cases",
-    "check_unit_ball",
     "RunLedger",
     "canonical_digest",
 ]
@@ -120,15 +118,11 @@ def augment(x: np.ndarray) -> np.ndarray:
 
 
 class Spectrum(NamedTuple):
-    """``np.linalg.eigh`` of a Gram matrix, plus its eigenvalues clipped at 0.
-
-    ``values`` ascend and keep eigh's round-off signs (the pseudo-inverse
-    needs them); ``floored`` is what the bisection and the kwik gate read.
-    """
+    """``np.linalg.eigh`` of a Gram matrix: ``values`` ascend and keep eigh's round-off
+    signs (the pseudo-inverse needs them; the bisection clips them at 0 itself)."""
 
     values: np.ndarray
     vectors: np.ndarray
-    floored: np.ndarray
 
     def pick(self, index) -> Spectrum:
         """The stacked decompositions at ``index`` (an int, a slice, or ``None`` to stack one)."""
@@ -136,8 +130,7 @@ class Spectrum(NamedTuple):
 
 
 def decompose(gram: np.ndarray) -> Spectrum:
-    values, vectors = np.linalg.eigh(gram)
-    return Spectrum(values, vectors, np.clip(values, 0.0, None))
+    return Spectrum(*np.linalg.eigh(gram))
 
 
 @dataclass(frozen=True)
@@ -252,13 +245,6 @@ def sample_cases(
     norms[norms == 0.0] = 1.0
     radii = rng_radius.random(count) ** (1.0 / spec.dim)
     return directions * (radii / norms)[:, None]
-
-
-def check_unit_ball(xs: np.ndarray) -> None:
-    """Raise unless every row of ``xs`` lies in the unit ball."""
-    norms = np.linalg.norm(xs, axis=1)
-    if (norms > 1.0 + _NORM_TOL).any():
-        raise ConfigurationError(f"case lies outside the unit ball: |x| = {float(norms.max())}")
 
 
 @dataclass

@@ -112,7 +112,7 @@ def _pinv(spectrum: Spectrum) -> np.ndarray:
 
 def _norm_capped(spectrum: Spectrum, xty: np.ndarray, radius: float) -> np.ndarray:
     """Least squares with |coef| = radius: the ridge solution, multiplier found by bisection."""
-    eigvals = spectrum.floored
+    eigvals = np.clip(spectrum.values, 0.0, None)
     eigvecs = spectrum.vectors
     rotated = eigvecs.T @ xty
 

@@ -147,7 +147,7 @@ def _gate(spectrum: Spectrum, queries: np.ndarray, alpha1: float, alpha2: float)
     (``np.cumsum``), the order of the one-row gate in ``tests/oracle.py``.
     """
     projections = np.matmul(np.swapaxes(spectrum.vectors, -1, -2), queries[:, :, None])[:, :, 0]
-    eigvals = spectrum.floored
+    eigvals = spectrum.values
     covered = eigvals >= _GATE_EIGENVALUE_FLOOR
     sq = projections * projections
     # Covered eigenvalues are at the floor or above; the maximum only keeps the
@@ -248,13 +248,10 @@ class SubsidySamplingConfig:
 
     def horizon_actions(self, run, rng) -> tuple[None, np.ndarray]:
         alpha, c_min = run.truth.alpha, run.costs.c_min
-        bases = subsidy_bases(
+        return None, subsidy_bases(
             rng.random(run.horizon), np.arange(1, run.horizon + 1), alpha, c_min, run.costs.c_max,
             transition_step(alpha, c_min),
         )
-        if np.isinf(bases).any():
-            raise ConfigurationError("subsidy must be finite and >= 0, got inf")
-        return None, bases
 
 
 @dataclass(frozen=True)

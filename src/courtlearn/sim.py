@@ -13,15 +13,15 @@ the spectrum of the courted Gram matrix, never a fitted rule.  A state-free
 policy (``no_subsidy``, ``etc``, ``dynamic_compelling``,
 ``subsidy_sampling``) draws its actions for the whole horizon up front, and
 the next visit is found by a vectorized litigation test over a doubling
-window.  The ``kwik`` gate checks a doubling window of rows at once on the
-spectrum frozen since the last visit; after a visit it speculates that the
-next rows visit too, and decomposes their Gram prefixes in one stacked
-``eigh`` (see ``_kwik_visits``).  The fit then computes the linear rule
-after each visit in stacked passes of ``_FLUSH`` visits, from the spectra
-the search kept or, for a state-free policy, from one stacked ``eigh`` of
-the Gram prefixes; a mean learner keeps a running mean.  Last, the
-predictions and the loss are built from each row's rule, gathered by its
-visit count (linear rows in fixed-size chunks).
+window (``_state_free_visits``).  The ``kwik`` gate checks a doubling window
+of rows at once on the spectrum frozen since the last visit; after a visit
+it speculates that the next rows visit too, and decomposes their Gram
+prefixes in one stacked ``eigh`` (``_kwik_visits``).  The fit then computes
+the rule after each visit: a linear one in stacked passes of ``_FLUSH``
+visits, from the spectra the search kept or, for a state-free policy, from
+one stacked ``eigh`` of the Gram prefixes; a mean one by one ``np.cumsum``.
+Last, the predictions and the loss are built from each row's rule, gathered
+by its visit count (linear rows in fixed-size chunks).
 
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
@@ -52,7 +52,6 @@ from .core import (
     Spectrum,
     augment,
     canonical_digest,
-    check_unit_ball,
     decompose,
     sample_cases,
 )
@@ -247,8 +246,6 @@ def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
         _stream(seed, rep, _STREAM_CASE_DIRECTION),
         _stream(seed, rep, _STREAM_CASE_RADIUS),
     )
-    if xs is not None:
-        check_unit_ball(xs)
     truth = config.truth
     if isinstance(truth, ConstantTruth):
         f_values = np.full(T, truth.mu)
@@ -269,7 +266,7 @@ def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger
 
 
 def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
-    """One replication: search for the court visits, fit after each, then score (see the module docstring).
+    """One replication: draw the actions, search for the court visits, fit after each, then score.
 
     Every float is produced by the same operations, in the same order, as in
     the case-by-case loop of ``tests/oracle.py``, so ledgers and totals are
@@ -283,15 +280,13 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     dim = config.cases.dim
     costs = env.costs
     xs = env.xs
-    fits = _LinearFits(kind, xs, env.outcomes) if linear else _MeanFits(alpha, env.outcomes)
+    fits = _LinearFits(kind, xs, env.outcomes) if linear else None
 
     def bound(m: np.ndarray) -> np.ndarray:
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
 
-    subsidy_paid = tail_loss = 0.0
-    end = T  # steps played out one by one; the closed-form tail covers the rest
     if not policy.state_free:
-        compel, bases = np.zeros(T, dtype=bool), None
+        compel, bases, end, subsidy_paid = np.zeros(T, dtype=bool), None, T, 0.0
         visits = _kwik_visits(xs, costs, policy.thresholds(dim), bound, compel, fits)
     else:
         compel, bases = policy.horizon_actions(
@@ -299,48 +294,23 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         )
         # The closed-form tail needs a case-free prediction (mean learners only).
         skip_tail = not keep_records and not linear
-        cost_floor = config.costs.c_min
-        visits: list[int] = []
-        errs = bound(np.arange(_FIRST_WINDOW))
-        s = 0
-        window = _FIRST_WINDOW
-        while s < T:
-            err = errs.item(len(visits))
-            two_err = 2.0 * err
-            # A case-by-case loop's first tail-skip step is a window start: err is
-            # frozen until the next visit, and a policy that goes inactive (etc)
-            # compels every step before.
-            if skip_tail and two_err < cost_floor and policy.inactive_from(config, s + 1):
-                tail_loss = (T - s) * (fits.rules[-1] - config.truth.mu) ** 2
-                end = s
-                break
-            stop = min(T, s + window)
-            offers = 0.0 if bases is None else _offers(bases[s:stop], two_err)
-            litigates = policies.agent_decision(costs[s:stop], offers, err)
-            if compel is not None:
-                litigates |= compel[s:stop]
-            hit = int(litigates.argmax())
-            if not litigates[hit]:
-                s = stop
-                window *= 2
-                continue
-            v = s + hit
-            window = _FIRST_WINDOW
-            if bases is not None:
-                subsidy_paid += offers.item(hit)
-            visits.append(v)
-            fits.add((v,))
-            errs = _err_table(bound, errs, len(visits))
-            s = v + 1
+        visits, end, subsidy_paid = _state_free_visits(config, costs, compel, bases, bound, skip_tail)
+        if linear:  # flushed as if added one visit at a time
+            for lo in range(0, len(visits), _FLUSH):
+                fits.add(visits[lo : lo + _FLUSH])
 
     went = np.zeros(end, dtype=bool)
     went[visits] = True
     m_after = np.cumsum(went)
+    tail_loss = 0.0
     if linear:
         coefs = fits.coefs()
         applied = _clip(_predict(xs, coefs, m_after), alpha)
     else:
-        applied = np.array(fits.rules)[m_after]
+        rules = _mean_rules(env.outcomes[visits], alpha)
+        applied = rules[m_after]
+        # The closed-form tail: steps end .. T - 1 all settle on the last rule.
+        tail_loss = (T - end) * (rules.item(-1) - config.truth.mu) ** 2
     diff = applied - env.f_values[:end]
     squared = np.multiply(diff, diff, out=diff)  # in place: one T-length array fewer
     terms = squared + np.where(went, costs[:end], 0.0)
@@ -354,7 +324,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             settlement = applied.copy()
             settlement[visits] = _clip(_predict(xs[visits], coefs, np.arange(len(visits))), alpha)
         else:
-            settlement = np.array(fits.rules)[m_before]
+            settlement = rules[m_before]
         steps = _step_columns(
             {
                 "t": np.arange(1, end + 1),
@@ -381,6 +351,51 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     )
 
 
+def _state_free_visits(
+    config: RunConfig, costs: np.ndarray, compel: np.ndarray | None, bases: np.ndarray | None,
+    bound: Callable, skip_tail: bool,
+) -> tuple[list[int], int, float]:
+    """(court visits, steps before the closed-form tail, subsidy paid) of a state-free run."""
+    T = config.horizon
+    visits: list[int] = []
+    subsidy_paid = 0.0
+    errs = bound(np.arange(_FIRST_WINDOW))
+    s = 0
+    window = _FIRST_WINDOW
+    while s < T:
+        err = errs.item(len(visits))
+        two_err = 2.0 * err
+        # A case-by-case loop's first tail-skip step is a window start: err is
+        # frozen until the next visit, and a policy that goes inactive (etc)
+        # compels every step before.
+        if skip_tail and two_err < config.costs.c_min and config.policy.inactive_from(config, s + 1):
+            return visits, s, subsidy_paid
+        stop = min(T, s + window)
+        offers = 0.0 if bases is None else _offers(bases[s:stop], two_err)
+        litigates = policies.agent_decision(costs[s:stop], offers, err)
+        if compel is not None:
+            litigates |= compel[s:stop]
+        hit = int(litigates.argmax())
+        if not litigates[hit]:
+            s = stop
+            window *= 2
+            continue
+        v = s + hit
+        window = _FIRST_WINDOW
+        if bases is not None:
+            subsidy_paid += offers.item(hit)
+        visits.append(v)
+        errs = _err_table(bound, errs, len(visits))
+        s = v + 1
+    return visits, T, subsidy_paid
+
+
+def _mean_rules(ys: np.ndarray, alpha: float) -> np.ndarray:
+    """The clipped mean of the first k outcomes, k = 0, 1, ...: each sum is the running
+    ``sum_y += y``'s, bit for bit, as the leading 0.0 makes the first ``0.0 + y``."""
+    return _clip(np.cumsum(np.append(0.0, ys)) / np.maximum(np.arange(len(ys) + 1), 1), alpha)
+
+
 def _err_table(bound: Callable, errs: np.ndarray, m: int) -> np.ndarray:
     """``errs``, the error bound by court count, extended (doubling) to cover count ``m``."""
     return errs if m < len(errs) else bound(np.arange(2 * m + 1))
@@ -392,7 +407,7 @@ def _kwik_visits(
     thresholds: tuple[float, float],
     bound: Callable,
     compel: np.ndarray,
-    fits: _MeanFits | _LinearFits,
+    fits: _LinearFits | None,
 ) -> list[int]:
     """The court visits of a kwik run; ``compel`` is set where the gate fired.
 
@@ -403,7 +418,7 @@ def _kwik_visits(
     the bound after the visits before it, and the longest prefix of rows that
     really visit is accepted.  k doubles after a block accepted whole, up to
     ``_FLUSH``, and falls back to 1 after a rejection.  The spectrum after
-    each accepted visit goes to ``fits`` with it, so no fit decomposes again.
+    each accepted visit goes to ``fits`` (if any) with it, so no fit decomposes again.
     """
     T = costs.shape[0]
     alpha1, alpha2 = thresholds
@@ -445,7 +460,8 @@ def _kwik_visits(
             # last one's spectrum is the next block's first prefix.
             done = accepted + 1 if accepted < n else max(n, 1)
             visits.extend(range(v, v + done))
-            fits.add(range(v, v + done), spectra.pick(slice(done)))
+            if fits is not None:
+                fits.add(range(v, v + done), spectra.pick(slice(done)))
             gram = grams[done - 1]
             spectrum = spectra.pick(done - 1)
             if accepted < n or n == 0:
@@ -460,21 +476,6 @@ def _prefix_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """``start + terms[0]``, then ``+ terms[1]``, ...: each sum is the sequential ``+=``'s, bit for bit."""
     terms[0] += start
     return np.cumsum(terms, axis=0, out=terms)
-
-
-class _MeanFits:
-    """The clipped empirical mean after each court visit, one visit at a time (0 before any)."""
-
-    def __init__(self, alpha: float, outcomes: np.ndarray):
-        self.rules = [0.0]
-        self._alpha = alpha
-        self._outcomes = outcomes
-        self._sum_y = 0.0
-
-    def add(self, visits, spectra: Spectrum | None = None) -> None:
-        for v in visits:
-            self._sum_y += self._outcomes.item(v)
-            self.rules.append(min(max(self._sum_y / len(self.rules), 0.0), self._alpha))
 
 
 class _LinearFits:

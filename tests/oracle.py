@@ -100,7 +100,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
             compelled = compel[i]
             offered = max(0.0, bases[i] - 2.0 * pre_err)
         else:
-            compelled = gate_from_eig(spectrum.floored, spectrum.vectors, augment(x), alpha1, alpha2)
+            compelled = gate_from_eig(np.clip(spectrum.values, 0.0, None), spectrum.vectors, augment(x), alpha1, alpha2)
             offered = 0.0
         litigates = compelled or agent_decision(cost, offered, pre_err)
 
@@ -225,7 +225,7 @@ def kwik_gate(courted: np.ndarray, query: np.ndarray, alpha1: float, alpha2: flo
     else:
         gram = courted.T @ courted
     spectrum = decompose(gram)
-    return gate_from_eig(spectrum.floored, spectrum.vectors, query, alpha1, alpha2)
+    return gate_from_eig(np.clip(spectrum.values, 0.0, None), spectrum.vectors, query, alpha1, alpha2)
 
 
 def sample_subsidy(

@@ -16,7 +16,7 @@ from courtlearn.experiment import fit_loglog_slope, kwik_report, run_experiment
 from courtlearn.core import augment, decompose
 from courtlearn.learners import LearnerFamily, LearnerKind, _fit_linear
 from courtlearn.policies import subsidy_bases, subsidy_tail_probability, transition_step
-from courtlearn.sim import _MeanFits, _offers
+from courtlearn.sim import _mean_rules, _offers
 from oracle import recompute_total_loss
 
 
@@ -214,9 +214,8 @@ def test_criterion_6_learner_error_bounds():
             mean_ok = False
     # the vectorized estimator above is the simulator's own mean fit (the
     # draws shifted into [0, alpha], so that the fit's clip does not act)
-    spot = _MeanFits(10.0, draws[0] + 5.0)
-    spot.add(range(len(draws[0])))
-    assert spot.rules[-1] == pytest.approx(float(estimates[0]) + 5.0, rel=1e-12)
+    spot = _mean_rules(draws[0] + 5.0, 10.0)
+    assert spot.item(-1) == pytest.approx(float(estimates[0]) + 5.0, rel=1e-12)
 
     # linear rate: RMSE * sqrt(m) stays flat as m grows
     n = 5

@@ -250,6 +250,10 @@ def _one_cheap_case(horizon):
     return FixedCosts((1.5,) + (5.0,) * (horizon - 1))
 
 
+_OLS_5 = LearnerKind(LearnerFamily.OLS, err_constant=5.0)
+_NORM_5 = LearnerKind(LearnerFamily.NORM_CONSTRAINED, err_constant=5.0)
+
+
 @pytest.mark.parametrize(
     "config, court_count",
     [
@@ -264,12 +268,21 @@ def _one_cheap_case(horizon):
         (_linear_config(_GATE_NEVER, 3000, learner=_RADIUS, costs=_one_cheap_case(3000)), 1),
         (_linear_config(_GATE_NEVER, 3000, learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN),
                         costs=_one_cheap_case(3000)), 1),
+        # state-free linear runs that visit at every step: fitted in three
+        # flushes of sim._FLUSH visits, the last one partial
+        (_linear_config(DynamicCompellingConfig(), 700, learner=_OLS_5, costs=PointMassCosts(1e-4)), 700),
+        (_linear_config(DynamicCompellingConfig(), 700, learner=_NORM_5, costs=PointMassCosts(1e-4)), 700),
+        (_linear_config(EtcConfig(), 700, learner=_OLS_5, costs=PointMassCosts(1e-5)), 700),
+        (_linear_config(EtcConfig(), 700, learner=_NORM_5, costs=PointMassCosts(1e-5)), 700),
     ],
     ids=["kwik_T1", "state_free_T1", "block_cut_by_horizon", "flush_inside_block_sequence",
-         "no_visit_after_the_first", "mean_learner_no_visit_after_the_first"],
+         "no_visit_after_the_first", "mean_learner_no_visit_after_the_first",
+         "state_free_flushes_ols_dynamic", "state_free_flushes_norm_dynamic",
+         "state_free_flushes_ols_etc", "state_free_flushes_norm_etc"],
 )
 def test_run_edge_cases_match_step_loop(config, court_count):
-    _assert_matches_oracle(config, 0, keep_records=True)
+    for keep_records in (True, False):
+        _assert_matches_oracle(config, 0, keep_records)
     assert sim.run(config).court_count == court_count
 
 

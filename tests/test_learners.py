@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from courtlearn.core import BallCases, augment, decompose, sample_cases
 from courtlearn.learners import LearnerFamily, LearnerKind, _fit_linear, err_bound
-from courtlearn.sim import _clip, _LinearFits, _MeanFits, _predict
+from courtlearn.sim import _clip, _LinearFits, _mean_rules, _predict
 
 MEAN = LearnerKind(LearnerFamily.EMPIRICAL_MEAN)
 OLS = LearnerKind(LearnerFamily.OLS)
@@ -30,12 +32,10 @@ def _line_fit(kind, xs, slope, intercept):
 
 class TestFit:
     def test_empirical_mean(self):
-        fits = _MeanFits(5.0, np.array([1.0, 3.0]))
-        fits.add(range(2))
-        assert fits.rules == [0.0, 1.0, 2.0]
+        assert _mean_rules(np.array([1.0, 3.0]), 5.0).tolist() == [0.0, 1.0, 2.0]
 
     def test_empty_dataset_gives_zero_rule(self):
-        assert _MeanFits(5.0, np.array([1.0])).rules == [0.0]
+        assert _mean_rules(np.array([]), 5.0).tolist() == [0.0]
         fits = _LinearFits(OLS, np.zeros((4, 2)), np.ones(4))
         np.testing.assert_array_equal(fits.coefs(), np.zeros((1, 3)))
 
@@ -78,6 +78,36 @@ class TestFit:
     def test_fit_is_pure(self):
         line = ([-0.5, 0.1, 0.7], 1.5, 0.3)
         np.testing.assert_array_equal(_line_fit(NCL, *line), _line_fit(NCL, *line))
+
+
+def _running_means(ys, alpha):
+    """The clipped mean after each outcome, kept as one running sum (0 before any)."""
+    rules, sum_y = [0.0], 0.0
+    for k, y in enumerate(ys, 1):
+        sum_y += y
+        rules.append(min(max(sum_y / k, 0.0), alpha))
+    return rules
+
+
+# At most 60 outcomes of magnitude <= 1e300: no partial sum overflows.
+_OUTCOMES = st.floats(-1e300, 1e300) | st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first_negative_zero=st.booleans(),
+    ys=st.lists(_OUTCOMES, max_size=59),
+    alpha=st.floats(0.01, 2.0) | st.floats(1e-300, 1e300),
+)
+@example(first_negative_zero=False, ys=[], alpha=1.0)
+@example(first_negative_zero=True, ys=[], alpha=1.0)
+# a subnormal negative mean rounds to -0.0, which both clips keep
+@example(first_negative_zero=False, ys=[0.0, 0.0, -5e-324], alpha=1.0)
+def test_mean_rules_match_the_running_mean(first_negative_zero, ys, alpha):
+    ys = ([-0.0] if first_negative_zero else []) + ys
+    rules = _mean_rules(np.array(ys, dtype=float), alpha)
+    assert rules.dtype == np.float64
+    assert [r.hex() for r in rules.tolist()] == [r.hex() for r in _running_means(ys, alpha)]
 
 
 class TestPredict:

@@ -2,10 +2,11 @@
 sampling, and the eigenvalue-gated prediction rule."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from courtlearn.core import (
@@ -183,17 +184,6 @@ class TestKwikGate:
         assert all(kwik_gate(history, query, 0.2, 0.1) is first for _ in range(5))
 
 
-class _Draws:
-    """Stands in for a Generator: ``random(n)`` hands out the next n fixed draws."""
-
-    def __init__(self, draws):
-        self._draws = list(draws)
-
-    def random(self, size):
-        drawn, self._draws = self._draws[:size], self._draws[size:]
-        return np.array(drawn)
-
-
 class TestSelect:
     """Each state-free policy's whole-horizon actions (compel mask, subsidy bases)."""
 
@@ -232,13 +222,31 @@ class TestSelect:
         assert compel is None and bases.shape == (199,)
         assert np.isfinite(bases).all() and (bases >= 0.0).all()
 
-    def test_infinite_offer_rejected(self):
-        # RunConfig refuses an infinite c_max (its worst-case total), so the
-        # law meets one through a stand-in run.
-        run = SimpleNamespace(horizon=3, truth=ConstantTruth(0.5, 0.5, 1.0), costs=UniformCosts(1.0, math.inf))
-        # A zero draw lands on the point mass at c_max.
-        with pytest.raises(ConfigurationError, match="^subsidy must be finite and >= 0, got inf$"):
-            SubsidySamplingConfig().horizon_actions(run, _Draws([0.5, 0.0, 0.9]))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # log-uniform, out to where RunConfig's worst-case-total bound refuses c_max
+        alpha=(st.floats(-6.0, 6.0) | st.floats(-150.0, 80.0)).map(lambda e: 10.0**e),
+        c_min=(st.floats(-6.0, 6.0) | st.floats(-300.0, 150.0)).map(lambda e: 10.0**e),
+        width=(st.floats(0.0, 6.0) | st.floats(0.0, 300.0)).map(lambda e: 10.0**e),
+        horizon=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # phase 1 (alpha > sqrt(c_min)), and a run without it
+    @example(alpha=4.0, c_min=1.0, width=3.0, horizon=3000, seed=0)
+    @example(alpha=1.0, c_min=1.0, width=10.0, horizon=3000, seed=0)
+    def test_subsidy_bases_stay_in_the_cost_range(self, alpha, c_min, width, horizon, seed):
+        # RunConfig's worst-case-total bound keeps c_max finite, so every base
+        # is finite: 0, the point mass at c_max, or a middle draw in [c_min, c_max].
+        c_max = c_min * width
+        try:
+            run = RunConfig(horizon, ConstantTruth(alpha / 2, alpha / 2, alpha), SingletonCases(),
+                            UniformCosts(c_min, c_max), LearnerKind(LearnerFamily.EMPIRICAL_MEAN),
+                            SubsidySamplingConfig())
+        except ConfigurationError:  # outside the t = 1 region, or an unbounded total
+            reject()
+        _, bases = run.policy.horizon_actions(run, np.random.default_rng(seed))
+        assert np.isfinite(bases).all()
+        assert ((bases == 0.0) | (bases == c_max) | ((c_min <= bases) & (bases <= c_max))).all()
 
 
 class TestPolicyConfigs:
