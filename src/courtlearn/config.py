@@ -166,10 +166,7 @@ def _parse_cases(reader: _Reader) -> CaseSpec:
     if kind == "singleton":
         return SingletonCases()
     if kind == "ball":
-        dim = reader.integer("dim")
-        if dim < 1:
-            raise ConfigurationError(f"{reader._at('dim')}: must be >= 1, got {dim}")
-        return BallCases(dim)
+        return BallCases(reader.integer("dim"))
     raise ConfigurationError(f"{reader._at('kind')}: unknown case space {kind!r}")
 
 

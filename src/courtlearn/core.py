@@ -64,10 +64,6 @@ class ConstantTruth:
         if not 0.0 <= self.sigma <= self.alpha:
             raise ConfigurationError(f"noise level {self.sigma} outside [0, {self.alpha}]")
 
-    @property
-    def dim(self) -> int | None:
-        return None
-
 
 @dataclass(frozen=True, eq=False)
 class LinearTruth:

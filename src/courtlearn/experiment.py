@@ -218,9 +218,6 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     kwik_policies = [p for p in spec.policies if p.name == "kwik"]
     if len(kwik_policies) != 1:
         raise ConfigurationError("kwik report needs exactly one kwik policy in the config")
-    dim = spec.cases.dim
-    if dim is None:
-        raise ConfigurationError("kwik report requires vector cases")
 
     out_dir = _output_dir(spec)
     lines = [KWIK_COLUMNS]
@@ -235,7 +232,7 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
         within = int((errors <= epsilon).sum())
         fraction = within / predicted if predicted else 1.0
         max_error = errors.max().item() if predicted else 0.0
-        row = (horizon, dim, epsilon, config.policy.delta, predicted, ledger.court_count,
+        row = (horizon, config.cases.dim, epsilon, config.policy.delta, predicted, ledger.court_count,
                fraction, max_error)
         lines.append(_csv_row(row, "kwik.csv"))
     kwik_path = out_dir / "kwik.csv"

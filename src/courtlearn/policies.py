@@ -20,8 +20,8 @@ A policy is its frozen config, which holds only the policy's own parameters:
 its law reads the horizon, the truth's alpha and the cost model's range from
 the run.  The first four are state-free: each config states its
 whole-horizon law (``horizon_actions``), which draws a run's compel mask and
-subsidy bases up front, and the step from which it stays idle
-(``inactive_from``).  Each law is stated once: ``etc_compel_count`` gives the
+subsidy bases up front, with the number of leading steps on which it may
+act at all.  Each law is stated once: ``etc_compel_count`` gives the
 compel phase's length, ``transition_step`` the subsidy law's early phase, and
 ``dynamic_compel_probability``, ``subsidy_tail_probability`` and
 ``subsidy_bases`` work elementwise on the step numbers.  The kwik gate
@@ -167,16 +167,17 @@ def kwik_default_alpha1(epsilon: float, delta: float, dim: int, constant: float 
 # seed derivation; adding a policy must not perturb the derived streams of
 # existing ones.  ``run_fields`` names the run values its law reads (the
 # horizon, the truth's alpha, the cost model's c_min and c_max); the run's
-# canonical description records them with the policy.  ``state_free`` marks
-# policies whose randomness and compel/subsidy law do not depend on the court
-# history (a subsidy offer reads it only through the error bound), so a whole
-# run's actions can be drawn up front.  Their ``horizon_actions(run, rng)``
-# returns steps 1..run.horizon at once as (compel mask, subsidy bases),
-# drawing one uniform per step from ``rng`` (none for ``no_subsidy`` and
-# ``etc``).  ``None`` stands for "never compels" or "never offers"; the offer
-# at step t is ``max(0.0, bases[t - 1] - 2 * err_before)``.
-# ``inactive_from(run, t)`` is True if the policy neither compels nor offers a
-# subsidy at any step >= t.  ``run`` is the ``sim.RunConfig`` being played.
+# canonical description records them with the policy.  Every policy but
+# ``kwik`` is state-free: its randomness and compel/subsidy law do not depend
+# on the court history (a subsidy offer reads it only through the error
+# bound), so a whole run's actions can be drawn up front.
+# ``horizon_actions(run, rng)`` returns steps 1..run.horizon at once as
+# (compel mask, subsidy bases, active), drawing one uniform per step from
+# ``rng`` (none for ``no_subsidy`` and ``etc``).  ``None`` stands for "never
+# compels" or "never offers"; the offer at step t is ``max(0.0, bases[t - 1]
+# - 2 * err_before)``.  ``active`` counts the leading steps on which the
+# policy may act: from step active + 1 on it neither compels nor offers.
+# ``run`` is the ``sim.RunConfig`` being played.
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,10 @@ class NoSubsidyConfig:
 
     name: ClassVar[str] = "no_subsidy"
     tag: ClassVar[int] = 1
-    state_free: ClassVar[bool] = True
     run_fields: ClassVar[tuple[str, ...]] = ()
 
-    def inactive_from(self, run, t: int) -> bool:
-        return True
-
-    def horizon_actions(self, run, rng) -> tuple[None, None]:
-        return None, None
+    def horizon_actions(self, run, rng) -> tuple[None, None, int]:
+        return None, None, 0
 
 
 @dataclass(frozen=True)
@@ -201,15 +198,11 @@ class EtcConfig:
 
     name: ClassVar[str] = "etc"
     tag: ClassVar[int] = 2
-    state_free: ClassVar[bool] = True
     run_fields: ClassVar[tuple[str, ...]] = ("horizon", "alpha", "c_max")
 
-    def inactive_from(self, run, t: int) -> bool:
-        return t > etc_compel_count(run.horizon, run.truth.alpha, run.costs.c_max)
-
-    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None]:
+    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
         count = etc_compel_count(run.horizon, run.truth.alpha, run.costs.c_max)
-        return np.arange(run.horizon) < count, None
+        return np.arange(run.horizon) < count, None, count
 
 
 @dataclass(frozen=True)
@@ -218,16 +211,12 @@ class DynamicCompellingConfig:
 
     name: ClassVar[str] = "dynamic_compelling"
     tag: ClassVar[int] = 3
-    state_free: ClassVar[bool] = True
     run_fields: ClassVar[tuple[str, ...]] = ("alpha", "c_max")
 
-    def inactive_from(self, run, t: int) -> bool:
-        return False
-
-    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None]:
+    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
         t = np.arange(1, run.horizon + 1, dtype=float)
         p = dynamic_compel_probability(t, run.truth.alpha, run.costs.c_max)
-        return rng.random(run.horizon) < p, None
+        return rng.random(run.horizon) < p, None, run.horizon
 
 
 @dataclass(frozen=True)
@@ -240,18 +229,15 @@ class SubsidySamplingConfig:
 
     name: ClassVar[str] = "subsidy_sampling"
     tag: ClassVar[int] = 4
-    state_free: ClassVar[bool] = True
     run_fields: ClassVar[tuple[str, ...]] = ("alpha", "c_min", "c_max")
 
-    def inactive_from(self, run, t: int) -> bool:
-        return False
-
-    def horizon_actions(self, run, rng) -> tuple[None, np.ndarray]:
+    def horizon_actions(self, run, rng) -> tuple[None, np.ndarray, int]:
         alpha, c_min = run.truth.alpha, run.costs.c_min
-        return None, subsidy_bases(
+        bases = subsidy_bases(
             rng.random(run.horizon), np.arange(1, run.horizon + 1), alpha, c_min, run.costs.c_max,
             transition_step(alpha, c_min),
         )
+        return None, bases, run.horizon
 
 
 @dataclass(frozen=True)
@@ -265,7 +251,6 @@ class KwikConfig:
 
     name: ClassVar[str] = "kwik"
     tag: ClassVar[int] = 5
-    state_free: ClassVar[bool] = False
     run_fields: ClassVar[tuple[str, ...]] = ()
 
     epsilon: float

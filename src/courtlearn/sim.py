@@ -11,12 +11,14 @@ every run in two phases.  The search finds the court visits: it needs only
 the error bound, which depends on the visit count alone, and for ``kwik``
 the spectrum of the courted Gram matrix, never a fitted rule.  A state-free
 policy (``no_subsidy``, ``etc``, ``dynamic_compelling``,
-``subsidy_sampling``) draws its actions for the whole horizon up front, and
-the next visit is found by a vectorized litigation test over a doubling
-window (``_state_free_visits``).  The ``kwik`` gate checks a doubling window
-of rows at once on the spectrum frozen since the last visit; after a visit
-it speculates that the next rows visit too, and decomposes their Gram
-prefixes in one stacked ``eigh`` (``_kwik_visits``).  The fit then computes
+``subsidy_sampling``) draws its actions for the whole horizon up front, as
+(compel mask, subsidy bases, active) with ``active`` the number of leading
+steps on which it may act, and the next visit is found by a vectorized
+litigation test over a doubling window (``_state_free_visits``).  The
+``kwik`` gate checks a doubling window of rows at once on the spectrum
+frozen since the last visit; after a visit it speculates that the next rows
+visit too, and decomposes their Gram prefixes in one stacked ``eigh``
+(``_kwik_visits``).  The fit then computes
 the rule after each visit: a linear one in stacked passes of ``_FLUSH``
 visits, from the spectra the search kept or, for a state-free policy, from
 one stacked ``eigh`` of the Gram prefixes; a mean one by one ``np.cumsum``.
@@ -130,6 +132,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon > 2**53:  # dynamic_compelling computes its step numbers in float64
+            raise ConfigurationError(
+                f"horizon must be <= 2**53, up to which float64 step numbers are exact, got {self.horizon}"
+            )
         case_dim = self.cases.dim
         if isinstance(self.truth, LinearTruth):
             if case_dim is None or case_dim != self.truth.dim:
@@ -151,7 +157,9 @@ class RunConfig:
             # phase exists exactly when alpha > sqrt(c_min); its length,
             # ``policies.transition_step``, may overflow for a run refused here.
             alpha, c_min = self.truth.alpha, self.costs.c_min
-            subsidy_tail_probability(1, c_min, alpha, alpha / math.sqrt(c_min) > 1.0)
+            # An overflow here means a probability above 1, which is refused anyway.
+            with np.errstate(over="ignore"):
+                subsidy_tail_probability(1, c_min, alpha, alpha / math.sqrt(c_min) > 1.0)
         # A step's squared error, court fee, subsidy and deterrent payoff each
         # stay within w, so a run's sums stay within T * w, and a regret's
         # squared deviation from the mean within (2 * w)^2.
@@ -285,16 +293,18 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     def bound(m: np.ndarray) -> np.ndarray:
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
 
-    if not policy.state_free:
+    if isinstance(policy, KwikConfig):
         compel, bases, end, subsidy_paid = np.zeros(T, dtype=bool), None, T, 0.0
         visits = _kwik_visits(xs, costs, policy.thresholds(dim), bound, compel, fits)
     else:
-        compel, bases = policy.horizon_actions(
+        compel, bases, active = policy.horizon_actions(
             config, _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
         )
         # The closed-form tail needs a case-free prediction (mean learners only).
-        skip_tail = not keep_records and not linear
-        visits, end, subsidy_paid = _state_free_visits(config, costs, compel, bases, bound, skip_tail)
+        tail_from = T if keep_records or linear else active
+        visits, end, subsidy_paid = _state_free_visits(
+            costs, config.costs.c_min, compel, bases, bound, tail_from
+        )
         if linear:  # flushed as if added one visit at a time
             for lo in range(0, len(visits), _FLUSH):
                 fits.add(visits[lo : lo + _FLUSH])
@@ -352,11 +362,12 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
 
 
 def _state_free_visits(
-    config: RunConfig, costs: np.ndarray, compel: np.ndarray | None, bases: np.ndarray | None,
-    bound: Callable, skip_tail: bool,
+    costs: np.ndarray, c_min: float, compel: np.ndarray | None, bases: np.ndarray | None,
+    bound: Callable, tail_from: int,
 ) -> tuple[list[int], int, float]:
-    """(court visits, steps before the closed-form tail, subsidy paid) of a state-free run."""
-    T = config.horizon
+    """(court visits, steps before the closed-form tail, subsidy paid) of a state-free run;
+    the tail may start at a window start from step index ``tail_from`` on."""
+    T = costs.shape[0]
     visits: list[int] = []
     subsidy_paid = 0.0
     errs = bound(np.arange(_FIRST_WINDOW))
@@ -366,9 +377,9 @@ def _state_free_visits(
         err = errs.item(len(visits))
         two_err = 2.0 * err
         # A case-by-case loop's first tail-skip step is a window start: err is
-        # frozen until the next visit, and a policy that goes inactive (etc)
+        # frozen until the next visit, and a policy that goes idle (etc)
         # compels every step before.
-        if skip_tail and two_err < config.costs.c_min and config.policy.inactive_from(config, s + 1):
+        if s >= tail_from and two_err < c_min:
             return visits, s, subsidy_paid
         stop = min(T, s + window)
         offers = 0.0 if bases is None else _offers(bases[s:stop], two_err)
@@ -655,10 +666,9 @@ def check_deterrent(config: RunConfig, replications: int) -> DeterrentReport:
     sum_s = np.zeros(T)
     sumsq_s = np.zeros(T)
     for rep in range(replications):
-        env = draw_environment(config, rep)
-        ledger = _simulate(config, env, rep, keep_records=True)
-        subsidy = ledger.steps["subsidy"]
-        v = subsidy - env.costs - ledger.steps["settlement_value"]
+        steps = run(config, rep).steps
+        subsidy = steps["subsidy"]
+        v = subsidy - steps["cost"] - steps["settlement_value"]
         sum_v += v
         sumsq_v += v * v
         sum_s += subsidy

@@ -30,7 +30,7 @@ import numpy as np
 
 from courtlearn.core import ConstantTruth, RunLedger, augment, decompose
 from courtlearn.learners import LearnerFamily, _fit_linear
-from courtlearn.policies import agent_decision, subsidy_tail_probability
+from courtlearn.policies import KwikConfig, agent_decision, subsidy_tail_probability
 from courtlearn.sim import _STREAM_POLICY, STEP_COLUMNS, RunConfig, Environment, _step_columns, _stream
 
 
@@ -43,9 +43,9 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     kind = config.learner
     case_dim = config.cases.dim
     policy = config.policy
-    state_free = policy.state_free
+    state_free = not isinstance(policy, KwikConfig)
     if state_free:
-        compel, bases = policy.horizon_actions(
+        compel, bases, active = policy.horizon_actions(
             config, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
         )
         compel = [False] * T if compel is None else compel.tolist()
@@ -89,7 +89,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     err_before = alpha  # err bound with the current dataset; alpha while empty
 
     for t in range(1, T + 1):
-        if fast_candidate and 2.0 * err_before < cost_floor and policy.inactive_from(config, t):
+        if fast_candidate and 2.0 * err_before < cost_floor and t > active:
             total_loss += (T - t + 1) * (rule_value - truth.mu) ** 2
             break
         i = t - 1

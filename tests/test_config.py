@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,42 @@ class TestFieldPathedErrors:
         assert "policies[1] (subsidy_sampling)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "regret.csv").exists()
 
+    def test_subsidy_sampling_overflow_at_t1_refused_without_warning(self, tmp_path, capsys):
+        # alpha / sqrt(c_min) overflows: a probability above 1, refused with no RuntimeWarning
+        data = minimal_config(
+            truth={"family": "constant", "mu": 0.0, "sigma": 0.0, "alpha": 1e300},
+            cost={"kind": "uniform", "c_min": 1e-20, "c_max": 2e-20},
+            policies=["subsidy_sampling"],
+            out_dir=str(tmp_path / "out"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"^policies\[0\] \(subsidy_sampling\): subsidy tail"):
+                parse_config(data)
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(data))
+            assert main(["run", str(path)]) == 2
+        assert "subsidy tail probability inf > 1 at t=1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_horizon_ceiling(self, tmp_path, capsys):
+        # dynamic_compelling's float64 step numbers are exact up to 2**53; parsed only, never run
+        policies = ["no_subsidy", "etc", "dynamic_compelling"]
+        assert parse_config(minimal_config(policies=policies, sweep=[2**53])).sweep == (2**53,)
+        for horizon in (2**53 + 1, 10**20):
+            data = minimal_config(policies=policies, sweep=[horizon], out_dir=str(tmp_path / "out"))
+            message = (
+                f"policies[0] (no_subsidy): horizon must be <= 2**53, up to which float64 step"
+                f" numbers are exact, got {horizon}"
+            )
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                parse_config(data)
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(data))
+            assert main(["run", str(path)]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -133,6 +170,8 @@ class TestFieldPathedErrors:
             ({"replications": None}, "replications: expected an integer, got None"),
             ({"seed": None}, "seed: expected an integer, got None"),
             ({"out_dir": None}, "out_dir: expected a string, got None"),
+            # refused by BallCases itself, which names the field
+            ({"cases": {"kind": "ball", "dim": 0}}, "cases.dim must be >= 1, got 0"),
         ],
         ids=[
             "c_max_infinity",
@@ -144,6 +183,7 @@ class TestFieldPathedErrors:
             "replications_null",
             "seed_null",
             "out_dir_null",
+            "ball_dim_zero",
         ],
     )
     def test_number_must_be_finite(self, tmp_path, capsys, overrides, message):

@@ -330,7 +330,7 @@ def test_horizon_actions_replay_select(config):
     horizon, err = config.horizon, 0.3
     rng_whole = np.random.default_rng(17)
     rng_steps = np.random.default_rng(17)
-    compel, bases = config.policy.horizon_actions(config, rng_whole)
+    compel, bases, _ = config.policy.horizon_actions(config, rng_whole)
     for t in range(1, horizon + 1):
         compelled, offer = _scalar_step(config, t, err, rng_steps)
         assert compelled == (compel is not None and bool(compel[t - 1]))
@@ -345,7 +345,7 @@ def test_horizon_actions_replay_select(config):
 def test_dynamic_compel_mask_matches_per_step_draws():
     alpha, c_max, horizon = 3.0, 1.0, 2000
     config = _mean_config(DynamicCompellingConfig(), horizon, alpha=alpha, costs=PointMassCosts(c_max))
-    mask, _ = config.policy.horizon_actions(config, np.random.default_rng(4))
+    mask, _, _ = config.policy.horizon_actions(config, np.random.default_rng(4))
     rng = np.random.default_rng(4)
     expected = [rng.random() < dynamic_compel_probability(t, alpha, c_max)
                 for t in range(1, horizon + 1)]

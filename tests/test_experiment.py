@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from courtlearn import experiment
 from courtlearn.cli import main
 from courtlearn.config import parse_config
-from courtlearn.core import RunLedger
+from courtlearn.core import ConfigurationError, RunLedger
 from courtlearn.experiment import (
     KWIK_COLUMNS,
     REGRET_COLUMNS,
@@ -305,6 +305,13 @@ class TestKwikReport:
         spec = small_spec(tmp_path)
         with pytest.raises(Exception, match="kwik"):
             kwik_report(spec)
+
+    def test_singleton_cases_refused_by_the_run_config(self, tmp_path):
+        # A hand-built spec skips the loader's cell check; RunConfig still refuses it.
+        spec = dataclasses.replace(small_spec(tmp_path), policies=kwik_spec(tmp_path).policies)
+        with pytest.raises(ConfigurationError, match="^kwik policy requires vector cases$"):
+            kwik_report(spec)
+        assert not (tmp_path / "out" / "kwik.csv").exists()
 
 
 class TestCli:

@@ -185,21 +185,20 @@ class TestKwikGate:
 
 
 class TestSelect:
-    """Each state-free policy's whole-horizon actions (compel mask, subsidy bases)."""
+    """Each state-free policy's whole-horizon actions (compel mask, subsidy bases, active)."""
 
     def test_no_subsidy_always_idle(self):
         run = _run_config(NoSubsidyConfig(), horizon=1000)
         rng = np.random.default_rng(0)
-        assert run.policy.horizon_actions(run, rng) == (None, None)
-        assert all(run.policy.inactive_from(run, t) for t in (1, 5, 1000))
+        assert run.policy.horizon_actions(run, rng) == (None, None, 0)
 
     def test_etc_threshold(self):
         run = _run_config(EtcConfig(), horizon=100, alpha=2.0, costs=PointMassCosts(4.0))
         rng = np.random.default_rng(0)
-        compel, bases = run.policy.horizon_actions(run, rng)
+        compel, bases, active = run.policy.horizon_actions(run, rng)
         assert compel[10 - 1] and not compel[11 - 1]
         assert compel[:10].all() and not compel[10:].any() and bases is None
-        assert run.policy.inactive_from(run, 11) and not run.policy.inactive_from(run, 10)
+        assert active == 10
 
     def test_dynamic_compel_frequency(self):
         # Monte Carlo check of the stated per-step probability at t = 10^4
@@ -212,14 +211,15 @@ class TestSelect:
         rng = np.random.default_rng(3)
         for policy in (EtcConfig(), DynamicCompellingConfig()):
             run = _run_config(policy, horizon=50, costs=PointMassCosts(1.0))
-            compel, bases = policy.horizon_actions(run, rng)
+            compel, bases, active = policy.horizon_actions(run, rng)
             assert compel.shape == (50,) and bases is None
+            assert active == (8 if isinstance(policy, EtcConfig) else 50)  # etc: ceil(sqrt(50))
 
     def test_subsidy_policy_never_compels(self):
         rng = np.random.default_rng(4)
         run = _run_config(SubsidySamplingConfig(), horizon=199, costs=UniformCosts(4.0, 12.0))
-        compel, bases = run.policy.horizon_actions(run, rng)
-        assert compel is None and bases.shape == (199,)
+        compel, bases, active = run.policy.horizon_actions(run, rng)
+        assert compel is None and bases.shape == (199,) and active == 199
         assert np.isfinite(bases).all() and (bases >= 0.0).all()
 
     @settings(max_examples=200, deadline=None)
@@ -244,7 +244,7 @@ class TestSelect:
                             SubsidySamplingConfig())
         except ConfigurationError:  # outside the t = 1 region, or an unbounded total
             reject()
-        _, bases = run.policy.horizon_actions(run, np.random.default_rng(seed))
+        _, bases, _ = run.policy.horizon_actions(run, np.random.default_rng(seed))
         assert np.isfinite(bases).all()
         assert ((bases == 0.0) | (bases == c_max) | ((c_min <= bases) & (bases <= c_max))).all()
 
