@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentSpec
 from .core import ConfigurationError, RunLedger
-from .sim import estimate_regret, run
+from .sim import RunConfig, estimate_regret, run
 
 __all__ = [
     "REGRET_COLUMNS",
@@ -153,14 +153,17 @@ def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, 
     ledgers.jsonl as one line when the replication ends.  The lines go to a
     temporary file that becomes ledgers.jsonl only once every cell has
     passed its finiteness check, so a failed sweep leaves no ledgers.jsonl.
+    Every cell's run config is built before the output directory, so a
+    refused cell leaves no directory behind.
     """
+    configs = [spec.run_config(policy, horizon) for policy in spec.policies for horizon in spec.sweep]
     out_dir = _output_dir(spec)
     if not ledgers:
-        return _run_cells(spec, out_dir, None)
+        return _run_cells(configs, spec.replications, out_dir, None)
     partial = out_dir / "ledgers.jsonl.tmp"
     try:
         with partial.open("w") as stream:
-            outputs = _run_cells(spec, out_dir, stream)
+            outputs = _run_cells(configs, spec.replications, out_dir, stream)
         outputs["ledgers"] = out_dir / "ledgers.jsonl"
         os.replace(partial, outputs["ledgers"])
         return outputs
@@ -168,28 +171,29 @@ def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, 
         partial.unlink(missing_ok=True)
 
 
-def _run_cells(spec: ExperimentSpec, out_dir: Path, stream: TextIO | None) -> dict[str, Path]:
+def _run_cells(
+    configs: list[RunConfig], replications: int, out_dir: Path, stream: TextIO | None
+) -> dict[str, Path]:
     """Every (policy, horizon) cell; writes regret.csv and slopes.csv, and
     streams each replication's ledger line to ``stream`` when one is given."""
     regret_lines = [REGRET_COLUMNS]
     per_policy: dict[str, list[tuple[int, float]]] = {}
-    for policy in spec.policies:
-        for horizon in spec.sweep:
-            config = spec.run_config(policy, horizon)
-            sink = None
-            if stream is not None:
+    for config in configs:
+        name, horizon = config.policy.name, config.horizon
+        sink = None
+        if stream is not None:
 
-                def sink(rep, ledger, _p=policy.name, _h=horizon):
-                    _ledger_line(stream, _p, _h, rep, ledger)
-                    stream.write("\n")
+            def sink(rep, ledger, _p=name, _h=horizon):
+                _ledger_line(stream, _p, _h, rep, ledger)
+                stream.write("\n")
 
-            report = estimate_regret(config, spec.replications, ledger_sink=sink)
-            row = (
-                policy.name, horizon, report.mean_regret, report.std_error,
-                report.mean_court_count, report.mean_total_subsidy, report.mean_offline_loss,
-            )
-            regret_lines.append(_csv_row(row, "regret.csv"))
-            per_policy.setdefault(policy.name, []).append((horizon, report.mean_regret))
+        report = estimate_regret(config, replications, ledger_sink=sink)
+        row = (
+            name, horizon, report.mean_regret, report.std_error,
+            report.mean_court_count, report.mean_total_subsidy, report.mean_offline_loss,
+        )
+        regret_lines.append(_csv_row(row, "regret.csv"))
+        per_policy.setdefault(name, []).append((horizon, report.mean_regret))
 
     slope_lines = [SLOPES_COLUMNS]
     for name, points in per_policy.items():
@@ -219,10 +223,10 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     if len(kwik_policies) != 1:
         raise ConfigurationError("kwik report needs exactly one kwik policy in the config")
 
+    configs = [spec.run_config(kwik_policies[0], horizon) for horizon in spec.sweep]
     out_dir = _output_dir(spec)
     lines = [KWIK_COLUMNS]
-    for horizon in spec.sweep:
-        config = spec.run_config(kwik_policies[0], horizon)
+    for config in configs:
         epsilon = config.policy.epsilon
         ledger = run(config, rep=0)
         steps = ledger.steps
@@ -232,8 +236,8 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
         within = int((errors <= epsilon).sum())
         fraction = within / predicted if predicted else 1.0
         max_error = errors.max().item() if predicted else 0.0
-        row = (horizon, config.cases.dim, epsilon, config.policy.delta, predicted, ledger.court_count,
-               fraction, max_error)
+        row = (config.horizon, config.cases.dim, epsilon, config.policy.delta, predicted,
+               ledger.court_count, fraction, max_error)
         lines.append(_csv_row(row, "kwik.csv"))
     kwik_path = out_dir / "kwik.csv"
     _write_text(kwik_path, lines)

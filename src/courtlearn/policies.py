@@ -28,8 +28,8 @@ compel phase's length, ``transition_step`` the subsidy law's early phase, and
 depends on the court history, so it cannot be drawn up front; still,
 ``_gate`` checks many case rows in one stacked pass, at
 ``KwikConfig.thresholds``: a window of rows on the spectrum frozen since the
-last court visit, or a block of rows each on its own prefix of the court
-rows.
+last court visit, or rows each on the prefix of the court rows its guessed
+count implies.
 """
 
 from __future__ import annotations
@@ -140,11 +140,12 @@ def _gate(spectrum: Spectrum, queries: np.ndarray, alpha1: float, alpha2: float)
     """Gate each augmented query row on a courted-history spectrum: True (compel) unless covered.
 
     ``spectrum`` is one decomposition shared by every row, or a stack with one
-    per row.  Each query is split across the eigenvectors of its courted Gram
-    matrix.  Directions with eigenvalue >= 1 contribute projection^2 /
-    eigenvalue to the covered mass; the rest contribute their raw squared
-    projection.  Both masses are summed left to right over the directions
-    (``np.cumsum``), the order of the one-row gate in ``tests/oracle.py``.
+    per row (the prefix its guessed visit count implies).  Each query is
+    split across the eigenvectors of its courted Gram matrix.  Directions
+    with eigenvalue >= 1 contribute projection^2 / eigenvalue to the covered
+    mass; the rest contribute their raw squared projection.  Both masses are
+    summed left to right over the directions (``np.cumsum``), the order of
+    the one-row gate in ``tests/oracle.py``.
     """
     projections = np.matmul(np.swapaxes(spectrum.vectors, -1, -2), queries[:, :, None])[:, :, 0]
     eigvals = spectrum.values

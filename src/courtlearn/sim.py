@@ -15,10 +15,11 @@ policy (``no_subsidy``, ``etc``, ``dynamic_compelling``,
 (compel mask, subsidy bases, active) with ``active`` the number of leading
 steps on which it may act, and the next visit is found by a vectorized
 litigation test over a doubling window (``_state_free_visits``).  The
-``kwik`` gate checks a doubling window of rows at once on the spectrum
-frozen since the last visit; after a visit it speculates that the next rows
-visit too, and decomposes their Gram prefixes in one stacked ``eigh``
-(``_kwik_visits``).  The fit then computes
+``kwik`` search guesses, then verifies (``_kwik_visits``): it gates a window
+of rows at once on the spectrum frozen since the last visit, decomposes the
+Gram prefixes of the guessed visits in one stacked ``eigh``, and decides
+each later row again on the prefix its guessed count implies, up to the
+first disagreement.  The fit then computes
 the rule after each visit: a linear one in stacked passes of ``_FLUSH``
 visits, from the spectra the search kept or, for a state-free policy, from
 one stacked ``eigh`` of the Gram prefixes; a mean one by one ``np.cumsum``.
@@ -89,7 +90,7 @@ _TOTAL_LIMIT = 1e300
 _FIRST_WINDOW = 64
 # The kwik gate's window stops doubling here: it gates (window, dim + 1) arrays.
 _LAST_WINDOW = 1024
-# Court visits fitted in one stacked pass, and the longest speculative kwik block.
+# Court visits fitted in one stacked pass, and the most guessed kwik visits decomposed at once.
 _FLUSH = 256
 # Rows per stacked prediction product.
 _PREDICT_CHUNK = 1024
@@ -422,14 +423,19 @@ def _kwik_visits(
 ) -> list[int]:
     """The court visits of a kwik run; ``compel`` is set where the gate fired.
 
-    Between visits the spectrum is frozen, so a doubling window of rows is
-    gated at once.  After a visit, the next k rows are speculated to visit
-    too: their Gram prefixes (``np.cumsum`` from the current Gram matrix) get
-    one stacked ``eigh``, row j is gated on prefix j - 1 and tested against
-    the bound after the visits before it, and the longest prefix of rows that
-    really visit is accepted.  k doubles after a block accepted whole, up to
-    ``_FLUSH``, and falls back to 1 after a rejection.  The spectrum after
-    each accepted visit goes to ``fits`` (if any) with it, so no fit decomposes again.
+    Each round guesses, then verifies.  It gates a window of rows from the
+    current step on the spectrum frozen since the last visit, at the current
+    error bound; the rows up to the first guessed visit are exact.  The Gram
+    prefixes of the first k guessed visits (``np.cumsum`` from the current
+    Gram matrix) get one stacked ``eigh``, and each later row is decided
+    again on the prefix its guessed count c implies, against the bound after
+    c visits.  The rows before the first disagreement are kept.  At it the
+    state is exact, so a guessed visit that settles is decided too, while a
+    guessed settle that visits is left to the next round.  k doubles, up to
+    ``_FLUSH``, after k guessed visits are all kept, and falls back to 1 after
+    a disagreement; the window doubles, up to ``_LAST_WINDOW``, while nothing
+    is guessed.  The spectrum after each kept visit goes to ``fits`` (if any)
+    with it, so no fit decomposes again.
     """
     T = costs.shape[0]
     alpha1, alpha2 = thresholds
@@ -437,49 +443,45 @@ def _kwik_visits(
     spectrum = decompose(gram)
     errs = bound(np.arange(_FIRST_WINDOW))
     visits: list[int] = []
-    s = 0
+    s, window, k = 0, _FIRST_WINDOW, 1
     while s < T:
-        err = errs.item(len(visits))
-        window = _FIRST_WINDOW
-        while True:
-            stop = min(T, s + window)
-            gated = policies._gate(spectrum, augment(xs[s:stop]), alpha1, alpha2)
-            went = gated | policies.agent_decision(costs[s:stop], 0.0, err)
-            hit = int(went.argmax())
-            if went[hit] or stop == T:
-                break
-            s = stop
-            window = min(2 * window, _LAST_WINDOW)
-        if not went[hit]:
-            break  # no visit before the horizon
-        v = s + hit
-        compel[v] = gated[hit]
-        k = 1
-        while True:  # speculative blocks: row v visits, rows v + 1 .. v + n may
-            n = min(k, T - 1 - v)
-            m = len(visits)  # visits before v
-            rows = augment(xs[v : v + n + 1])
-            prefix = rows[: max(n, 1)]  # prefix j holds rows v .. v + j
-            grams = _prefix_sums(gram, prefix[:, :, None] * prefix[:, None, :])
-            spectra = decompose(grams)
-            errs = _err_table(bound, errs, m + n)
-            gated = policies._gate(spectra.pick(slice(n)), rows[1:], alpha1, alpha2)
-            went = gated | policies.agent_decision(costs[v + 1 : v + n + 1], 0.0, errs[m + 1 : m + n + 1])
-            accepted = n if went.all() else int(went.argmin())
-            compel[v + 1 : v + accepted + 1] = gated[:accepted]
-            # Visits whose spectrum this block holds; when all n rows visit, the
-            # last one's spectrum is the next block's first prefix.
-            done = accepted + 1 if accepted < n else max(n, 1)
-            visits.extend(range(v, v + done))
-            if fits is not None:
-                fits.add(range(v, v + done), spectra.pick(slice(done)))
-            gram = grams[done - 1]
-            spectrum = spectra.pick(done - 1)
-            if accepted < n or n == 0:
-                break
-            v += n
+        m = len(visits)
+        stop = min(T, s + window)
+        rows = augment(xs[s:stop])
+        gated = policies._gate(spectrum, rows, alpha1, alpha2)
+        guess = gated | policies.agent_decision(costs[s:stop], 0.0, errs.item(m))
+        guessed = np.flatnonzero(guess)
+        if not guessed.size:
+            s, window = stop, min(2 * window, _LAST_WINDOW)
+            continue
+        first, window = guessed.item(0), _FIRST_WINDOW
+        picked = rows[guessed[:k]]
+        grams = _prefix_sums(gram, picked[:, :, None] * picked[:, None, :])
+        spectra = decompose(grams)
+        errs = _err_table(bound, errs, m + len(picked))
+        # Rows first + 1 .. end - 1 hold 1 .. len(picked) guessed visits before them.
+        end = guessed.item(k) if k < len(guessed) else stop - s
+        redo = slice(first + 1, end)
+        counts = np.cumsum(guess[first : end - 1])
+        regated = policies._gate(spectra.pick(counts - 1), rows[redo], alpha1, alpha2)
+        went = regated | policies.agent_decision(costs[s:stop][redo], 0.0, errs[m + counts])
+        differ = np.flatnonzero(went != guess[redo])
+        kept = len(went)
+        if differ.size:  # the re-decision there is exact: keep the row if it settles
+            kept = differ.item(0) + (not went[differ.item(0)])
+        done = 1 + int(np.count_nonzero(went[:kept]))
+        compel[s + first] = gated[first]
+        compel[s + first + 1 : s + first + 1 + kept] = regated[:kept]
+        new = (s + guessed[:done]).tolist()
+        visits.extend(new)
+        if fits is not None:
+            fits.add(new, spectra.pick(slice(done)))
+        gram, spectrum = grams[done - 1], spectra.pick(done - 1)
+        if differ.size:
+            k = 1
+        elif done == k:
             k = min(2 * k, _FLUSH)
-        s = v + accepted + 2  # row v + accepted + 1 was gated and did not visit
+        s += first + 1 + kept
     return visits
 
 

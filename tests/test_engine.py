@@ -240,7 +240,7 @@ def test_linear_and_kwik_runs_match_step_loop(run, keep_records):
     _assert_matches_oracle(*run, keep_records)
 
 
-# The gate compels every case: the opening block doubles up to the flush size.
+# The gate compels every case: each round keeps every visit it guesses.
 _COMPEL_ALL = KwikConfig(0.25, 0.05, alpha1=1e-3, alpha2=1e-3)
 # The gate never compels; only the first case litigates (cost 1.5 <= 2 * alpha).
 _GATE_NEVER = KwikConfig(0.25, 0.05, alpha1=10.0, alpha2=10.0)
@@ -252,6 +252,8 @@ def _one_cheap_case(horizon):
 
 _OLS_5 = LearnerKind(LearnerFamily.OLS, err_constant=5.0)
 _NORM_5 = LearnerKind(LearnerFamily.NORM_CONSTRAINED, err_constant=5.0)
+_OLS_LOW = LearnerKind(LearnerFamily.OLS, err_constant=0.3)
+_NORM = LearnerKind(LearnerFamily.NORM_CONSTRAINED)
 
 
 @pytest.mark.parametrize(
@@ -259,11 +261,11 @@ _NORM_5 = LearnerKind(LearnerFamily.NORM_CONSTRAINED, err_constant=5.0)
     [
         (_linear_config(_KWIK, 1, dim=5), 1),
         (_linear_config(DynamicCompellingConfig(), 1, learner=_RADIUS), 1),
-        # every block after the first doubles; the last is cut off by the horizon
+        # the guessed visits decomposed per round double; the last window is cut off by the horizon
         (_linear_config(_COMPEL_ALL, 100, learner=_RADIUS, dim=4), 100),
-        # blocks of 256 rows: flushes land between blocks of the same sequence
+        # flushes of sim._FLUSH visits land between rounds of kept visits
         (_linear_config(_COMPEL_ALL, 1000, learner=_RADIUS, dim=7), 1000),
-        # the block after the only visit is rejected at its first row, then
+        # the rows after the only visit are decided again and settle, then
         # windows run to the horizon without a visit
         (_linear_config(_GATE_NEVER, 3000, learner=_RADIUS, costs=_one_cheap_case(3000)), 1),
         (_linear_config(_GATE_NEVER, 3000, learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN),
@@ -274,11 +276,25 @@ _NORM_5 = LearnerKind(LearnerFamily.NORM_CONSTRAINED, err_constant=5.0)
         (_linear_config(DynamicCompellingConfig(), 700, learner=_NORM_5, costs=PointMassCosts(1e-4)), 700),
         (_linear_config(EtcConfig(), 700, learner=_OLS_5, costs=PointMassCosts(1e-5)), 700),
         (_linear_config(EtcConfig(), 700, learner=_NORM_5, costs=PointMassCosts(1e-5)), 700),
+        # A kwik round keeps its rows up to the first whose re-decision differs
+        # from the guess.  Found with a branch counter: a guessed visit that
+        # settles there (both runs), and a guessed settle that visits, left to
+        # the next round (the second; the gate is not monotone in the court data).
+        (_linear_config(KwikConfig(0.25, 0.05, alpha1=0.3, alpha2=0.5), 100, learner=_OLS_LOW, dim=1,
+                        sigma=0.0, seed=4), 30),
+        (_linear_config(KwikConfig(0.25, 0.05, alpha1_constant=100.0), 100, learner=_OLS_LOW, dim=1,
+                        sigma=0.05, seed=47), 9),
+        # windows of sim._FIRST_WINDOW and sim._LAST_WINDOW rows cut by the horizon
+        *[(_linear_config(_KWIK, horizon, learner=_NORM, dim=2, seed=7), count)
+          for horizon, count in [(63, 59), (64, 59), (65, 60), (1023, 99), (1024, 99), (1025, 99)]],
+        (_linear_config(_KWIK, 1025, learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN), seed=7), 437),
     ],
     ids=["kwik_T1", "state_free_T1", "block_cut_by_horizon", "flush_inside_block_sequence",
          "no_visit_after_the_first", "mean_learner_no_visit_after_the_first",
          "state_free_flushes_ols_dynamic", "state_free_flushes_norm_dynamic",
-         "state_free_flushes_ols_etc", "state_free_flushes_norm_etc"],
+         "state_free_flushes_ols_etc", "state_free_flushes_norm_etc",
+         "kwik_guessed_visit_settles", "kwik_guessed_settle_visits", "kwik_T63", "kwik_T64", "kwik_T65",
+         "kwik_T1023", "kwik_T1024", "kwik_T1025", "kwik_mean_learner"],
 )
 def test_run_edge_cases_match_step_loop(config, court_count):
     for keep_records in (True, False):
@@ -301,6 +317,24 @@ def test_kwik_run_memory_per_step_is_bounded():
         tracemalloc.stop()
     assert ledger.court_count > 2000
     assert peak / horizon < 200
+
+
+def test_kwik_search_stacks_its_eigh_calls(monkeypatch):
+    # The memory test's run: one stacked eigh call per 8 or more court visits
+    # (about 13 here), as a round decomposes the prefixes of all the visits it
+    # keeps in one call.
+    config = _linear_config(_KWIK, 10_000, learner=_NORM, dim=5, beta_scale=0.7, beta0=0.6,
+                            sigma=0.05, seed=7)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    ledger = sim.run(config, keep_records=False)
+    assert 8 * len(calls) <= ledger.court_count
 
 
 def _scalar_step(config, t, err, rng):

@@ -127,6 +127,14 @@ class TestRunExperiment:
             total += se + cc
         assert total == entry["total_loss"]
 
+    def test_refused_cell_creates_no_output_directory(self, tmp_path):
+        # Every cell's run config is built before the output directory.
+        spec = small_spec(tmp_path)
+        spec = dataclasses.replace(spec, policies=spec.policies + kwik_spec(tmp_path).policies)
+        with pytest.raises(ConfigurationError, match="^kwik policy requires vector cases$"):
+            run_experiment(spec, ledgers=True)
+        assert not (tmp_path / "out").exists()
+
     def test_ledger_memory_does_not_grow_with_replications(self, tmp_path):
         # each replication's line is written when it ends, so the peak is one
         # replication's ledger whatever the replication count
@@ -311,7 +319,8 @@ class TestKwikReport:
         spec = dataclasses.replace(small_spec(tmp_path), policies=kwik_spec(tmp_path).policies)
         with pytest.raises(ConfigurationError, match="^kwik policy requires vector cases$"):
             kwik_report(spec)
-        assert not (tmp_path / "out" / "kwik.csv").exists()
+        # Every horizon's run config is built before the output directory.
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:

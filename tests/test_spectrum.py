@@ -181,8 +181,9 @@ def test_one_eigh_per_court_visit(monkeypatch, config):
 )
 def test_kwik_eigh_budget(monkeypatch, truth, family):
     # One matrix for the empty Gram matrix, one per court visit, and the
-    # prefixes of speculated rows past a rejection: a block of k rows follows
-    # k - 1 visits accepted in the blocks before it, so at most one more per visit.
+    # prefixes guessed past a disagreement: a round that guesses k visits
+    # follows k - 1 visits kept since the last disagreement, so at most one
+    # more per visit.
     calls = _count_eigh_matrices(monkeypatch)
     config = _run_config(truth, family, _KWIK)
     ledger = sim.run(config)
