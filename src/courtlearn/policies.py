@@ -72,9 +72,11 @@ def agent_decision(cost: float | np.ndarray, subsidy: float | np.ndarray, err_be
 def etc_compel_count(horizon: int, alpha: float, c_max: float) -> int:
     """Length of the compel phase: ceil(alpha * sqrt(T / c_max)), capped at T."""
     value = alpha * math.sqrt(horizon / c_max)
+    if value >= horizon:  # also when T / c_max overflows (a subnormal c_max): ceil refuses inf
+        return horizon
     # tiny slack guards ceil against float fuzz on exact integers; a positive
     # value, however small (or underflowed to 0), still compels one case
-    return min(horizon, max(1, math.ceil(value - 1e-9)))
+    return max(1, math.ceil(value - 1e-9))
 
 
 def dynamic_compel_probability(t: int | np.ndarray, alpha: float, c_max: float):

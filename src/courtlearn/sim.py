@@ -13,13 +13,16 @@ the spectrum of the courted Gram matrix, never a fitted rule.  A state-free
 policy (``no_subsidy``, ``etc``, ``dynamic_compelling``,
 ``subsidy_sampling``) draws its actions for the whole horizon up front, as
 (compel mask, subsidy bases, active) with ``active`` the number of leading
-steps on which it may act, and the next visit is found by a vectorized
-litigation test over a doubling window (``_state_free_visits``).  The
-``kwik`` search guesses, then verifies (``_kwik_visits``): it gates a window
-of rows at once on the spectrum frozen since the last visit, decomposes the
-Gram prefixes of the guessed visits in one stacked ``eigh``, and decides
-each later row again on the prefix its guessed count implies, up to the
-first disagreement.  The fit then computes
+steps on which it may act.  Both searches guess, then verify, a window of
+steps per round.  The state-free search (``_state_free_visits``) decides a
+window of up to ``_LAST_STATE_FREE_WINDOW`` steps at the current visit
+count, decides each step after the first guessed visit again at the count
+the guess implies, and keeps the steps up to the first disagreement, which
+is exact too.  The ``kwik`` search (``_kwik_visits``) gates a window of rows
+at once on the spectrum frozen since the last visit, decomposes the Gram
+prefixes of the guessed visits in one stacked ``eigh``, and decides each
+later row again on the prefix its guessed count implies, up to the first
+disagreement.  The fit then computes
 the rule after each visit: a linear one in stacked passes of ``_FLUSH``
 visits, from the spectra the search kept or, for a state-free policy, from
 one stacked ``eigh`` of the Gram prefixes; a mean one by one ``np.cumsum``.
@@ -86,10 +89,12 @@ _STREAM_POLICY = 4
 # over replications finite as well.
 _TOTAL_LIMIT = 1e300
 
-# Steps searched for the next court visit (doubled while no visit is found).
+# Steps in a visit search's first window, and in its window after a reset.
 _FIRST_WINDOW = 64
 # The kwik gate's window stops doubling here: it gates (window, dim + 1) arrays.
 _LAST_WINDOW = 1024
+# The state-free search's window stops doubling here: it bounds the 1-D search arrays.
+_LAST_STATE_FREE_WINDOW = 4096
 # Court visits fitted in one stacked pass, and the most guessed kwik visits decomposed at once.
 _FLUSH = 256
 # Rows per stacked prediction product.
@@ -367,39 +372,67 @@ def _state_free_visits(
     bound: Callable, tail_from: int,
 ) -> tuple[list[int], int, float]:
     """(court visits, steps before the closed-form tail, subsidy paid) of a state-free run;
-    the tail may start at a window start from step index ``tail_from`` on."""
+    the tail may start from step index ``tail_from`` on.
+
+    Each round guesses, then verifies.  It decides a window of steps from
+    the current step at the current count m; the steps up to the first
+    guessed visit are exact.  Each later step is decided again, with the
+    same elementwise expressions, at the count the guess implies (m plus
+    the guessed visits before it).  The steps before the first disagreement
+    are kept, and so is the disagreement itself: the count before it is
+    exact, so its re-decision is the true one.  The window doubles, up to
+    ``_LAST_STATE_FREE_WINDOW``, after a round that keeps it whole, and falls
+    back to ``_FIRST_WINDOW`` after a disagreement.
+
+    The tail starts at the first step after the last visit that is at or
+    past ``tail_from``, when 2 * err < c_min there: the policy is idle from
+    ``tail_from`` on and no cost clears the test, so no visit can follow.
+    """
     T = costs.shape[0]
+
+    def decide(lo: int, hi: int, err) -> tuple[np.ndarray, np.ndarray | float]:
+        offers = 0.0 if bases is None else _offers(bases[lo:hi], 2.0 * err)
+        went = policies.agent_decision(costs[lo:hi], offers, err)
+        if compel is not None:
+            went |= compel[lo:hi]
+        return went, offers
+
     visits: list[int] = []
     subsidy_paid = 0.0
     errs = bound(np.arange(_FIRST_WINDOW))
-    s = 0
-    window = _FIRST_WINDOW
+    s, window = 0, _FIRST_WINDOW
     while s < T:
-        err = errs.item(len(visits))
-        two_err = 2.0 * err
-        # A case-by-case loop's first tail-skip step is a window start: err is
-        # frozen until the next visit, and a policy that goes idle (etc)
-        # compels every step before.
-        if s >= tail_from and two_err < c_min:
-            return visits, s, subsidy_paid
+        m = len(visits)
+        err = errs.item(m)
+        if s >= tail_from and 2.0 * err < c_min:
+            break
         stop = min(T, s + window)
-        offers = 0.0 if bases is None else _offers(bases[s:stop], two_err)
-        litigates = policies.agent_decision(costs[s:stop], offers, err)
-        if compel is not None:
-            litigates |= compel[s:stop]
-        hit = int(litigates.argmax())
-        if not litigates[hit]:
-            s = stop
-            window *= 2
+        guess, offers = decide(s, stop, err)
+        guessed = np.flatnonzero(guess)
+        if not guessed.size:
+            s, window = stop, min(2 * window, _LAST_STATE_FREE_WINDOW)
             continue
-        v = s + hit
-        window = _FIRST_WINDOW
-        if bases is not None:
-            subsidy_paid += offers.item(hit)
-        visits.append(v)
-        errs = _err_table(bound, errs, len(visits))
-        s = v + 1
-    return visits, T, subsidy_paid
+        first = guessed.item(0)
+        errs = _err_table(bound, errs, m + len(guessed) + 1)
+        # If the guess holds, steps s + first + 1 .. stop - 1 follow m + 1 .. m + len(guessed) visits.
+        went, redo_offers = decide(s + first + 1, stop, errs[m + np.cumsum(guess[first:-1])])
+        differ = np.flatnonzero(went != guess[first + 1 :])
+        if differ.size:
+            kept, window = differ.item(0) + 1, _FIRST_WINDOW
+        else:
+            kept, window = len(went), min(2 * window, _LAST_STATE_FREE_WINDOW)
+        later = np.flatnonzero(went[:kept])
+        visits.append(s + first)
+        visits.extend((s + first + 1 + later).tolist())
+        if bases is not None:  # added one visit at a time, as a sequential loop would
+            subsidy_paid += offers.item(first)
+            for offer in redo_offers[later].tolist():
+                subsidy_paid += offer
+        s += first + 1 + kept
+    end = T
+    if 2.0 * errs.item(len(visits)) < c_min:
+        end = min(max(visits[-1] + 1 if visits else 0, tail_from), T)
+    return visits, end, subsidy_paid
 
 
 def _mean_rules(ys: np.ndarray, alpha: float) -> np.ndarray:

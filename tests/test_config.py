@@ -348,6 +348,16 @@ class TestFieldPathedErrors:
             with pytest.raises(ConfigurationError, match="worst-case total"):
                 parse_config(data)
 
+    def test_subnormal_etc_cost_runs_to_completion(self, tmp_path):
+        # T / c_max overflows to inf in etc's compel count: every case is compelled.
+        data = minimal_config(cost={"kind": "point", "c": 1e-320}, policies=["etc"], sweep=[10, 1000])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        rows = (out / "regret.csv").read_text().splitlines()[1:]
+        assert [(row.split(",")[1], float(row.split(",")[4])) for row in rows] == [("10", 10.0), ("1000", 1000.0)]
+
     @pytest.mark.parametrize("source", ["config", "flag"])
     def test_negative_seed_rejected(self, tmp_path, capsys, source):
         data = minimal_config(seed=-3) if source == "config" else minimal_config()

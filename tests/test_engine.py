@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from courtlearn import sim
+from courtlearn import policies, sim
 from courtlearn.core import (
     BallCases,
     ConfigurationError,
@@ -288,13 +288,40 @@ _NORM = LearnerKind(LearnerFamily.NORM_CONSTRAINED)
         *[(_linear_config(_KWIK, horizon, learner=_NORM, dim=2, seed=7), count)
           for horizon, count in [(63, 59), (64, 59), (65, 60), (1023, 99), (1024, 99), (1025, 99)]],
         (_linear_config(_KWIK, 1025, learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN), seed=7), 437),
+        # The state-free search keeps a round's steps up to the first whose
+        # re-decision differs from the guess.  Found with a branch counter:
+        # each row below has rounds kept whole and rounds cut at a
+        # disagreement, except the etc rows (one kind each) and T = 63, 64
+        # and 65 (kept whole).
+        # voluntary visits (err_constant 5) interleaved with compels
+        (_mean_config(DynamicCompellingConfig(), 3000, err_constant=5.0, seed=7), 104),
+        # costs near 2 * err for hundreds of visits
+        (_mean_config(DynamicCompellingConfig(), 3000, costs=UniformCosts(0.05, 0.1), seed=7), 542),
+        # sequence costs equal to the point-mass subsidy base: the offer's rounding
+        # flips the re-decision both ways (a guessed visit settles, a guessed settle visits)
+        (_mean_config(SubsidySamplingConfig(), 2000, costs=FixedCosts((2.0, 1.0, 1.5)), err_constant=0.3), 75),
+        # the tail skip fires at the round after a disagreement, and after a
+        # round kept whole (its window doubled)
+        (_mean_config(EtcConfig(), 3000, err_constant=5.0), 39),
+        (_mean_config(EtcConfig(), 3000, costs=UniformCosts(0.45, 0.55)), 74),
+        # windows of sim._LAST_STATE_FREE_WINDOW steps, the last one cut by the horizon
+        (_mean_config(DynamicCompellingConfig(), 20_000, seed=7), 216),
+        # every step visits until 2 * err < 0.1: windows of sim._FIRST_WINDOW
+        # steps and their doubles cut by the horizon
+        *[(_mean_config(NoSubsidyConfig(), horizon, costs=UniformCosts(0.05, 0.1), seed=7), count)
+          for horizon, count in [(63, 63), (64, 64), (65, 65), (127, 125), (128, 126), (129, 127),
+                                 (4095, 400), (4096, 400), (4097, 400)]],
     ],
     ids=["kwik_T1", "state_free_T1", "block_cut_by_horizon", "flush_inside_block_sequence",
          "no_visit_after_the_first", "mean_learner_no_visit_after_the_first",
          "state_free_flushes_ols_dynamic", "state_free_flushes_norm_dynamic",
          "state_free_flushes_ols_etc", "state_free_flushes_norm_etc",
          "kwik_guessed_visit_settles", "kwik_guessed_settle_visits", "kwik_T63", "kwik_T64", "kwik_T65",
-         "kwik_T1023", "kwik_T1024", "kwik_T1025", "kwik_mean_learner"],
+         "kwik_T1023", "kwik_T1024", "kwik_T1025", "kwik_mean_learner",
+         "state_free_voluntary_and_compelled", "state_free_costs_near_two_err", "state_free_subsidy_ties_flip",
+         "state_free_tail_after_disagreement", "state_free_tail_after_whole_round", "state_free_last_window_cut",
+         "state_free_T63", "state_free_T64", "state_free_T65", "state_free_T127", "state_free_T128",
+         "state_free_T129", "state_free_T4095", "state_free_T4096", "state_free_T4097"],
 )
 def test_run_edge_cases_match_step_loop(config, court_count):
     for keep_records in (True, False):
@@ -335,6 +362,24 @@ def test_kwik_search_stacks_its_eigh_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     ledger = sim.run(config, keep_records=False)
     assert 8 * len(calls) <= ledger.court_count
+
+
+def test_state_free_search_decides_windows_of_steps(monkeypatch):
+    # One agent_decision call per 4 or more court visits (62 calls for 446
+    # visits here), as a round decides a window of up to
+    # sim._LAST_STATE_FREE_WINDOW steps in two calls and keeps every step up
+    # to its first disagreement.
+    config = _mean_config(DynamicCompellingConfig(), 100_000)
+    calls = []
+    decide = policies.agent_decision
+
+    def counting_decide(*args):
+        calls.append(len(args[0]))
+        return decide(*args)
+
+    monkeypatch.setattr(policies, "agent_decision", counting_decide)
+    ledger = sim.run(config, keep_records=False)
+    assert 4 * len(calls) <= ledger.court_count
 
 
 def _scalar_step(config, t, err, rng):

@@ -67,6 +67,10 @@ class TestEtcCompelCount:
         assert etc_compel_count(10, alpha=1e-12, c_max=1.0) == 1
         assert etc_compel_count(10, alpha=1e-300, c_max=1e300) == 1
 
+    def test_subnormal_c_max_compels_every_case(self):
+        # T / c_max overflows to inf, which ceil refuses
+        assert etc_compel_count(10, 1.0, 1e-320) == 10
+
 
 class TestDynamicCompelProbability:
     def test_direct(self):

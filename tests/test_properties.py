@@ -5,7 +5,7 @@ import math
 import tempfile
 
 import numpy as np
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from courtlearn.config import parse_config
@@ -215,6 +215,15 @@ def test_every_loadable_config_completes_a_sweep(data):
 
 @settings(max_examples=80, deadline=None)
 @given(data=experiment_configs(extreme=True))
+# A subnormal cost, below the strategy's magnitudes: T / c_max overflows in etc's compel count.
+@example(data={
+    "truth": {"family": "constant", "mu": 1.0, "sigma": 0.5, "alpha": 2.0},
+    "cost": {"kind": "point", "c": 1e-320},
+    "learner": {"kind": "empirical_mean"},
+    "policies": ["etc"],
+    "sweep": [10, 1000],
+    "replications": 1,
+})
 def test_every_loadable_extreme_config_completes_without_overflow(data):
     # The load-time bound on a run's worst-case total leaves no overflow in
     # any sum, standard error or ledger of the sweep.
