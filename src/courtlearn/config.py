@@ -291,10 +291,13 @@ def parse_config(data: dict) -> ExperimentSpec:
 def load_config(path: str | Path) -> ExperimentSpec:
     """Read and validate an experiment config file (JSON)."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigurationError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and integers past int's digit limit.
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from None
     return parse_config(data)

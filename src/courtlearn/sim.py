@@ -14,20 +14,19 @@ policy (``no_subsidy``, ``etc``, ``dynamic_compelling``,
 ``subsidy_sampling``) draws its actions for the whole horizon up front, as
 (compel mask, subsidy bases, active) with ``active`` the number of leading
 steps on which it may act.  Both searches guess, then verify, a window of
-steps per round.  The state-free search (``_state_free_visits``) decides a
-window of up to ``_LAST_STATE_FREE_WINDOW`` steps at the current visit
-count, decides each step after the first guessed visit again at the count
-the guess implies, and keeps the steps up to the first disagreement, which
-is exact too.  The ``kwik`` search (``_kwik_visits``) gates a window of rows
-at once on the spectrum frozen since the last visit, decomposes the Gram
+up to ``_LAST_WINDOW`` steps per round, and return only the court visits.
+The state-free search (``_state_free_visits``) decides a window at the
+current visit count, decides each step after the first guessed visit again
+at the count the guess implies, and keeps the steps up to the first
+disagreement, which is exact too.  The ``kwik`` search (``_kwik_visits``)
+gates rows on the spectrum frozen since the last visit, decomposes the Gram
 prefixes of the guessed visits in one stacked ``eigh``, and decides each
-later row again on the prefix its guessed count implies, up to the first
-disagreement.  The fit then computes
-the rule after each visit: a linear one in stacked passes of ``_FLUSH``
-visits, from the spectra the search kept or, for a state-free policy, from
-one stacked ``eigh`` of the Gram prefixes; a mean one by one ``np.cumsum``.
-Last, the predictions and the loss are built from each row's rule, gathered
-by its visit count (linear rows in fixed-size chunks).
+later row again on the prefix its guessed count implies.  The fit then
+computes the rule after each visit: a linear one in stacked passes of
+``_FLUSH`` visits, a mean one by one ``np.cumsum``.  Last, the scoring pass
+derives the rest from the visits and one error-bound table by court count:
+the subsidy paid, the start of the closed-form tail, and each row's rule,
+gathered by its visit count, for the predictions and the loss.
 
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
@@ -91,10 +90,9 @@ _TOTAL_LIMIT = 1e300
 
 # Steps in a visit search's first window, and in its window after a reset.
 _FIRST_WINDOW = 64
-# The kwik gate's window stops doubling here: it gates (window, dim + 1) arrays.
-_LAST_WINDOW = 1024
-# The state-free search's window stops doubling here: it bounds the 1-D search arrays.
-_LAST_STATE_FREE_WINDOW = 4096
+# A visit search's window stops doubling here: it bounds the search arrays,
+# (window, dim + 1) rows for the kwik gate.
+_LAST_WINDOW = 4096
 # Court visits fitted in one stacked pass, and the most guessed kwik visits decomposed at once.
 _FLUSH = 256
 # Rows per stacked prediction product.
@@ -282,6 +280,8 @@ def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger
 def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
     """One replication: draw the actions, search for the court visits, fit after each, then score.
 
+    Scoring derives the subsidy paid, the closed-form tail's start and the
+    records' ``pre_step_err_bound`` from the visits and one error-bound table.
     Every float is produced by the same operations, in the same order, as in
     the case-by-case loop of ``tests/oracle.py``, so ledgers and totals are
     bit for bit the same.
@@ -300,7 +300,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
 
     if isinstance(policy, KwikConfig):
-        compel, bases, end, subsidy_paid = np.zeros(T, dtype=bool), None, T, 0.0
+        compel, bases, tail_from = np.zeros(T, dtype=bool), None, T
         visits = _kwik_visits(xs, costs, policy.thresholds(dim), bound, compel, fits)
     else:
         compel, bases, active = policy.horizon_actions(
@@ -308,13 +308,18 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         )
         # The closed-form tail needs a case-free prediction (mean learners only).
         tail_from = T if keep_records or linear else active
-        visits, end, subsidy_paid = _state_free_visits(
-            costs, config.costs.c_min, compel, bases, bound, tail_from
-        )
+        visits = _state_free_visits(costs, config.costs.c_min, compel, bases, bound, tail_from)
         if linear:  # flushed as if added one visit at a time
             for lo in range(0, len(visits), _FLUSH):
                 fits.add(visits[lo : lo + _FLUSH])
 
+    errs = bound(np.arange(len(visits) + 1))  # the error bound by court count
+    subsidy_paid = 0.0
+    if bases is not None and visits:  # np.cumsum adds in visit order, as a sequential loop would
+        subsidy_paid = np.cumsum(_offers(bases[visits], 2.0 * errs[:-1])).item(-1)
+    end = T
+    if 2.0 * errs.item(-1) < config.costs.c_min:  # no visit can follow the last past tail_from
+        end = min(max(visits[-1] + 1 if visits else 0, tail_from), T)
     went = np.zeros(end, dtype=bool)
     went[visits] = True
     m_after = np.cumsum(went)
@@ -335,7 +340,7 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     steps = {}
     if keep_records:  # the tail skip is off, so end == T
         m_before = m_after - went
-        pre_errs = bound(np.arange(len(visits) + 1))[m_before]
+        pre_errs = errs[m_before]
         if linear:
             settlement = applied.copy()
             settlement[visits] = _clip(_predict(xs[visits], coefs, np.arange(len(visits))), alpha)
@@ -370,9 +375,8 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
 def _state_free_visits(
     costs: np.ndarray, c_min: float, compel: np.ndarray | None, bases: np.ndarray | None,
     bound: Callable, tail_from: int,
-) -> tuple[list[int], int, float]:
-    """(court visits, steps before the closed-form tail, subsidy paid) of a state-free run;
-    the tail may start from step index ``tail_from`` on.
+) -> list[int]:
+    """The court visits of a state-free run.
 
     Each round guesses, then verifies.  It decides a window of steps from
     the current step at the current count m; the steps up to the first
@@ -381,24 +385,23 @@ def _state_free_visits(
     the guessed visits before it).  The steps before the first disagreement
     are kept, and so is the disagreement itself: the count before it is
     exact, so its re-decision is the true one.  The window doubles, up to
-    ``_LAST_STATE_FREE_WINDOW``, after a round that keeps it whole, and falls
-    back to ``_FIRST_WINDOW`` after a disagreement.
+    ``_LAST_WINDOW``, after a round that keeps it whole, and falls back to
+    ``_FIRST_WINDOW`` after a disagreement.
 
-    The tail starts at the first step after the last visit that is at or
-    past ``tail_from``, when 2 * err < c_min there: the policy is idle from
-    ``tail_from`` on and no cost clears the test, so no visit can follow.
+    The search stops at a round start from step index ``tail_from`` on once
+    2 * err < c_min: the policy is idle there and no cost clears the agent's
+    test, so no visit can follow.
     """
     T = costs.shape[0]
 
-    def decide(lo: int, hi: int, err) -> tuple[np.ndarray, np.ndarray | float]:
+    def decide(lo: int, hi: int, err) -> np.ndarray:
         offers = 0.0 if bases is None else _offers(bases[lo:hi], 2.0 * err)
         went = policies.agent_decision(costs[lo:hi], offers, err)
         if compel is not None:
             went |= compel[lo:hi]
-        return went, offers
+        return went
 
     visits: list[int] = []
-    subsidy_paid = 0.0
     errs = bound(np.arange(_FIRST_WINDOW))
     s, window = 0, _FIRST_WINDOW
     while s < T:
@@ -407,32 +410,24 @@ def _state_free_visits(
         if s >= tail_from and 2.0 * err < c_min:
             break
         stop = min(T, s + window)
-        guess, offers = decide(s, stop, err)
+        guess = decide(s, stop, err)
         guessed = np.flatnonzero(guess)
         if not guessed.size:
-            s, window = stop, min(2 * window, _LAST_STATE_FREE_WINDOW)
+            s, window = stop, min(2 * window, _LAST_WINDOW)
             continue
         first = guessed.item(0)
         errs = _err_table(bound, errs, m + len(guessed) + 1)
         # If the guess holds, steps s + first + 1 .. stop - 1 follow m + 1 .. m + len(guessed) visits.
-        went, redo_offers = decide(s + first + 1, stop, errs[m + np.cumsum(guess[first:-1])])
+        went = decide(s + first + 1, stop, errs[m + np.cumsum(guess[first:-1])])
         differ = np.flatnonzero(went != guess[first + 1 :])
         if differ.size:
             kept, window = differ.item(0) + 1, _FIRST_WINDOW
         else:
-            kept, window = len(went), min(2 * window, _LAST_STATE_FREE_WINDOW)
-        later = np.flatnonzero(went[:kept])
+            kept, window = len(went), min(2 * window, _LAST_WINDOW)
         visits.append(s + first)
-        visits.extend((s + first + 1 + later).tolist())
-        if bases is not None:  # added one visit at a time, as a sequential loop would
-            subsidy_paid += offers.item(first)
-            for offer in redo_offers[later].tolist():
-                subsidy_paid += offer
+        visits.extend((s + first + 1 + np.flatnonzero(went[:kept])).tolist())
         s += first + 1 + kept
-    end = T
-    if 2.0 * errs.item(len(visits)) < c_min:
-        end = min(max(visits[-1] + 1 if visits else 0, tail_from), T)
-    return visits, end, subsidy_paid
+    return visits
 
 
 def _mean_rules(ys: np.ndarray, alpha: float) -> np.ndarray:

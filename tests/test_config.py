@@ -448,6 +448,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda path: path.mkdir(), "cannot read config file"),
+            (lambda path: path.write_bytes(b"\xff\xfe{"), "is not valid JSON"),
+            # past Python's limit on the digits of an int read from text
+            (lambda path: path.write_text('{"seed": ' + "9" * 5000 + "}"), "is not valid JSON"),
+            (lambda path: path.write_text("[" * 3000), "is not valid JSON"),
+        ],
+        ids=["directory", "not_utf8", "int_too_long", "nested_too_deep"],
+    )
+    def test_unreadable_file_is_a_configuration_error(self, tmp_path, monkeypatch, capsys, write, message):
+        monkeypatch.chdir(tmp_path)  # the config's default out_dir is relative
+        write(tmp_path / "config.json")
+        assert main(["run", "config.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -465,3 +484,9 @@ def test_readme_schema_example_loads():
     readme = (_ROOT / "README.md").read_text()
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     parse_config(json.loads(re.sub(r"//.*", "", block)))
+
+
+def test_readme_library_example_runs():
+    readme = (_ROOT / "README.md").read_text()
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

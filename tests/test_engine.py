@@ -256,6 +256,13 @@ _OLS_LOW = LearnerKind(LearnerFamily.OLS, err_constant=0.3)
 _NORM = LearnerKind(LearnerFamily.NORM_CONSTRAINED)
 
 
+def _quiet_kwik(horizon):
+    """linear_sweep's truth and learner at point cost 1, with a gate that never fires."""
+    truth = LinearTruth(np.full(5, 0.1565), 0.6, 0.05, 1.0)
+    return sim.RunConfig(horizon, truth, BallCases(5), PointMassCosts(1.0), _NORM,
+                         KwikConfig(0.25, 0.05, alpha1=10.0, alpha2=2.0), seed=3)
+
+
 @pytest.mark.parametrize(
     "config, court_count",
     [
@@ -284,10 +291,15 @@ _NORM = LearnerKind(LearnerFamily.NORM_CONSTRAINED)
                         sigma=0.0, seed=4), 30),
         (_linear_config(KwikConfig(0.25, 0.05, alpha1_constant=100.0), 100, learner=_OLS_LOW, dim=1,
                         sigma=0.05, seed=47), 9),
-        # windows of sim._FIRST_WINDOW and sim._LAST_WINDOW rows cut by the horizon
+        # windows of sim._FIRST_WINDOW rows and their doubles cut by the horizon
         *[(_linear_config(_KWIK, horizon, learner=_NORM, dim=2, seed=7), count)
           for horizon, count in [(63, 59), (64, 59), (65, 60), (1023, 99), (1024, 99), (1025, 99)]],
         (_linear_config(_KWIK, 1025, learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN), seed=7), 437),
+        # Only the first case litigates, then the window doubles from row 1 on
+        # and is capped at sim._LAST_WINDOW rows from row 8129: that window is
+        # cut by the horizon (T = 12000), kept whole up to it (12225), or kept
+        # whole with the next one cut to a single row (12226).
+        *[(_quiet_kwik(horizon), 1) for horizon in (12_000, 12_225, 12_226)],
         # The state-free search keeps a round's steps up to the first whose
         # re-decision differs from the guess.  Found with a branch counter:
         # each row below has rounds kept whole and rounds cut at a
@@ -304,7 +316,7 @@ _NORM = LearnerKind(LearnerFamily.NORM_CONSTRAINED)
         # round kept whole (its window doubled)
         (_mean_config(EtcConfig(), 3000, err_constant=5.0), 39),
         (_mean_config(EtcConfig(), 3000, costs=UniformCosts(0.45, 0.55)), 74),
-        # windows of sim._LAST_STATE_FREE_WINDOW steps, the last one cut by the horizon
+        # windows of sim._LAST_WINDOW steps, the last one cut by the horizon
         (_mean_config(DynamicCompellingConfig(), 20_000, seed=7), 216),
         # every step visits until 2 * err < 0.1: windows of sim._FIRST_WINDOW
         # steps and their doubles cut by the horizon
@@ -318,6 +330,7 @@ _NORM = LearnerKind(LearnerFamily.NORM_CONSTRAINED)
          "state_free_flushes_ols_etc", "state_free_flushes_norm_etc",
          "kwik_guessed_visit_settles", "kwik_guessed_settle_visits", "kwik_T63", "kwik_T64", "kwik_T65",
          "kwik_T1023", "kwik_T1024", "kwik_T1025", "kwik_mean_learner",
+         "kwik_cap_cut", "kwik_cap_whole", "kwik_cap_whole_then_cut",
          "state_free_voluntary_and_compelled", "state_free_costs_near_two_err", "state_free_subsidy_ties_flip",
          "state_free_tail_after_disagreement", "state_free_tail_after_whole_round", "state_free_last_window_cut",
          "state_free_T63", "state_free_T64", "state_free_T65", "state_free_T127", "state_free_T128",
@@ -366,9 +379,8 @@ def test_kwik_search_stacks_its_eigh_calls(monkeypatch):
 
 def test_state_free_search_decides_windows_of_steps(monkeypatch):
     # One agent_decision call per 4 or more court visits (62 calls for 446
-    # visits here), as a round decides a window of up to
-    # sim._LAST_STATE_FREE_WINDOW steps in two calls and keeps every step up
-    # to its first disagreement.
+    # visits here), as a round decides a window of up to sim._LAST_WINDOW
+    # steps in two calls and keeps every step up to its first disagreement.
     config = _mean_config(DynamicCompellingConfig(), 100_000)
     calls = []
     decide = policies.agent_decision

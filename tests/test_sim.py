@@ -8,13 +8,14 @@ import pytest
 from courtlearn.core import (
     ConfigurationError,
     ConstantTruth,
+    FixedCosts,
     LinearTruth,
     PointMassCosts,
     SingletonCases,
     BallCases,
     UniformCosts,
 )
-from courtlearn.learners import LearnerFamily, LearnerKind
+from courtlearn.learners import LearnerFamily, LearnerKind, err_bound
 from courtlearn.policies import (
     DynamicCompellingConfig,
     EtcConfig,
@@ -99,8 +100,18 @@ class TestRunProtocol:
         assert steps["applied_decision"][0] == 1.0
         assert steps["settlement_value"][0] == 0.0  # what settling would have paid
 
-    def test_accounting_identity(self):
-        config = constant_config(horizon=200, policy=DynamicCompellingConfig(), seed=3)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(policy=DynamicCompellingConfig()),
+            # positive offers, some of them taken
+            dict(policy=SubsidySamplingConfig(), costs=UniformCosts(1.0, 4.0)),
+            dict(policy=SubsidySamplingConfig(), costs=FixedCosts((1.0, 2.0, 1.5))),
+        ],
+        ids=["dynamic_compelling", "subsidy_uniform", "subsidy_sequence"],
+    )
+    def test_accounting_identity(self, overrides):
+        config = constant_config(horizon=200, seed=3, **overrides)
         ledger = run(config)
         assert recompute_total_loss(ledger) == ledger.total_loss
         steps = ledger.steps
@@ -109,6 +120,17 @@ class TestRunProtocol:
         np.testing.assert_array_equal(
             steps["court_cost_incurred"], np.where(steps["went_to_court"], steps["cost"], 0.0)
         )
+        # the subsidy paid is the ledger's own subsidy column summed over visits, in step order
+        paid = 0.0
+        for offer in steps["subsidy"][steps["went_to_court"]].tolist():
+            paid += offer
+        assert paid.hex() == ledger.total_subsidy_paid.hex()
+        assert (paid > 0.0) == isinstance(config.policy, SubsidySamplingConfig)
+        np.testing.assert_array_equal(
+            steps["pre_step_err_bound"],
+            err_bound(config.learner, steps["m_before"], config.truth.sigma, config.truth.alpha),
+        )
+        assert run(config, keep_records=False).total_subsidy_paid.hex() == paid.hex()
 
     def test_dataset_growth_identity(self):
         config = constant_config(horizon=300, policy=DynamicCompellingConfig(), seed=5)
