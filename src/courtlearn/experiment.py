@@ -3,25 +3,30 @@
 Outputs are plain CSV (plus optional JSON-lines ledgers) and are bit-exact
 reproducible from (config, master seed): every policy/horizon/replication
 cell derives its own RNG streams, environments depend only on the master
-seed and the replication index.  CSV floats are written with 12 significant
-digits; ledger floats in ``json``'s shortest round-trip form, byte-equal to
+seed and the replication index, so the cells of a sweep share each
+replication's draw.  CSV floats are written with 12 significant digits;
+ledger floats in ``json``'s shortest round-trip form, byte-equal to
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the whole line,
-although each run of equal values in a step column is encoded once.
+although each run of equal values in a step column is encoded once, and the
+``t`` and ``cost`` columns once per replication.  A run writes every output
+to a temporary name and renames them all at the end.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import shutil
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
 from .config import ExperimentSpec
 from .core import ConfigurationError, RunLedger
-from .sim import RunConfig, estimate_regret, run
+from .sim import Environment, RunConfig, _sweep
 
 __all__ = [
     "REGRET_COLUMNS",
@@ -102,12 +107,16 @@ def _column_json(column: np.ndarray) -> str:
     return "".join([*map(str.__mul__, [t + "," for t in texts], counts.tolist()), texts[-1]])
 
 
-def _ledger_line(stream: TextIO, policy: str, horizon: int, rep: int, ledger: RunLedger) -> None:
+def _ledger_line(
+    stream: TextIO, policy: str, horizon: int, rep: int, ledger: RunLedger,
+    shared: dict[str, str] | None = None,
+) -> None:
     """Write one replication's JSONL line (without its newline) to ``stream``.
 
     The bytes equal ``json.dumps(line, sort_keys=True, separators=(",", ":"))``
     of the whole line, but each step column is encoded by :func:`_column_json`
     and written as its own piece, so the line is never held as one string.
+    ``shared`` maps a column's name to its text when it is already encoded.
     """
     header = json.dumps(
         {
@@ -130,10 +139,47 @@ def _ledger_line(stream: TextIO, policy: str, horizon: int, rep: int, ledger: Ru
     stream.write('"steps":{')
     for i, name in enumerate(sorted(ledger.steps)):
         stream.write(f'{"," if i else ""}{json.dumps(name)}:[')
-        stream.write(_column_json(ledger.steps[name]))
+        text = shared.get(name) if shared else None
+        stream.write(_column_json(ledger.steps[name]) if text is None else text)
         stream.write("]")
     stream.write("}")
     stream.write(tail)
+
+
+def _ledger_writer(configs: list[RunConfig], streams: list[TextIO]):
+    """The ledger sinks of a sweep (see ``sim._sweep``): each cell's lines go to its stream.
+
+    The ``t`` and ``cost`` columns are the same for every cell of a
+    replication, up to the cell's horizon, so they are encoded once per
+    replication, at the longest horizon, and each line takes the text up to
+    its horizon's last value.  The cut text is byte-equal to the prefix's own
+    encoding, whichever path :func:`_column_json` takes, as both are the text
+    of ``json.dumps``.
+    """
+    horizons = sorted({config.horizon for config in configs})
+
+    def start(rep: int, env: Environment) -> Callable[[int, RunLedger], None]:
+        steps = np.arange(1, len(env.costs) + 1, dtype=np.int64)
+        texts = {"t": _column_json(steps), "cost": _column_json(env.costs)}
+        cuts = {name: _cut_points(text, horizons) for name, text in texts.items()}
+
+        def sink(index: int, ledger: RunLedger) -> None:
+            config = configs[index]
+            shared = {name: text[: cuts[name][config.horizon]] for name, text in texts.items()}
+            _ledger_line(streams[index], config.policy.name, config.horizon, rep, ledger, shared)
+            streams[index].write("\n")
+
+        return sink
+
+    return start
+
+
+def _cut_points(text: str, horizons: list[int]) -> dict[int, int]:
+    """For each horizon T, the length of ``text``'s first T comma-separated values."""
+    if len(horizons) == 1:  # the whole text
+        return {horizons[0]: len(text)}
+    commas = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(","))
+    return {T: commas.item(T - 1) if T <= len(commas) else len(text) for T in horizons}
 
 
 def _output_dir(spec: ExperimentSpec) -> Path:
@@ -149,45 +195,50 @@ def _output_dir(spec: ExperimentSpec) -> Path:
 def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, Path]:
     """Run every (policy, horizon) cell and emit regret.csv + slopes.csv.
 
-    With ``ledgers=True``, every replication's full ledger is written to
-    ledgers.jsonl as one line when the replication ends.  The lines go to a
-    temporary file that becomes ledgers.jsonl only once every cell has
-    passed its finiteness check, so a failed sweep leaves no ledgers.jsonl.
+    The cells share one replication driver (``sim._sweep``), which draws
+    each replication's environment once.  With ``ledgers=True``, every
+    replication's full ledger is also written to ledgers.jsonl, one line per
+    (cell, replication), listed by cell, then by replication; each line goes
+    to its cell's part file when its replication ends, and the parts are
+    joined at the end.  Every output is written to a temporary name first,
+    and the temporaries replace the outputs only once all are written; a run
+    without ledgers then removes an old ledgers.jsonl.  So a failed sweep
+    leaves no output, and the outputs in the directory come from one run.
     Every cell's run config is built before the output directory, so a
     refused cell leaves no directory behind.
     """
     configs = [spec.run_config(policy, horizon) for policy in spec.policies for horizon in spec.sweep]
     out_dir = _output_dir(spec)
-    if not ledgers:
-        return _run_cells(configs, spec.replications, out_dir, None)
-    partial = out_dir / "ledgers.jsonl.tmp"
-    try:
-        with partial.open("w") as stream:
-            outputs = _run_cells(configs, spec.replications, out_dir, stream)
+    outputs = {"regret": out_dir / "regret.csv", "slopes": out_dir / "slopes.csv"}
+    if ledgers:
         outputs["ledgers"] = out_dir / "ledgers.jsonl"
-        os.replace(partial, outputs["ledgers"])
+    temporaries = {key: path.with_name(path.name + ".tmp") for key, path in outputs.items()}
+    parts = [out_dir / f"ledgers.jsonl.{i}.tmp" for i in range(len(configs))] if ledgers else []
+    try:
+        _run_cells(configs, spec.replications, temporaries, parts)
+        for key, path in outputs.items():
+            os.replace(temporaries[key], path)
+        if not ledgers:
+            (out_dir / "ledgers.jsonl").unlink(missing_ok=True)
         return outputs
     finally:
-        partial.unlink(missing_ok=True)
+        for path in [*temporaries.values(), *parts]:
+            path.unlink(missing_ok=True)
 
 
 def _run_cells(
-    configs: list[RunConfig], replications: int, out_dir: Path, stream: TextIO | None
-) -> dict[str, Path]:
-    """Every (policy, horizon) cell; writes regret.csv and slopes.csv, and
-    streams each replication's ledger line to ``stream`` when one is given."""
+    configs: list[RunConfig], replications: int, temporaries: dict[str, Path], parts: list[Path]
+) -> None:
+    """Every (policy, horizon) cell; writes each output to its temporary path,
+    and the ledgers, through ``parts``, when there are parts."""
+    with contextlib.ExitStack() as stack:
+        streams = [stack.enter_context(part.open("w")) for part in parts]
+        reports = _sweep(configs, replications, _ledger_writer(configs, streams) if parts else None)
+
     regret_lines = [REGRET_COLUMNS]
     per_policy: dict[str, list[tuple[int, float]]] = {}
-    for config in configs:
+    for config, report in zip(configs, reports):
         name, horizon = config.policy.name, config.horizon
-        sink = None
-        if stream is not None:
-
-            def sink(rep, ledger, _p=name, _h=horizon):
-                _ledger_line(stream, _p, _h, rep, ledger)
-                stream.write("\n")
-
-        report = estimate_regret(config, replications, ledger_sink=sink)
         row = (
             name, horizon, report.mean_regret, report.std_error,
             report.mean_court_count, report.mean_total_subsidy, report.mean_offline_loss,
@@ -203,21 +254,22 @@ def _run_cells(
         if slope is not None:
             slope_lines.append(_csv_row((name, slope), "slopes.csv"))
 
-    outputs: dict[str, Path] = {}
-    regret_path = out_dir / "regret.csv"
-    _write_text(regret_path, regret_lines)
-    outputs["regret"] = regret_path
-    slopes_path = out_dir / "slopes.csv"
-    _write_text(slopes_path, slope_lines)
-    outputs["slopes"] = slopes_path
-    return outputs
+    _write_text(temporaries["regret"], regret_lines)
+    _write_text(temporaries["slopes"], slope_lines)
+    if parts:  # joined as bytes: a text-mode copy would decode and encode every line
+        with temporaries["ledgers"].open("wb") as joined:
+            for part in parts:
+                with part.open("rb") as piece:
+                    shutil.copyfileobj(piece, joined)
+                part.unlink()
 
 
 def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     """Run the spec's kwik policy across the sweep and emit kwik.csv.
 
-    One deterministic run per horizon (replication 0); prediction accuracy
-    is measured against the true rule on every settled case.
+    One deterministic run per horizon (replication 0), through the sweep
+    driver, so the environment is drawn once; prediction accuracy is
+    measured against the true rule on every settled case.
     """
     kwik_policies = [p for p in spec.policies if p.name == "kwik"]
     if len(kwik_policies) != 1:
@@ -225,10 +277,11 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
 
     configs = [spec.run_config(kwik_policies[0], horizon) for horizon in spec.sweep]
     out_dir = _output_dir(spec)
-    lines = [KWIK_COLUMNS]
-    for config in configs:
+    lines = [KWIK_COLUMNS] + [""] * len(configs)
+
+    def sink(index: int, ledger: RunLedger) -> None:
+        config = configs[index]
         epsilon = config.policy.epsilon
-        ledger = run(config, rep=0)
         steps = ledger.steps
         settled = ~steps["went_to_court"]
         errors = np.abs(steps["applied_decision"][settled] - steps["true_value"][settled])
@@ -238,7 +291,9 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
         max_error = errors.max().item() if predicted else 0.0
         row = (config.horizon, config.cases.dim, epsilon, config.policy.delta, predicted,
                ledger.court_count, fraction, max_error)
-        lines.append(_csv_row(row, "kwik.csv"))
+        lines[1 + index] = _csv_row(row, "kwik.csv")
+
+    _sweep(configs, 1, lambda rep, env: sink)
     kwik_path = out_dir / "kwik.csv"
     _write_text(kwik_path, lines)
     return {"kwik": kwik_path}

@@ -31,7 +31,11 @@ gathered by its visit count, for the predictions and the loss.
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
 a given (seed, replication) and the offline baseline can score the same
-draws.  Shorter horizons consume a prefix of longer ones.
+draws.  Shorter horizons consume a prefix of longer ones.  So the sweep
+driver (``_sweep``) puts the replications on the outer loop: it draws each
+replication's environment once, at the sweep's longest horizon, scores the
+offline baseline once per horizon on the prefix, and runs every cell on its
+horizon's prefix.  ``estimate_regret`` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -626,36 +630,91 @@ class RegretReport:
     mean_total_subsidy: float
 
 
-def estimate_regret(
-    config: RunConfig,
-    replications: int,
-    ledger_sink: Callable[[int, RunLedger], None] | None = None,
-) -> RegretReport:
+def estimate_regret(config: RunConfig, replications: int) -> RegretReport:
     """Average per-case regret over independent replications.
 
     Each replication pairs the online run with an offline baseline scored on
-    the same environment draw.  ``ledger_sink``, when given, receives each
-    replication's full ledger (step columns included) as soon as it ends.
+    the same environment draw.  This is the sweep driver's one-cell case.
+    """
+    return _sweep([config], replications)[0]
+
+
+def _sweep(
+    configs: list[RunConfig],
+    replications: int,
+    ledger_sinks: Callable[[int, Environment], Callable[[int, RunLedger], None]] | None = None,
+) -> list[RegretReport]:
+    """Every cell's regret report, with the replications on the outer loop.
+
+    The cells may differ only in policy and horizon.  Each replication
+    draws its environment once, at the longest horizon, and scores the
+    offline baseline once per horizon, on the prefix; every cell runs on its
+    horizon's prefix.  ``ledger_sinks(rep, env)``, when given, makes
+    replication ``rep``'s sink from the drawn environment; the sink receives
+    each cell's index and full ledger (step columns included) as soon as
+    the run ends, and is dropped with the environment when the replication
+    ends.
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
-    T = config.horizon
-    regrets = np.empty(replications)
-    online = np.empty(replications)
-    offline = np.empty(replications)
-    courts = np.empty(replications)
-    subsidies = np.empty(replications)
+    longest = max(configs, key=lambda config: config.horizon)
+    shared = (longest.truth, longest.cases, longest.costs, longest.learner, longest.seed)
+    if any((c.truth, c.cases, c.costs, c.learner, c.seed) != shared for c in configs):
+        raise ValueError("the cells of one sweep may differ only in policy and horizon")
+    # Per cell: the online loss, offline loss, court count and subsidy paid of each replication.
+    books = np.empty((len(configs), 4, replications))
     for rep in range(replications):
-        env = draw_environment(config, rep)
-        ledger = _simulate(config, env, rep, keep_records=ledger_sink is not None)
-        baseline = offline_baseline(env, config.learner, config.truth.alpha)
-        regrets[rep] = (ledger.total_loss - baseline) / T
-        online[rep] = ledger.total_loss
-        offline[rep] = baseline
-        courts[rep] = ledger.court_count
-        subsidies[rep] = ledger.total_subsidy_paid
-        if ledger_sink is not None:
-            ledger_sink(rep, ledger)
+        _replicate(configs, longest, rep, books[:, :, rep], ledger_sinks)
+    return [_regret_report(config, cell) for config, cell in zip(configs, books)]
+
+
+def _replicate(
+    configs: list[RunConfig], longest: RunConfig, rep: int, books: np.ndarray, ledger_sinks
+) -> None:
+    """One replication of every cell, booked into ``books`` (one row per cell)."""
+    env = draw_environment(longest, rep)
+    for array in (env.xs, env.f_values, env.outcomes, env.costs):
+        if array is not None:
+            array.flags.writeable = False
+    sink = None if ledger_sinks is None else ledger_sinks(rep, env)
+    for horizon in sorted({config.horizon for config in configs}):
+        cells = [i for i, config in enumerate(configs) if config.horizon == horizon]
+        prefix = _prefix(env, configs[cells[0]], rep)
+        baseline = offline_baseline(prefix, longest.learner, longest.truth.alpha)
+        for i in cells:
+            ledger = _simulate(configs[i], prefix, rep, keep_records=sink is not None)
+            books[i] = ledger.total_loss, baseline, ledger.court_count, ledger.total_subsidy_paid
+            if sink is not None:
+                sink(i, ledger)
+
+
+def _prefix(env: Environment, config: RunConfig, rep: int) -> Environment:
+    """The environment of ``config``'s horizon: views of the first steps of ``env``.
+
+    The draws are prefix-stable, but BLAS's ``xs @ beta`` is not always: its
+    kernels may round a row differently with the row count (seen at dim 8,
+    and at one row from dim 5).  So a linear truth's values are checked
+    against the product on the prefix, and drawn afresh where they differ.
+    """
+    T = config.horizon
+    if T == env.costs.shape[0]:
+        return env
+    xs = None if env.xs is None else env.xs[:T]
+    prefix = Environment(xs, env.f_values[:T], env.outcomes[:T], env.costs[:T])
+    truth = config.truth
+    if isinstance(truth, LinearTruth) and not np.array_equal(
+        prefix.xs @ truth.beta + truth.beta0, prefix.f_values
+    ):
+        return draw_environment(config, rep)
+    return prefix
+
+
+def _regret_report(config: RunConfig, books: np.ndarray) -> RegretReport:
+    """One cell's report from its per-replication online losses, offline losses,
+    court counts and subsidies paid."""
+    online, offline, courts, subsidies = books
+    replications = len(online)
+    regrets = (online - offline) / config.horizon
     std_error = float(regrets.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
     return RegretReport(
         mean_regret=float(regrets.mean()),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from courtlearn import experiment
+from courtlearn import experiment, sim
 from courtlearn.cli import main
 from courtlearn.config import parse_config
 from courtlearn.core import ConfigurationError, RunLedger
@@ -19,12 +19,13 @@ from courtlearn.experiment import (
     KWIK_COLUMNS,
     REGRET_COLUMNS,
     SLOPES_COLUMNS,
+    _csv_row,
     _ledger_line,
     fit_loglog_slope,
     kwik_report,
     run_experiment,
 )
-from courtlearn.sim import STEP_COLUMNS, RunConfig, run
+from courtlearn.sim import STEP_COLUMNS, RunConfig, estimate_regret, run
 from oracle import ledger_line
 
 
@@ -154,6 +155,97 @@ class TestRunExperiment:
                 tracemalloc.stop()
 
         assert peak(4) < 1.5 * peak(1)
+
+
+_REFERENCE_COSTS = {
+    "point": {"kind": "point", "c": 1.0},
+    "uniform": {"kind": "uniform", "c_min": 0.5, "c_max": 1.5},
+    # runs of two equal costs: the cost column takes the run-length path,
+    # and the cut at T = 8 falls on a run boundary, at T = 5 inside a run
+    "sequence": {"kind": "sequence", "costs": [1.0, 1.0, 2.0, 2.0]},
+}
+_REFERENCE_MODELS = {
+    "mean": {
+        "truth": {"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
+        "learner": {"kind": "empirical_mean"},
+        "policies": ["etc", "dynamic_compelling"],
+        "sweep": [5, 8, 60, 400],
+    },
+    "ball3": {
+        "truth": {"family": "linear", "beta": [0.1, -0.2, 0.15], "beta0": 0.5, "sigma": 0.1,
+                  "alpha": 1.0},
+        "cases": {"kind": "ball", "dim": 3},
+        "learner": {"kind": "norm_constrained"},
+        "policies": ["dynamic_compelling",
+                     {"name": "kwik", "epsilon": 0.2, "delta": 0.1, "alpha1": 0.15}],
+        "sweep": [5, 8, 60, 400],
+    },
+    # BLAS rounds xs @ beta differently for some row counts at dim 8
+    "ball8": {
+        "truth": {"family": "linear", "beta": [0.05] * 8, "beta0": 0.5, "sigma": 0.1, "alpha": 1.0},
+        "cases": {"kind": "ball", "dim": 8},
+        "learner": {"kind": "ols"},
+        "policies": ["no_subsidy",
+                     {"name": "kwik", "epsilon": 0.25, "delta": 0.05, "alpha1_constant": 15.0}],
+        "sweep": [5, 6, 30, 1023, 3000],
+    },
+}
+
+
+class TestSweepMatchesCells:
+    """The sweep driver shares each replication's environment between its
+    cells; every output equals the one made cell by cell."""
+
+    @pytest.mark.parametrize(
+        "model,cost",
+        [(model, cost) for model in ("mean", "ball3") for cost in _REFERENCE_COSTS]
+        + [("ball8", "uniform")],
+    )
+    def test_outputs_match_cell_by_cell(self, tmp_path, model, cost):
+        spec = small_spec(tmp_path, **_REFERENCE_MODELS[model], cost=_REFERENCE_COSTS[cost],
+                          replications=3, seed=5)
+        # estimate_regret keeps no records, as a run without ledgers; a run
+        # with ledgers never takes the closed-form tail skip, which may move
+        # the last digits of etc's rows
+        regret = run_experiment(spec)["regret"].read_text()
+        spec = dataclasses.replace(spec, out_dir=str(tmp_path / "ledgers"))
+        ledgers = run_experiment(spec, ledgers=True)["ledgers"].read_text()
+        configs = [spec.run_config(p, horizon) for p in spec.policies for horizon in spec.sweep]
+
+        rows = []
+        for config in configs:
+            report = estimate_regret(config, 3)
+            rows.append(_csv_row((
+                config.policy.name, config.horizon, report.mean_regret, report.std_error,
+                report.mean_court_count, report.mean_total_subsidy, report.mean_offline_loss,
+            ), "regret.csv"))
+        assert regret.splitlines()[1:] == rows
+
+        stream = io.StringIO()
+        for config in configs:
+            for rep in range(3):
+                _ledger_line(stream, config.policy.name, config.horizon, rep, run(config, rep))
+                stream.write("\n")
+        assert ledgers == stream.getvalue()
+
+        kwik = [p for p in spec.policies if p.name == "kwik"]
+        if kwik:
+            lines = kwik_report(spec)["kwik"].read_text().splitlines()[1:]
+            assert lines == [_kwik_row(spec.run_config(kwik[0], horizon)) for horizon in spec.sweep]
+
+
+def _kwik_row(config):
+    """kwik.csv's row for one horizon, from a direct run."""
+    ledger = run(config, 0)
+    steps = ledger.steps
+    settled = ~steps["went_to_court"]
+    errors = np.abs(steps["applied_decision"][settled] - steps["true_value"][settled])
+    predicted = int(settled.sum())
+    epsilon = config.policy.epsilon
+    fraction = int((errors <= epsilon).sum()) / predicted if predicted else 1.0
+    max_error = errors.max().item() if predicted else 0.0
+    return _csv_row((config.horizon, config.cases.dim, epsilon, config.policy.delta, predicted,
+                     ledger.court_count, fraction, max_error), "kwik.csv")
 
 
 # Values whose JSON text differs from a naive formatting, or that a
@@ -360,16 +452,17 @@ class TestCli:
 
     def test_failed_sweep_leaves_no_files(self, tmp_path, capsys, monkeypatch):
         # the no_subsidy cells pass, then etc's first cell reports a non-finite
-        # regret, which the CSV writer refuses in the middle of the sweep
-        estimate = experiment.estimate_regret
+        # regret, which the CSV writer refuses after every cell has run and
+        # written its ledger part
+        report_cell = sim._regret_report
 
-        def estimate_or_overflow(config, replications, ledger_sink=None):
-            report = estimate(config, replications, ledger_sink=ledger_sink)
+        def report_or_overflow(config, books):
+            report = report_cell(config, books)
             if config.policy.name == "etc":
                 report = dataclasses.replace(report, mean_regret=math.inf)
             return report
 
-        monkeypatch.setattr(experiment, "estimate_regret", estimate_or_overflow)
+        monkeypatch.setattr(sim, "_regret_report", report_or_overflow)
         config = {
             "truth": {"family": "constant", "mu": 0.5, "sigma": 0.5, "alpha": 1.0},
             "cost": {"kind": "point", "c": 1.0},
@@ -386,6 +479,41 @@ class TestCli:
         assert not (out / "ledgers.jsonl").exists()
         assert not (out / "regret.csv").exists()
         assert list(out.iterdir()) == []
+
+    def test_a_run_leaves_only_its_own_outputs(self, tmp_path):
+        # a run without --ledgers removes the ledgers.jsonl of an earlier run
+        path = self._write_config(tmp_path, tmp_path / "out")
+        assert main(["run", str(path), "--seed", "7", "--ledgers"]) == 0
+        assert (tmp_path / "out" / "ledgers.jsonl").exists()
+        assert main(["run", str(path), "--seed", "9"]) == 0
+        assert main(["run", str(path), "--seed", "9", "--out", str(tmp_path / "fresh")]) == 0
+        for out in ("out", "fresh"):
+            assert sorted(p.name for p in (tmp_path / out).iterdir()) == ["regret.csv", "slopes.csv"]
+        for name in ("regret.csv", "slopes.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_run_and_kwik_leave_each_others_files(self, tmp_path):
+        out = tmp_path / "out"
+        path = tmp_path / "kwik.json"
+        path.write_text(json.dumps({
+            "truth": {"family": "linear", "beta": [0.2], "beta0": 0.4, "sigma": 0.1, "alpha": 1.0},
+            "cases": {"kind": "ball", "dim": 1},
+            "cost": {"kind": "point", "c": 1.0},
+            "learner": {"kind": "norm_constrained"},
+            "policies": [{"name": "kwik", "epsilon": 0.2, "delta": 0.1, "alpha1": 0.2}],
+            "sweep": [50, 200],
+            "replications": 2,
+            "out_dir": str(out),
+        }))
+        assert main(["run", str(path), "--ledgers"]) == 0
+        run_files = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(run_files) == ["ledgers.jsonl", "regret.csv", "slopes.csv"]
+        assert main(["kwik", str(path)]) == 0
+        kwik_csv = (out / "kwik.csv").read_bytes()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {**run_files, "kwik.csv": kwik_csv}
+        assert main(["run", str(path), "--ledgers", "--seed", "4"]) == 0
+        assert (out / "kwik.csv").read_bytes() == kwik_csv
+        assert len(list(out.iterdir())) == 4
 
     def test_kwik_command(self, tmp_path):
         config = {

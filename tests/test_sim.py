@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from courtlearn import sim
 from courtlearn.core import (
     ConfigurationError,
     ConstantTruth,
@@ -24,6 +25,7 @@ from courtlearn.policies import (
     etc_compel_count,
 )
 from courtlearn.sim import (
+    Environment,
     RunConfig,
     check_deterrent,
     draw_environment,
@@ -48,6 +50,24 @@ def constant_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def linear_config(**overrides):
+    base = dict(
+        horizon=10,
+        truth=LinearTruth(beta=np.array([0.1, -0.2, 0.15]), beta0=0.5, sigma=0.2, alpha=1.0),
+        cases=BallCases(3),
+        costs=PointMassCosts(1.0),
+        learner=LearnerKind(LearnerFamily.OLS),
+        policy=NoSubsidyConfig(),
+        seed=0,
+    )
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+ENV_FIELDS = ("xs", "f_values", "outcomes", "costs")
+COST_KINDS = [PointMassCosts(1.0), UniformCosts(0.5, 1.5), FixedCosts((1.0, 2.0, 1.5))]
 
 
 def compel_all(horizon, **overrides):
@@ -175,6 +195,38 @@ class TestEnvironment:
         np.testing.assert_array_equal(short.costs, long.costs[:100])
         np.testing.assert_array_equal(short.outcomes, long.outcomes[:100])
 
+    @pytest.mark.parametrize("costs", COST_KINDS, ids=["point", "uniform", "sequence"])
+    def test_linear_prefix_stability_across_horizons(self, costs):
+        short = draw_environment(linear_config(horizon=100, costs=costs, seed=21), rep=2)
+        long = draw_environment(linear_config(horizon=1000, costs=costs, seed=21), rep=2)
+        for name in ENV_FIELDS:
+            np.testing.assert_array_equal(getattr(short, name), getattr(long, name)[:100])
+
+    @pytest.mark.parametrize("family", list(LearnerFamily))
+    def test_baseline_on_a_prefix_view_is_the_short_draws(self, family):
+        learner = LearnerKind(family)
+        make = constant_config if family is LearnerFamily.EMPIRICAL_MEAN else linear_config
+        config = make(horizon=300, learner=learner, seed=8)
+        long = draw_environment(make(horizon=1000, learner=learner, seed=8), rep=1)
+        xs = None if long.xs is None else long.xs[:300]
+        view = Environment(xs, long.f_values[:300], long.outcomes[:300], long.costs[:300])
+        alpha = config.truth.alpha
+        expected = offline_baseline(draw_environment(config, rep=1), learner, alpha)
+        assert offline_baseline(view, learner, alpha).hex() == expected.hex()
+
+    def test_a_prefix_whose_rule_values_differ_is_drawn_afresh(self):
+        # BLAS may round ``xs @ beta`` differently for a different row count,
+        # so the driver checks a linear truth's values on each prefix
+        short = linear_config(horizon=20)
+        env = draw_environment(linear_config(horizon=50), rep=1)
+        assert np.shares_memory(sim._prefix(env, short, 1).costs, env.costs)
+        f_values = env.f_values.copy()
+        f_values[3] = np.nextafter(f_values[3], 1.0)
+        tampered = Environment(env.xs, f_values, env.outcomes, env.costs)
+        prefix, fresh = sim._prefix(tampered, short, 1), draw_environment(short, rep=1)
+        for name in ENV_FIELDS:
+            np.testing.assert_array_equal(getattr(prefix, name), getattr(fresh, name))
+
     def test_policy_does_not_perturb_environment(self):
         a = draw_environment(constant_config(seed=4, policy=NoSubsidyConfig()))
         b = draw_environment(constant_config(seed=4, policy=DynamicCompellingConfig()))
@@ -271,6 +323,42 @@ class TestEstimateRegret:
         ratio = reports[10_000].mean_regret / reports[1000].mean_regret
         expected = math.sqrt(1000 / 10_000)
         assert abs(ratio - expected) <= 0.35 * expected
+
+
+class TestSweep:
+    def test_one_draw_per_replication_and_one_baseline_per_horizon(self, monkeypatch):
+        draws, baselines = [], []
+        draw, score = sim.draw_environment, sim.offline_baseline
+
+        def counting_draw(config, rep=0):
+            draws.append(draw(config, rep))
+            return draws[-1]
+
+        def counting_score(env, kind, alpha):
+            baselines.append(len(env.costs))
+            return score(env, kind, alpha)
+
+        monkeypatch.setattr(sim, "draw_environment", counting_draw)
+        monkeypatch.setattr(sim, "offline_baseline", counting_score)
+        configs = [
+            constant_config(horizon=horizon, policy=policy, costs=UniformCosts(0.5, 1.5), seed=4)
+            for policy in (NoSubsidyConfig(), EtcConfig(), DynamicCompellingConfig())
+            for horizon in (10, 100, 1000)
+        ]
+        reports = sim._sweep(configs, 3)
+        assert len(draws) == 3
+        assert sorted(baselines) == [10] * 3 + [100] * 3 + [1000] * 3
+        for env in draws:
+            for name in ("f_values", "outcomes", "costs"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(env, name)[0] = 0.0
+        monkeypatch.undo()
+        assert reports == [estimate_regret(config, 3) for config in configs]
+
+    def test_cells_must_share_their_environment(self):
+        configs = [constant_config(seed=1), constant_config(seed=2)]
+        with pytest.raises(ValueError, match="differ only in policy and horizon"):
+            sim._sweep(configs, 1)
 
 
 class TestCheckDeterrent:
