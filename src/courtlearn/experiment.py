@@ -14,7 +14,6 @@ to a temporary name and renames them all at the end.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -26,7 +25,7 @@ import numpy as np
 
 from .config import ExperimentSpec
 from .core import ConfigurationError, RunLedger
-from .sim import Environment, RunConfig, _sweep
+from .sim import Environment, RunConfig, _sweep, run
 
 __all__ = [
     "REGRET_COLUMNS",
@@ -146,40 +145,43 @@ def _ledger_line(
     stream.write(tail)
 
 
-def _ledger_writer(configs: list[RunConfig], streams: list[TextIO]):
-    """The ledger sinks of a sweep (see ``sim._sweep``): each cell's lines go to its stream.
+def _ledger_writer(configs: list[RunConfig], parts: list[Path]):
+    """The ledger sinks of a sweep (see ``sim._sweep``): each cell's lines go to its part file.
 
     The ``t`` and ``cost`` columns are the same for every cell of a
-    replication, up to the cell's horizon, so they are encoded once per
-    replication, at the longest horizon, and each line takes the text up to
-    its horizon's last value.  The cut text is byte-equal to the prefix's own
-    encoding, whichever path :func:`_column_json` takes, as both are the text
-    of ``json.dumps``.
+    replication, up to the cell's horizon, so each replication encodes them
+    once, in segments between consecutive horizons, and a horizon's text is
+    its segments joined by commas.  That is byte-equal to the prefix's own
+    encoding, whichever path :func:`_column_json` takes for each, as all
+    are the text of ``json.dumps``.  A part is opened for each line, never
+    kept open, so a sweep of any number of cells holds one part open at a
+    time; replication 0 truncates the part, so a part left behind by a
+    killed run is not kept.
     """
     horizons = sorted({config.horizon for config in configs})
 
     def start(rep: int, env: Environment) -> Callable[[int, RunLedger], None]:
         steps = np.arange(1, len(env.costs) + 1, dtype=np.int64)
-        texts = {"t": _column_json(steps), "cost": _column_json(env.costs)}
-        cuts = {name: _cut_points(text, horizons) for name, text in texts.items()}
+        shared: dict[int, dict[str, str]] = {}
+        text: dict[str, str] = {}
+        done = 0
+        for T in horizons:
+            for name, column in (("t", steps), ("cost", env.costs)):
+                piece = _column_json(column[done:T])
+                text[name] = f"{text[name]},{piece}" if done else piece
+            shared[T] = dict(text)
+            done = T
 
         def sink(index: int, ledger: RunLedger) -> None:
             config = configs[index]
-            shared = {name: text[: cuts[name][config.horizon]] for name, text in texts.items()}
-            _ledger_line(streams[index], config.policy.name, config.horizon, rep, ledger, shared)
-            streams[index].write("\n")
+            with parts[index].open("w" if rep == 0 else "a") as stream:
+                _ledger_line(stream, config.policy.name, config.horizon, rep, ledger,
+                             shared[config.horizon])
+                stream.write("\n")
 
         return sink
 
     return start
-
-
-def _cut_points(text: str, horizons: list[int]) -> dict[int, int]:
-    """For each horizon T, the length of ``text``'s first T comma-separated values."""
-    if len(horizons) == 1:  # the whole text
-        return {horizons[0]: len(text)}
-    commas = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(","))
-    return {T: commas.item(T - 1) if T <= len(commas) else len(text) for T in horizons}
 
 
 def _output_dir(spec: ExperimentSpec) -> Path:
@@ -231,9 +233,7 @@ def _run_cells(
 ) -> None:
     """Every (policy, horizon) cell; writes each output to its temporary path,
     and the ledgers, through ``parts``, when there are parts."""
-    with contextlib.ExitStack() as stack:
-        streams = [stack.enter_context(part.open("w")) for part in parts]
-        reports = _sweep(configs, replications, _ledger_writer(configs, streams) if parts else None)
+    reports = _sweep(configs, replications, _ledger_writer(configs, parts) if parts else None)
 
     regret_lines = [REGRET_COLUMNS]
     per_policy: dict[str, list[tuple[int, float]]] = {}
@@ -267,9 +267,8 @@ def _run_cells(
 def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     """Run the spec's kwik policy across the sweep and emit kwik.csv.
 
-    One deterministic run per horizon (replication 0), through the sweep
-    driver, so the environment is drawn once; prediction accuracy is
-    measured against the true rule on every settled case.
+    One deterministic run per horizon (replication 0); prediction accuracy
+    is measured against the true rule on every settled case.
     """
     kwik_policies = [p for p in spec.policies if p.name == "kwik"]
     if len(kwik_policies) != 1:
@@ -277,11 +276,10 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
 
     configs = [spec.run_config(kwik_policies[0], horizon) for horizon in spec.sweep]
     out_dir = _output_dir(spec)
-    lines = [KWIK_COLUMNS] + [""] * len(configs)
-
-    def sink(index: int, ledger: RunLedger) -> None:
-        config = configs[index]
+    lines = [KWIK_COLUMNS]
+    for config in configs:
         epsilon = config.policy.epsilon
+        ledger = run(config, rep=0)
         steps = ledger.steps
         settled = ~steps["went_to_court"]
         errors = np.abs(steps["applied_decision"][settled] - steps["true_value"][settled])
@@ -291,9 +289,7 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
         max_error = errors.max().item() if predicted else 0.0
         row = (config.horizon, config.cases.dim, epsilon, config.policy.delta, predicted,
                ledger.court_count, fraction, max_error)
-        lines[1 + index] = _csv_row(row, "kwik.csv")
-
-    _sweep(configs, 1, lambda rep, env: sink)
+        lines.append(_csv_row(row, "kwik.csv"))
     kwik_path = out_dir / "kwik.csv"
     _write_text(kwik_path, lines)
     return {"kwik": kwik_path}

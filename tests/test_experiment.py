@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -161,7 +162,7 @@ _REFERENCE_COSTS = {
     "point": {"kind": "point", "c": 1.0},
     "uniform": {"kind": "uniform", "c_min": 0.5, "c_max": 1.5},
     # runs of two equal costs: the cost column takes the run-length path,
-    # and the cut at T = 8 falls on a run boundary, at T = 5 inside a run
+    # and the horizon ends on a run boundary at T = 8, inside a run at T = 5
     "sequence": {"kind": "sequence", "costs": [1.0, 1.0, 2.0, 2.0]},
 }
 _REFERENCE_MODELS = {
@@ -232,6 +233,41 @@ class TestSweepMatchesCells:
         if kwik:
             lines = kwik_report(spec)["kwik"].read_text().splitlines()[1:]
             assert lines == [_kwik_row(spec.run_config(kwik[0], horizon)) for horizon in spec.sweep]
+
+    def test_ledgers_of_more_cells_than_the_open_file_limit(self, tmp_path):
+        # each cell's ledger part is open only while one line is written, so
+        # the cell count is not bounded by the process's open-file limit; a
+        # part left behind by a killed run is overwritten, not appended to
+        resource = pytest.importorskip("resource")
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd to count the open files")
+        spec = small_spec(
+            tmp_path, policies=["no_subsidy", "etc", "dynamic_compelling", "subsidy_sampling"],
+            cost={"kind": "uniform", "c_min": 1.0, "c_max": 2.0}, sweep=list(range(3, 15)),
+            replications=2,
+        )
+        configs = [spec.run_config(p, horizon) for p in spec.policies for horizon in spec.sweep]
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "ledgers.jsonl.0.tmp").write_text("stale\n")
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        open_fds = {int(fd) for fd in os.listdir("/proc/self/fd")}
+        limit = max(open_fds) + 8
+        assert limit - len(open_fds) < len(configs)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+        try:
+            ledgers = run_experiment(spec, ledgers=True)["ledgers"].read_text()
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+        stream = io.StringIO()
+        for config in configs:
+            for rep in range(2):
+                _ledger_line(stream, config.policy.name, config.horizon, rep, run(config, rep))
+                stream.write("\n")
+        assert ledgers == stream.getvalue()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "ledgers.jsonl", "regret.csv", "slopes.csv",
+        ]
 
 
 def _kwik_row(config):
