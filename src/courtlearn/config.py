@@ -35,7 +35,6 @@ from .sim import RunConfig
 __all__ = ["ExperimentSpec", "load_config", "parse_config"]
 
 DEFAULT_REPLICATIONS = 100
-DEFAULT_ERR_CONSTANT = 1.0
 
 _POLICY_CONFIGS = {config_class.name: config_class for config_class in get_args(PolicyConfig)}
 
@@ -188,11 +187,11 @@ def _parse_learner(reader: _Reader) -> LearnerKind:
     if kind not in families:
         raise ConfigurationError(f"{reader._at('kind')}: unknown learner {kind!r}")
     family = families[kind]
-    err_constant = reader.number("err_constant", DEFAULT_ERR_CONSTANT)
     # Only the norm-constrained family reads a radius; elsewhere the key is refused as unknown.
+    keys = ["err_constant"]
     if family is LearnerFamily.NORM_CONSTRAINED:
-        return LearnerKind(family, err_constant, reader.number("radius", 1.0))
-    return LearnerKind(family, err_constant)
+        keys.append("radius")
+    return LearnerKind(family, **{key: reader.number(key) for key in keys if key in reader.data})
 
 
 def _parse_section(parse: Callable[[_Reader], Any], reader: _Reader) -> Any:

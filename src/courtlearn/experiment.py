@@ -8,8 +8,10 @@ replication's draw.  CSV floats are written with 12 significant digits;
 ledger floats in ``json``'s shortest round-trip form, byte-equal to
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the whole line,
 although each run of equal values in a step column is encoded once, and the
-``t`` and ``cost`` columns once per replication.  A run writes every output
-to a temporary name and renames them all at the end.
+``t`` and ``cost`` columns once per replication.  The replications are run
+by ``sim._sweep``; this module sees only the ledgers it hands to a per-run
+hook.  A run writes every output to a temporary name and renames them all
+at the end.
 """
 
 from __future__ import annotations
@@ -17,15 +19,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import shutil
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .config import ExperimentSpec
 from .core import ConfigurationError, RunLedger
-from .sim import Environment, RunConfig, _sweep, run
+from .sim import RunConfig, _sweep
 
 __all__ = [
     "REGRET_COLUMNS",
@@ -44,6 +47,7 @@ KWIK_COLUMNS = (
     "T,n,epsilon,delta,predicted_count,compelled_count,"
     "fraction_predictions_within_eps,max_abs_prediction_error"
 )
+_LEDGER_PART = re.compile(r"ledgers\.jsonl\.[0-9]+\.tmp")
 
 
 def _csv_row(values: tuple, file_name: str) -> str:
@@ -146,42 +150,37 @@ def _ledger_line(
 
 
 def _ledger_writer(configs: list[RunConfig], parts: list[Path]):
-    """The ledger sinks of a sweep (see ``sim._sweep``): each cell's lines go to its part file.
+    """A sweep's per-run hook (see ``sim._sweep``): each ledger's line goes to its cell's part.
 
     The ``t`` and ``cost`` columns are the same for every cell of a
-    replication, up to the cell's horizon, so each replication encodes them
-    once, in segments between consecutive horizons, and a horizon's text is
-    its segments joined by commas.  That is byte-equal to the prefix's own
-    encoding, whichever path :func:`_column_json` takes for each, as all
-    are the text of ``json.dumps``.  A part is opened for each line, never
-    kept open, so a sweep of any number of cells holds one part open at a
-    time; replication 0 truncates the part, so a part left behind by a
-    killed run is not kept.
+    replication, up to the cell's horizon, so the hook encodes them in
+    segments between consecutive horizons: the first ledger of a
+    replication at each horizon adds the steps since the last one, and a
+    horizon's text is its segments joined by commas.  That is byte-equal to
+    the prefix's own encoding, whichever path :func:`_column_json` takes for
+    each, as all are the text of ``json.dumps``.  A part is opened for each
+    line, never kept open, so a sweep of any number of cells holds one part
+    open at a time; replication 0 truncates the part, so a part left behind
+    by a killed run is not kept.
     """
-    horizons = sorted({config.horizon for config in configs})
+    current, done, shared = -1, 0, {}
 
-    def start(rep: int, env: Environment) -> Callable[[int, RunLedger], None]:
-        steps = np.arange(1, len(env.costs) + 1, dtype=np.int64)
-        shared: dict[int, dict[str, str]] = {}
-        text: dict[str, str] = {}
-        done = 0
-        for T in horizons:
-            for name, column in (("t", steps), ("cost", env.costs)):
-                piece = _column_json(column[done:T])
-                text[name] = f"{text[name]},{piece}" if done else piece
-            shared[T] = dict(text)
-            done = T
+    def write(rep: int, index: int, ledger: RunLedger) -> None:
+        nonlocal current, done, shared
+        config = configs[index]
+        horizon = config.horizon
+        if rep != current:
+            current, done, shared = rep, 0, {}
+        if horizon > done:  # the driver's first cell at this horizon
+            for name in ("t", "cost"):
+                piece = _column_json(ledger.steps[name][done:horizon])
+                shared[name] = f"{shared[name]},{piece}" if done else piece
+            done = horizon
+        with parts[index].open("w" if rep == 0 else "a") as stream:
+            _ledger_line(stream, config.policy.name, horizon, rep, ledger, shared)
+            stream.write("\n")
 
-        def sink(index: int, ledger: RunLedger) -> None:
-            config = configs[index]
-            with parts[index].open("w" if rep == 0 else "a") as stream:
-                _ledger_line(stream, config.policy.name, config.horizon, rep, ledger,
-                             shared[config.horizon])
-                stream.write("\n")
-
-        return sink
-
-    return start
+    return write
 
 
 def _output_dir(spec: ExperimentSpec) -> Path:
@@ -204,8 +203,10 @@ def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, 
     to its cell's part file when its replication ends, and the parts are
     joined at the end.  Every output is written to a temporary name first,
     and the temporaries replace the outputs only once all are written; a run
-    without ledgers then removes an old ledgers.jsonl.  So a failed sweep
-    leaves no output, and the outputs in the directory come from one run.
+    without ledgers then removes an old ledgers.jsonl.  Whether the run
+    succeeds or fails, it then removes every ledger part in the directory,
+    its own and any left by a killed run.  So a failed sweep leaves no
+    output, and the outputs in the directory come from one run.
     Every cell's run config is built before the output directory, so a
     refused cell leaves no directory behind.
     """
@@ -224,7 +225,8 @@ def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, 
             (out_dir / "ledgers.jsonl").unlink(missing_ok=True)
         return outputs
     finally:
-        for path in [*temporaries.values(), *parts]:
+        stale = [path for path in out_dir.iterdir() if _LEDGER_PART.fullmatch(path.name)]
+        for path in [*temporaries.values(), *stale]:
             path.unlink(missing_ok=True)
 
 
@@ -267,8 +269,9 @@ def _run_cells(
 def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     """Run the spec's kwik policy across the sweep and emit kwik.csv.
 
-    One deterministic run per horizon (replication 0); prediction accuracy
-    is measured against the true rule on every settled case.
+    One deterministic run per horizon, all of replication 0, so the sweep
+    driver draws the environment once; prediction accuracy is measured
+    against the true rule on every settled case.
     """
     kwik_policies = [p for p in spec.policies if p.name == "kwik"]
     if len(kwik_policies) != 1:
@@ -277,9 +280,11 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     configs = [spec.run_config(kwik_policies[0], horizon) for horizon in spec.sweep]
     out_dir = _output_dir(spec)
     lines = [KWIK_COLUMNS]
-    for config in configs:
+
+    def add_row(rep: int, index: int, ledger: RunLedger) -> None:
+        # The sweep ascends, so the driver hands over the rows in its order.
+        config = configs[index]
         epsilon = config.policy.epsilon
-        ledger = run(config, rep=0)
         steps = ledger.steps
         settled = ~steps["went_to_court"]
         errors = np.abs(steps["applied_decision"][settled] - steps["true_value"][settled])
@@ -290,6 +295,8 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
         row = (config.horizon, config.cases.dim, epsilon, config.policy.delta, predicted,
                ledger.court_count, fraction, max_error)
         lines.append(_csv_row(row, "kwik.csv"))
+
+    _sweep(configs, 1, add_row)
     kwik_path = out_dir / "kwik.csv"
     _write_text(kwik_path, lines)
     return {"kwik": kwik_path}

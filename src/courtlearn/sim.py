@@ -35,7 +35,8 @@ draws.  Shorter horizons consume a prefix of longer ones.  So the sweep
 driver (``_sweep``) puts the replications on the outer loop: it draws each
 replication's environment once, at the sweep's longest horizon, scores the
 offline baseline once per horizon on the prefix, and runs every cell on its
-horizon's prefix.  ``estimate_regret`` is its one-cell case.
+horizon's prefix.  It is the only loop over replications: every caller,
+``estimate_regret`` and ``check_deterrent`` included, runs through it.
 """
 
 from __future__ import annotations
@@ -642,18 +643,17 @@ def estimate_regret(config: RunConfig, replications: int) -> RegretReport:
 def _sweep(
     configs: list[RunConfig],
     replications: int,
-    ledger_sinks: Callable[[int, Environment], Callable[[int, RunLedger], None]] | None = None,
+    each: Callable[[int, int, RunLedger], None] | None = None,
 ) -> list[RegretReport]:
     """Every cell's regret report, with the replications on the outer loop.
 
     The cells may differ only in policy and horizon.  Each replication
     draws its environment once, at the longest horizon, and scores the
     offline baseline once per horizon, on the prefix; every cell runs on its
-    horizon's prefix.  ``ledger_sinks(rep, env)``, when given, makes
-    replication ``rep``'s sink from the drawn environment; the sink receives
-    each cell's index and full ledger (step columns included) as soon as
-    the run ends, and is dropped with the environment when the replication
-    ends.
+    horizon's prefix.  The runs keep their step records exactly when
+    ``each`` is given, and ``each(rep, index, ledger)`` receives each run's
+    full ledger as soon as the run ends: replication by replication, and
+    within one by ascending horizon, a horizon's cells in index order.
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
@@ -664,28 +664,28 @@ def _sweep(
     # Per cell: the online loss, offline loss, court count and subsidy paid of each replication.
     books = np.empty((len(configs), 4, replications))
     for rep in range(replications):
-        _replicate(configs, longest, rep, books[:, :, rep], ledger_sinks)
+        _replicate(configs, longest, rep, books[:, :, rep], each)
     return [_regret_report(config, cell) for config, cell in zip(configs, books)]
 
 
 def _replicate(
-    configs: list[RunConfig], longest: RunConfig, rep: int, books: np.ndarray, ledger_sinks
+    configs: list[RunConfig], longest: RunConfig, rep: int, books: np.ndarray, each
 ) -> None:
-    """One replication of every cell, booked into ``books`` (one row per cell)."""
+    """One replication of every cell, booked into ``books`` (one row per cell); its
+    environment and last ledger are freed on return, before the next draw."""
     env = draw_environment(longest, rep)
     for array in (env.xs, env.f_values, env.outcomes, env.costs):
         if array is not None:
             array.flags.writeable = False
-    sink = None if ledger_sinks is None else ledger_sinks(rep, env)
     for horizon in sorted({config.horizon for config in configs}):
         cells = [i for i, config in enumerate(configs) if config.horizon == horizon]
         prefix = _prefix(env, configs[cells[0]], rep)
         baseline = offline_baseline(prefix, longest.learner, longest.truth.alpha)
         for i in cells:
-            ledger = _simulate(configs[i], prefix, rep, keep_records=sink is not None)
+            ledger = _simulate(configs[i], prefix, rep, keep_records=each is not None)
             books[i] = ledger.total_loss, baseline, ledger.court_count, ledger.total_subsidy_paid
-            if sink is not None:
-                sink(i, ledger)
+            if each is not None:
+                each(rep, i, ledger)
 
 
 def _prefix(env: Environment, config: RunConfig, rep: int) -> Environment:
@@ -746,30 +746,23 @@ class DeterrentReport:
 
 
 def check_deterrent(config: RunConfig, replications: int) -> DeterrentReport:
-    """Estimate the violation payoff per step across replications."""
+    """Estimate the violation payoff per step across the sweep driver's replications."""
     if replications < 2:
         raise ConfigurationError("deterrent check needs at least 2 replications")
     T = config.horizon
-    sum_v = np.zeros(T)
-    sumsq_v = np.zeros(T)
-    sum_s = np.zeros(T)
-    sumsq_s = np.zeros(T)
-    for rep in range(replications):
-        steps = run(config, rep).steps
+    # By step: the sums of the violation payoff, its square, the subsidy and its square.
+    sums = np.zeros((4, T))
+
+    def add(rep: int, index: int, ledger: RunLedger) -> None:
+        steps = ledger.steps
         subsidy = steps["subsidy"]
         v = subsidy - steps["cost"] - steps["settlement_value"]
-        sum_v += v
-        sumsq_v += v * v
-        sum_s += subsidy
-        sumsq_s += subsidy * subsidy
+        sums[:] += (v, v * v, subsidy, subsidy * subsidy)
 
-    def _mean_se(total: np.ndarray, total_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = total / replications
-        var = (total_sq - replications * mean * mean) / (replications - 1)
-        return mean, np.sqrt(np.clip(var, 0.0, None) / replications)
-
-    mean_v, se_v = _mean_se(sum_v, sumsq_v)
-    mean_s, se_s = _mean_se(sum_s, sumsq_s)
+    _sweep([config], replications, add)
+    mean_v, mean_s = means = sums[::2] / replications
+    var = (sums[1::2] - replications * means * means) / (replications - 1)
+    se_v, se_s = np.sqrt(np.clip(var, 0.0, None) / replications)
     worst = int(np.argmax(mean_v))
     max_violation = float(mean_v[worst])
     max_violation_se = float(se_v[worst])

@@ -26,7 +26,7 @@ from courtlearn.experiment import (
     kwik_report,
     run_experiment,
 )
-from courtlearn.sim import STEP_COLUMNS, RunConfig, estimate_regret, run
+from courtlearn.sim import STEP_COLUMNS, RunConfig, check_deterrent, estimate_regret, run
 from oracle import ledger_line
 
 
@@ -233,6 +233,25 @@ class TestSweepMatchesCells:
         if kwik:
             lines = kwik_report(spec)["kwik"].read_text().splitlines()[1:]
             assert lines == [_kwik_row(spec.run_config(kwik[0], horizon)) for horizon in spec.sweep]
+
+    def test_every_caller_draws_once_per_replication(self, tmp_path, monkeypatch):
+        # kwik_report runs replication 0 of every horizon on one draw, at the
+        # longest horizon; check_deterrent draws each replication once
+        draws = []
+        draw = sim.draw_environment
+
+        def counting_draw(config, rep=0):
+            draws.append((config.horizon, rep))
+            return draw(config, rep)
+
+        monkeypatch.setattr(sim, "draw_environment", counting_draw)
+        spec = kwik_spec(tmp_path, sweep=[100, 200, 400])
+        lines = kwik_report(spec)["kwik"].read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["100", "200", "400"]
+        assert draws == [(400, 0)]
+        draws.clear()
+        check_deterrent(spec.run_config(spec.policies[0], 50), 4)
+        assert draws == [(50, rep) for rep in range(4)]
 
     def test_ledgers_of_more_cells_than_the_open_file_limit(self, tmp_path):
         # each cell's ledger part is open only while one line is written, so
@@ -517,12 +536,22 @@ class TestCli:
         assert list(out.iterdir()) == []
 
     def test_a_run_leaves_only_its_own_outputs(self, tmp_path):
-        # a run without --ledgers removes the ledgers.jsonl of an earlier run
+        # a run without --ledgers removes the ledgers.jsonl of an earlier run;
+        # every run removes the ledger parts of a killed run with more cells,
+        # and no other file
         path = self._write_config(tmp_path, tmp_path / "out")
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "notes.txt").write_text("kept\n")
+        (tmp_path / "out" / "ledgers.jsonl.99.tmp").write_text("stale\n")
         assert main(["run", str(path), "--seed", "7", "--ledgers"]) == 0
-        assert (tmp_path / "out" / "ledgers.jsonl").exists()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "ledgers.jsonl", "notes.txt", "regret.csv", "slopes.csv",
+        ]
+        (tmp_path / "out" / "ledgers.jsonl.99.tmp").write_text("stale\n")
         assert main(["run", str(path), "--seed", "9"]) == 0
         assert main(["run", str(path), "--seed", "9", "--out", str(tmp_path / "fresh")]) == 0
+        assert (tmp_path / "out" / "notes.txt").read_text() == "kept\n"
+        (tmp_path / "out" / "notes.txt").unlink()
         for out in ("out", "fresh"):
             assert sorted(p.name for p in (tmp_path / out).iterdir()) == ["regret.csv", "slopes.csv"]
         for name in ("regret.csv", "slopes.csv"):
