@@ -11,23 +11,9 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, get_args
+from typing import Any, get_args, get_type_hints
 
-import numpy as np
-
-from .core import (
-    BallCases,
-    CaseSpec,
-    ConfigurationError,
-    ConstantTruth,
-    CostModel,
-    FixedCosts,
-    GroundTruth,
-    LinearTruth,
-    PointMassCosts,
-    SingletonCases,
-    UniformCosts,
-)
+from .core import CaseSpec, ConfigurationError, CostModel, GroundTruth, SingletonCases
 from .learners import LearnerFamily, LearnerKind
 from .policies import PolicyConfig
 from .sim import RunConfig
@@ -53,7 +39,20 @@ class ExperimentSpec:
     out_dir: str
 
     def __post_init__(self) -> None:
-        # ``dataclasses.replace`` re-runs these, so CLI overrides meet the same rules.
+        # ``dataclasses.replace`` re-runs these, so CLI overrides and hand-built
+        # specs meet the same rules as a loaded config.
+        if not self.policies:
+            raise ConfigurationError("policies: expected a non-empty list")
+        # Rows and slopes are keyed by policy name, so a repeated name would be ambiguous.
+        names = [policy.name for policy in self.policies]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigurationError(f"policies[{i}]: duplicate policy {name!r}")
+        if not self.sweep:
+            raise ConfigurationError("sweep: expected a non-empty list of horizons")
+        # The driver runs the horizons in ascending order, and kwik.csv lists them so.
+        if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
+            raise ConfigurationError("sweep must be increasing")
         if self.replications < 1:
             raise ConfigurationError(f"replications: must be >= 1, got {self.replications}")
         if self.seed < 0:
@@ -140,45 +139,35 @@ def _finite(value: Any, path: str) -> float:
     return number
 
 
-def _parse_truth(reader: _Reader) -> GroundTruth:
-    family = reader.string("family")
-    sigma = reader.number("sigma")
-    alpha = reader.number("alpha")
-    # Field errors already name their path; only the rule's own checks get the prefix.
-    if family == "constant":
-        rule, values = ConstantTruth, {"mu": reader.number("mu")}
-    elif family == "linear":
-        rule, values = LinearTruth, {
-            "beta": np.asarray(reader.numbers("beta")),
-            "beta0": reader.number("beta0"),
-        }
-    else:
-        raise ConfigurationError(f"{reader._at('family')}: unknown family {family!r}")
+# The reader of a section field by its type; any other type is a vector of numbers.
+_FIELD_READERS = {float: _Reader.number, int: _Reader.integer}
+
+
+def _parse_kind(reader: _Reader, tag: str, union: Any, noun: str) -> Any:
+    """The member of ``union`` whose ``tag`` constant the section names, built from its fields.
+
+    Each dataclass field is read by its type, in field order; the section's
+    other keys are refused.
+    """
+    classes = {getattr(cls, tag): cls for cls in get_args(union)}
+    name = reader.string(tag)
+    if name not in classes:
+        raise ConfigurationError(f"{reader._at(tag)}: unknown {noun} {name!r}")
+    cls = classes[name]
+    hints = get_type_hints(cls)
+    values = {
+        f.name: _FIELD_READERS.get(hints[f.name], _Reader.numbers)(reader, f.name)
+        for f in fields(cls)
+    }
     try:
-        return rule(**values, sigma=sigma, alpha=alpha)
+        section = cls(**values)
     except ConfigurationError as exc:
+        # Cost and case checks name their field (``cost.c``); a truth's rule checks get the prefix.
+        if str(exc).startswith(reader.path):
+            raise
         raise ConfigurationError(f"{reader.path}: {exc}") from None
-
-
-def _parse_cases(reader: _Reader) -> CaseSpec:
-    kind = reader.string("kind")
-    if kind == "singleton":
-        return SingletonCases()
-    if kind == "ball":
-        return BallCases(reader.integer("dim"))
-    raise ConfigurationError(f"{reader._at('kind')}: unknown case space {kind!r}")
-
-
-def _parse_costs(reader: _Reader) -> CostModel:
-    kind = reader.string("kind")
-    # core's own messages already carry cost.* field names
-    if kind == "point":
-        return PointMassCosts(reader.number("c"))
-    if kind == "uniform":
-        return UniformCosts(reader.number("c_min"), reader.number("c_max"))
-    if kind == "sequence":
-        return FixedCosts(tuple(reader.numbers("costs")))
-    raise ConfigurationError(f"{reader._at('kind')}: unknown cost model {kind!r}")
+    reader.reject_unknown()
+    return section
 
 
 def _parse_learner(reader: _Reader) -> LearnerKind:
@@ -191,14 +180,9 @@ def _parse_learner(reader: _Reader) -> LearnerKind:
     keys = ["err_constant"]
     if family is LearnerFamily.NORM_CONSTRAINED:
         keys.append("radius")
-    return LearnerKind(family, **{key: reader.number(key) for key in keys if key in reader.data})
-
-
-def _parse_section(parse: Callable[[_Reader], Any], reader: _Reader) -> Any:
-    """``parse(reader)``, refusing any key of the section that ``parse`` did not read."""
-    value = parse(reader)
+    learner = LearnerKind(family, **{key: reader.number(key) for key in keys if key in reader.data})
     reader.reject_unknown()
-    return value
+    return learner
 
 
 def _parse_policy(entry: Any, path: str) -> PolicyConfig:
@@ -228,33 +212,29 @@ def _parse_policy(entry: Any, path: str) -> PolicyConfig:
 def parse_config(data: dict) -> ExperimentSpec:
     """Validate a parsed config mapping into an :class:`ExperimentSpec`."""
     root = _Reader(data)
-    truth = _parse_section(_parse_truth, root.child("truth"))
-    cases = _parse_section(_parse_cases, root.child("cases")) if "cases" in data else SingletonCases()
-    costs = _parse_section(_parse_costs, root.child("cost"))
-    learner = _parse_section(_parse_learner, root.child("learner"))
+    truth = _parse_kind(root.child("truth"), "family", GroundTruth, "family")
+    cases = (
+        _parse_kind(root.child("cases"), "kind", CaseSpec, "case space")
+        if "cases" in data
+        else SingletonCases()
+    )
+    costs = _parse_kind(root.child("cost"), "kind", CostModel, "cost model")
+    learner = _parse_learner(root.child("learner"))
 
+    # ExperimentSpec itself refuses an empty list, a repeated policy and a sweep out of order.
     raw_policies = root.require("policies")
-    if not isinstance(raw_policies, list) or not raw_policies:
+    if not isinstance(raw_policies, list):
         raise ConfigurationError("policies: expected a non-empty list")
     policies = tuple(
         _parse_policy(entry, f"policies[{i}]") for i, entry in enumerate(raw_policies)
     )
-    # Rows and slopes are keyed by policy name, so a repeated name would be ambiguous.
-    names = [policy.name for policy in policies]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigurationError(f"policies[{i}]: duplicate policy {name!r}")
 
     raw_sweep = root.require("sweep")
-    if not isinstance(raw_sweep, list) or not raw_sweep:
+    if not isinstance(raw_sweep, list):
         raise ConfigurationError("sweep: expected a non-empty list of horizons")
-    sweep: list[int] = []
     for i, value in enumerate(raw_sweep):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigurationError(f"sweep[{i}]: expected an integer horizon >= 1, got {value!r}")
-        sweep.append(value)
-    if any(b <= a for a, b in zip(sweep, sweep[1:])):
-        raise ConfigurationError("sweep must be increasing")
 
     replications = root.integer("replications", DEFAULT_REPLICATIONS)
     if "emit" in data:
@@ -271,7 +251,7 @@ def parse_config(data: dict) -> ExperimentSpec:
         costs=costs,
         learner=learner,
         policies=policies,
-        sweep=tuple(sweep),
+        sweep=tuple(raw_sweep),
         replications=replications,
         seed=seed,
         out_dir=out_dir,

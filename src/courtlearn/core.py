@@ -1,7 +1,11 @@
 """Domain types shared by the whole package.
 
 Case spaces, hidden decision rules, cost models, and the per-run ledger
-produced by the simulator.  All types are plain values.
+produced by the simulator.  All types are plain values.  Each truth, case
+space and cost model carries its config-file tag (``family`` or ``kind``) as
+a class constant.  The config loader reads a section into the class its tag
+names, field by field, and ``sim.RunConfig.canonical`` describes it from the
+same fields.
 
 A :class:`Spectrum` is the eigendecomposition of a Gram matrix, or a stack
 of them, one per prefix of a run's court rows; the linear fit, the
@@ -16,7 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -52,6 +56,7 @@ class ConfigurationError(ValueError):
 class ConstantTruth:
     """Hidden rule f(x) = mu for every case, with noise level sigma and cap alpha."""
 
+    family: ClassVar[str] = "constant"
     mu: float
     sigma: float
     alpha: float
@@ -73,6 +78,7 @@ class LinearTruth:
     so that f maps the whole ball into [0, alpha] without any clipping.
     """
 
+    family: ClassVar[str] = "linear"
     beta: np.ndarray
     beta0: float
     sigma: float
@@ -133,6 +139,7 @@ def decompose(gram: np.ndarray) -> Spectrum:
 class PointMassCosts:
     """Every case costs exactly ``c`` to bring to court."""
 
+    kind: ClassVar[str] = "point"
     c: float
 
     def __post_init__(self) -> None:
@@ -155,6 +162,7 @@ class PointMassCosts:
 class UniformCosts:
     """Costs drawn i.i.d. uniform on [c_min, c_max]."""
 
+    kind: ClassVar[str] = "uniform"
     c_min: float
     c_max: float
 
@@ -174,6 +182,7 @@ class UniformCosts:
 class FixedCosts:
     """Deterministic cost sequence, cycled if shorter than the horizon."""
 
+    kind: ClassVar[str] = "sequence"
     costs: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -204,6 +213,8 @@ CostModel = Union[PointMassCosts, UniformCosts, FixedCosts]
 class SingletonCases:
     """Case space with a single element (no features)."""
 
+    kind: ClassVar[str] = "singleton"
+
     @property
     def dim(self) -> int | None:
         return None
@@ -213,6 +224,7 @@ class SingletonCases:
 class BallCases:
     """Cases drawn uniformly from the unit ball in ``dim`` dimensions."""
 
+    kind: ClassVar[str] = "ball"
     dim: int
 
     def __post_init__(self) -> None:

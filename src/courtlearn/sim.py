@@ -58,7 +58,6 @@ from .core import (
     GroundTruth,
     LinearTruth,
     RunLedger,
-    SingletonCases,
     Spectrum,
     augment,
     canonical_digest,
@@ -183,21 +182,9 @@ class RunConfig:
 
     def canonical(self) -> dict:
         """JSON-serializable description; the basis for the config digest."""
-        truth: dict
-        if isinstance(self.truth, ConstantTruth):
-            truth = {"family": "constant", "mu": self.truth.mu}
-        else:
-            truth = {
-                "family": "linear",
-                "beta": [float(b) for b in self.truth.beta],
-                "beta0": self.truth.beta0,
-            }
-        truth.update(sigma=self.truth.sigma, alpha=self.truth.alpha)
-        cases = (
-            {"kind": "singleton"}
-            if isinstance(self.cases, SingletonCases)
-            else {"kind": "ball", "dim": self.cases.dim}
-        )
+        truth = {"family": self.truth.family, **_public_fields(self.truth)}
+        cases = {"kind": self.cases.kind, **_public_fields(self.cases)}
+        # The pinned config digests name a cost model by its class, not its config-file kind.
         costs = {"kind": type(self.costs).__name__, **_public_fields(self.costs)}
         learner = {
             "kind": self.learner.family.value,
@@ -233,8 +220,8 @@ def _public_fields(obj) -> dict:
     out = {}
     for field in fields(obj):
         value = getattr(obj, field.name)
-        if isinstance(value, tuple):
-            value = list(value)
+        if isinstance(value, (tuple, np.ndarray)):
+            value = [float(v) for v in value]
         out[field.name] = value
     return out
 

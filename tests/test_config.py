@@ -50,6 +50,29 @@ class TestDefaults:
         assert spec.sweep == (10, 100, 1000)
         assert spec.replications == 7
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {
+                "truth": {"family": "linear", "beta": [0.1, 0.2], "beta0": 0.4, "sigma": 0.2, "alpha": 1.0},
+                "cases": {"kind": "ball", "dim": 2},
+                "learner": {"kind": "ols"},
+            },
+            {"cases": {"kind": "singleton"}, "cost": {"kind": "uniform", "c_min": 0.5, "c_max": 1.0}},
+            {"cost": {"kind": "sequence", "costs": [0.5, 1.0, 2.0]}},
+        ],
+        ids=["constant_point", "linear_ball", "singleton_uniform", "sequence"],
+    )
+    def test_config_digest_describes_every_field_read(self, overrides):
+        data = minimal_config(**overrides)
+        spec = parse_config(data)
+        canonical = spec.run_config(spec.policies[0], spec.sweep[0]).canonical()
+        assert canonical["truth"] == data["truth"]
+        assert canonical["cases"] == data.get("cases", {"kind": "singleton"})
+        # the digest names a cost model by its class, as the pinned digests do
+        assert canonical["costs"] == {**data["cost"], "kind": type(spec.costs).__name__}
+
 
 class TestFieldPathedErrors:
     def test_cost_c_min_zero(self):
@@ -221,6 +244,49 @@ class TestFieldPathedErrors:
         data = minimal_config(truth={"family": "constant", "mu": 3.0, "sigma": 0.5, "alpha": 2.0})
         with pytest.raises(ConfigurationError, match=r"^truth: constant rule value 3\.0 outside"):
             parse_config(data)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"truth": {"family": "cubic", "sigma": 0.5, "alpha": 2.0}},
+                "truth.family: unknown family 'cubic'",
+            ),
+            ({"cases": {"kind": "cube"}}, "cases.kind: unknown case space 'cube'"),
+            ({"cost": {"kind": "free"}}, "cost.kind: unknown cost model 'free'"),
+            ({"learner": {"kind": "svm"}}, "learner.kind: unknown learner 'svm'"),
+            ({"cases": {"kind": "ball", "dim": 1.5}}, "cases.dim: expected an integer, got 1.5"),
+            ({"cost": {"kind": "uniform", "c_min": 1.0}}, "missing required field cost.c_max"),
+            (
+                {
+                    "truth": {"family": "linear", "beta": [0.1], "beta0": 2.0, "sigma": 0.1, "alpha": 1.0},
+                    "cases": {"kind": "ball", "dim": 1},
+                    "learner": {"kind": "ols"},
+                },
+                "truth: beta0 + |beta| = 2.1 exceeds alpha = 1.0",
+            ),
+        ],
+        ids=[
+            "unknown_family", "unknown_case_space", "unknown_cost_model", "unknown_learner",
+            "fractional_dim", "missing_c_max", "linear_rule",
+        ],
+    )
+    def test_single_error_message(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(minimal_config(**overrides))
+
+    @pytest.mark.parametrize(
+        "truth, message",
+        [
+            ({"family": "constant", "alpha": 1.0}, "missing required field truth.mu"),
+            ({"family": "cubic"}, "truth.family: unknown family 'cubic'"),
+        ],
+        ids=["constant_without_fields", "unknown_family_alone"],
+    )
+    def test_section_reports_its_first_bad_field_in_field_order(self, truth, message):
+        # the tag first, then the class's dataclass fields in their declared order
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(minimal_config(truth=truth))
 
     def test_replications_floor(self):
         with pytest.raises(ConfigurationError, match="replications"):

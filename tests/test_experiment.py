@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from courtlearn.experiment import (
     kwik_report,
     run_experiment,
 )
+from courtlearn.policies import EtcConfig
 from courtlearn.sim import STEP_COLUMNS, RunConfig, check_deterrent, estimate_regret, run
 from oracle import ledger_line
 
@@ -135,6 +137,24 @@ class TestRunExperiment:
         spec = dataclasses.replace(spec, policies=spec.policies + kwik_spec(tmp_path).policies)
         with pytest.raises(ConfigurationError, match="^kwik policy requires vector cases$"):
             run_experiment(spec, ledgers=True)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sweep", (), "sweep: expected a non-empty list of horizons"),
+            ("policies", (), "policies: expected a non-empty list"),
+            # kwik.csv would list the horizons in the driver's ascending order, regret.csv in this one
+            ("sweep", (200, 50), "sweep must be increasing"),
+            # rows and slopes are keyed by policy name
+            ("policies", (EtcConfig(), EtcConfig()), "policies[1]: duplicate policy 'etc'"),
+        ],
+        ids=["empty_sweep", "no_policies", "decreasing_sweep", "duplicate_policy"],
+    )
+    def test_hand_built_spec_meets_the_loader_checks(self, tmp_path, field, value, message):
+        spec = small_spec(tmp_path)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            run_experiment(dataclasses.replace(spec, **{field: value}))
         assert not (tmp_path / "out").exists()
 
     def test_ledger_memory_does_not_grow_with_replications(self, tmp_path):
