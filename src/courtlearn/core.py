@@ -28,20 +28,13 @@ __all__ = [
     "ConfigurationError",
     "ConstantTruth",
     "LinearTruth",
-    "GroundTruth",
-    "Spectrum",
-    "decompose",
-    "augment",
     "PointMassCosts",
     "UniformCosts",
     "FixedCosts",
-    "CostModel",
     "SingletonCases",
     "BallCases",
-    "CaseSpec",
     "sample_cases",
     "RunLedger",
-    "canonical_digest",
 ]
 
 # Slack for float round-off when validating norm constraints.

@@ -30,14 +30,7 @@ from .config import ExperimentSpec
 from .core import ConfigurationError, RunLedger
 from .sim import RunConfig, _sweep
 
-__all__ = [
-    "REGRET_COLUMNS",
-    "SLOPES_COLUMNS",
-    "KWIK_COLUMNS",
-    "fit_loglog_slope",
-    "run_experiment",
-    "kwik_report",
-]
+__all__ = ["run_experiment", "kwik_report"]
 
 REGRET_COLUMNS = (
     "policy,T,mean_regret,std_error,mean_court_count,mean_total_subsidy,mean_offline_loss"

@@ -47,14 +47,11 @@ __all__ = [
     "etc_compel_count",
     "dynamic_compel_probability",
     "subsidy_tail_probability",
-    "subsidy_bases",
-    "kwik_default_alpha1",
     "NoSubsidyConfig",
     "EtcConfig",
     "DynamicCompellingConfig",
     "SubsidySamplingConfig",
     "KwikConfig",
-    "PolicyConfig",
 ]
 
 # Eigenvalues at or above this count as "covered" directions in the gate.

@@ -68,7 +68,6 @@ from .learners import LearnerFamily, LearnerKind, _fit_linear, err_bound
 from .policies import KwikConfig, PolicyConfig, SubsidySamplingConfig, subsidy_tail_probability
 
 __all__ = [
-    "STEP_COLUMNS",
     "RunConfig",
     "Environment",
     "draw_environment",
@@ -722,7 +721,7 @@ class DeterrentReport:
     ``satisfied`` allows the worst step up to three standard errors of slack.
     """
 
-    per_step_estimates: list[tuple[int, float]]
+    per_step_estimates: np.ndarray
     per_step_std_errors: np.ndarray
     per_step_mean_subsidy: np.ndarray
     per_step_subsidy_std_errors: np.ndarray
@@ -754,7 +753,7 @@ def check_deterrent(config: RunConfig, replications: int) -> DeterrentReport:
     max_violation = float(mean_v[worst])
     max_violation_se = float(se_v[worst])
     return DeterrentReport(
-        per_step_estimates=[(t + 1, float(mean_v[t])) for t in range(T)],
+        per_step_estimates=mean_v,
         per_step_std_errors=se_v,
         per_step_mean_subsidy=mean_s,
         per_step_subsidy_std_errors=se_s,

@@ -123,7 +123,7 @@ def test_criterion_4_subsidy_sampling():
         1000, policy, mu=0.5, sigma=0.5, alpha=1.0, costs=costs, seed=0
     )
     deterrent = cl.check_deterrent(deterrent_config, 400)
-    means = np.array([v for _, v in deterrent.per_step_estimates])
+    means = deterrent.per_step_estimates
     violation_ok = bool(
         np.all(means <= 3.0 * deterrent.per_step_std_errors)
     ) and deterrent.satisfied

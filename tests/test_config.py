@@ -265,10 +265,31 @@ class TestFieldPathedErrors:
                 },
                 "truth: beta0 + |beta| = 2.1 exceeds alpha = 1.0",
             ),
+            ({"truth": [1.0, 0.5, 2.0]}, "truth: expected an object"),
+            ({"cost": {"kind": "sequence", "costs": []}}, "cost.costs: expected a non-empty list"),
+            (
+                {
+                    "truth": {"family": "linear", "beta": 0.1, "beta0": 0.5, "sigma": 0.1, "alpha": 1.0},
+                    "cases": {"kind": "ball", "dim": 1},
+                    "learner": {"kind": "ols"},
+                },
+                "truth.beta: expected a non-empty list",
+            ),
+            ({"policies": "no_subsidy"}, "policies: expected a non-empty list"),
+            ({"sweep": 100}, "sweep: expected a non-empty list of horizons"),
+            ({"sweep": [100, 0]}, "sweep[1]: expected an integer horizon >= 1, got 0"),
+            ({"sweep": [True]}, "sweep[0]: expected an integer horizon >= 1, got True"),
+            (
+                {"learner": {"kind": "empirical_mean", "err_constant": 0.0}},
+                "learner.err_constant must be > 0, got 0.0",
+            ),
+            ({"learner": {"kind": "norm_constrained", "radius": -1.0}}, "learner.radius must be > 0, got -1.0"),
         ],
         ids=[
             "unknown_family", "unknown_case_space", "unknown_cost_model", "unknown_learner",
-            "fractional_dim", "missing_c_max", "linear_rule",
+            "fractional_dim", "missing_c_max", "linear_rule", "section_not_object", "empty_costs",
+            "beta_not_list", "policies_not_list", "sweep_not_list", "sweep_zero", "sweep_bool",
+            "err_constant_zero", "radius_negative",
         ],
     )
     def test_single_error_message(self, overrides, message):
@@ -310,8 +331,10 @@ class TestFieldPathedErrors:
             ({"alpha2": -0.5}, "kwik policy alpha2 must be > 0, got -0.5"),
             ({"alpha1": 0.0}, "kwik policy alpha1 must be > 0, got 0.0"),
             ({"alpha1_constant": -15.0}, "kwik policy alpha1_constant must be > 0, got -15.0"),
+            ({"epsilon": 0.0}, "kwik policy needs epsilon > 0 and delta in (0, 1)"),
+            ({"delta": 1.0}, "kwik policy needs epsilon > 0 and delta in (0, 1)"),
         ],
-        ids=["both_negative", "alpha2_negative", "alpha1_zero", "constant_negative"],
+        ids=["both_negative", "alpha2_negative", "alpha1_zero", "constant_negative", "epsilon_zero", "delta_one"],
     )
     def test_kwik_thresholds_must_be_positive(self, tmp_path, capsys, params, message):
         data = minimal_config(

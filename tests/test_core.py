@@ -1,6 +1,7 @@
 """Domain-type construction, invariants, and environment sampling."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,33 @@ class TestGroundTruth:
             LinearTruth(beta=np.array([0.6]), beta0=0.5, sigma=0.1, alpha=2.0)
         with pytest.raises(ConfigurationError):
             LinearTruth(beta=np.array([0.5]), beta0=0.7, sigma=0.1, alpha=1.0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ConstantTruth(mu=0.0, sigma=0.0, alpha=0.0), "decision cap must be positive, got 0.0"),
+            (
+                lambda: LinearTruth(beta=np.array([0.0]), beta0=0.0, sigma=0.0, alpha=-1.0),
+                "decision cap must be positive, got -1.0",
+            ),
+            (
+                lambda: LinearTruth(beta=np.array(0.1), beta0=0.5, sigma=0.1, alpha=1.0),
+                "beta must be a vector of dimension >= 1",
+            ),
+            (
+                lambda: LinearTruth(beta=np.zeros((1, 1)), beta0=0.5, sigma=0.1, alpha=1.0),
+                "beta must be a vector of dimension >= 1",
+            ),
+            (
+                lambda: LinearTruth(beta=np.array([0.1]), beta0=0.5, sigma=1.5, alpha=1.0),
+                "noise level 1.5 outside [0, 1.0]",
+            ),
+        ],
+        ids=["constant_alpha_zero", "linear_alpha_negative", "beta_scalar", "beta_matrix", "linear_sigma"],
+    )
+    def test_rule_refusal_messages(self, build, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_linear_dimension_mismatch(self):
         truth = LinearTruth(beta=np.array([0.2, 0.2]), beta0=0.5, sigma=0.0, alpha=1.0)

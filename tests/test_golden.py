@@ -251,7 +251,7 @@ DETERRENT_CASES = {
 
 def _deterrent_fingerprint(report):
     columns = {
-        "per_step_estimates": [value for _, value in report.per_step_estimates],
+        "per_step_estimates": report.per_step_estimates.tolist(),
         "per_step_std_errors": report.per_step_std_errors.tolist(),
         "per_step_mean_subsidy": report.per_step_mean_subsidy.tolist(),
         "per_step_subsidy_std_errors": report.per_step_subsidy_std_errors.tolist(),
@@ -269,7 +269,8 @@ def _deterrent_fingerprint(report):
 def test_check_deterrent_bits(name):
     config, expected = DETERRENT_CASES[name]
     report = check_deterrent(config, 5)
-    assert [t for t, _ in report.per_step_estimates] == list(range(1, config.horizon + 1))
+    assert report.per_step_estimates.dtype == np.float64
+    assert report.per_step_estimates.shape == (config.horizon,)
     assert _deterrent_fingerprint(report) == expected
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from courtlearn.core import BallCases, augment, decompose, sample_cases
+from courtlearn.core import BallCases, ConfigurationError, augment, decompose, sample_cases
 from courtlearn.learners import LearnerFamily, LearnerKind, _fit_linear, err_bound
 from courtlearn.sim import _clip, _LinearFits, _mean_rules, _predict
 
@@ -146,6 +146,10 @@ class TestErrBound:
 
     def test_alpha_caps_the_bound(self):
         assert err_bound(MEAN, 1, sigma=5.0, alpha=2.0) == 2.0
+
+    def test_linear_bound_needs_the_dimension(self):
+        with pytest.raises(ConfigurationError, match="^ols error bound needs the case dimension$"):
+            err_bound(OLS, 4, sigma=1.0, alpha=1.0)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):

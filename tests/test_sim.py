@@ -290,6 +290,10 @@ class TestEstimateRegret:
         derived = (report.mean_online_loss - report.mean_offline_loss) / config.horizon
         assert report.mean_regret == pytest.approx(derived, rel=1e-12)
 
+    def test_replications_floor(self):
+        with pytest.raises(ConfigurationError, match="^replications must be >= 1, got 0$"):
+            estimate_regret(constant_config(), 0)
+
     def test_learning_stall_plateau(self):
         # with no selection pressure the dataset freezes at two observations
         # and the per-case regret plateaus near sigma^2 / 2 = 0.125
@@ -365,9 +369,13 @@ class TestCheckDeterrent:
     def test_no_subsidy_payoff_always_negative(self):
         config = constant_config(horizon=30, seed=1)
         report = check_deterrent(config, 50)
-        assert all(value <= 0.0 for _, value in report.per_step_estimates)
+        assert all(value <= 0.0 for value in report.per_step_estimates)
         assert report.max_violation <= 0.0
         assert report.satisfied
+
+    def test_needs_two_replications(self):
+        with pytest.raises(ConfigurationError, match="^deterrent check needs at least 2 replications$"):
+            check_deterrent(constant_config(), 1)
 
     def test_subsidy_sampling_reports_offers(self):
         config = constant_config(
