@@ -9,9 +9,11 @@ ledger floats in ``json``'s shortest round-trip form, byte-equal to
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the whole line,
 although each run of equal values in a step column is encoded once, and the
 ``t`` and ``cost`` columns once per replication.  The replications are run
-by ``sim._sweep``; this module sees only the ledgers it hands to a per-run
-hook.  A run writes every output to a temporary name and renames them all
-at the end.
+by ``sim._sweep``, which cuts a policy's shorter horizons from its run at
+the longest one where the run allows it; this module sees only the ledgers
+it hands to a per-run hook, replication by replication, policy by policy,
+and by ascending horizon within a policy.  A run writes every output to a
+temporary name and renames them all at the end.
 """
 
 from __future__ import annotations
@@ -146,31 +148,33 @@ def _ledger_writer(configs: list[RunConfig], parts: list[Path]):
     """A sweep's per-run hook (see ``sim._sweep``): each ledger's line goes to its cell's part.
 
     The ``t`` and ``cost`` columns are the same for every cell of a
-    replication, up to the cell's horizon, so the hook encodes them in
-    segments between consecutive horizons: the first ledger of a
-    replication at each horizon adds the steps since the last one, and a
-    horizon's text is its segments joined by commas.  That is byte-equal to
-    the prefix's own encoding, whichever path :func:`_column_json` takes for
-    each, as all are the text of ``json.dumps``.  A part is opened for each
-    line, never kept open, so a sweep of any number of cells holds one part
-    open at a time; replication 0 truncates the part, so a part left behind
-    by a killed run is not kept.
+    replication, up to the cell's horizon, so the hook keeps each horizon's
+    text for the replication.  It encodes them in segments between
+    consecutive horizons: the first ledger of a replication at a new horizon
+    adds the steps since the longest horizon below it that has a text, and
+    a horizon's text is its segments joined by commas.  That is byte-equal
+    to the prefix's own encoding, whichever path :func:`_column_json` takes
+    for each, as all are the text of ``json.dumps``.  A part is opened for
+    each line, never kept open, so a sweep of any number of cells holds one
+    part open at a time; replication 0 truncates the part, so a part left
+    behind by a killed run is not kept.
     """
-    current, done, shared = -1, 0, {}
+    current, texts = -1, {}  # texts: horizon -> {name: text} of the current replication
 
     def write(rep: int, index: int, ledger: RunLedger) -> None:
-        nonlocal current, done, shared
+        nonlocal current, texts
         config = configs[index]
         horizon = config.horizon
         if rep != current:
-            current, done, shared = rep, 0, {}
-        if horizon > done:  # the driver's first cell at this horizon
+            current, texts = rep, {}
+        if horizon not in texts:
+            done = max((h for h in texts if h < horizon), default=0)
+            texts[horizon] = {}
             for name in ("t", "cost"):
                 piece = _column_json(ledger.steps[name][done:horizon])
-                shared[name] = f"{shared[name]},{piece}" if done else piece
-            done = horizon
+                texts[horizon][name] = f"{texts[done][name]},{piece}" if done else piece
         with parts[index].open("w" if rep == 0 else "a") as stream:
-            _ledger_line(stream, config.policy.name, horizon, rep, ledger, shared)
+            _ledger_line(stream, config.policy.name, horizon, rep, ledger, texts[horizon])
             stream.write("\n")
 
     return write
@@ -190,11 +194,12 @@ def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, 
     """Run every (policy, horizon) cell and emit regret.csv + slopes.csv.
 
     The cells share one replication driver (``sim._sweep``), which draws
-    each replication's environment once.  With ``ledgers=True``, every
-    replication's full ledger is also written to ledgers.jsonl, one line per
-    (cell, replication), listed by cell, then by replication; each line goes
-    to its cell's part file when its replication ends, and the parts are
-    joined at the end.  Every output is written to a temporary name first,
+    each replication's environment once and runs each policy once per
+    replication where it can cut the shorter horizons from that run.  With
+    ``ledgers=True``, every replication's full ledger is also written to
+    ledgers.jsonl, one line per (cell, replication), listed by cell, then by
+    replication; each line goes to its cell's part file when its run ends,
+    and the parts are joined at the end.  Every output is written to a temporary name first,
     and the temporaries replace the outputs only once all are written; a run
     without ledgers then removes an old ledgers.jsonl.  Whether the run
     succeeds or fails, it then removes every ledger part in the directory,
@@ -262,9 +267,10 @@ def _run_cells(
 def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     """Run the spec's kwik policy across the sweep and emit kwik.csv.
 
-    One deterministic run per horizon, all of replication 0, so the sweep
-    driver draws the environment once; prediction accuracy is measured
-    against the true rule on every settled case.
+    Replication 0 only, so the sweep driver draws the environment once and
+    runs the policy once, at the longest horizon, cutting every shorter
+    horizon from that run; prediction accuracy is measured against the true
+    rule on every settled case.
     """
     kwik_policies = [p for p in spec.policies if p.name == "kwik"]
     if len(kwik_policies) != 1:

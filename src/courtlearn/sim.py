@@ -33,10 +33,17 @@ that are split per concern, so every policy faces the identical sequence for
 a given (seed, replication) and the offline baseline can score the same
 draws.  Shorter horizons consume a prefix of longer ones.  So the sweep
 driver (``_sweep``) puts the replications on the outer loop: it draws each
-replication's environment once, at the sweep's longest horizon, scores the
-offline baseline once per horizon on the prefix, and runs every cell on its
-horizon's prefix.  It is the only loop over replications: every caller,
-``estimate_regret`` and ``check_deterrent`` included, runs through it.
+replication's environment once, at the sweep's longest horizon, and scores
+the offline baseline once per horizon on the prefix.  A run is causal, so
+the driver runs each policy once per replication, at its longest horizon,
+and cuts each shorter horizon from that run: the first T steps of the run
+are the run at horizon T.  That holds where the policy's law does not read
+the horizon, the run prices no closed-form tail, and the horizon's prefix
+is a view of the one draw; any other cell runs alone, on its horizon's
+prefix.  The driver hands over the ledgers policy by policy, by ascending
+horizon within one, so one long run's ledger is alive at a time.  It is
+the only loop over replications: every caller, ``estimate_regret`` and
+``check_deterrent`` included, runs through it.
 """
 
 from __future__ import annotations
@@ -265,18 +272,43 @@ def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger
     ``keep_records=False`` leaves ``ledger.steps`` empty (the totals are
     still exact); use it when aggregating many replications.
     """
-    return _simulate(config, draw_environment(config, rep), rep, keep_records=keep_records)
+    return _simulate([config], draw_environment(config, rep), rep, keep_records)[0]
 
 
-def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
-    """One replication: draw the actions, search for the court visits, fit after each, then score.
+def _actions(config: RunConfig, rep: int, keep_records: bool) -> tuple:
+    """A run's (compel mask, subsidy bases, tail start): the policy's actions over the
+    horizon, and the step from which the run may price its all-settle tail in closed
+    form, or the horizon where it may not.  A ``kwik`` run's compel mask is set by its
+    visit search."""
+    T = config.horizon
+    policy = config.policy
+    if isinstance(policy, KwikConfig):
+        return np.zeros(T, dtype=bool), None, T
+    compel, bases, active = policy.horizon_actions(
+        config, _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
+    )
+    # The closed-form tail needs a case-free prediction (mean learners only).
+    return compel, bases, T if keep_records or config.learner.is_linear else active
 
-    Scoring derives the subsidy paid, the closed-form tail's start and the
-    records' ``pre_step_err_bound`` from the visits and one error-bound table.
-    Every float is produced by the same operations, in the same order, as in
-    the case-by-case loop of ``tests/oracle.py``, so ledgers and totals are
-    bit for bit the same.
+
+def _simulate(
+    configs: list[RunConfig], env: Environment, rep: int, keep_records: bool, actions=None
+) -> list[RunLedger]:
+    """One replication's run at the last config's horizon, and its ledger at every config's.
+
+    The configs differ only in horizon, ascending; the last one's is
+    ``env``'s, and ``actions`` (drawn here when not given) are its
+    ``_actions``.  The run draws the actions, searches for the court visits,
+    fits after each, then scores.  Scoring derives the subsidy paid, the
+    closed-form tail's start and the records' ``pre_step_err_bound`` from the
+    visits and one error-bound table.  A run is causal, so where it prices no
+    closed-form tail, its ledger at a shorter horizon T is its first T steps:
+    the visits below T, entry T - 1 of its loss and subsidy ``np.cumsum``s,
+    and ``[:T]`` views of its step columns.  Every float is produced by the
+    same operations, in the same order, as in the case-by-case loop of
+    ``tests/oracle.py``, so ledgers and totals are bit for bit the same.
     """
+    config = configs[-1]
     T = config.horizon
     alpha = config.truth.alpha
     kind = config.learner
@@ -286,47 +318,39 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     costs = env.costs
     xs = env.xs
     fits = _LinearFits(kind, xs, env.outcomes) if linear else None
+    compel, bases, tail_from = _actions(config, rep, keep_records) if actions is None else actions
 
     def bound(m: np.ndarray) -> np.ndarray:
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
 
     if isinstance(policy, KwikConfig):
-        compel, bases, tail_from = np.zeros(T, dtype=bool), None, T
         visits = _kwik_visits(xs, costs, policy.thresholds(dim), bound, compel, fits)
     else:
-        compel, bases, active = policy.horizon_actions(
-            config, _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
-        )
-        # The closed-form tail needs a case-free prediction (mean learners only).
-        tail_from = T if keep_records or linear else active
         visits = _state_free_visits(costs, config.costs.c_min, compel, bases, bound, tail_from)
         if linear:  # flushed as if added one visit at a time
             for lo in range(0, len(visits), _FLUSH):
                 fits.add(visits[lo : lo + _FLUSH])
 
     errs = bound(np.arange(len(visits) + 1))  # the error bound by court count
-    subsidy_paid = 0.0
-    if bases is not None and visits:  # np.cumsum adds in visit order, as a sequential loop would
-        subsidy_paid = np.cumsum(_offers(bases[visits], 2.0 * errs[:-1])).item(-1)
+    # np.cumsum adds in visit order, as a sequential loop would
+    paid = np.zeros(len(visits)) if bases is None else np.cumsum(_offers(bases[visits], 2.0 * errs[:-1]))
     end = T
     if 2.0 * errs.item(-1) < config.costs.c_min:  # no visit can follow the last past tail_from
         end = min(max(visits[-1] + 1 if visits else 0, tail_from), T)
     went = np.zeros(end, dtype=bool)
     went[visits] = True
     m_after = np.cumsum(went)
-    tail_loss = 0.0
+    tail_rate = 0.0  # the loss of each step of the closed-form tail, steps end .. T - 1
     if linear:
         coefs = fits.coefs()
         applied = _clip(_predict(xs, coefs, m_after), alpha)
     else:
         rules = _mean_rules(env.outcomes[visits], alpha)
         applied = rules[m_after]
-        # The closed-form tail: steps end .. T - 1 all settle on the last rule.
-        tail_loss = (T - end) * (rules.item(-1) - config.truth.mu) ** 2
+        tail_rate = (rules.item(-1) - config.truth.mu) ** 2  # all settle on the last rule
     diff = applied - env.f_values[:end]
     squared = np.multiply(diff, diff, out=diff)  # in place: one T-length array fewer
-    terms = squared + np.where(went, costs[:end], 0.0)
-    total_loss = (np.cumsum(terms).item(-1) if end else 0.0) + tail_loss
+    losses = np.cumsum(squared + np.where(went, costs[:end], 0.0))
 
     steps = {}
     if keep_records:  # the tail skip is off, so end == T
@@ -353,14 +377,21 @@ def _simulate(config: RunConfig, env: Environment, rep: int, keep_records: bool)
                 "settlement_value": settlement,
             }
         )
-    return RunLedger(
-        steps=steps,
-        total_loss=total_loss,
-        court_count=len(visits),
-        total_subsidy_paid=subsidy_paid,
-        seed=config.seed,
-        config_digest=config.digest(),
-    )
+    ledgers = []
+    horizons = [cut.horizon for cut in configs]
+    for cut, horizon, count in zip(configs, horizons, np.searchsorted(visits, horizons).tolist()):
+        scored = min(horizon, end)  # a cut horizon is at most end: its run prices no tail
+        ledgers.append(
+            RunLedger(
+                steps={name: column[:horizon] for name, column in steps.items()},
+                total_loss=(losses.item(scored - 1) if scored else 0.0) + (horizon - scored) * tail_rate,
+                court_count=count,
+                total_subsidy_paid=paid.item(count - 1) if count else 0.0,
+                seed=cut.seed,
+                config_digest=cut.digest(),
+            )
+        )
+    return ledgers
 
 
 def _state_free_visits(
@@ -635,11 +666,14 @@ def _sweep(
 
     The cells may differ only in policy and horizon.  Each replication
     draws its environment once, at the longest horizon, and scores the
-    offline baseline once per horizon, on the prefix; every cell runs on its
-    horizon's prefix.  The runs keep their step records exactly when
-    ``each`` is given, and ``each(rep, index, ledger)`` receives each run's
-    full ledger as soon as the run ends: replication by replication, and
-    within one by ascending horizon, a horizon's cells in index order.
+    offline baseline once per horizon, on the prefix.  A policy runs once
+    per replication, at its longest horizon, and its shorter horizons are
+    cut from that run, where ``_replicate`` allows it; every other cell runs
+    alone, on its horizon's prefix.  The runs keep their step records
+    exactly when ``each`` is given, and ``each(rep, index, ledger)``
+    receives each cell's full ledger as soon as its run ends: replication by
+    replication, within one policy by policy (in the order each first
+    appears), and within a policy by ascending horizon.
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
@@ -657,21 +691,56 @@ def _sweep(
 def _replicate(
     configs: list[RunConfig], longest: RunConfig, rep: int, books: np.ndarray, each
 ) -> None:
-    """One replication of every cell, booked into ``books`` (one row per cell); its
-    environment and last ledger are freed on return, before the next draw."""
+    """One replication of every cell, booked into ``books`` (one row per cell).
+
+    A policy's cells whose horizon runs on a view of the draw (not a fresh
+    draw from ``_prefix``) are one run, at the longest of their horizons,
+    cut at the others, when the policy's law does not read the horizon
+    (``run_fields``) and that run prices no closed-form tail (``_actions``).
+    Every other cell runs alone.  The cells are booked policy by policy, by
+    ascending horizon within one, and a run's ledgers are views of its
+    longest one's columns, so one long ledger is alive at a time.  The
+    environment and the ledgers are freed on return, before the next draw.
+    """
     env = draw_environment(longest, rep)
     for array in (env.xs, env.f_values, env.outcomes, env.costs):
         if array is not None:
             array.flags.writeable = False
-    for horizon in sorted({config.horizon for config in configs}):
-        cells = [i for i, config in enumerate(configs) if config.horizon == horizon]
-        prefix = _prefix(env, configs[cells[0]], rep)
-        baseline = offline_baseline(prefix, longest.learner, longest.truth.alpha)
-        for i in cells:
-            ledger = _simulate(configs[i], prefix, rep, keep_records=each is not None)
-            books[i] = ledger.total_loss, baseline, ledger.court_count, ledger.total_subsidy_paid
-            if each is not None:
-                each(rep, i, ledger)
+    keep_records = each is not None
+    cells = {config.horizon: config for config in configs}  # a cell of each horizon
+    prefixes = {horizon: _prefix(env, config, rep) for horizon, config in cells.items()}
+    baselines = {
+        horizon: offline_baseline(prefix, longest.learner, longest.truth.alpha)
+        for horizon, prefix in prefixes.items()
+    }
+
+    def book(index: int, ledger: RunLedger) -> None:
+        books[index] = (ledger.total_loss, baselines[configs[index].horizon], ledger.court_count,
+                        ledger.total_subsidy_paid)
+        if each is not None:
+            each(rep, index, ledger)
+
+    for policy in dict.fromkeys(config.policy for config in configs):
+        indices = sorted(
+            (i for i, config in enumerate(configs) if config.policy == policy),
+            key=lambda i: configs[i].horizon,
+        )
+        views = [i for i in indices if np.may_share_memory(prefixes[configs[i].horizon].costs, env.costs)]
+        shared, actions = [], None
+        if views and "horizon" not in policy.run_fields:
+            actions = _actions(configs[views[-1]], rep, keep_records)
+            if actions[2] == configs[views[-1]].horizon:
+                shared = views
+        ledgers = {}
+        for i in indices:
+            if i not in ledgers:
+                run = shared if i in shared else [i]
+                drawn = actions if run is shared else None
+                prefix = prefixes[configs[run[-1]].horizon]
+                ledgers.update(
+                    zip(run, _simulate([configs[j] for j in run], prefix, rep, keep_records, drawn))
+                )
+            book(i, ledgers.pop(i))
 
 
 def _prefix(env: Environment, config: RunConfig, rep: int) -> Environment:

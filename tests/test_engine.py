@@ -64,6 +64,11 @@ def _mean_config(policy, horizon, *, alpha=1.0, mu=0.5, sigma=0.5, costs=None,
     )
 
 
+def _simulate(config, env, rep, keep_records):
+    """``sim._simulate``'s run of one horizon: its one ledger."""
+    return sim._simulate([config], env, rep, keep_records)[0]
+
+
 def _outcome(simulate, config, env, rep, keep_records):
     try:
         return simulate(config, env, rep, keep_records)
@@ -130,7 +135,7 @@ def _assert_matches_oracle(config, rep, keep_records):
     """``sim._simulate`` and the step loop give the same ledger, bit for bit."""
     env = sim.draw_environment(config, rep)
     loop = _outcome(step_loop, config, env, rep, keep_records)
-    driver = _outcome(sim._simulate, config, env, rep, keep_records)
+    driver = _outcome(_simulate, config, env, rep, keep_records)
     if isinstance(loop, Exception):
         assert type(driver) is type(loop) and str(driver) == str(loop)
         return
@@ -351,7 +356,7 @@ def test_kwik_run_memory_per_step_is_bounded():
     env = sim.draw_environment(config, 0)
     tracemalloc.start()
     try:
-        ledger = sim._simulate(config, env, 0, keep_records=False)
+        ledger = _simulate(config, env, 0, keep_records=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -177,6 +177,30 @@ class TestRunExperiment:
 
         assert peak(4) < 1.5 * peak(1)
 
+    def test_ledger_memory_holds_one_long_ledger_at_a_time(self, tmp_path):
+        # the driver hands over one policy's ledgers, cut from its one run,
+        # before it runs the next policy, so the peak does not grow with the
+        # policy count
+        def peak(policies):
+            spec = small_spec(
+                tmp_path,
+                policies=policies,
+                cost={"kind": "uniform", "c_min": 1.0, "c_max": 2.0},
+                sweep=[2_000, 20_000],
+                replications=1,
+                out_dir=str(tmp_path / f"p{len(policies)}"),
+            )
+            tracemalloc.start()
+            try:
+                run_experiment(spec, ledgers=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(["dynamic_compelling", "subsidy_sampling", "no_subsidy"]) < 1.3 * peak(
+            ["dynamic_compelling"]
+        )
+
 
 _REFERENCE_COSTS = {
     "point": {"kind": "point", "c": 1.0},
@@ -272,6 +296,37 @@ class TestSweepMatchesCells:
         draws.clear()
         check_deterrent(spec.run_config(spec.policies[0], 50), 4)
         assert draws == [(50, rep) for rep in range(4)]
+
+    @pytest.mark.parametrize("ledgers", [False, True])
+    def test_one_run_per_policy_and_replication(self, tmp_path, monkeypatch, ledgers):
+        # a policy whose law does not read the horizon, in a run that prices no
+        # closed-form tail, runs once per replication at its longest horizon;
+        # etc reads the horizon, and a mean-learner no_subsidy run without
+        # records prices its tail in closed form, so those run once per cell
+        runs = []
+        simulate = sim._simulate
+
+        def counting(configs, *args):
+            runs.append((configs[0].policy.name, [config.horizon for config in configs]))
+            return simulate(configs, *args)
+
+        monkeypatch.setattr(sim, "_simulate", counting)
+        spec = small_spec(
+            tmp_path, policies=["no_subsidy", "etc", "dynamic_compelling", "subsidy_sampling"],
+            cost={"kind": "uniform", "c_min": 1.0, "c_max": 2.0}, replications=2,
+        )
+        run_experiment(spec, ledgers=ledgers)
+        one_run, per_cell = [[50, 100, 200]], [[50], [100], [200]]
+        for name, expected in [
+            ("no_subsidy", one_run if ledgers else per_cell),
+            ("etc", per_cell),
+            ("dynamic_compelling", one_run),
+            ("subsidy_sampling", one_run),
+        ]:
+            assert [horizons for policy, horizons in runs if policy == name] == 2 * expected, name
+        runs.clear()
+        kwik_report(kwik_spec(tmp_path, sweep=[100, 200, 400]))
+        assert runs == [("kwik", [100, 200, 400])]
 
     def test_ledgers_of_more_cells_than_the_open_file_limit(self, tmp_path):
         # each cell's ledger part is open only while one line is written, so

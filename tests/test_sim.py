@@ -20,6 +20,7 @@ from courtlearn.learners import LearnerFamily, LearnerKind, err_bound
 from courtlearn.policies import (
     DynamicCompellingConfig,
     EtcConfig,
+    KwikConfig,
     NoSubsidyConfig,
     SubsidySamplingConfig,
     etc_compel_count,
@@ -363,6 +364,98 @@ class TestSweep:
         configs = [constant_config(seed=1), constant_config(seed=2)]
         with pytest.raises(ValueError, match="differ only in policy and horizon"):
             sim._sweep(configs, 1)
+
+
+# Window edges of the visit searches (sim._FIRST_WINDOW, sim._LAST_WINDOW) and one step past.
+_CUT_HORIZONS = [1, 63, 64, 4096, 4097]
+_CUT_POLICIES = {
+    "dynamic_compelling": DynamicCompellingConfig(),
+    "subsidy_sampling": SubsidySamplingConfig(),
+    "kwik": KwikConfig(0.25, 0.05, alpha1_constant=15.0),
+    "no_subsidy": NoSubsidyConfig(),
+}
+
+
+def _cut_configs(family, policy, horizons, dim=3, seed=2):
+    """One policy's cells over ``horizons``; a mean learner learns a constant truth from ball cases."""
+    if family is LearnerFamily.EMPIRICAL_MEAN:
+        truth = ConstantTruth(mu=0.5, sigma=0.5, alpha=1.0)
+    else:
+        truth = LinearTruth(beta=np.full(dim, 0.05), beta0=0.5, sigma=0.1, alpha=1.0)
+    return [
+        RunConfig(horizon=horizon, truth=truth, cases=BallCases(dim), costs=UniformCosts(1.0, 2.0),
+                  learner=LearnerKind(family), policy=policy, seed=seed)
+        for horizon in horizons
+    ]
+
+
+def _driver_runs(monkeypatch, configs, replications, keep_records):
+    """``(rep, configs, ledgers)`` of every ``sim._simulate`` call the sweep driver makes."""
+    runs = []
+    simulate = sim._simulate
+
+    def recording(cuts, env, rep, keep, actions=None):
+        ledgers = simulate(cuts, env, rep, keep, actions)
+        runs.append((rep, cuts, ledgers))
+        return ledgers
+
+    monkeypatch.setattr(sim, "_simulate", recording)
+    sim._sweep(configs, replications, (lambda rep, index, ledger: None) if keep_records else None)
+    monkeypatch.undo()
+    return runs
+
+
+def _assert_direct(rep, config, ledger, keep_records):
+    """``ledger`` is bit for bit the ledger of a run of ``config`` alone, on its own draw."""
+    direct = run(config, rep, keep_records)
+    for name in ("total_loss", "total_subsidy_paid"):
+        assert getattr(ledger, name).hex() == getattr(direct, name).hex(), (config.horizon, name)
+    assert (ledger.court_count, ledger.config_digest, ledger.seed) == (
+        direct.court_count, direct.config_digest, direct.seed
+    )
+    assert list(ledger.steps) == list(direct.steps)
+    for name, want in direct.steps.items():
+        got = ledger.steps[name]
+        assert got.dtype == want.dtype and got.shape == want.shape == (config.horizon,), name
+        assert got.tobytes() == want.tobytes(), (config.horizon, name)
+
+
+class TestCutRuns:
+    """A run is causal, so the driver runs each qualifying policy once per
+    replication, at its longest horizon, and cuts the shorter horizons from
+    it; every cut cell equals a run of that horizon alone."""
+
+    @pytest.mark.parametrize("family", list(LearnerFamily), ids=lambda family: family.value)
+    @pytest.mark.parametrize(
+        "name,keep_records",
+        [(name, keep) for name in _CUT_POLICIES for keep in (True, False)],
+    )
+    def test_cut_cells_equal_direct_runs(self, monkeypatch, family, name, keep_records):
+        configs = _cut_configs(family, _CUT_POLICIES[name], _CUT_HORIZONS)
+        runs = _driver_runs(monkeypatch, configs, 2, keep_records)
+        # a mean-learner no_subsidy run without records prices its tail in closed form
+        cut = not (name == "no_subsidy" and not keep_records and family is LearnerFamily.EMPIRICAL_MEAN)
+        assert [len(cuts) for _, cuts, _ in runs] == ([5, 5] if cut else [1] * 10)
+        for rep, cuts, ledgers in runs:
+            for config, ledger in zip(cuts, ledgers):
+                _assert_direct(rep, config, ledger, keep_records)
+
+    @pytest.mark.parametrize("name", ["dynamic_compelling", "kwik", "no_subsidy"])
+    @pytest.mark.parametrize("keep_records", [True, False])
+    def test_a_redrawn_horizon_runs_alone(self, monkeypatch, name, keep_records):
+        # at dim 8 BLAS rounds xs @ beta differently for 23 of replication 0's
+        # rows, so sim._prefix draws that horizon afresh
+        configs = _cut_configs(LearnerFamily.OLS, _CUT_POLICIES[name], [1, 23, 63, 64, 4096, 4097],
+                               dim=8, seed=0)
+        env = draw_environment(configs[-1], 0)
+        assert not np.may_share_memory(sim._prefix(env, configs[1], 0).costs, env.costs)
+        runs = _driver_runs(monkeypatch, configs, 1, keep_records)
+        assert [[config.horizon for config in cuts] for _, cuts, _ in runs] == [
+            [1, 63, 64, 4096, 4097], [23],
+        ]
+        for rep, cuts, ledgers in runs:
+            for config, ledger in zip(cuts, ledgers):
+                _assert_direct(rep, config, ledger, keep_records)
 
 
 class TestCheckDeterrent:
