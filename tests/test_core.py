@@ -1,5 +1,6 @@
 """Domain-type construction, invariants, and environment sampling."""
 
+import importlib
 import re
 
 import numpy as np
@@ -195,3 +196,13 @@ def test_canonical_digest_is_stable_and_order_free():
     assert a == b
     assert len(a) == 16
     assert canonical_digest({"a": [2, 1], "b": 1}) != a
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["courtlearn"]
+    + [f"courtlearn.{m}" for m in ("core", "learners", "policies", "sim", "config", "experiment")],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
