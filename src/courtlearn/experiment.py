@@ -270,7 +270,8 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     Replication 0 only, so the sweep driver draws the environment once and
     runs the policy once, at the longest horizon, cutting every shorter
     horizon from that run; prediction accuracy is measured against the true
-    rule on every settled case.
+    rule on every settled case.  kwik.csv is written to a temporary name and
+    renamed into place, so a failed write leaves an earlier kwik.csv whole.
     """
     kwik_policies = [p for p in spec.policies if p.name == "kwik"]
     if len(kwik_policies) != 1:
@@ -297,5 +298,10 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
 
     _sweep(configs, 1, add_row)
     kwik_path = out_dir / "kwik.csv"
-    _write_text(kwik_path, lines)
+    temporary = kwik_path.with_name("kwik.csv.tmp")
+    try:
+        _write_text(temporary, lines)
+        os.replace(temporary, kwik_path)
+    finally:
+        temporary.unlink(missing_ok=True)
     return {"kwik": kwik_path}

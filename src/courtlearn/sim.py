@@ -31,19 +31,20 @@ gathered by its visit count, for the predictions and the loss.
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
 a given (seed, replication) and the offline baseline can score the same
-draws.  Shorter horizons consume a prefix of longer ones.  So the sweep
-driver (``_sweep``) puts the replications on the outer loop: it draws each
-replication's environment once, at the sweep's longest horizon, and scores
-the offline baseline once per horizon on the prefix.  A run is causal, so
-the driver runs each policy once per replication, at its longest horizon,
-and cuts each shorter horizon from that run: the first T steps of the run
-are the run at horizon T.  That holds where the policy's law does not read
-the horizon, the run prices no closed-form tail, and the horizon's prefix
-is a view of the one draw; any other cell runs alone, on its horizon's
-prefix.  The driver hands over the ledgers policy by policy, by ascending
-horizon within one, so one long run's ledger is alive at a time.  It is
-the only loop over replications: every caller, ``estimate_regret`` and
-``check_deterrent`` included, runs through it.
+draws.  A draw at a shorter horizon is the prefix of a longer one, the rule
+values included (``draw_environment``).  So the sweep driver (``_sweep``)
+puts the replications on the outer loop: it draws each replication's
+environment once, at the sweep's longest horizon, and every horizon is a
+view of that one draw, on which the offline baseline is scored once per
+horizon.  A run is causal, so the driver runs each policy once per
+replication, at its longest horizon, and cuts each shorter horizon from
+that run: the first T steps of the run are the run at horizon T.  That
+holds where the policy's law does not read the horizon and the run prices
+no closed-form tail; any other cell runs alone, on its horizon's view.  The
+driver hands over the ledgers policy by policy, by ascending horizon within
+one, so one long run's ledger is alive at a time.  It is the only loop over
+replications: every caller, ``estimate_regret`` and ``check_deterrent``
+included, runs through it.
 """
 
 from __future__ import annotations
@@ -248,6 +249,16 @@ class Environment:
 
 
 def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
+    """Replication ``rep``'s cases, rule values, outcomes and costs for ``config``'s horizon.
+
+    Every array of a draw at horizon T, the rule values included, equals the
+    first T entries of a draw at any longer horizon with the same seed and
+    replication: the streams are drawn in order, and a linear rule's values
+    are computed row by row (``_predict``'s one ``ddot`` per row), never by a
+    matrix-vector product whose rounding may change with the row count.  The
+    sweep driver relies on this: it draws once, at the longest horizon, and
+    runs every shorter one on a view of that draw.
+    """
     T = config.horizon
     seed = config.seed
     xs = sample_cases(
@@ -260,7 +271,7 @@ def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
     if isinstance(truth, ConstantTruth):
         f_values = np.full(T, truth.mu)
     else:
-        f_values = xs @ truth.beta + truth.beta0
+        f_values = _predict(xs, np.append(truth.beta, truth.beta0)[None], np.zeros(T, dtype=np.intp))
     noises = truth.sigma * _stream(seed, rep, _STREAM_NOISE).standard_normal(T)
     costs = config.costs.sample(T, _stream(seed, rep, _STREAM_COST))
     return Environment(xs, f_values, f_values + noises, costs)
@@ -666,11 +677,11 @@ def _sweep(
 
     The cells may differ only in policy and horizon.  Each replication
     draws its environment once, at the longest horizon, and scores the
-    offline baseline once per horizon, on the prefix.  A policy runs once
-    per replication, at its longest horizon, and its shorter horizons are
-    cut from that run, where ``_replicate`` allows it; every other cell runs
-    alone, on its horizon's prefix.  The runs keep their step records
-    exactly when ``each`` is given, and ``each(rep, index, ledger)``
+    offline baseline once per horizon, on its view of that draw.  A policy
+    runs once per replication, at its longest horizon, and its shorter
+    horizons are cut from that run, where ``_replicate`` allows it; every
+    other cell runs alone, on its horizon's view.  The runs keep their step
+    records exactly when ``each`` is given, and ``each(rep, index, ledger)``
     receives each cell's full ledger as soon as its run ends: replication by
     replication, within one policy by policy (in the order each first
     appears), and within a policy by ascending horizon.
@@ -693,22 +704,21 @@ def _replicate(
 ) -> None:
     """One replication of every cell, booked into ``books`` (one row per cell).
 
-    A policy's cells whose horizon runs on a view of the draw (not a fresh
-    draw from ``_prefix``) are one run, at the longest of their horizons,
-    cut at the others, when the policy's law does not read the horizon
-    (``run_fields``) and that run prices no closed-form tail (``_actions``).
-    Every other cell runs alone.  The cells are booked policy by policy, by
-    ascending horizon within one, and a run's ledgers are views of its
-    longest one's columns, so one long ledger is alive at a time.  The
-    environment and the ledgers are freed on return, before the next draw.
+    Every horizon runs on a view of the one draw (``_prefix``).  A policy's
+    cells are one run, at the longest of their horizons, cut at the others,
+    when the policy's law does not read the horizon (``run_fields``) and
+    that run prices no closed-form tail (``_actions``); otherwise each cell
+    runs alone.  The cells are booked policy by policy, by ascending horizon
+    within one, and a run's ledgers are views of its longest one's columns,
+    so one long ledger is alive at a time.  The environment and the ledgers
+    are freed on return, before the next draw.
     """
     env = draw_environment(longest, rep)
     for array in (env.xs, env.f_values, env.outcomes, env.costs):
         if array is not None:
             array.flags.writeable = False
     keep_records = each is not None
-    cells = {config.horizon: config for config in configs}  # a cell of each horizon
-    prefixes = {horizon: _prefix(env, config, rep) for horizon, config in cells.items()}
+    prefixes = {config.horizon: _prefix(env, config.horizon) for config in configs}
     baselines = {
         horizon: offline_baseline(prefix, longest.learner, longest.truth.alpha)
         for horizon, prefix in prefixes.items()
@@ -725,43 +735,22 @@ def _replicate(
             (i for i, config in enumerate(configs) if config.policy == policy),
             key=lambda i: configs[i].horizon,
         )
-        views = [i for i in indices if np.may_share_memory(prefixes[configs[i].horizon].costs, env.costs)]
-        shared, actions = [], None
-        if views and "horizon" not in policy.run_fields:
-            actions = _actions(configs[views[-1]], rep, keep_records)
-            if actions[2] == configs[views[-1]].horizon:
-                shared = views
-        ledgers = {}
-        for i in indices:
-            if i not in ledgers:
-                run = shared if i in shared else [i]
-                drawn = actions if run is shared else None
-                prefix = prefixes[configs[run[-1]].horizon]
-                ledgers.update(
-                    zip(run, _simulate([configs[j] for j in run], prefix, rep, keep_records, drawn))
-                )
-            book(i, ledgers.pop(i))
+        longest_cell = configs[indices[-1]]
+        actions = _actions(longest_cell, rep, keep_records)
+        cut = "horizon" not in policy.run_fields and actions[2] == longest_cell.horizon
+        for run in [indices] if cut else [[i] for i in indices]:
+            drawn = actions if run[-1] == indices[-1] else None
+            prefix = prefixes[configs[run[-1]].horizon]
+            ledgers = dict(zip(run, _simulate([configs[i] for i in run], prefix, rep, keep_records, drawn)))
+            for i in run:
+                book(i, ledgers.pop(i))
 
 
-def _prefix(env: Environment, config: RunConfig, rep: int) -> Environment:
-    """The environment of ``config``'s horizon: views of the first steps of ``env``.
-
-    The draws are prefix-stable, but BLAS's ``xs @ beta`` is not always: its
-    kernels may round a row differently with the row count (seen at dim 8,
-    and at one row from dim 5).  So a linear truth's values are checked
-    against the product on the prefix, and drawn afresh where they differ.
-    """
-    T = config.horizon
-    if T == env.costs.shape[0]:
-        return env
+def _prefix(env: Environment, T: int) -> Environment:
+    """The environment of horizon ``T``: views of the first ``T`` steps of ``env``,
+    equal to a draw at ``T`` (``draw_environment``)."""
     xs = None if env.xs is None else env.xs[:T]
-    prefix = Environment(xs, env.f_values[:T], env.outcomes[:T], env.costs[:T])
-    truth = config.truth
-    if isinstance(truth, LinearTruth) and not np.array_equal(
-        prefix.xs @ truth.beta + truth.beta0, prefix.f_values
-    ):
-        return draw_environment(config, rep)
-    return prefix
+    return Environment(xs, env.f_values[:T], env.outcomes[:T], env.costs[:T])
 
 
 def _regret_report(config: RunConfig, books: np.ndarray) -> RegretReport:

@@ -225,7 +225,8 @@ _REFERENCE_MODELS = {
                      {"name": "kwik", "epsilon": 0.2, "delta": 0.1, "alpha1": 0.15}],
         "sweep": [5, 8, 60, 400],
     },
-    # BLAS rounds xs @ beta differently for some row counts at dim 8
+    # at dim 8 a matrix-vector product (BLAS gemv) rounded some rule values
+    # differently with the row count; the draw's row-by-row values must not
     "ball8": {
         "truth": {"family": "linear", "beta": [0.05] * 8, "beta0": 0.5, "sigma": 0.1, "alpha": 1.0},
         "cases": {"kind": "ball", "dim": 8},
@@ -530,6 +531,22 @@ class TestKwikReport:
         assert predicted > 0
         # zero noise: once the gate opens, the fitted rule is exact
         assert float(row["fraction_predictions_within_eps"]) == 1.0
+
+    def test_an_interrupted_write_leaves_the_earlier_output(self, tmp_path, monkeypatch):
+        spec = kwik_spec(tmp_path)
+        kwik_path = kwik_report(spec)["kwik"]
+        earlier = kwik_path.read_bytes()
+        write_text = experiment._write_text
+
+        def write_then_fail(path, lines):
+            write_text(path, lines[:1])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiment, "_write_text", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            kwik_report(dataclasses.replace(spec, seed=4))
+        assert kwik_path.read_bytes() == earlier
+        assert sorted(p.name for p in kwik_path.parent.iterdir()) == ["kwik.csv"]
 
     def test_requires_exactly_one_kwik_policy(self, tmp_path):
         spec = small_spec(tmp_path)

@@ -116,20 +116,20 @@ MEAN_DIGESTS = {
 BALL_DIGESTS = {
     "regret": "d669a70d564b8d2c1487dea30998d66a0617745b97a231d5cbd30409eb95b577",
     "slopes": "65a57d9ad075e88203cf600dcb32b9db7277fbc4d9fb3ca9645e417231d14b2f",
-    "ledgers": "ced582e7b43695ab5e4bcc1ad446c7196910c0fa2cef8f68e67a0bb66d14a01d",
+    "ledgers": "83bcbd7b425ea9f09ec525547f5ae554204123599de8133f8a07e9d1e0f5ddd5",
     "kwik": "59e39ebc0765e8162760e7d9ecebfe6cb29431692599248eaa23a3598b5c5b49",
 }
 
 OLS_DIGESTS = {
     "regret": "fb4d765a1eda6defeb40a733131a492bac2e2b379bd92df5e28fe5781ca9c7b4",
     "slopes": "bba282f246b5f370b84f7bf5ea4564367a9c0d7a2a88c52cd0bc5118ff01b41f",
-    "ledgers": "b21454f4b712357f1b8c6d42f3f6bdbeed17daa163c40ac79496ad5e31a4041b",
+    "ledgers": "305a23727cbaf6b45b1dbd6f5eca1ddecb82322bfd448edc8ed9f0c6ea7bd82e",
 }
 
 RADIUS_DIGESTS = {
     "regret": "758080ad1f349663d4f08b4d40fff089e08b1c374a001c41cb29e2b26cef22e9",
     "slopes": "926cb1df44ed94bce7936a9f997cac3a2d342333f763908411c53890f84666ea",
-    "ledgers": "52647c6d8201e0ac3d6c6a515bbfb3eb473c09b31f4003f091d7f4545833eb9d",
+    "ledgers": "c00c26c00aa3f04fff7fde8fe512b860694cf80b96c490cc0646cf9815dbc58f",
 }
 
 MEAN_KWIK_DIGESTS = {
@@ -142,7 +142,7 @@ MEAN_KWIK_DIGESTS = {
 STATE_FREE_DIGESTS = {
     "regret": "5577cb7a695d12ae3331d9083bfec6a48d02484cd8485a76777efdc2eb658e4f",
     "slopes": "bd3433ef8923e290b1381d1084df4b9c43ece7c2fee9434774ed6b303121d081",
-    "ledgers": "ea662ce8fff33d32c29ddc08156edd1619beb1342199500e07a48d1a4674f054",
+    "ledgers": "4410c90051c54e37ebecc63540efd161dd7aa20ba86101668dfe4348217a124f",
 }
 
 
@@ -243,7 +243,7 @@ DETERRENT_CASES = {
             "max_violation": "-0x1.53d1dc1a73ea2p-1",
             "max_violation_std_error": "0x1.29c1558e282ecp-4",
             "satisfied": True,
-            "per_step": "8ddac18b0327d53f2cc25ab27681e1d9d0a18f5b4ba07217c9d6ab8eed30e44a",
+            "per_step": "bcf7b3cb26213be8a94187aaa08da4468e9550aa702f6b1e280704a76a54b3c6",
         },
     ),
 }
@@ -288,8 +288,8 @@ BASELINE_CASES = {
 
 BASELINE_BITS = {
     "mean": "0x1.2938e94476050p-3",
-    "ols": "0x1.480e67caf67eap-9",
-    "radius": "0x1.a1753f3892d05p+3",
+    "ols": "0x1.480e67caf67b3p-9",
+    "radius": "0x1.a1753f3892d09p+3",
     "clipped": "0x1.3658e58db510fp-2",
 }
 

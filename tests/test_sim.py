@@ -198,10 +198,18 @@ class TestEnvironment:
 
     @pytest.mark.parametrize("costs", COST_KINDS, ids=["point", "uniform", "sequence"])
     def test_linear_prefix_stability_across_horizons(self, costs):
-        short = draw_environment(linear_config(horizon=100, costs=costs, seed=21), rep=2)
-        long = draw_environment(linear_config(horizon=1000, costs=costs, seed=21), rep=2)
-        for name in ENV_FIELDS:
-            np.testing.assert_array_equal(getattr(short, name), getattr(long, name)[:100])
+        # Rule values too, by construction: a matrix-vector product (BLAS gemv)
+        # rounded some rows differently with the row count from dim 8 on.
+        for dim in range(1, 17):
+            beta = 0.3 * np.sin(np.arange(1, dim + 1)) / math.sqrt(dim)
+            model = dict(truth=LinearTruth(beta=beta, beta0=0.5, sigma=0.2, alpha=1.0),
+                         cases=BallCases(dim), costs=costs, seed=21)
+            long = draw_environment(linear_config(horizon=5000, **model), rep=2)
+            for horizon in [*range(1, 70), 100, 257, 1000, 4097]:
+                short = draw_environment(linear_config(horizon=horizon, **model), rep=2)
+                for name in ENV_FIELDS:
+                    np.testing.assert_array_equal(getattr(short, name), getattr(long, name)[:horizon],
+                                                  err_msg=f"{dim=} {horizon=} {name}")
 
     @pytest.mark.parametrize("family", list(LearnerFamily))
     def test_baseline_on_a_prefix_view_is_the_short_draws(self, family):
@@ -214,19 +222,6 @@ class TestEnvironment:
         alpha = config.truth.alpha
         expected = offline_baseline(draw_environment(config, rep=1), learner, alpha)
         assert offline_baseline(view, learner, alpha).hex() == expected.hex()
-
-    def test_a_prefix_whose_rule_values_differ_is_drawn_afresh(self):
-        # BLAS may round ``xs @ beta`` differently for a different row count,
-        # so the driver checks a linear truth's values on each prefix
-        short = linear_config(horizon=20)
-        env = draw_environment(linear_config(horizon=50), rep=1)
-        assert np.shares_memory(sim._prefix(env, short, 1).costs, env.costs)
-        f_values = env.f_values.copy()
-        f_values[3] = np.nextafter(f_values[3], 1.0)
-        tampered = Environment(env.xs, f_values, env.outcomes, env.costs)
-        prefix, fresh = sim._prefix(tampered, short, 1), draw_environment(short, rep=1)
-        for name in ENV_FIELDS:
-            np.testing.assert_array_equal(getattr(prefix, name), getattr(fresh, name))
 
     def test_policy_does_not_perturb_environment(self):
         a = draw_environment(constant_config(seed=4, policy=NoSubsidyConfig()))
@@ -376,7 +371,18 @@ _CUT_POLICIES = {
 }
 
 
-def _cut_configs(family, policy, horizons, dim=3, seed=2):
+# (learner family, dim, seed, horizons) of each cut test's model.  In ols8,
+# a matrix-vector product (BLAS gemv) rounded one rule value of replication
+# 0's 23-row prefix differently from the whole draw's.
+_CUT_MODELS = {
+    "empirical_mean": (LearnerFamily.EMPIRICAL_MEAN, 3, 2, _CUT_HORIZONS),
+    "ols": (LearnerFamily.OLS, 3, 2, _CUT_HORIZONS),
+    "norm_constrained": (LearnerFamily.NORM_CONSTRAINED, 3, 2, _CUT_HORIZONS),
+    "ols8": (LearnerFamily.OLS, 8, 0, [1, 23, 63, 64, 4096, 4097]),
+}
+
+
+def _cut_configs(family, policy, horizons, dim, seed):
     """One policy's cells over ``horizons``; a mean learner learns a constant truth from ball cases."""
     if family is LearnerFamily.EMPIRICAL_MEAN:
         truth = ConstantTruth(mu=0.5, sigma=0.5, alpha=1.0)
@@ -425,34 +431,19 @@ class TestCutRuns:
     replication, at its longest horizon, and cuts the shorter horizons from
     it; every cut cell equals a run of that horizon alone."""
 
-    @pytest.mark.parametrize("family", list(LearnerFamily), ids=lambda family: family.value)
+    @pytest.mark.parametrize("model", _CUT_MODELS)
     @pytest.mark.parametrize(
         "name,keep_records",
         [(name, keep) for name in _CUT_POLICIES for keep in (True, False)],
     )
-    def test_cut_cells_equal_direct_runs(self, monkeypatch, family, name, keep_records):
-        configs = _cut_configs(family, _CUT_POLICIES[name], _CUT_HORIZONS)
+    def test_cut_cells_equal_direct_runs(self, monkeypatch, model, name, keep_records):
+        family, dim, seed, horizons = _CUT_MODELS[model]
+        configs = _cut_configs(family, _CUT_POLICIES[name], horizons, dim, seed)
         runs = _driver_runs(monkeypatch, configs, 2, keep_records)
         # a mean-learner no_subsidy run without records prices its tail in closed form
         cut = not (name == "no_subsidy" and not keep_records and family is LearnerFamily.EMPIRICAL_MEAN)
-        assert [len(cuts) for _, cuts, _ in runs] == ([5, 5] if cut else [1] * 10)
-        for rep, cuts, ledgers in runs:
-            for config, ledger in zip(cuts, ledgers):
-                _assert_direct(rep, config, ledger, keep_records)
-
-    @pytest.mark.parametrize("name", ["dynamic_compelling", "kwik", "no_subsidy"])
-    @pytest.mark.parametrize("keep_records", [True, False])
-    def test_a_redrawn_horizon_runs_alone(self, monkeypatch, name, keep_records):
-        # at dim 8 BLAS rounds xs @ beta differently for 23 of replication 0's
-        # rows, so sim._prefix draws that horizon afresh
-        configs = _cut_configs(LearnerFamily.OLS, _CUT_POLICIES[name], [1, 23, 63, 64, 4096, 4097],
-                               dim=8, seed=0)
-        env = draw_environment(configs[-1], 0)
-        assert not np.may_share_memory(sim._prefix(env, configs[1], 0).costs, env.costs)
-        runs = _driver_runs(monkeypatch, configs, 1, keep_records)
-        assert [[config.horizon for config in cuts] for _, cuts, _ in runs] == [
-            [1, 63, 64, 4096, 4097], [23],
-        ]
+        expected = [horizons] * 2 if cut else [[horizon] for horizon in horizons] * 2
+        assert [[config.horizon for config in cuts] for _, cuts, _ in runs] == expected
         for rep, cuts, ledgers in runs:
             for config, ledger in zip(cuts, ledgers):
                 _assert_direct(rep, config, ledger, keep_records)
