@@ -9,10 +9,11 @@ ledger floats in ``json``'s shortest round-trip form, byte-equal to
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the whole line,
 although each run of equal values in a step column is encoded once, and the
 ``t`` and ``cost`` columns once per replication.  The replications are run
-by ``sim._sweep``, which cuts a policy's shorter horizons from its run at
-the longest one where the run allows it; this module sees only the ledgers
-it hands to a per-run hook, replication by replication, policy by policy,
-and by ascending horizon within a policy.  A run writes every output to a
+by ``sim.estimate_regret``, which cuts a policy's shorter horizons from its
+run at the longest one where the policy's law does not read the horizon;
+this module sees only the reports it returns and the ledgers it hands to a
+per-run hook, replication by replication, policy by policy, and by
+ascending horizon within a policy.  A run writes every output to a
 temporary name and renames them all at the end.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .config import ExperimentSpec
 from .core import ConfigurationError, RunLedger
-from .sim import RunConfig, _sweep
+from .sim import RunConfig, estimate_regret
 
 __all__ = ["run_experiment", "kwik_report"]
 
@@ -145,7 +146,7 @@ def _ledger_line(
 
 
 def _ledger_writer(configs: list[RunConfig], parts: list[Path]):
-    """A sweep's per-run hook (see ``sim._sweep``): each ledger's line goes to its cell's part.
+    """A sweep's per-run hook (see ``sim.estimate_regret``): each ledger's line goes to its cell's part.
 
     The ``t`` and ``cost`` columns are the same for every cell of a
     replication, up to the cell's horizon, so the hook keeps each horizon's
@@ -193,13 +194,14 @@ def _output_dir(spec: ExperimentSpec) -> Path:
 def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, Path]:
     """Run every (policy, horizon) cell and emit regret.csv + slopes.csv.
 
-    The cells share one replication driver (``sim._sweep``), which draws
-    each replication's environment once and runs each policy once per
-    replication where it can cut the shorter horizons from that run.  With
-    ``ledgers=True``, every replication's full ledger is also written to
-    ledgers.jsonl, one line per (cell, replication), listed by cell, then by
-    replication; each line goes to its cell's part file when its run ends,
-    and the parts are joined at the end.  Every output is written to a temporary name first,
+    The cells share one replication driver (``sim.estimate_regret``), which
+    draws each replication's environment once and runs each policy whose law
+    does not read the horizon once per replication, cutting the shorter
+    horizons from that run.  With ``ledgers=True``, every replication's full
+    ledger is also written to ledgers.jsonl, one line per (cell,
+    replication), listed by cell, then by replication; each line goes to its
+    cell's part file when its run ends, and the parts are joined at the end.
+    Every output is written to a temporary name first,
     and the temporaries replace the outputs only once all are written; a run
     without ledgers then removes an old ledgers.jsonl.  Whether the run
     succeeds or fails, it then removes every ledger part in the directory,
@@ -233,7 +235,7 @@ def _run_cells(
 ) -> None:
     """Every (policy, horizon) cell; writes each output to its temporary path,
     and the ledgers, through ``parts``, when there are parts."""
-    reports = _sweep(configs, replications, _ledger_writer(configs, parts) if parts else None)
+    reports = estimate_regret(configs, replications, _ledger_writer(configs, parts) if parts else None)
 
     regret_lines = [REGRET_COLUMNS]
     per_policy: dict[str, list[tuple[int, float]]] = {}
@@ -296,7 +298,7 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
                ledger.court_count, fraction, max_error)
         lines.append(_csv_row(row, "kwik.csv"))
 
-    _sweep(configs, 1, add_row)
+    estimate_regret(configs, 1, add_row)
     kwik_path = out_dir / "kwik.csv"
     temporary = kwik_path.with_name("kwik.csv.tmp")
     try:

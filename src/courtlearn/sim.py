@@ -32,19 +32,20 @@ The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
 a given (seed, replication) and the offline baseline can score the same
 draws.  A draw at a shorter horizon is the prefix of a longer one, the rule
-values included (``draw_environment``).  So the sweep driver (``_sweep``)
-puts the replications on the outer loop: it draws each replication's
-environment once, at the sweep's longest horizon, and every horizon is a
-view of that one draw, on which the offline baseline is scored once per
-horizon.  A run is causal, so the driver runs each policy once per
-replication, at its longest horizon, and cuts each shorter horizon from
-that run: the first T steps of the run are the run at horizon T.  That
-holds where the policy's law does not read the horizon and the run prices
-no closed-form tail; any other cell runs alone, on its horizon's view.  The
-driver hands over the ledgers policy by policy, by ascending horizon within
-one, so one long run's ledger is alive at a time.  It is the only loop over
-replications: every caller, ``estimate_regret`` and ``check_deterrent``
-included, runs through it.
+values included (``draw_environment``).  So the sweep driver
+(``estimate_regret``) puts the replications on the outer loop: it draws each
+replication's environment once, at the sweep's longest horizon, and every
+horizon is a view of that one draw, on which the offline baseline is scored
+once per horizon.  A run is causal, so the driver runs each policy whose law
+does not read the horizon once per replication, at its longest horizon, and
+cuts each shorter horizon from that run: the first T steps of the run are
+the run at horizon T, and a cut past the start of the run's closed-form tail
+prices its own tail steps, as a run alone at T does.  A policy whose law
+reads the horizon runs each cell alone, on its horizon's view.  The driver
+hands over the ledgers policy by policy, by ascending horizon within one, so
+one long run's ledger is alive at a time.  It is the only loop over
+replications: every caller, ``check_deterrent`` and the ``experiment``
+module included, runs through it.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ class RunConfig:
             raise ConfigurationError(
                 f"horizon must be <= 2**53, up to which float64 step numbers are exact, got {self.horizon}"
             )
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         case_dim = self.cases.dim
         if isinstance(self.truth, LinearTruth):
             if case_dim is None or case_dim != self.truth.dim:
@@ -259,6 +262,8 @@ def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
     sweep driver relies on this: it draws once, at the longest horizon, and
     runs every shorter one on a view of that draw.
     """
+    if rep < 0:  # numpy's SeedSequence takes no negative entropy
+        raise ConfigurationError(f"rep must be >= 0, got {rep}")
     T = config.horizon
     seed = config.seed
     xs = sample_cases(
@@ -302,21 +307,21 @@ def _actions(config: RunConfig, rep: int, keep_records: bool) -> tuple:
     return compel, bases, T if keep_records or config.learner.is_linear else active
 
 
-def _simulate(
-    configs: list[RunConfig], env: Environment, rep: int, keep_records: bool, actions=None
-) -> list[RunLedger]:
+def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records: bool) -> list[RunLedger]:
     """One replication's run at the last config's horizon, and its ledger at every config's.
 
     The configs differ only in horizon, ascending; the last one's is
-    ``env``'s, and ``actions`` (drawn here when not given) are its
-    ``_actions``.  The run draws the actions, searches for the court visits,
-    fits after each, then scores.  Scoring derives the subsidy paid, the
-    closed-form tail's start and the records' ``pre_step_err_bound`` from the
-    visits and one error-bound table.  A run is causal, so where it prices no
-    closed-form tail, its ledger at a shorter horizon T is its first T steps:
-    the visits below T, entry T - 1 of its loss and subsidy ``np.cumsum``s,
-    and ``[:T]`` views of its step columns.  Every float is produced by the
-    same operations, in the same order, as in the case-by-case loop of
+    ``env``'s.  The run draws its actions (``_actions``), searches for the
+    court visits, fits after each, then scores.  Scoring derives the subsidy
+    paid, the start ``end`` of the closed-form tail and the records'
+    ``pre_step_err_bound`` from the visits and one error-bound table.  A run
+    is causal, so its ledger at a shorter horizon T is its first T steps: the
+    visits below T, entry T - 1 of its subsidy ``np.cumsum``, ``[:T]`` views
+    of its step columns, and entry T - 1 of its loss ``np.cumsum``, or past
+    ``end`` that sum's last entry plus T - end steps of the tail.  A run
+    alone at T finds the same visits and the same ``end`` where ``end`` < T,
+    so its total is the same float.  Every float is produced by the same
+    operations, in the same order, as in the case-by-case loop of
     ``tests/oracle.py``, so ledgers and totals are bit for bit the same.
     """
     config = configs[-1]
@@ -329,7 +334,7 @@ def _simulate(
     costs = env.costs
     xs = env.xs
     fits = _LinearFits(kind, xs, env.outcomes) if linear else None
-    compel, bases, tail_from = _actions(config, rep, keep_records) if actions is None else actions
+    compel, bases, tail_from = _actions(config, rep, keep_records)
 
     def bound(m: np.ndarray) -> np.ndarray:
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
@@ -391,7 +396,7 @@ def _simulate(
     ledgers = []
     horizons = [cut.horizon for cut in configs]
     for cut, horizon, count in zip(configs, horizons, np.searchsorted(visits, horizons).tolist()):
-        scored = min(horizon, end)  # a cut horizon is at most end: its run prices no tail
+        scored = min(horizon, end)  # past end, the formula prices the cut's own tail steps
         ledgers.append(
             RunLedger(
                 steps={name: column[:horizon] for name, column in steps.items()},
@@ -659,39 +664,34 @@ class RegretReport:
     mean_total_subsidy: float
 
 
-def estimate_regret(config: RunConfig, replications: int) -> RegretReport:
-    """Average per-case regret over independent replications.
-
-    Each replication pairs the online run with an offline baseline scored on
-    the same environment draw.  This is the sweep driver's one-cell case.
-    """
-    return _sweep([config], replications)[0]
-
-
-def _sweep(
+def estimate_regret(
     configs: list[RunConfig],
     replications: int,
     each: Callable[[int, int, RunLedger], None] | None = None,
 ) -> list[RegretReport]:
-    """Every cell's regret report, with the replications on the outer loop.
+    """Each cell's average per-case regret over independent replications, in order.
 
-    The cells may differ only in policy and horizon.  Each replication
+    Each replication pairs a cell's online run with an offline baseline
+    scored on the same environment draw.  The cells may differ only in
+    policy and horizon, and the replications are on the outer loop: each
     draws its environment once, at the longest horizon, and scores the
     offline baseline once per horizon, on its view of that draw.  A policy
-    runs once per replication, at its longest horizon, and its shorter
-    horizons are cut from that run, where ``_replicate`` allows it; every
+    whose law does not read the horizon runs once per replication, at its
+    longest horizon, and its shorter horizons are cut from that run; every
     other cell runs alone, on its horizon's view.  The runs keep their step
     records exactly when ``each`` is given, and ``each(rep, index, ledger)``
     receives each cell's full ledger as soon as its run ends: replication by
     replication, within one policy by policy (in the order each first
     appears), and within a policy by ascending horizon.
     """
+    if not configs:
+        raise ConfigurationError("configs must hold at least one cell, got none")
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
     longest = max(configs, key=lambda config: config.horizon)
     shared = (longest.truth, longest.cases, longest.costs, longest.learner, longest.seed)
     if any((c.truth, c.cases, c.costs, c.learner, c.seed) != shared for c in configs):
-        raise ValueError("the cells of one sweep may differ only in policy and horizon")
+        raise ConfigurationError("the cells of one sweep may differ only in policy and horizon")
     # Per cell: the online loss, offline loss, court count and subsidy paid of each replication.
     books = np.empty((len(configs), 4, replications))
     for rep in range(replications):
@@ -706,12 +706,11 @@ def _replicate(
 
     Every horizon runs on a view of the one draw (``_prefix``).  A policy's
     cells are one run, at the longest of their horizons, cut at the others,
-    when the policy's law does not read the horizon (``run_fields``) and
-    that run prices no closed-form tail (``_actions``); otherwise each cell
-    runs alone.  The cells are booked policy by policy, by ascending horizon
-    within one, and a run's ledgers are views of its longest one's columns,
-    so one long ledger is alive at a time.  The environment and the ledgers
-    are freed on return, before the next draw.
+    exactly when the policy's law does not read the horizon (``run_fields``);
+    otherwise each cell runs alone.  The cells are booked policy by policy,
+    by ascending horizon within one, and a run's ledgers are views of its
+    longest one's columns, so one long ledger is alive at a time.  The
+    environment and the ledgers are freed on return, before the next draw.
     """
     env = draw_environment(longest, rep)
     for array in (env.xs, env.f_values, env.outcomes, env.costs):
@@ -735,13 +734,9 @@ def _replicate(
             (i for i, config in enumerate(configs) if config.policy == policy),
             key=lambda i: configs[i].horizon,
         )
-        longest_cell = configs[indices[-1]]
-        actions = _actions(longest_cell, rep, keep_records)
-        cut = "horizon" not in policy.run_fields and actions[2] == longest_cell.horizon
-        for run in [indices] if cut else [[i] for i in indices]:
-            drawn = actions if run[-1] == indices[-1] else None
+        for run in [[i] for i in indices] if "horizon" in policy.run_fields else [indices]:
             prefix = prefixes[configs[run[-1]].horizon]
-            ledgers = dict(zip(run, _simulate([configs[i] for i in run], prefix, rep, keep_records, drawn)))
+            ledgers = dict(zip(run, _simulate([configs[i] for i in run], prefix, rep, keep_records)))
             for i in run:
                 book(i, ledgers.pop(i))
 
@@ -803,7 +798,7 @@ def check_deterrent(config: RunConfig, replications: int) -> DeterrentReport:
         v = subsidy - steps["cost"] - steps["settlement_value"]
         sums[:] += (v, v * v, subsidy, subsidy * subsidy)
 
-    _sweep([config], replications, add)
+    estimate_regret([config], replications, add)
     mean_v, mean_s = means = sums[::2] / replications
     var = (sums[1::2] - replications * means * means) / (replications - 1)
     se_v, se_s = np.sqrt(np.clip(var, 0.0, None) / replications)

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per exit criterion, at its stated tolerance.
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line per
-criterion.  The heavy sweeps (criteria 2-4) take a few minutes combined.
+criterion.  Criteria 1-4 estimate the regret at all of their horizons in
+one ``estimate_regret`` sweep, which draws each replication once.
 """
 
 import math
@@ -41,14 +42,14 @@ def test_criterion_1_learning_stalls_without_selection():
     """No selection pressure: exactly two court visits ever, flat regret."""
     replications = 500
     costs = cl.PointMassCosts(1.0)
-    regrets = {}
+    configs = [
+        _constant_config(horizon, cl.NoSubsidyConfig(), mu=1.0, sigma=0.5, alpha=2.0, costs=costs, seed=0)
+        for horizon in (1000, 10_000)
+    ]
+    reports = cl.estimate_regret(configs, replications)
+    regrets = {config.horizon: report.mean_regret for config, report in zip(configs, reports)}
     courts_ok = True
-    for horizon in (1000, 10_000):
-        config = _constant_config(
-            horizon, cl.NoSubsidyConfig(), mu=1.0, sigma=0.5, alpha=2.0, costs=costs, seed=0
-        )
-        report = cl.estimate_regret(config, replications)
-        regrets[horizon] = report.mean_regret
+    for config in configs:
         for rep in range(replications):
             ledger = cl.run(config, rep, keep_records=False)
             if ledger.court_count != 2:
@@ -68,17 +69,14 @@ def test_criterion_1_learning_stalls_without_selection():
 
 
 def _sweep_slope(policy, costs, replications=200, seed=0):
-    points = []
-    reports = {}
-    for horizon in (1000, 10_000, 100_000):
-        config = _constant_config(
-            horizon, policy, mu=0.5, sigma=0.5, alpha=1.0, costs=costs, seed=seed
-        )
-        report = cl.estimate_regret(config, replications)
-        points.append((horizon, report.mean_regret))
-        reports[horizon] = report
+    horizons = (1000, 10_000, 100_000)
+    configs = [
+        _constant_config(horizon, policy, mu=0.5, sigma=0.5, alpha=1.0, costs=costs, seed=seed)
+        for horizon in horizons
+    ]
+    reports = dict(zip(horizons, cl.estimate_regret(configs, replications)))
     slope = fit_loglog_slope(
-        np.array([p[0] for p in points]), np.array([p[1] for p in points])
+        np.array(horizons), np.array([report.mean_regret for report in reports.values()])
     )
     return slope, reports
 

@@ -258,9 +258,10 @@ class TestSweepMatchesCells:
         ledgers = run_experiment(spec, ledgers=True)["ledgers"].read_text()
         configs = [spec.run_config(p, horizon) for p in spec.policies for horizon in spec.sweep]
 
+        reports = estimate_regret(configs, 3)
+        assert reports == [estimate_regret([config], 3)[0] for config in configs]
         rows = []
-        for config in configs:
-            report = estimate_regret(config, 3)
+        for config, report in zip(configs, reports):
             rows.append(_csv_row((
                 config.policy.name, config.horizon, report.mean_regret, report.std_error,
                 report.mean_court_count, report.mean_total_subsidy, report.mean_offline_loss,
@@ -300,10 +301,9 @@ class TestSweepMatchesCells:
 
     @pytest.mark.parametrize("ledgers", [False, True])
     def test_one_run_per_policy_and_replication(self, tmp_path, monkeypatch, ledgers):
-        # a policy whose law does not read the horizon, in a run that prices no
-        # closed-form tail, runs once per replication at its longest horizon;
-        # etc reads the horizon, and a mean-learner no_subsidy run without
-        # records prices its tail in closed form, so those run once per cell
+        # a policy whose law does not read the horizon runs once per
+        # replication at its longest horizon, with or without records; etc
+        # reads the horizon, so it runs once per cell
         runs = []
         simulate = sim._simulate
 
@@ -319,7 +319,7 @@ class TestSweepMatchesCells:
         run_experiment(spec, ledgers=ledgers)
         one_run, per_cell = [[50, 100, 200]], [[50], [100], [200]]
         for name, expected in [
-            ("no_subsidy", one_run if ledgers else per_cell),
+            ("no_subsidy", one_run),
             ("etc", per_cell),
             ("dynamic_compelling", one_run),
             ("subsidy_sampling", one_run),

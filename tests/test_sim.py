@@ -277,50 +277,44 @@ class TestEstimateRegret:
         # zero noise and (effectively) free court: compel-all learns exactly
         # and only pays a vanishing fee
         config = compel_all(100, truth=ConstantTruth(mu=1.0, sigma=0.0, alpha=10.0))
-        report = estimate_regret(config, 20)
+        report = estimate_regret([config], 20)[0]
         assert abs(report.mean_regret) <= 1e-6
 
     def test_report_identity(self):
         config = constant_config(horizon=200, policy=DynamicCompellingConfig())
-        report = estimate_regret(config, 30)
+        report = estimate_regret([config], 30)[0]
         derived = (report.mean_online_loss - report.mean_offline_loss) / config.horizon
         assert report.mean_regret == pytest.approx(derived, rel=1e-12)
 
     def test_replications_floor(self):
         with pytest.raises(ConfigurationError, match="^replications must be >= 1, got 0$"):
-            estimate_regret(constant_config(), 0)
+            estimate_regret([constant_config()], 0)
 
     def test_learning_stall_plateau(self):
         # with no selection pressure the dataset freezes at two observations
         # and the per-case regret plateaus near sigma^2 / 2 = 0.125
-        for horizon in (1000, 10_000):
-            config = constant_config(horizon=horizon, seed=2)
-            report = estimate_regret(config, 200)
+        configs = [constant_config(horizon=horizon, seed=2) for horizon in (1000, 10_000)]
+        for report in estimate_regret(configs, 200):
             assert 0.09 <= report.mean_regret <= 0.17
 
     def test_compel_all_regret_vanishes(self):
         # per-case regret from always litigating decays like log(T)/T
-        reports = {
-            horizon: estimate_regret(compel_all(horizon, seed=7), 60)
-            for horizon in (1000, 10_000)
-        }
-        assert reports[10_000].mean_regret < reports[1000].mean_regret
+        short, long = estimate_regret([compel_all(horizon, seed=7) for horizon in (1000, 10_000)], 60)
+        assert long.mean_regret < short.mean_regret
 
     def test_etc_regret_ratio_tracks_square_root(self):
-        reports = {
-            horizon: estimate_regret(
-                constant_config(
-                    horizon=horizon,
-                    truth=ConstantTruth(mu=0.5, sigma=0.5, alpha=1.0),
-                    costs=UniformCosts(0.5, 1.0),
-                    policy=EtcConfig(),
-                    seed=3,
-                ),
-                80,
+        configs = [
+            constant_config(
+                horizon=horizon,
+                truth=ConstantTruth(mu=0.5, sigma=0.5, alpha=1.0),
+                costs=UniformCosts(0.5, 1.0),
+                policy=EtcConfig(),
+                seed=3,
             )
             for horizon in (1000, 10_000)
-        }
-        ratio = reports[10_000].mean_regret / reports[1000].mean_regret
+        ]
+        short, long = estimate_regret(configs, 80)
+        ratio = long.mean_regret / short.mean_regret
         expected = math.sqrt(1000 / 10_000)
         assert abs(ratio - expected) <= 0.35 * expected
 
@@ -345,7 +339,7 @@ class TestSweep:
             for policy in (NoSubsidyConfig(), EtcConfig(), DynamicCompellingConfig())
             for horizon in (10, 100, 1000)
         ]
-        reports = sim._sweep(configs, 3)
+        reports = estimate_regret(configs, 3)
         assert len(draws) == 3
         assert sorted(baselines) == [10] * 3 + [100] * 3 + [1000] * 3
         for env in draws:
@@ -353,12 +347,12 @@ class TestSweep:
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(env, name)[0] = 0.0
         monkeypatch.undo()
-        assert reports == [estimate_regret(config, 3) for config in configs]
+        assert reports == [estimate_regret([config], 3)[0] for config in configs]
 
     def test_cells_must_share_their_environment(self):
         configs = [constant_config(seed=1), constant_config(seed=2)]
-        with pytest.raises(ValueError, match="differ only in policy and horizon"):
-            sim._sweep(configs, 1)
+        with pytest.raises(ConfigurationError, match="differ only in policy and horizon"):
+            estimate_regret(configs, 1)
 
 
 # Window edges of the visit searches (sim._FIRST_WINDOW, sim._LAST_WINDOW) and one step past.
@@ -400,13 +394,13 @@ def _driver_runs(monkeypatch, configs, replications, keep_records):
     runs = []
     simulate = sim._simulate
 
-    def recording(cuts, env, rep, keep, actions=None):
-        ledgers = simulate(cuts, env, rep, keep, actions)
+    def recording(cuts, env, rep, keep):
+        ledgers = simulate(cuts, env, rep, keep)
         runs.append((rep, cuts, ledgers))
         return ledgers
 
     monkeypatch.setattr(sim, "_simulate", recording)
-    sim._sweep(configs, replications, (lambda rep, index, ledger: None) if keep_records else None)
+    estimate_regret(configs, replications, (lambda rep, index, ledger: None) if keep_records else None)
     monkeypatch.undo()
     return runs
 
@@ -427,9 +421,9 @@ def _assert_direct(rep, config, ledger, keep_records):
 
 
 class TestCutRuns:
-    """A run is causal, so the driver runs each qualifying policy once per
-    replication, at its longest horizon, and cuts the shorter horizons from
-    it; every cut cell equals a run of that horizon alone."""
+    """A run is causal, so the driver runs each policy whose law does not read
+    the horizon once per replication, at its longest horizon, and cuts the
+    shorter horizons from it; every cut cell equals a run of that horizon alone."""
 
     @pytest.mark.parametrize("model", _CUT_MODELS)
     @pytest.mark.parametrize(
@@ -440,10 +434,9 @@ class TestCutRuns:
         family, dim, seed, horizons = _CUT_MODELS[model]
         configs = _cut_configs(family, _CUT_POLICIES[name], horizons, dim, seed)
         runs = _driver_runs(monkeypatch, configs, 2, keep_records)
-        # a mean-learner no_subsidy run without records prices its tail in closed form
-        cut = not (name == "no_subsidy" and not keep_records and family is LearnerFamily.EMPIRICAL_MEAN)
-        expected = [horizons] * 2 if cut else [[horizon] for horizon in horizons] * 2
-        assert [[config.horizon for config in cuts] for _, cuts, _ in runs] == expected
+        # a mean-learner no_subsidy run without records prices its tail in
+        # closed form, and a cut past the tail's start prices its own
+        assert [[config.horizon for config in cuts] for _, cuts, _ in runs] == [horizons] * 2
         for rep, cuts, ledgers in runs:
             for config, ledger in zip(cuts, ledgers):
                 _assert_direct(rep, config, ledger, keep_records)
@@ -479,6 +472,19 @@ class TestRunConfigValidation:
     def test_horizon_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             constant_config(horizon=0)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: constant_config(seed=-1), "seed must be >= 0, got -1"),
+            (lambda: run(constant_config(), rep=-1), "rep must be >= 0, got -1"),
+            (lambda: estimate_regret([], 1), "configs must hold at least one cell, got none"),
+        ],
+        ids=["negative_seed", "negative_rep", "no_cells"],
+    )
+    def test_public_calls_refuse_bad_input(self, call, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            call()
 
     def test_mean_learner_needs_constant_truth(self):
         with pytest.raises(ConfigurationError):
