@@ -18,18 +18,27 @@ largest settlement shift a court visit could produce); ties litigate.
 
 A policy is its frozen config, which holds only the policy's own parameters:
 its law reads the horizon, the truth's alpha and the cost model's range from
-the run.  The first four are state-free: each config states its
-whole-horizon law (``horizon_actions``), which draws a run's compel mask and
-subsidy bases up front, with the number of leading steps on which it may
-act at all.  Each law is stated once: ``etc_compel_count`` gives the
-compel phase's length, ``transition_step`` the subsidy law's early phase, and
+the run.  ``horizon_actions(run, rng)`` states a config's actions for the
+``sim.RunConfig`` ``run``, steps 1..T at once, as (compel mask, subsidy
+bases, active).  The mask is a bool array of length T.  The bases are
+``None`` for a policy that never offers, else the offer at step t is
+``max(0.0, bases[t - 1] - 2 * err_before)``: all-zero bases, even a
+zero-stride ``np.broadcast_to``, would make the visit search compute every
+window's offers, about 10-20% more time per ``no_subsidy`` or
+``dynamic_compelling`` run (mean learner, T = 1e5, on one Xeon core).  From
+step active + 1 on, the policy neither compels nor offers.  The first four
+policies are state-free: their law does not read the court history (an offer
+reads it only through the error bound), so their mask and bases are drawn up
+front, one uniform per step from ``rng`` (none for ``no_subsidy`` and
+``etc``).  Each law is stated once: ``etc_compel_count`` gives the compel
+phase's length, ``transition_step`` the subsidy law's early phase, and
 ``dynamic_compel_probability``, ``subsidy_tail_probability`` and
-``subsidy_bases`` work elementwise on the step numbers.  The kwik gate
-depends on the court history, so it cannot be drawn up front; still,
-``_gate`` checks many case rows in one stacked pass, at
-``KwikConfig.thresholds``: a window of rows on the spectrum frozen since the
-last court visit, or rows each on the prefix of the court rows its guessed
-count implies.
+``subsidy_bases`` work elementwise on the step numbers.  The kwik gate reads
+the court history, so ``kwik``'s mask starts all False, with active = T, and
+the visit search sets it where the gate fires.  ``_gate`` checks many case
+rows in one stacked pass, at ``KwikConfig.thresholds``: a window of rows on
+the spectrum frozen since the last court visit, or rows each on the prefix
+of the court rows its guessed count implies.
 """
 
 from __future__ import annotations
@@ -167,17 +176,7 @@ def kwik_default_alpha1(epsilon: float, delta: float, dim: int, constant: float 
 # seed derivation; adding a policy must not perturb the derived streams of
 # existing ones.  ``run_fields`` names the run values its law reads (the
 # horizon, the truth's alpha, the cost model's c_min and c_max); the run's
-# canonical description records them with the policy.  Every policy but
-# ``kwik`` is state-free: its randomness and compel/subsidy law do not depend
-# on the court history (a subsidy offer reads it only through the error
-# bound), so a whole run's actions can be drawn up front.
-# ``horizon_actions(run, rng)`` returns steps 1..run.horizon at once as
-# (compel mask, subsidy bases, active), drawing one uniform per step from
-# ``rng`` (none for ``no_subsidy`` and ``etc``).  ``None`` stands for "never
-# compels" or "never offers"; the offer at step t is ``max(0.0, bases[t - 1]
-# - 2 * err_before)``.  ``active`` counts the leading steps on which the
-# policy may act: from step active + 1 on it neither compels nor offers.
-# ``run`` is the ``sim.RunConfig`` being played.
+# canonical description records them with the policy.
 
 
 @dataclass(frozen=True)
@@ -188,8 +187,8 @@ class NoSubsidyConfig:
     tag: ClassVar[int] = 1
     run_fields: ClassVar[tuple[str, ...]] = ()
 
-    def horizon_actions(self, run, rng) -> tuple[None, None, int]:
-        return None, None, 0
+    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
+        return np.zeros(run.horizon, dtype=bool), None, 0
 
 
 @dataclass(frozen=True)
@@ -231,13 +230,13 @@ class SubsidySamplingConfig:
     tag: ClassVar[int] = 4
     run_fields: ClassVar[tuple[str, ...]] = ("alpha", "c_min", "c_max")
 
-    def horizon_actions(self, run, rng) -> tuple[None, np.ndarray, int]:
+    def horizon_actions(self, run, rng) -> tuple[np.ndarray, np.ndarray, int]:
         alpha, c_min = run.truth.alpha, run.costs.c_min
         bases = subsidy_bases(
             rng.random(run.horizon), np.arange(1, run.horizon + 1), alpha, c_min, run.costs.c_max,
             transition_step(alpha, c_min),
         )
-        return None, bases, run.horizon
+        return np.zeros(run.horizon, dtype=bool), bases, run.horizon
 
 
 @dataclass(frozen=True)
@@ -283,6 +282,9 @@ class KwikConfig:
                 f" delta={self.delta}, dim={dim} is not a finite number > 0; set alpha1"
             )
         return alpha1, alpha2
+
+    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
+        return np.zeros(run.horizon, dtype=bool), None, run.horizon
 
 
 PolicyConfig = Union[

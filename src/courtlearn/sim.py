@@ -9,24 +9,25 @@ updated fit; settled cases receive the prediction from past court data only.
 The learner changes only when a case goes to court, so one driver computes
 every run in two phases.  The search finds the court visits: it needs only
 the error bound, which depends on the visit count alone, and for ``kwik``
-the spectrum of the courted Gram matrix, never a fitted rule.  A state-free
-policy (``no_subsidy``, ``etc``, ``dynamic_compelling``,
-``subsidy_sampling``) draws its actions for the whole horizon up front, as
+the spectrum of the courted Gram matrix, never a fitted rule.  Every policy
+states its actions for the whole horizon up front (``horizon_actions``), as
 (compel mask, subsidy bases, active) with ``active`` the number of leading
-steps on which it may act.  Both searches guess, then verify, a window of
-up to ``_LAST_WINDOW`` steps per round, and return only the court visits.
-The state-free search (``_state_free_visits``) decides a window at the
-current visit count, decides each step after the first guessed visit again
-at the count the guess implies, and keeps the steps up to the first
-disagreement, which is exact too.  The ``kwik`` search (``_kwik_visits``)
-gates rows on the spectrum frozen since the last visit, decomposes the Gram
-prefixes of the guessed visits in one stacked ``eigh``, and decides each
-later row again on the prefix its guessed count implies.  The fit then
-computes the rule after each visit: a linear one in stacked passes of
-``_FLUSH`` visits, a mean one by one ``np.cumsum``.  Last, the scoring pass
-derives the rest from the visits and one error-bound table by court count:
-the subsidy paid, the start of the closed-form tail, and each row's rule,
-gathered by its visit count, for the predictions and the loss.
+steps on which it may act; the mask of a ``kwik`` run starts all False and
+its search sets it where the gate fires.  Both searches guess, then verify,
+a window of up to ``_LAST_WINDOW`` steps per round, and return only the
+court visits.  The state-free search (``_state_free_visits``, for every
+policy but ``kwik``) decides a window at the current visit count, decides
+each step after the first guessed visit again at the count the guess
+implies, and keeps the steps up to the first disagreement, which is exact
+too.  The ``kwik`` search (``_kwik_visits``) gates rows on the spectrum
+frozen since the last visit, decomposes the Gram prefixes of the guessed
+visits in one stacked ``eigh``, and decides each later row again on the
+prefix its guessed count implies.  The fit then computes the rule after each
+visit: a linear one in stacked passes of ``_FLUSH`` visits, a mean one by
+one ``np.cumsum``.  Last, the scoring pass derives the rest from the visits
+and one error-bound table by court count: the subsidy paid, the start of the
+closed-form tail, and each row's rule, gathered by its visit count, for the
+predictions and the loss.
 
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
@@ -128,6 +129,13 @@ STEP_COLUMNS = {
 }
 
 
+def _count(name: str, value) -> int:
+    """``value``, a Python or numpy integer, as an ``int``; a bool or any other type is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _stream(seed: int, rep: int, stream: int, extra: int | None = None) -> np.random.Generator:
     entropy = [seed, rep, stream] if extra is None else [seed, rep, stream, extra]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
@@ -146,6 +154,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("horizon", "seed"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.horizon > 2**53:  # dynamic_compelling computes its step numbers in float64
@@ -262,7 +272,7 @@ def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
     sweep driver relies on this: it draws once, at the longest horizon, and
     runs every shorter one on a view of that draw.
     """
-    if rep < 0:  # numpy's SeedSequence takes no negative entropy
+    if _count("rep", rep) < 0:  # numpy's SeedSequence takes no negative entropy
         raise ConfigurationError(f"rep must be >= 0, got {rep}")
     T = config.horizon
     seed = config.seed
@@ -291,38 +301,23 @@ def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger
     return _simulate([config], draw_environment(config, rep), rep, keep_records)[0]
 
 
-def _actions(config: RunConfig, rep: int, keep_records: bool) -> tuple:
-    """A run's (compel mask, subsidy bases, tail start): the policy's actions over the
-    horizon, and the step from which the run may price its all-settle tail in closed
-    form, or the horizon where it may not.  A ``kwik`` run's compel mask is set by its
-    visit search."""
-    T = config.horizon
-    policy = config.policy
-    if isinstance(policy, KwikConfig):
-        return np.zeros(T, dtype=bool), None, T
-    compel, bases, active = policy.horizon_actions(
-        config, _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
-    )
-    # The closed-form tail needs a case-free prediction (mean learners only).
-    return compel, bases, T if keep_records or config.learner.is_linear else active
-
-
 def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records: bool) -> list[RunLedger]:
     """One replication's run at the last config's horizon, and its ledger at every config's.
 
-    The configs differ only in horizon, ascending; the last one's is
-    ``env``'s.  The run draws its actions (``_actions``), searches for the
+    The configs differ only in horizon, ascending; the last one's is ``env``'s.
+    The run takes its policy's actions (``horizon_actions``), searches for the
     court visits, fits after each, then scores.  Scoring derives the subsidy
-    paid, the start ``end`` of the closed-form tail and the records'
-    ``pre_step_err_bound`` from the visits and one error-bound table.  A run
-    is causal, so its ledger at a shorter horizon T is its first T steps: the
-    visits below T, entry T - 1 of its subsidy ``np.cumsum``, ``[:T]`` views
+    paid, the start ``end`` of the closed-form tail (at or past the policy's
+    ``active``, and T when records are kept or the learner is linear) and the
+    records' ``pre_step_err_bound`` from the visits and one error-bound table.
+    A run is causal, so its ledger at a shorter horizon T is its first T steps:
+    the visits below T, entry T - 1 of its subsidy ``np.cumsum``, ``[:T]`` views
     of its step columns, and entry T - 1 of its loss ``np.cumsum``, or past
-    ``end`` that sum's last entry plus T - end steps of the tail.  A run
-    alone at T finds the same visits and the same ``end`` where ``end`` < T,
-    so its total is the same float.  Every float is produced by the same
-    operations, in the same order, as in the case-by-case loop of
-    ``tests/oracle.py``, so ledgers and totals are bit for bit the same.
+    ``end`` that sum's last entry plus T - end steps of the tail.  A run alone
+    at T finds the same visits and the same ``end`` where ``end`` < T, so its
+    total is the same float.  Every float is produced by the same operations, in
+    the same order, as in the case-by-case loop of ``tests/oracle.py``, so
+    ledgers and totals are bit for bit the same.
     """
     config = configs[-1]
     T = config.horizon
@@ -334,7 +329,9 @@ def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records
     costs = env.costs
     xs = env.xs
     fits = _LinearFits(kind, xs, env.outcomes) if linear else None
-    compel, bases, tail_from = _actions(config, rep, keep_records)
+    rng = _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
+    compel, bases, active = policy.horizon_actions(config, rng)
+    tail_from = T if keep_records or linear else active
 
     def bound(m: np.ndarray) -> np.ndarray:
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
@@ -382,7 +379,7 @@ def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records
                 "t": np.arange(1, end + 1),
                 "cost": costs,
                 "subsidy": np.zeros(end) if bases is None else _offers(bases, 2.0 * pre_errs),
-                "compelled": np.zeros(end, dtype=bool) if compel is None else compel,
+                "compelled": compel,
                 "went_to_court": went,
                 "applied_decision": applied,
                 "true_value": env.f_values,
@@ -411,7 +408,7 @@ def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records
 
 
 def _state_free_visits(
-    costs: np.ndarray, c_min: float, compel: np.ndarray | None, bases: np.ndarray | None,
+    costs: np.ndarray, c_min: float, compel: np.ndarray, bases: np.ndarray | None,
     bound: Callable, tail_from: int,
 ) -> list[int]:
     """The court visits of a state-free run.
@@ -435,8 +432,7 @@ def _state_free_visits(
     def decide(lo: int, hi: int, err) -> np.ndarray:
         offers = 0.0 if bases is None else _offers(bases[lo:hi], 2.0 * err)
         went = policies.agent_decision(costs[lo:hi], offers, err)
-        if compel is not None:
-            went |= compel[lo:hi]
+        went |= compel[lo:hi]
         return went
 
     visits: list[int] = []
@@ -686,7 +682,7 @@ def estimate_regret(
     """
     if not configs:
         raise ConfigurationError("configs must hold at least one cell, got none")
-    if replications < 1:
+    if _count("replications", replications) < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
     longest = max(configs, key=lambda config: config.horizon)
     shared = (longest.truth, longest.cases, longest.costs, longest.learner, longest.seed)
@@ -786,7 +782,7 @@ class DeterrentReport:
 
 def check_deterrent(config: RunConfig, replications: int) -> DeterrentReport:
     """Estimate the violation payoff per step across the sweep driver's replications."""
-    if replications < 2:
+    if _count("replications", replications) < 2:
         raise ConfigurationError("deterrent check needs at least 2 replications")
     T = config.horizon
     # By step: the sums of the violation payoff, its square, the subsidy and its square.

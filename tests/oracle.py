@@ -44,13 +44,11 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     case_dim = config.cases.dim
     policy = config.policy
     state_free = not isinstance(policy, KwikConfig)
-    if state_free:
-        compel, bases, active = policy.horizon_actions(
-            config, _stream(config.seed, rep, _STREAM_POLICY, config.policy.tag)
-        )
-        compel = [False] * T if compel is None else compel.tolist()
-        bases = [0.0] * T if bases is None else bases.tolist()
-    else:
+    rng = _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
+    compel, bases, active = policy.horizon_actions(config, rng)
+    compel = compel.tolist()
+    bases = [0.0] * T if bases is None else bases.tolist()
+    if not state_free:
         alpha1, alpha2 = policy.thresholds(case_dim)
 
     mean_learner = kind.family is LearnerFamily.EMPIRICAL_MEAN
@@ -96,12 +94,10 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         cost = costs[i]
         x = None if xs is None else xs[i]
         pre_err = err_before
-        if state_free:
-            compelled = compel[i]
-            offered = max(0.0, bases[i] - 2.0 * pre_err)
-        else:
+        compelled = compel[i]
+        if not state_free:  # kwik's mask is empty: the gate decides each case
             compelled = gate_from_eig(np.clip(spectrum.values, 0.0, None), spectrum.vectors, augment(x), alpha1, alpha2)
-            offered = 0.0
+        offered = max(0.0, bases[i] - 2.0 * pre_err)
         litigates = compelled or agent_decision(cost, offered, pre_err)
 
         # The rule's prediction for this case, clipped into [0, alpha].

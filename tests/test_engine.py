@@ -429,7 +429,7 @@ def test_horizon_actions_replay_select(config):
     compel, bases, _ = config.policy.horizon_actions(config, rng_whole)
     for t in range(1, horizon + 1):
         compelled, offer = _scalar_step(config, t, err, rng_steps)
-        assert compelled == (compel is not None and bool(compel[t - 1]))
+        assert compelled == bool(compel[t - 1])
         if bases is None:
             assert offer is None
         else:

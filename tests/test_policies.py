@@ -2,6 +2,7 @@
 sampling, and the eigenvalue-gated prediction rule."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from courtlearn.policies import (
     EtcConfig,
     KwikConfig,
     NoSubsidyConfig,
+    PolicyConfig,
     SubsidySamplingConfig,
     agent_decision,
     dynamic_compel_probability,
@@ -189,12 +191,34 @@ class TestKwikGate:
 
 
 class TestSelect:
-    """Each state-free policy's whole-horizon actions (compel mask, subsidy bases, active)."""
+    """Each policy's whole-horizon actions (compel mask, subsidy bases, active)."""
+
+    @pytest.mark.parametrize("horizon", [1, 7, 500])
+    @pytest.mark.parametrize("cls", typing.get_args(PolicyConfig), ids=lambda cls: cls.name)
+    def test_horizon_actions_contract(self, cls, horizon):
+        # Every policy states a bool mask and None or float bases over the
+        # whole horizon, and neither compels nor offers from index active on.
+        policy = cls(epsilon=0.1, delta=0.1) if cls is KwikConfig else cls()
+        run = _run_config(policy, cases=BallCases(2), costs=UniformCosts(1.0, 4.0), horizon=horizon, alpha=2.0)
+        compel, bases, active = policy.horizon_actions(run, np.random.default_rng(horizon))
+        assert isinstance(compel, np.ndarray) and compel.dtype == np.bool_ and compel.shape == (horizon,)
+        assert bases is None or (
+            isinstance(bases, np.ndarray) and bases.dtype == np.float64 and bases.shape == (horizon,)
+        )
+        assert 0 <= active <= horizon
+        assert not compel[active:].any()
+        assert bases is None or not (bases[active:] > 0.0).any()
 
     def test_no_subsidy_always_idle(self):
         run = _run_config(NoSubsidyConfig(), horizon=1000)
-        rng = np.random.default_rng(0)
-        assert run.policy.horizon_actions(run, rng) == (None, None, 0)
+        compel, bases, active = run.policy.horizon_actions(run, np.random.default_rng(0))
+        assert compel.shape == (1000,) and not compel.any() and bases is None and active == 0
+
+    def test_kwik_mask_starts_empty(self):
+        # The visit search sets the mask where the gate fires.
+        run = _run_config(KwikConfig(epsilon=0.1, delta=0.1), cases=BallCases(2), horizon=50)
+        compel, bases, active = run.policy.horizon_actions(run, np.random.default_rng(0))
+        assert compel.shape == (50,) and not compel.any() and bases is None and active == 50
 
     def test_etc_threshold(self):
         run = _run_config(EtcConfig(), horizon=100, alpha=2.0, costs=PointMassCosts(4.0))
@@ -223,7 +247,7 @@ class TestSelect:
         rng = np.random.default_rng(4)
         run = _run_config(SubsidySamplingConfig(), horizon=199, costs=UniformCosts(4.0, 12.0))
         compel, bases, active = run.policy.horizon_actions(run, rng)
-        assert compel is None and bases.shape == (199,) and active == 199
+        assert compel.shape == (199,) and not compel.any() and bases.shape == (199,) and active == 199
         assert np.isfinite(bases).all() and (bases >= 0.0).all()
 
     @settings(max_examples=200, deadline=None)

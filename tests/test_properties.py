@@ -130,7 +130,7 @@ def test_inactive_policies_neither_compel_nor_offer(run, seed):
     # actions compel nobody and offer no subsidy.
     compel, bases, active = run.policy.horizon_actions(run, np.random.default_rng(seed))
     assert 0 <= active <= run.horizon
-    assert compel is None or not compel[active:].any()
+    assert not compel[active:].any()
     assert bases is None or not bases[active:].any()
 
 
