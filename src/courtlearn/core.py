@@ -168,7 +168,10 @@ class UniformCosts:
             )
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.c_min + (self.c_max - self.c_min) * rng.random(count)
+        costs = rng.random(count)
+        costs *= self.c_max - self.c_min  # in place: the draw's array becomes the costs
+        costs += self.c_min
+        return costs
 
 
 @dataclass(frozen=True)

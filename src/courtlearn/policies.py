@@ -87,7 +87,11 @@ def etc_compel_count(horizon: int, alpha: float, c_max: float) -> int:
 
 def dynamic_compel_probability(t: int | np.ndarray, alpha: float, c_max: float):
     """Per-step compel probability min(1, alpha / sqrt(t * c_max)); ``t`` may be an array."""
-    return np.minimum(1.0, alpha / np.sqrt(t * c_max))
+    p = np.asarray(t * c_max, dtype=float)  # then in place: one array for the whole chain
+    np.sqrt(p, out=p)
+    np.divide(alpha, p, out=p)
+    np.minimum(1.0, p, out=p)
+    return p[()]
 
 
 def subsidy_tail_probability(t: int | np.ndarray, c: float, alpha: float, phase1=False):
@@ -99,8 +103,10 @@ def subsidy_tail_probability(t: int | np.ndarray, c: float, alpha: float, phase1
     elementwise.  Raises at the first step whose probability exceeds 1.
     """
     t = np.asarray(t)
-    p = alpha / np.sqrt(t * c)
-    p = np.where(phase1, p / alpha, p)
+    p = np.asarray(t * c, dtype=float)  # then in place: one array for the whole chain
+    np.sqrt(p, out=p)
+    np.divide(alpha, p, out=p)
+    np.divide(p, alpha, out=p, where=phase1)
     bad = np.flatnonzero(p > 1.0)
     if bad.size:
         i = bad[0]
@@ -138,9 +144,9 @@ def subsidy_bases(
     # The middle branch is rare; scalar ``** 2`` is libm pow, which rounds
     # differently from x * x (and from numpy's power) on some draws.
     middle = np.flatnonzero((u > p_max) & (u <= p_min))
-    alpha_eff = np.where(phase1, 1.0, alpha)
     for i in middle.tolist():
-        bases[i] = (alpha_eff.item(i) / (u.item(i) * math.sqrt(t.item(i)))) ** 2
+        alpha_eff = 1.0 if phase1.item(i) else alpha
+        bases[i] = (alpha_eff / (u.item(i) * math.sqrt(t.item(i)))) ** 2
     return bases
 
 
@@ -201,7 +207,9 @@ class EtcConfig:
 
     def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
         count = etc_compel_count(run.horizon, run.truth.alpha, run.costs.c_max)
-        return np.arange(run.horizon) < count, None, count
+        compel = np.zeros(run.horizon, dtype=bool)
+        compel[:count] = True
+        return compel, None, count
 
 
 @dataclass(frozen=True)
@@ -213,8 +221,7 @@ class DynamicCompellingConfig:
     run_fields: ClassVar[tuple[str, ...]] = ("alpha", "c_max")
 
     def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
-        t = np.arange(1, run.horizon + 1, dtype=float)
-        p = dynamic_compel_probability(t, run.truth.alpha, run.costs.c_max)
+        p = dynamic_compel_probability(np.arange(1, run.horizon + 1), run.truth.alpha, run.costs.c_max)
         return rng.random(run.horizon) < p, None, run.horizon
 
 

@@ -26,8 +26,11 @@ prefix its guessed count implies.  The fit then computes the rule after each
 visit: a linear one in stacked passes of ``_FLUSH`` visits, a mean one by
 one ``np.cumsum``.  Last, the scoring pass derives the rest from the visits
 and one error-bound table by court count: the subsidy paid, the start of the
-closed-form tail, and each row's rule, gathered by its visit count, for the
-predictions and the loss.
+closed-form tail, and the spans, the number of steps at each court count.
+Each rule is repeated over its span for the predictions.  Without records
+the squared errors and the running loss are computed in place in the
+predictions' array, and only the visits add their court fee, so a run holds
+no throwaway array of its horizon.
 
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
@@ -287,9 +290,11 @@ def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
         f_values = np.full(T, truth.mu)
     else:
         f_values = _predict(xs, np.append(truth.beta, truth.beta0)[None], np.zeros(T, dtype=np.intp))
-    noises = truth.sigma * _stream(seed, rep, _STREAM_NOISE).standard_normal(T)
+    outcomes = _stream(seed, rep, _STREAM_NOISE).standard_normal(T)
+    outcomes *= truth.sigma  # in place: the noise draw's array becomes the outcomes
+    outcomes += f_values
     costs = config.costs.sample(T, _stream(seed, rep, _STREAM_COST))
-    return Environment(xs, f_values, f_values + noises, costs)
+    return Environment(xs, f_values, outcomes, costs)
 
 
 def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger:
@@ -310,6 +315,9 @@ def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records
     paid, the start ``end`` of the closed-form tail (at or past the policy's
     ``active``, and T when records are kept or the learner is linear) and the
     records' ``pre_step_err_bound`` from the visits and one error-bound table.
+    The rule after each visit is repeated over the steps up to the next (the
+    spans), and without records the squared errors, each visit's court fee
+    and their ``np.cumsum`` are computed in place in that array.
     A run is causal, so its ledger at a shorter horizon T is its first T steps:
     the visits below T, entry T - 1 of its subsidy ``np.cumsum``, ``[:T]`` views
     of its step columns, and entry T - 1 of its loss ``np.cumsum``, or past
@@ -337,37 +345,43 @@ def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
 
     if isinstance(policy, KwikConfig):
-        visits = _kwik_visits(xs, costs, policy.thresholds(dim), bound, compel, fits)
+        found = _kwik_visits(xs, costs, policy.thresholds(dim), bound, compel, fits)
     else:
-        visits = _state_free_visits(costs, config.costs.c_min, compel, bases, bound, tail_from)
+        found = _state_free_visits(costs, config.costs.c_min, compel, bases, bound, tail_from)
         if linear:  # flushed as if added one visit at a time
-            for lo in range(0, len(visits), _FLUSH):
-                fits.add(visits[lo : lo + _FLUSH])
+            for lo in range(0, len(found), _FLUSH):
+                fits.add(found[lo : lo + _FLUSH])
+    visits = np.array(found, dtype=np.intp)  # the dtype holds for no visit too
 
-    errs = bound(np.arange(len(visits) + 1))  # the error bound by court count
+    counts = np.arange(len(visits) + 1)
+    errs = bound(counts)  # the error bound by court count
     # np.cumsum adds in visit order, as a sequential loop would
     paid = np.zeros(len(visits)) if bases is None else np.cumsum(_offers(bases[visits], 2.0 * errs[:-1]))
     end = T
     if 2.0 * errs.item(-1) < config.costs.c_min:  # no visit can follow the last past tail_from
-        end = min(max(visits[-1] + 1 if visits else 0, tail_from), T)
-    went = np.zeros(end, dtype=bool)
-    went[visits] = True
-    m_after = np.cumsum(went)
+        end = min(max(found[-1] + 1 if found else 0, tail_from), T)
+    spans = np.diff(visits, prepend=0, append=end)  # the steps at each court count
     tail_rate = 0.0  # the loss of each step of the closed-form tail, steps end .. T - 1
     if linear:
         coefs = fits.coefs()
-        applied = _clip(_predict(xs, coefs, m_after), alpha)
+        applied = _clip(_predict(xs, coefs, np.repeat(counts, spans)), alpha)
     else:
         rules = _mean_rules(env.outcomes[visits], alpha)
-        applied = rules[m_after]
+        applied = np.repeat(rules, spans)
         tail_rate = (rules.item(-1) - config.truth.mu) ** 2  # all settle on the last rule
-    diff = applied - env.f_values[:end]
-    squared = np.multiply(diff, diff, out=diff)  # in place: one T-length array fewer
-    losses = np.cumsum(squared + np.where(went, costs[:end], 0.0))
+    # Without records the squares and losses overwrite the decisions.  Only
+    # the visits get their fee: a settled step's x * x >= +0.0 equals x * x + 0.0.
+    squared = np.subtract(applied, env.f_values[:end], out=None if keep_records else applied)
+    np.multiply(squared, squared, out=squared)
+    losses = squared.copy() if keep_records else squared
+    losses[visits] += costs[visits]
+    np.cumsum(losses, out=losses)
 
     steps = {}
     if keep_records:  # the tail skip is off, so end == T
-        m_before = m_after - went
+        went = np.zeros(end, dtype=bool)
+        went[visits] = True
+        m_before = np.repeat(counts, spans) - went
         pre_errs = errs[m_before]
         if linear:
             settlement = applied.copy()
@@ -612,8 +626,10 @@ def _predict(xs: np.ndarray, coefs: np.ndarray, which: np.ndarray) -> np.ndarray
 
 
 def _clip(raw: np.ndarray, alpha: float) -> np.ndarray:
-    """``raw`` clipped into [0, alpha] by the reference loop's two comparisons."""
-    return np.where(raw < 0.0, 0.0, np.where(raw > alpha, alpha, raw))
+    """``raw`` clipped in place into [0, alpha] (alpha > 0) by the reference loop's two comparisons."""
+    np.putmask(raw, raw < 0.0, 0.0)
+    np.putmask(raw, raw > alpha, alpha)
+    return raw
 
 
 def _step_columns(columns: dict) -> dict[str, np.ndarray]:
@@ -635,15 +651,15 @@ def offline_baseline(env: Environment, kind: LearnerKind, alpha: float) -> float
     """
     if kind.family is LearnerFamily.EMPIRICAL_MEAN:
         mean = float(env.outcomes.mean())
-        predictions = np.full(env.outcomes.shape[0], min(max(mean, 0.0), alpha))
+        residual = min(max(mean, 0.0), alpha) - env.f_values
     else:
         if env.xs is None:
             raise ConfigurationError(f"{kind.family.value} baseline requires vector cases")
         augmented = augment(env.xs)
         spectrum = decompose(augmented.T @ augmented).pick(None)
         coef = _fit_linear(kind, spectrum, (augmented.T @ env.outcomes)[None])[0]
-        predictions = np.clip(env.xs @ coef[:-1] + coef[-1], 0.0, alpha)
-    residual = predictions - env.f_values
+        residual = np.clip(env.xs @ coef[:-1] + coef[-1], 0.0, alpha)
+        residual -= env.f_values
     return float(residual @ residual)
 
 
@@ -791,8 +807,12 @@ def check_deterrent(config: RunConfig, replications: int) -> DeterrentReport:
     def add(rep: int, index: int, ledger: RunLedger) -> None:
         steps = ledger.steps
         subsidy = steps["subsidy"]
-        v = subsidy - steps["cost"] - steps["settlement_value"]
-        sums[:] += (v, v * v, subsidy, subsidy * subsidy)
+        v = subsidy - steps["cost"]
+        v -= steps["settlement_value"]
+        sums[0] += v
+        sums[1] += np.multiply(v, v, out=v)
+        sums[2] += subsidy
+        sums[3] += np.multiply(subsidy, subsidy, out=v)
 
     estimate_regret([config], replications, add)
     mean_v, mean_s = means = sums[::2] / replications

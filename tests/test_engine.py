@@ -328,6 +328,8 @@ def _quiet_kwik(horizon):
         *[(_mean_config(NoSubsidyConfig(), horizon, costs=UniformCosts(0.05, 0.1), seed=7), count)
           for horizon, count in [(63, 63), (64, 64), (65, 65), (127, 125), (128, 126), (129, 127),
                                  (4095, 400), (4096, 400), (4097, 400)]],
+        # no court visit: the cost 2.5 exceeds 2 * alpha, so every step settles on the empty-data rule
+        (_mean_config(NoSubsidyConfig(), 100, costs=PointMassCosts(2.5)), 0),
     ],
     ids=["kwik_T1", "state_free_T1", "block_cut_by_horizon", "flush_inside_block_sequence",
          "no_visit_after_the_first", "mean_learner_no_visit_after_the_first",
@@ -339,7 +341,8 @@ def _quiet_kwik(horizon):
          "state_free_voluntary_and_compelled", "state_free_costs_near_two_err", "state_free_subsidy_ties_flip",
          "state_free_tail_after_disagreement", "state_free_tail_after_whole_round", "state_free_last_window_cut",
          "state_free_T63", "state_free_T64", "state_free_T65", "state_free_T127", "state_free_T128",
-         "state_free_T129", "state_free_T4095", "state_free_T4096", "state_free_T4097"],
+         "state_free_T129", "state_free_T4095", "state_free_T4096", "state_free_T4097",
+         "state_free_no_visit"],
 )
 def test_run_edge_cases_match_step_loop(config, court_count):
     for keep_records in (True, False):
@@ -362,6 +365,45 @@ def test_kwik_run_memory_per_step_is_bounded():
         tracemalloc.stop()
     assert ledger.court_count > 2000
     assert peak / horizon < 200
+
+
+def _traced_peak(call):
+    """The peak of memory traced by ``tracemalloc`` while ``call()`` runs, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The scoring pass and the policy laws write into arrays they already own: a
+# run without records holds its decisions (overwritten by its losses), its
+# compel mask, and for subsidy_sampling its bases and the law's passes over
+# the step numbers.  Peaks in units of one float64 array of the horizon.  The
+# no_subsidy run scores its whole horizon: after its one visit 2 * err ==
+# c_min, so the tail skip stays off.
+_RUN_PEAKS = [(NoSubsidyConfig(), 2.5), (EtcConfig(), 2.5), (DynamicCompellingConfig(), 2.5),
+              (SubsidySamplingConfig(), 6.0)]
+
+
+@pytest.mark.parametrize("policy, bound", _RUN_PEAKS, ids=[policy.name for policy, _ in _RUN_PEAKS])
+def test_run_without_records_has_no_throwaway_horizon_arrays(policy, bound):
+    horizon = 2**17
+    config = _mean_config(policy, horizon)
+    env = sim.draw_environment(config, 0)
+    assert _traced_peak(lambda: _simulate(config, env, 0, keep_records=False)) <= bound * 8 * horizon
+
+
+def test_environment_and_mean_baseline_have_no_throwaway_horizon_arrays():
+    # A draw holds its rule values, outcomes (built in the noise draw) and
+    # uniform costs (built in the uniform draw); the mean baseline holds one residual.
+    horizon = 2**17
+    config = _mean_config(NoSubsidyConfig(), horizon)
+    env = sim.draw_environment(config, 0)
+    assert _traced_peak(lambda: sim.draw_environment(config, 0)) <= 3.25 * 8 * horizon
+    assert _traced_peak(lambda: sim.offline_baseline(env, config.learner, 1.0)) <= 1.25 * 8 * horizon
 
 
 def test_kwik_search_stacks_its_eigh_calls(monkeypatch):
