@@ -16,7 +16,7 @@ from typing import Any, get_args, get_type_hints
 from .core import CaseSpec, ConfigurationError, CostModel, GroundTruth, SingletonCases
 from .learners import LearnerFamily, LearnerKind
 from .policies import PolicyConfig
-from .sim import RunConfig
+from .sim import RunConfig, _count
 
 __all__ = ["ExperimentSpec", "load_config", "parse_config"]
 
@@ -53,6 +53,8 @@ class ExperimentSpec:
         # The driver runs the horizons in ascending order, and kwik.csv lists them so.
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigurationError("sweep must be increasing")
+        for name in ("replications", "seed"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.replications < 1:
             raise ConfigurationError(f"replications: must be >= 1, got {self.replications}")
         if self.seed < 0:

@@ -7,24 +7,20 @@ revealed outcome is appended to the court data and the court decides from the
 updated fit; settled cases receive the prediction from past court data only.
 
 The learner changes only when a case goes to court, so one driver computes
-every run in two phases.  The search finds the court visits: it needs only
-the error bound, which depends on the visit count alone, and for ``kwik``
-the spectrum of the courted Gram matrix, never a fitted rule.  Every policy
-states its actions for the whole horizon up front (``horizon_actions``), as
-(compel mask, subsidy bases, active) with ``active`` the number of leading
-steps on which it may act; the mask of a ``kwik`` run starts all False and
-its search sets it where the gate fires.  Both searches guess, then verify,
-a window of up to ``_LAST_WINDOW`` steps per round, and return only the
-court visits.  The state-free search (``_state_free_visits``, for every
-policy but ``kwik``) decides a window at the current visit count, decides
-each step after the first guessed visit again at the count the guess
-implies, and keeps the steps up to the first disagreement, which is exact
-too.  The ``kwik`` search (``_kwik_visits``) gates rows on the spectrum
-frozen since the last visit, decomposes the Gram prefixes of the guessed
-visits in one stacked ``eigh``, and decides each later row again on the
-prefix its guessed count implies.  The fit then computes the rule after each
-visit: a linear one in stacked passes of ``_FLUSH`` visits, a mean one by
-one ``np.cumsum``.  Last, the scoring pass derives the rest from the visits
+every run in two phases.  The search (``_visits``) finds the court visits:
+it needs only the error bound, which depends on the visit count alone, and
+for ``kwik`` the spectrum of the courted Gram matrix, never a fitted rule.
+Every policy states its actions for the whole horizon up front
+(``horizon_actions``), as (compel mask, subsidy bases, active) with
+``active`` the number of leading steps on which it may act; the mask of a
+``kwik`` run starts all False and its gate sets it as the search goes.  Each
+round guesses a window of up to ``_LAST_WINDOW`` steps at the current state,
+decides the steps after the first guessed visit again at the states the
+guessed visits imply (for ``kwik``, up to ``_FLUSH`` of them, their Gram
+prefixes in one stacked ``eigh``), and keeps the steps up to the first
+disagreement, which is exact.  The kept visits are fitted as they come: a
+linear rule in a stacked pass once ``_FLUSH`` or more wait, a mean one at the
+end by one ``np.cumsum``.  Last, the scoring pass derives the rest from the visits
 and one error-bound table by court count: the subsidy paid, the start of the
 closed-form tail, and the spans, the number of steps at each court count.
 Each rule is repeated over its span for the predictions.  Without records
@@ -109,7 +105,7 @@ _FIRST_WINDOW = 64
 # A visit search's window stops doubling here: it bounds the search arrays,
 # (window, dim + 1) rows for the kwik gate.
 _LAST_WINDOW = 4096
-# Court visits fitted in one stacked pass, and the most guessed kwik visits decomposed at once.
+# Queued court visits that set off a stacked fit, and the most guessed kwik visits decomposed at once.
 _FLUSH = 256
 # Rows per stacked prediction product.
 _PREDICT_CHUNK = 1024
@@ -345,12 +341,10 @@ def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
 
     if isinstance(policy, KwikConfig):
-        found = _kwik_visits(xs, costs, policy.thresholds(dim), bound, compel, fits)
+        rule = _KwikDecisions(costs, compel, fits, xs, policy.thresholds(dim))
     else:
-        found = _state_free_visits(costs, config.costs.c_min, compel, bases, bound, tail_from)
-        if linear:  # flushed as if added one visit at a time
-            for lo in range(0, len(found), _FLUSH):
-                fits.add(found[lo : lo + _FLUSH])
+        rule = _Decisions(costs, compel, bases, fits)
+    found = _visits(T, rule, bound, config.costs.c_min, tail_from)
     visits = np.array(found, dtype=np.intp)  # the dtype holds for no visit too
 
     counts = np.arange(len(visits) + 1)
@@ -421,36 +415,24 @@ def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records
     return ledgers
 
 
-def _state_free_visits(
-    costs: np.ndarray, c_min: float, compel: np.ndarray, bases: np.ndarray | None,
-    bound: Callable, tail_from: int,
-) -> list[int]:
-    """The court visits of a state-free run.
+def _visits(T: int, rule: _Decisions, bound: Callable, c_min: float, tail_from: int) -> list[int]:
+    """The court visits of a run whose steps ``rule`` decides.
 
-    Each round guesses, then verifies.  It decides a window of steps from
-    the current step at the current count m; the steps up to the first
-    guessed visit are exact.  Each later step is decided again, with the
-    same elementwise expressions, at the count the guess implies (m plus
-    the guessed visits before it).  The steps before the first disagreement
-    are kept, and so is the disagreement itself: the count before it is
-    exact, so its re-decision is the true one.  The window doubles, up to
-    ``_LAST_WINDOW``, after a round that keeps it whole, and falls back to
-    ``_FIRST_WINDOW`` after a disagreement.
-
-    The search stops at a round start from step index ``tail_from`` on once
-    2 * err < c_min: the policy is idle there and no cost clears the agent's
-    test, so no visit can follow.
+    Each round decides a window of steps from the current step at the
+    current state (the count m); the steps up to the first guessed visit are
+    exact.  Each later step, up to the first guessed visit past the k that
+    ``rule`` verifies, is decided again at the state the guess implies.  The
+    steps before the first disagreement are kept.  At it the state is exact,
+    so a guessed visit that settles is kept too, and a guessed settle that
+    visits is left to the next round, which decides it again the same way.
+    The window doubles, up to ``_LAST_WINDOW``, after a round without a
+    guessed visit, or kept whole unless ``rule.restart``; else it falls back
+    to ``_FIRST_WINDOW``.  The search stops at a round start from step index
+    ``tail_from`` on once 2 * err < c_min: the policy is idle there and no
+    cost clears the agent's test, so no visit can follow.
     """
-    T = costs.shape[0]
-
-    def decide(lo: int, hi: int, err) -> np.ndarray:
-        offers = 0.0 if bases is None else _offers(bases[lo:hi], 2.0 * err)
-        went = policies.agent_decision(costs[lo:hi], offers, err)
-        went |= compel[lo:hi]
-        return went
-
     visits: list[int] = []
-    errs = bound(np.arange(_FIRST_WINDOW))
+    errs = bound(np.arange(_FIRST_WINDOW))  # the error bound by court count, doubled as needed
     s, window = 0, _FIRST_WINDOW
     while s < T:
         m = len(visits)
@@ -458,107 +440,113 @@ def _state_free_visits(
         if s >= tail_from and 2.0 * err < c_min:
             break
         stop = min(T, s + window)
-        guess = decide(s, stop, err)
+        guess = rule.decide(s, stop, err)
         guessed = np.flatnonzero(guess)
         if not guessed.size:
             s, window = stop, min(2 * window, _LAST_WINDOW)
             continue
         first = guessed.item(0)
-        errs = _err_table(bound, errs, m + len(guessed) + 1)
-        # If the guess holds, steps s + first + 1 .. stop - 1 follow m + 1 .. m + len(guessed) visits.
-        went = decide(s + first + 1, stop, errs[m + np.cumsum(guess[first:-1])])
-        differ = np.flatnonzero(went != guess[first + 1 :])
-        if differ.size:
-            kept, window = differ.item(0) + 1, _FIRST_WINDOW
-        else:
-            kept, window = len(went), min(2 * window, _LAST_WINDOW)
-        visits.append(s + first)
-        visits.extend((s + first + 1 + np.flatnonzero(went[:kept])).tolist())
+        k = rule.verify(guessed)
+        if m + k >= len(errs):
+            errs = bound(np.arange(2 * (m + k) + 1))
+        end = guessed.item(k) if k < len(guessed) else stop - s
+        # Steps s + first + 1 .. s + end - 1 follow 1 .. k guessed visits.
+        counts = np.cumsum(guess[first : end - 1])
+        went = rule.decide(s + first + 1, s + end, errs[m + counts], counts)
+        differ = np.flatnonzero(went != guess[first + 1 : end])
+        kept = len(went)
+        if differ.size:  # the state there is exact: keep the step if it settles
+            kept = differ.item(0) + (not went[differ.item(0)])
+        new = (s + guessed[: 1 + np.count_nonzero(went[:kept])]).tolist()
+        visits.extend(new)
+        rule.keep(new, not differ.size)
+        window = _FIRST_WINDOW if differ.size or rule.restart else min(2 * window, _LAST_WINDOW)
         s += first + 1 + kept
     return visits
+
+
+class _Decisions:
+    """A state-free policy's steps for ``_visits``: its compel mask OR'd with the agent's choice at its offer.
+
+    ``decide`` decides steps lo .. hi - 1 at the error bound ``err``, one for
+    all or one per step, and a re-decision gets ``counts``, the guessed visits
+    before each step; ``verify`` says how many of a round's guessed visits
+    (window indices) it verifies, here all; ``keep`` takes the kept visits.
+    """
+
+    restart = False  # the window doubles after a round kept whole
+
+    def __init__(self, costs: np.ndarray, compel: np.ndarray, bases: np.ndarray | None, fits: _LinearFits | None):
+        self.costs, self.compel, self.bases, self.fits = costs, compel, bases, fits
+
+    def decide(self, lo: int, hi: int, err, counts: np.ndarray | None = None) -> np.ndarray:
+        offers = 0.0 if self.bases is None else _offers(self.bases[lo:hi], 2.0 * err)
+        went = policies.agent_decision(self.costs[lo:hi], offers, err)
+        went |= self.compel[lo:hi]
+        return went
+
+    def verify(self, guessed: np.ndarray) -> int:
+        return len(guessed)
+
+    def keep(self, visits: list[int], whole: bool) -> None:
+        if self.fits is not None:  # at most _FLUSH at a time, so no stacked fit holds 2 * _FLUSH
+            for lo in range(0, len(visits), _FLUSH):
+                self.fits.add(visits[lo : lo + _FLUSH])
+
+
+class _KwikDecisions(_Decisions):
+    """A ``kwik`` run's steps: the gate, which writes the compel mask, OR'd with the agent's choice.
+
+    A guess gates the window's rows, augmented once, on the spectrum frozen
+    since the last visit; ``verify`` decomposes the Gram prefixes of the
+    first k guessed visits in one stacked ``eigh``, on which a re-decision
+    gates each row.  The round that keeps a row writes its mask entry last.
+    k doubles, up to ``_FLUSH``, after k guessed visits are all kept, and
+    falls back to 1 after a disagreement.  The fits get the kept visits'
+    spectra, so no fit decomposes again.
+    """
+
+    restart = True  # the window restarts after every round with a guessed visit
+
+    def __init__(self, costs: np.ndarray, compel: np.ndarray, fits: _LinearFits | None, xs: np.ndarray,
+                 thresholds: tuple[float, float]):
+        super().__init__(costs, compel, None, fits)
+        self.xs, self.thresholds = xs, thresholds
+        self.gram = np.zeros((xs.shape[1] + 1,) * 2)
+        self.spectrum = decompose(self.gram)
+        self.k = 1
+
+    def decide(self, lo: int, hi: int, err, counts: np.ndarray | None = None) -> np.ndarray:
+        if counts is None:
+            self.lo, self.rows = lo, augment(self.xs[lo:hi])
+            rows, spectrum = self.rows, self.spectrum
+        else:
+            rows, spectrum = self.rows[lo - self.lo : hi - self.lo], self.spectra.pick(counts - 1)
+        gated = policies._gate(spectrum, rows, *self.thresholds)
+        self.compel[lo:hi] = gated
+        return gated | policies.agent_decision(self.costs[lo:hi], 0.0, err)
+
+    def verify(self, guessed: np.ndarray) -> int:
+        picked = self.rows[guessed[: self.k]]
+        self.grams = _prefix_sums(self.gram, picked[:, :, None] * picked[:, None, :])
+        self.spectra = decompose(self.grams)
+        return len(picked)
+
+    def keep(self, visits: list[int], whole: bool) -> None:
+        done = len(visits)
+        if self.fits is not None:
+            self.fits.add(visits, self.spectra.pick(slice(done)))
+        self.gram, self.spectrum = self.grams[done - 1], self.spectra.pick(done - 1)
+        if not whole:
+            self.k = 1
+        elif done == self.k:
+            self.k = min(2 * self.k, _FLUSH)
 
 
 def _mean_rules(ys: np.ndarray, alpha: float) -> np.ndarray:
     """The clipped mean of the first k outcomes, k = 0, 1, ...: each sum is the running
     ``sum_y += y``'s, bit for bit, as the leading 0.0 makes the first ``0.0 + y``."""
     return _clip(np.cumsum(np.append(0.0, ys)) / np.maximum(np.arange(len(ys) + 1), 1), alpha)
-
-
-def _err_table(bound: Callable, errs: np.ndarray, m: int) -> np.ndarray:
-    """``errs``, the error bound by court count, extended (doubling) to cover count ``m``."""
-    return errs if m < len(errs) else bound(np.arange(2 * m + 1))
-
-
-def _kwik_visits(
-    xs: np.ndarray,
-    costs: np.ndarray,
-    thresholds: tuple[float, float],
-    bound: Callable,
-    compel: np.ndarray,
-    fits: _LinearFits | None,
-) -> list[int]:
-    """The court visits of a kwik run; ``compel`` is set where the gate fired.
-
-    Each round guesses, then verifies.  It gates a window of rows from the
-    current step on the spectrum frozen since the last visit, at the current
-    error bound; the rows up to the first guessed visit are exact.  The Gram
-    prefixes of the first k guessed visits (``np.cumsum`` from the current
-    Gram matrix) get one stacked ``eigh``, and each later row is decided
-    again on the prefix its guessed count c implies, against the bound after
-    c visits.  The rows before the first disagreement are kept.  At it the
-    state is exact, so a guessed visit that settles is decided too, while a
-    guessed settle that visits is left to the next round.  k doubles, up to
-    ``_FLUSH``, after k guessed visits are all kept, and falls back to 1 after
-    a disagreement; the window doubles, up to ``_LAST_WINDOW``, while nothing
-    is guessed.  The spectrum after each kept visit goes to ``fits`` (if any)
-    with it, so no fit decomposes again.
-    """
-    T = costs.shape[0]
-    alpha1, alpha2 = thresholds
-    gram = np.zeros((xs.shape[1] + 1,) * 2)
-    spectrum = decompose(gram)
-    errs = bound(np.arange(_FIRST_WINDOW))
-    visits: list[int] = []
-    s, window, k = 0, _FIRST_WINDOW, 1
-    while s < T:
-        m = len(visits)
-        stop = min(T, s + window)
-        rows = augment(xs[s:stop])
-        gated = policies._gate(spectrum, rows, alpha1, alpha2)
-        guess = gated | policies.agent_decision(costs[s:stop], 0.0, errs.item(m))
-        guessed = np.flatnonzero(guess)
-        if not guessed.size:
-            s, window = stop, min(2 * window, _LAST_WINDOW)
-            continue
-        first, window = guessed.item(0), _FIRST_WINDOW
-        picked = rows[guessed[:k]]
-        grams = _prefix_sums(gram, picked[:, :, None] * picked[:, None, :])
-        spectra = decompose(grams)
-        errs = _err_table(bound, errs, m + len(picked))
-        # Rows first + 1 .. end - 1 hold 1 .. len(picked) guessed visits before them.
-        end = guessed.item(k) if k < len(guessed) else stop - s
-        redo = slice(first + 1, end)
-        counts = np.cumsum(guess[first : end - 1])
-        regated = policies._gate(spectra.pick(counts - 1), rows[redo], alpha1, alpha2)
-        went = regated | policies.agent_decision(costs[s:stop][redo], 0.0, errs[m + counts])
-        differ = np.flatnonzero(went != guess[redo])
-        kept = len(went)
-        if differ.size:  # the re-decision there is exact: keep the row if it settles
-            kept = differ.item(0) + (not went[differ.item(0)])
-        done = 1 + int(np.count_nonzero(went[:kept]))
-        compel[s + first] = gated[first]
-        compel[s + first + 1 : s + first + 1 + kept] = regated[:kept]
-        new = (s + guessed[:done]).tolist()
-        visits.extend(new)
-        if fits is not None:
-            fits.add(new, spectra.pick(slice(done)))
-        gram, spectrum = grams[done - 1], spectra.pick(done - 1)
-        if differ.size:
-            k = 1
-        elif done == k:
-            k = min(2 * k, _FLUSH)
-        s += first + 1 + kept
-    return visits
 
 
 def _prefix_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -568,10 +556,10 @@ def _prefix_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 class _LinearFits:
-    """The linear rule after each court visit, fitted in stacked passes of ``_FLUSH`` visits.
+    """The linear rule after each court visit, fitted in a stacked pass once ``_FLUSH`` visits are queued.
 
     ``add`` queues visits (with the spectra of the Gram matrices after each,
-    when a kwik search has them); a flush builds the ``X^T y`` prefixes, and
+    when a kwik run has them); a flush builds the ``X^T y`` prefixes, and
     the Gram prefixes and their stacked ``eigh`` when no spectra came, and
     fits every queued visit at once.
     """
@@ -701,8 +689,9 @@ def estimate_regret(
     if _count("replications", replications) < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
     longest = max(configs, key=lambda config: config.horizon)
-    shared = (longest.truth, longest.cases, longest.costs, longest.learner, longest.seed)
-    if any((c.truth, c.cases, c.costs, c.learner, c.seed) != shared for c in configs):
+    # Compared by value, as a LinearTruth compares by identity.
+    shared = [{k: v for k, v in c.canonical().items() if k not in ("horizon", "policy")} for c in configs]
+    if any(entry != shared[0] for entry in shared):
         raise ConfigurationError("the cells of one sweep may differ only in policy and horizon")
     # Per cell: the online loss, offline loss, court count and subsidy paid of each replication.
     books = np.empty((len(configs), 4, replications))

@@ -282,8 +282,8 @@ def _quiet_kwik(horizon):
         (_linear_config(_GATE_NEVER, 3000, learner=_RADIUS, costs=_one_cheap_case(3000)), 1),
         (_linear_config(_GATE_NEVER, 3000, learner=LearnerKind(LearnerFamily.EMPIRICAL_MEAN),
                         costs=_one_cheap_case(3000)), 1),
-        # state-free linear runs that visit at every step: fitted in three
-        # flushes of sim._FLUSH visits, the last one partial
+        # state-free linear runs that visit at every step: their rounds of
+        # 64, 128, 256 and 252 visits are fitted in two flushes, of 448 and 252
         (_linear_config(DynamicCompellingConfig(), 700, learner=_OLS_5, costs=PointMassCosts(1e-4)), 700),
         (_linear_config(DynamicCompellingConfig(), 700, learner=_NORM_5, costs=PointMassCosts(1e-4)), 700),
         (_linear_config(EtcConfig(), 700, learner=_OLS_5, costs=PointMassCosts(1e-5)), 700),
@@ -305,8 +305,8 @@ def _quiet_kwik(horizon):
         # cut by the horizon (T = 12000), kept whole up to it (12225), or kept
         # whole with the next one cut to a single row (12226).
         *[(_quiet_kwik(horizon), 1) for horizon in (12_000, 12_225, 12_226)],
-        # The state-free search keeps a round's steps up to the first whose
-        # re-decision differs from the guess.  Found with a branch counter:
+        # For a state-free policy the search keeps a round's steps up to the
+        # first whose re-decision differs from the guess.  Found with a branch counter:
         # each row below has rounds kept whole and rounds cut at a
         # disagreement, except the etc rows (one kind each) and T = 63, 64
         # and 65 (kept whole).
@@ -315,7 +315,8 @@ def _quiet_kwik(horizon):
         # costs near 2 * err for hundreds of visits
         (_mean_config(DynamicCompellingConfig(), 3000, costs=UniformCosts(0.05, 0.1), seed=7), 542),
         # sequence costs equal to the point-mass subsidy base: the offer's rounding
-        # flips the re-decision both ways (a guessed visit settles, a guessed settle visits)
+        # flips the re-decision both ways (a guessed visit settles, a guessed settle
+        # visits and is left to the next round)
         (_mean_config(SubsidySamplingConfig(), 2000, costs=FixedCosts((2.0, 1.0, 1.5)), err_constant=0.3), 75),
         # the tail skip fires at the round after a disagreement, and after a
         # round kept whole (its window doubled)
@@ -330,6 +331,18 @@ def _quiet_kwik(horizon):
                                  (4095, 400), (4096, 400), (4097, 400)]],
         # no court visit: the cost 2.5 exceeds 2 * alpha, so every step settles on the empty-data rule
         (_mean_config(NoSubsidyConfig(), 100, costs=PointMassCosts(2.5)), 0),
+        # Branches of the one search (sim._visits) that no row above reaches,
+        # found with a branch counter.  Every step visits: the third round's
+        # visits fill the fits' queue past sim._FLUSH and it is fitted, so the
+        # final flush finds no visit left.
+        (_linear_config(DynamicCompellingConfig(), 448, learner=_OLS_5, costs=PointMassCosts(1e-4)), 448),
+        # the fourth round keeps 512 visits and hands them to the fits in two parts
+        (_linear_config(DynamicCompellingConfig(), 1000, learner=_OLS_5, costs=PointMassCosts(1e-4)), 1000),
+        # Bursts of 300 cheap cases after 500 dear ones: each burst starts in a
+        # window grown while nothing visited, so the kwik rule's k reaches
+        # sim._FLUSH in the second burst and is held there in the third.
+        (_linear_config(_GATE_NEVER, 2400, learner=_OLS_5,
+                        costs=FixedCosts((1e-4,) * 300 + (5.0,) * 500)), 900),
     ],
     ids=["kwik_T1", "state_free_T1", "block_cut_by_horizon", "flush_inside_block_sequence",
          "no_visit_after_the_first", "mean_learner_no_visit_after_the_first",
@@ -342,7 +355,8 @@ def _quiet_kwik(horizon):
          "state_free_tail_after_disagreement", "state_free_tail_after_whole_round", "state_free_last_window_cut",
          "state_free_T63", "state_free_T64", "state_free_T65", "state_free_T127", "state_free_T128",
          "state_free_T129", "state_free_T4095", "state_free_T4096", "state_free_T4097",
-         "state_free_no_visit"],
+         "state_free_no_visit", "state_free_last_round_flushes", "state_free_round_fitted_in_parts",
+         "kwik_k_held_at_flush"],
 )
 def test_run_edge_cases_match_step_loop(config, court_count):
     for keep_records in (True, False):
@@ -409,25 +423,54 @@ def test_environment_and_mean_baseline_have_no_throwaway_horizon_arrays():
 def test_kwik_search_stacks_its_eigh_calls(monkeypatch):
     # The memory test's run: one stacked eigh call per 8 or more court visits
     # (about 13 here), as a round decomposes the prefixes of all the visits it
-    # keeps in one call.
+    # keeps in one call.  The gate sees at most 9 rows per court visit (24,437
+    # rows for 2,962 visits here), as a window restarts at sim._FIRST_WINDOW
+    # rows after every round with a visit, so few rows past the verified
+    # visits are gated and then dropped.
     config = _linear_config(_KWIK, 10_000, learner=_NORM, dim=5, beta_scale=0.7, beta0=0.6,
                             sigma=0.05, seed=7)
     calls = []
-    eigh = np.linalg.eigh
+    gated = []
+    eigh, gate = np.linalg.eigh, policies._gate
 
     def counting_eigh(a, *args, **kwargs):
         calls.append(a.shape)
         return eigh(a, *args, **kwargs)
 
+    def counting_gate(spectrum, queries, *args):
+        gated.append(len(queries))
+        return gate(spectrum, queries, *args)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(policies, "_gate", counting_gate)
     ledger = sim.run(config, keep_records=False)
     assert 8 * len(calls) <= ledger.court_count
+    assert sum(gated) <= 9 * ledger.court_count
+
+
+def test_state_free_fits_stack_fewer_than_two_flushes(monkeypatch):
+    # A state-free round may keep up to sim._LAST_WINDOW visits (512 in the
+    # fourth round here); they reach the fits sim._FLUSH at a time, so one
+    # stacked eigh holds fewer than 2 * sim._FLUSH Gram matrices (448, 256,
+    # 256 and 40 here).
+    config = _linear_config(DynamicCompellingConfig(), 1000, learner=_OLS_5, costs=PointMassCosts(1e-4))
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        stacks.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert sim.run(config, keep_records=False).court_count == 1000
+    assert sum(stacks) == 1000
+    assert max(stacks) < 2 * sim._FLUSH
 
 
 def test_state_free_search_decides_windows_of_steps(monkeypatch):
     # One agent_decision call per 4 or more court visits (62 calls for 446
     # visits here), as a round decides a window of up to sim._LAST_WINDOW
-    # steps in two calls and keeps every step up to its first disagreement.
+    # steps in two calls and keeps every step before its first disagreement.
     config = _mean_config(DynamicCompellingConfig(), 100_000)
     calls = []
     decide = policies.agent_decision

@@ -148,8 +148,13 @@ class TestRunExperiment:
             ("sweep", (200, 50), "sweep must be increasing"),
             # rows and slopes are keyed by policy name
             ("policies", (EtcConfig(), EtcConfig()), "policies[1]: duplicate policy 'etc'"),
+            # refused before the output directory is made, as estimate_regret would refuse them
+            ("replications", 2.5, "replications must be an integer, got 2.5"),
+            ("replications", True, "replications must be an integer, got True"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
         ],
-        ids=["empty_sweep", "no_policies", "decreasing_sweep", "duplicate_policy"],
+        ids=["empty_sweep", "no_policies", "decreasing_sweep", "duplicate_policy",
+             "fractional_replications", "bool_replications", "fractional_seed"],
     )
     def test_hand_built_spec_meets_the_loader_checks(self, tmp_path, field, value, message):
         spec = small_spec(tmp_path)

@@ -356,8 +356,20 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match="differ only in policy and horizon"):
             estimate_regret(configs, 1)
 
+    def test_cells_share_a_linear_truth_by_value(self):
+        # A LinearTruth compares by identity, so each cell here builds its own.
+        def cell(horizon, beta=0.1):
+            return RunConfig(horizon=horizon, truth=LinearTruth(np.full(2, beta), 0.5, 0.1, 1.0),
+                             cases=BallCases(2), costs=PointMassCosts(1.0),
+                             learner=LearnerKind(LearnerFamily.OLS), policy=DynamicCompellingConfig(), seed=3)
 
-# Window edges of the visit searches (sim._FIRST_WINDOW, sim._LAST_WINDOW) and one step past.
+        configs = [cell(100), cell(200)]
+        assert estimate_regret(configs, 2) == [estimate_regret([config], 2)[0] for config in configs]
+        with pytest.raises(ConfigurationError, match="differ only in policy and horizon"):
+            estimate_regret([cell(100), cell(200, beta=0.2)], 1)
+
+
+# Window edges of the visit search (sim._FIRST_WINDOW, sim._LAST_WINDOW) and one step past.
 _CUT_HORIZONS = [1, 63, 64, 4096, 4097]
 _CUT_POLICIES = {
     "dynamic_compelling": DynamicCompellingConfig(),
