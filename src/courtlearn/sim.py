@@ -16,17 +16,19 @@ Every policy states its actions for the whole horizon up front
 ``kwik`` run starts all False and its gate sets it as the search goes.  Each
 round guesses a window of up to ``_LAST_WINDOW`` steps at the current state,
 decides the steps after the first guessed visit again at the states the
-guessed visits imply (for ``kwik``, up to ``_FLUSH`` of them, their Gram
-prefixes in one stacked ``eigh``), and keeps the steps up to the first
-disagreement, which is exact.  The kept visits are fitted as they come: a
-linear rule in a stacked pass once ``_FLUSH`` or more wait, a mean one at the
-end by one ``np.cumsum``.  Last, the scoring pass derives the rest from the visits
-and one error-bound table by court count: the subsidy paid, the start of the
-closed-form tail, and the spans, the number of steps at each court count.
-Each rule is repeated over its span for the predictions.  Without records
-the squared errors and the running loss are computed in place in the
-predictions' array, and only the visits add their court fee, so a run holds
-no throwaway array of its horizon.
+guessed visits imply (for ``kwik``, the first k of them, their Gram prefixes
+in one stacked ``eigh``; k doubles up to ``_FLUSH`` while a round keeps all
+k, and after a disagreement it is the number of visits that round kept), and
+keeps the steps up to the first disagreement, which is exact.  The kept
+visits are fitted as they come: a linear rule in a stacked pass once
+``_FLUSH`` or more wait, a mean one at the end by one ``np.cumsum``.  Last,
+the scoring pass derives the rest from the visits and one error-bound table
+by court count: the subsidy paid, the start of the closed-form tail, and the
+spans, the number of steps at each court count.  Each rule is repeated over
+its span for the predictions.  Without records the squared errors and the
+running loss are computed in place in the predictions' array, and only the
+visits add their court fee, so a run holds no throwaway array of its
+horizon.
 
 The environment (cases, noise, costs) is pre-drawn from seed-derived streams
 that are split per concern, so every policy faces the identical sequence for
@@ -299,13 +301,16 @@ def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger
     ``keep_records=False`` leaves ``ledger.steps`` empty (the totals are
     still exact); use it when aggregating many replications.
     """
-    return _simulate([config], draw_environment(config, rep), rep, keep_records)[0]
+    return _simulate([config], [config.digest()], draw_environment(config, rep), rep, keep_records)[0]
 
 
-def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records: bool) -> list[RunLedger]:
+def _simulate(
+    configs: list[RunConfig], digests: list[str], env: Environment, rep: int, keep_records: bool
+) -> list[RunLedger]:
     """One replication's run at the last config's horizon, and its ledger at every config's.
 
     The configs differ only in horizon, ascending; the last one's is ``env``'s.
+    ``digests`` holds each config's ``digest()``, which its ledger carries.
     The run takes its policy's actions (``horizon_actions``), searches for the
     court visits, fits after each, then scores.  Scoring derives the subsidy
     paid, the start ``end`` of the closed-form tail (at or past the policy's
@@ -400,7 +405,8 @@ def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records
         )
     ledgers = []
     horizons = [cut.horizon for cut in configs]
-    for cut, horizon, count in zip(configs, horizons, np.searchsorted(visits, horizons).tolist()):
+    counts_at = np.searchsorted(visits, horizons).tolist()
+    for cut, digest, horizon, count in zip(configs, digests, horizons, counts_at):
         scored = min(horizon, end)  # past end, the formula prices the cut's own tail steps
         ledgers.append(
             RunLedger(
@@ -409,7 +415,7 @@ def _simulate(configs: list[RunConfig], env: Environment, rep: int, keep_records
                 court_count=count,
                 total_subsidy_paid=paid.item(count - 1) if count else 0.0,
                 seed=cut.seed,
-                config_digest=cut.digest(),
+                config_digest=digest,
             )
         )
     return ledgers
@@ -502,8 +508,12 @@ class _KwikDecisions(_Decisions):
     first k guessed visits in one stacked ``eigh``, on which a re-decision
     gates each row.  The round that keeps a row writes its mask entry last.
     k doubles, up to ``_FLUSH``, after k guessed visits are all kept, and
-    falls back to 1 after a disagreement.  The fits get the kept visits'
-    spectra, so no fit decomposes again.
+    after a disagreement falls back to ``done``, the visits that round kept
+    (1 <= done <= k).  Only a round with a disagreement decomposes prefixes
+    it drops, at most k - 1, and its k is at most the visits kept since the
+    previous disagreement, that round's included; so the dropped prefixes
+    never outnumber the visits.  The fits get the kept visits' spectra, so no
+    fit decomposes again.
     """
 
     restart = True  # the window restarts after every round with a guessed visit
@@ -538,7 +548,7 @@ class _KwikDecisions(_Decisions):
             self.fits.add(visits, self.spectra.pick(slice(done)))
         self.gram, self.spectrum = self.grams[done - 1], self.spectra.pick(done - 1)
         if not whole:
-            self.k = 1
+            self.k = done
         elif done == self.k:
             self.k = min(2 * self.k, _FLUSH)
 
@@ -695,13 +705,14 @@ def estimate_regret(
         raise ConfigurationError("the cells of one sweep may differ only in policy and horizon")
     # Per cell: the online loss, offline loss, court count and subsidy paid of each replication.
     books = np.empty((len(configs), 4, replications))
+    digests = [config.digest() for config in configs]  # once per sweep, not per replication
     for rep in range(replications):
-        _replicate(configs, longest, rep, books[:, :, rep], each)
+        _replicate(configs, digests, longest, rep, books[:, :, rep], each)
     return [_regret_report(config, cell) for config, cell in zip(configs, books)]
 
 
 def _replicate(
-    configs: list[RunConfig], longest: RunConfig, rep: int, books: np.ndarray, each
+    configs: list[RunConfig], digests: list[str], longest: RunConfig, rep: int, books: np.ndarray, each
 ) -> None:
     """One replication of every cell, booked into ``books`` (one row per cell).
 
@@ -711,6 +722,7 @@ def _replicate(
     otherwise each cell runs alone.  The cells are booked policy by policy,
     by ascending horizon within one, and a run's ledgers are views of its
     longest one's columns, so one long ledger is alive at a time.  The
+    ledgers carry the cells' ``digests``, computed once per sweep.  The
     environment and the ledgers are freed on return, before the next draw.
     """
     env = draw_environment(longest, rep)
@@ -737,7 +749,8 @@ def _replicate(
         )
         for run in [[i] for i in indices] if "horizon" in policy.run_fields else [indices]:
             prefix = prefixes[configs[run[-1]].horizon]
-            ledgers = dict(zip(run, _simulate([configs[i] for i in run], prefix, rep, keep_records)))
+            cells = [configs[i] for i in run]
+            ledgers = dict(zip(run, _simulate(cells, [digests[i] for i in run], prefix, rep, keep_records)))
             for i in run:
                 book(i, ledgers.pop(i))
 

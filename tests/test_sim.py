@@ -368,6 +368,26 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match="differ only in policy and horizon"):
             estimate_regret([cell(100), cell(200, beta=0.2)], 1)
 
+    def test_each_cell_is_digested_once_per_sweep(self, monkeypatch):
+        digested, ledgers = [], []
+        digest = RunConfig.digest
+
+        def counting(config):
+            digested.append(config)
+            return digest(config)
+
+        monkeypatch.setattr(RunConfig, "digest", counting)
+        configs = [
+            constant_config(horizon=horizon, policy=policy, costs=UniformCosts(0.5, 1.5), seed=4)
+            for policy in (NoSubsidyConfig(), EtcConfig())
+            for horizon in (10, 100)
+        ]
+        estimate_regret(configs, 3, lambda rep, index, ledger: ledgers.append((index, ledger)))
+        assert sorted(map(configs.index, digested)) == list(range(len(configs)))
+        assert len(ledgers) == 3 * len(configs)
+        for index, ledger in ledgers:
+            assert ledger.config_digest == digest(configs[index])
+
 
 # Window edges of the visit search (sim._FIRST_WINDOW, sim._LAST_WINDOW) and one step past.
 _CUT_HORIZONS = [1, 63, 64, 4096, 4097]
@@ -408,8 +428,8 @@ def _driver_runs(monkeypatch, configs, replications, keep_records):
     runs = []
     simulate = sim._simulate
 
-    def recording(cuts, env, rep, keep):
-        ledgers = simulate(cuts, env, rep, keep)
+    def recording(cuts, digests, env, rep, keep):
+        ledgers = simulate(cuts, digests, env, rep, keep)
         runs.append((rep, cuts, ledgers))
         return ledgers
 

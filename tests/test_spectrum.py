@@ -13,6 +13,7 @@ from courtlearn.core import (
     ConstantTruth,
     LinearTruth,
     PointMassCosts,
+    UniformCosts,
     augment,
     decompose,
     sample_cases,
@@ -181,12 +182,48 @@ def test_one_eigh_per_court_visit(monkeypatch, config):
 )
 def test_kwik_eigh_budget(monkeypatch, truth, family):
     # One matrix for the empty Gram matrix, one per court visit, and the
-    # prefixes guessed past a disagreement: a round that guesses k visits
-    # follows k - 1 visits kept since the last disagreement, so at most one
-    # more per visit.
+    # prefixes verified past a disagreement.  Only a round with a
+    # disagreement drops verified prefixes, at most k - 1 of its k, as it
+    # keeps at least its first visit.  Its k is at most the visits kept since
+    # the previous disagreement, that round's included (after a disagreement
+    # k is the visits that round kept, and it doubles only after a round that
+    # kept all k), and these stretches of rounds do not overlap: at most one
+    # more matrix per visit.
     calls = _count_eigh_matrices(monkeypatch)
     config = _run_config(truth, family, _KWIK)
     ledger = sim.run(config)
     assert 0 < ledger.court_count < config.horizon
     assert ledger.court_count + 1 <= sum(calls) <= 2 * ledger.court_count + 1
     assert len(calls) < ledger.court_count  # visits are decomposed in stacks
+    assert 16 * len(calls) <= ledger.court_count
+
+
+@st.composite
+def kwik_runs(draw):
+    """Kwik runs of dimension 1..9 at T <= 400, with explicit or default thresholds."""
+    dim = draw(st.integers(1, 9))
+    policy = draw(
+        st.builds(KwikConfig, st.just(0.25), st.just(0.05), alpha1_constant=st.sampled_from([1.0, 15.0, 100.0]))
+        | st.builds(KwikConfig, st.just(0.25), st.just(0.05), alpha1=st.floats(0.01, 3.0),
+                    alpha2=st.floats(0.01, 1.0))
+    )
+    beta = np.full(dim, draw(st.floats(0.0, 0.45)) / np.sqrt(dim))  # |beta| <= beta0 = 0.5
+    truth = LinearTruth(beta, 0.5, draw(st.sampled_from([0.0, 0.1, 0.5])), 1.0)
+    kind = LearnerKind(
+        draw(st.sampled_from([LearnerFamily.OLS, LearnerFamily.NORM_CONSTRAINED])),
+        err_constant=draw(st.sampled_from([0.3, 1.0, 5.0])),
+    )
+    c_min = draw(st.sampled_from([0.1, 1.0]) | st.floats(0.05, 3.0))
+    costs = draw(st.sampled_from([PointMassCosts(c_min), UniformCosts(c_min, 2.0 * c_min)]))
+    horizon = draw(st.integers(1, 400))
+    return sim.RunConfig(horizon, truth, BallCases(dim), costs, kind, policy, seed=draw(st.integers(0, 50)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=kwik_runs())
+def test_kwik_eigh_budget_holds_on_every_run(config):
+    # test_kwik_eigh_budget's bound, as an invariant of the search.
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_eigh_matrices(patch)
+        ledger = sim.run(config, keep_records=False)
+    assert sum(calls) <= 2 * ledger.court_count + 1
