@@ -1,22 +1,26 @@
 """Experiment configuration: a flat JSON schema, validated eagerly.
 
 Every validation error names the offending field path (``cost.c_min``,
-``policies[1].epsilon``, ...) so a sweep that dies does so before any run
-starts.  See the README for the full schema and defaults.
+``policies[1].epsilon``, ``sweep[2]``, ...) so a sweep that dies does so
+before any run starts.  Counts are checked by ``core._count`` in the class
+that holds them.  Any :class:`ExperimentSpec`, loaded or not, builds its
+(policy, horizon) cells, so a cell that cannot run refuses the spec, as do
+more cells times replications than ``sim._BOOKS_LIMIT`` (2**24).  See the
+README for the full schema and defaults.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
-from .core import CaseSpec, ConfigurationError, CostModel, GroundTruth, SingletonCases
+from .core import CaseSpec, ConfigurationError, CostModel, GroundTruth, SingletonCases, _count
 from .learners import LearnerFamily, LearnerKind
 from .policies import PolicyConfig
-from .sim import RunConfig, _count
+from .sim import RunConfig, _replications
 
 __all__ = ["ExperimentSpec", "load_config", "parse_config"]
 
@@ -37,6 +41,8 @@ class ExperimentSpec:
     replications: int
     seed: int
     out_dir: str
+    # Every (policy, horizon) cell's run config, by policy, then by ascending horizon.
+    cells: tuple[RunConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # ``dataclasses.replace`` re-runs these, so CLI overrides and hand-built
@@ -48,29 +54,24 @@ class ExperimentSpec:
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ConfigurationError(f"policies[{i}]: duplicate policy {name!r}")
-        if not self.sweep:
+        if not isinstance(self.sweep, (list, tuple)) or not self.sweep:
             raise ConfigurationError("sweep: expected a non-empty list of horizons")
+        sweep = tuple(_count(f"sweep[{i}]", horizon, 1) for i, horizon in enumerate(self.sweep))
         # The driver runs the horizons in ascending order, and kwik.csv lists them so.
-        if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
+        if any(b <= a for a, b in zip(sweep, sweep[1:])):
             raise ConfigurationError("sweep must be increasing")
-        for name in ("replications", "seed"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        if self.replications < 1:
-            raise ConfigurationError(f"replications: must be >= 1, got {self.replications}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
-
-    def run_config(self, policy: PolicyConfig, horizon: int) -> RunConfig:
-        """The run configuration of one (policy, horizon) cell."""
-        return RunConfig(
-            horizon=horizon,
-            truth=self.truth,
-            cases=self.cases,
-            costs=self.costs,
-            learner=self.learner,
-            policy=policy,
-            seed=self.seed,
-        )
+        object.__setattr__(self, "sweep", sweep)
+        replications = _replications(self.replications, len(self.policies) * len(sweep))
+        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
+        cells = []
+        for i, policy in enumerate(self.policies):
+            try:
+                cells += [RunConfig(h, self.truth, self.cases, self.costs, self.learner, policy, self.seed)
+                          for h in sweep]
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"policies[{i}] ({policy.name}): {exc}") from None
+        object.__setattr__(self, "cells", tuple(cells))
 
 
 class _Reader:
@@ -113,12 +114,6 @@ class _Reader:
             raise ConfigurationError(f"{self._at(key)}: expected a non-empty list")
         return [_finite(value, f"{self._at(key)}[{i}]") for i, value in enumerate(values)]
 
-    def integer(self, key: str, default: int | None = None) -> int:
-        value = self.require(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"{self._at(key)}: expected an integer, got {value!r}")
-        return value
-
     def string(self, key: str, default: str | None = None) -> str:
         value = self.require(key, default)
         if not isinstance(value, str):
@@ -141,8 +136,9 @@ def _finite(value: Any, path: str) -> float:
     return number
 
 
-# The reader of a section field by its type; any other type is a vector of numbers.
-_FIELD_READERS = {float: _Reader.number, int: _Reader.integer}
+# The reader of a section field by its type (an integer's class checks it); any other
+# type is a vector of numbers.
+_FIELD_READERS = {float: _Reader.number, int: _Reader.require}
 
 
 def _parse_kind(reader: _Reader, tag: str, union: Any, noun: str) -> Any:
@@ -223,7 +219,7 @@ def parse_config(data: dict) -> ExperimentSpec:
     costs = _parse_kind(root.child("cost"), "kind", CostModel, "cost model")
     learner = _parse_learner(root.child("learner"))
 
-    # ExperimentSpec itself refuses an empty list, a repeated policy and a sweep out of order.
+    # ExperimentSpec itself refuses an empty list, a repeated policy, a bad sweep or count, and a bad cell.
     raw_policies = root.require("policies")
     if not isinstance(raw_policies, list):
         raise ConfigurationError("policies: expected a non-empty list")
@@ -231,42 +227,27 @@ def parse_config(data: dict) -> ExperimentSpec:
         _parse_policy(entry, f"policies[{i}]") for i, entry in enumerate(raw_policies)
     )
 
-    raw_sweep = root.require("sweep")
-    if not isinstance(raw_sweep, list):
-        raise ConfigurationError("sweep: expected a non-empty list of horizons")
-    for i, value in enumerate(raw_sweep):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigurationError(f"sweep[{i}]: expected an integer horizon >= 1, got {value!r}")
-
-    replications = root.integer("replications", DEFAULT_REPLICATIONS)
+    sweep = root.require("sweep")
+    replications = root.require("replications", DEFAULT_REPLICATIONS)
     if "emit" in data:
         raise ConfigurationError(
             "emit: not supported; pass --ledgers to `courtlearn run` to write ledgers.jsonl"
         )
-    seed = root.integer("seed", 0)
+    seed = root.require("seed", 0)
     out_dir = root.string("out_dir", "results")
     root.reject_unknown()
 
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         truth=truth,
         cases=cases,
         costs=costs,
         learner=learner,
         policies=policies,
-        sweep=tuple(raw_sweep),
+        sweep=sweep,
         replications=replications,
         seed=seed,
         out_dir=out_dir,
     )
-    # Build every (policy, horizon) cell now so bad combinations fail at
-    # load time, not mid-sweep.
-    for i, policy in enumerate(spec.policies):
-        for horizon in spec.sweep:
-            try:
-                spec.run_config(policy, horizon)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"policies[{i}] ({policy.name}): {exc}") from None
-    return spec
 
 
 def load_config(path: str | Path) -> ExperimentSpec:

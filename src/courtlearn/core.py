@@ -45,6 +45,16 @@ class ConfigurationError(ValueError):
     """A run or experiment is configured inconsistently."""
 
 
+def _count(name: str, value, low: int | None = None) -> int:
+    """``value``, a Python or numpy integer, as an ``int``; a bool, any other
+    type, or a value below ``low`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConstantTruth:
     """Hidden rule f(x) = mu for every case, with noise level sigma and cap alpha."""
@@ -224,8 +234,7 @@ class BallCases:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ConfigurationError(f"cases.dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _count("cases.dim", self.dim, 1))
 
 
 CaseSpec = Union[SingletonCases, BallCases]

@@ -207,10 +207,10 @@ def run_experiment(spec: ExperimentSpec, *, ledgers: bool = False) -> dict[str, 
     succeeds or fails, it then removes every ledger part in the directory,
     its own and any left by a killed run.  So a failed sweep leaves no
     output, and the outputs in the directory come from one run.
-    Every cell's run config is built before the output directory, so a
+    The spec refused any cell that cannot run when it was built, so a
     refused cell leaves no directory behind.
     """
-    configs = [spec.run_config(policy, horizon) for policy in spec.policies for horizon in spec.sweep]
+    configs = list(spec.cells)
     out_dir = _output_dir(spec)
     outputs = {"regret": out_dir / "regret.csv", "slopes": out_dir / "slopes.csv"}
     if ledgers:
@@ -275,11 +275,10 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     rule on every settled case.  kwik.csv is written to a temporary name and
     renamed into place, so a failed write leaves an earlier kwik.csv whole.
     """
-    kwik_policies = [p for p in spec.policies if p.name == "kwik"]
-    if len(kwik_policies) != 1:
+    # Policy names are unique in a spec, so these are one policy's cells.
+    configs = [config for config in spec.cells if config.policy.name == "kwik"]
+    if not configs:
         raise ConfigurationError("kwik report needs exactly one kwik policy in the config")
-
-    configs = [spec.run_config(kwik_policies[0], horizon) for horizon in spec.sweep]
     out_dir = _output_dir(spec)
     lines = [KWIK_COLUMNS]
 

@@ -70,6 +70,7 @@ from .core import (
     LinearTruth,
     RunLedger,
     Spectrum,
+    _count,
     augment,
     canonical_digest,
     decompose,
@@ -101,6 +102,9 @@ _STREAM_POLICY = 4
 # headroom below the float maximum (about 1.8e8) keeps sums of such totals
 # over replications finite as well.
 _TOTAL_LIMIT = 1e300
+# A sweep refuses more cells times replications than this: its books hold four
+# float64 numbers per cell and replication, so they stay at or below 512 MiB.
+_BOOKS_LIMIT = 2**24
 
 # Steps in a visit search's first window, and in its window after a reset.
 _FIRST_WINDOW = 64
@@ -130,11 +134,15 @@ STEP_COLUMNS = {
 }
 
 
-def _count(name: str, value) -> int:
-    """``value``, a Python or numpy integer, as an ``int``; a bool or any other type is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _replications(replications, cells: int) -> int:
+    """``replications`` as an ``int``, refused below 1 or when a sweep of
+    ``cells`` cells would book more than ``_BOOKS_LIMIT`` entries."""
+    replications = _count("replications", replications, 1)
+    if cells * replications > _BOOKS_LIMIT:
+        raise ConfigurationError(
+            f"cells * replications must be <= {_BOOKS_LIMIT}, got {cells} * {replications}"
+        )
+    return replications
 
 
 def _stream(seed: int, rep: int, stream: int, extra: int | None = None) -> np.random.Generator:
@@ -155,16 +163,12 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("horizon", "seed"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        if self.horizon < 1:
-            raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(self, "horizon", _count("horizon", self.horizon, 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))  # SeedSequence takes no negative entropy
         if self.horizon > 2**53:  # dynamic_compelling computes its step numbers in float64
             raise ConfigurationError(
                 f"horizon must be <= 2**53, up to which float64 step numbers are exact, got {self.horizon}"
             )
-        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         case_dim = self.cases.dim
         if isinstance(self.truth, LinearTruth):
             if case_dim is None or case_dim != self.truth.dim:
@@ -273,8 +277,7 @@ def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
     sweep driver relies on this: it draws once, at the longest horizon, and
     runs every shorter one on a view of that draw.
     """
-    if _count("rep", rep) < 0:  # numpy's SeedSequence takes no negative entropy
-        raise ConfigurationError(f"rep must be >= 0, got {rep}")
+    _count("rep", rep, 0)  # numpy's SeedSequence takes no negative entropy
     T = config.horizon
     seed = config.seed
     xs = sample_cases(
@@ -696,8 +699,7 @@ def estimate_regret(
     """
     if not configs:
         raise ConfigurationError("configs must hold at least one cell, got none")
-    if _count("replications", replications) < 1:
-        raise ConfigurationError(f"replications must be >= 1, got {replications}")
+    replications = _replications(replications, len(configs))
     longest = max(configs, key=lambda config: config.horizon)
     # Compared by value, as a LinearTruth compares by identity.
     shared = [{k: v for k, v in c.canonical().items() if k not in ("horizon", "policy")} for c in configs]

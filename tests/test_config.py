@@ -67,7 +67,7 @@ class TestDefaults:
     def test_config_digest_describes_every_field_read(self, overrides):
         data = minimal_config(**overrides)
         spec = parse_config(data)
-        canonical = spec.run_config(spec.policies[0], spec.sweep[0]).canonical()
+        canonical = spec.cells[0].canonical()
         assert canonical["truth"] == data["truth"]
         assert canonical["cases"] == data.get("cases", {"kind": "singleton"})
         # the digest names a cost model by its class, as the pinned digests do
@@ -190,8 +190,8 @@ class TestFieldPathedErrors:
                 {"learner": {"kind": "empirical_mean", "err_constant": None}},
                 "learner.err_constant: expected a number, got None",
             ),
-            ({"replications": None}, "replications: expected an integer, got None"),
-            ({"seed": None}, "seed: expected an integer, got None"),
+            ({"replications": None}, "replications must be an integer, got None"),
+            ({"seed": None}, "seed must be an integer, got None"),
             ({"out_dir": None}, "out_dir: expected a string, got None"),
             # refused by BallCases itself, which names the field
             ({"cases": {"kind": "ball", "dim": 0}}, "cases.dim must be >= 1, got 0"),
@@ -255,7 +255,7 @@ class TestFieldPathedErrors:
             ({"cases": {"kind": "cube"}}, "cases.kind: unknown case space 'cube'"),
             ({"cost": {"kind": "free"}}, "cost.kind: unknown cost model 'free'"),
             ({"learner": {"kind": "svm"}}, "learner.kind: unknown learner 'svm'"),
-            ({"cases": {"kind": "ball", "dim": 1.5}}, "cases.dim: expected an integer, got 1.5"),
+            ({"cases": {"kind": "ball", "dim": 1.5}}, "cases.dim must be an integer, got 1.5"),
             ({"cost": {"kind": "uniform", "c_min": 1.0}}, "missing required field cost.c_max"),
             (
                 {
@@ -277,8 +277,8 @@ class TestFieldPathedErrors:
             ),
             ({"policies": "no_subsidy"}, "policies: expected a non-empty list"),
             ({"sweep": 100}, "sweep: expected a non-empty list of horizons"),
-            ({"sweep": [100, 0]}, "sweep[1]: expected an integer horizon >= 1, got 0"),
-            ({"sweep": [True]}, "sweep[0]: expected an integer horizon >= 1, got True"),
+            ({"sweep": [100, 0]}, "sweep[1] must be >= 1, got 0"),
+            ({"sweep": [True]}, "sweep[0] must be an integer, got True"),
             (
                 {"learner": {"kind": "empirical_mean", "err_constant": 0.0}},
                 "learner.err_constant must be > 0, got 0.0",
@@ -321,7 +321,7 @@ class TestFieldPathedErrors:
         out = tmp_path / "out"
         flag = ["--replications", "0"] if source == "flag" else []
         assert main(["run", str(path), "--out", str(out), *flag]) == 2
-        assert "replications: must be >= 1, got 0" in capsys.readouterr().err
+        assert "replications must be >= 1, got 0" in capsys.readouterr().err
         assert not (out / "regret.csv").exists()
 
     @pytest.mark.parametrize(
@@ -447,18 +447,29 @@ class TestFieldPathedErrors:
         rows = (out / "regret.csv").read_text().splitlines()[1:]
         assert [(row.split(",")[1], float(row.split(",")[4])) for row in rows] == [("10", 10.0), ("1000", 1000.0)]
 
+    def test_replications_beyond_the_books_bound_refused_at_load(self, tmp_path, capsys):
+        # the sweep would book 3 * 10**11 entries (8.73 TiB) before its first replication
+        data = json.loads((_ROOT / "configs" / "demo.json").read_text())
+        data.update(sweep=[1], replications=10**11)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "cells * replications must be <= 16777216, got 3 * 100000000000" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["config", "flag"])
     def test_negative_seed_rejected(self, tmp_path, capsys, source):
         data = minimal_config(seed=-3) if source == "config" else minimal_config()
         if source == "config":
-            with pytest.raises(ConfigurationError, match=r"^seed: must be >= 0, got -3$"):
+            with pytest.raises(ConfigurationError, match=r"^seed must be >= 0, got -3$"):
                 parse_config(data)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "out"
         flag = ["--seed", "-3"] if source == "flag" else []
         assert main(["run", str(path), "--out", str(out), *flag]) == 2
-        assert "seed: must be >= 0, got -3" in capsys.readouterr().err
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not (out / "regret.csv").exists()
 
     @pytest.mark.parametrize(

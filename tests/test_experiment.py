@@ -132,11 +132,11 @@ class TestRunExperiment:
         assert total == entry["total_loss"]
 
     def test_refused_cell_creates_no_output_directory(self, tmp_path):
-        # Every cell's run config is built before the output directory.
+        # A spec builds every cell's run config, so a refused cell never reaches the run.
         spec = small_spec(tmp_path)
-        spec = dataclasses.replace(spec, policies=spec.policies + kwik_spec(tmp_path).policies)
-        with pytest.raises(ConfigurationError, match="^kwik policy requires vector cases$"):
-            run_experiment(spec, ledgers=True)
+        with pytest.raises(ConfigurationError, match=r"^policies\[2\] \(kwik\): kwik policy requires vector cases$"):
+            run_experiment(dataclasses.replace(spec, policies=spec.policies + kwik_spec(tmp_path).policies),
+                           ledgers=True)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -152,9 +152,13 @@ class TestRunExperiment:
             ("replications", 2.5, "replications must be an integer, got 2.5"),
             ("replications", True, "replications must be an integer, got True"),
             ("seed", 1.5, "seed must be an integer, got 1.5"),
+            # each horizon is checked with its field path, before the order
+            ("sweep", (10, 20.5), "sweep[1] must be an integer, got 20.5"),
+            ("sweep", (10, True), "sweep[1] must be an integer, got True"),
         ],
         ids=["empty_sweep", "no_policies", "decreasing_sweep", "duplicate_policy",
-             "fractional_replications", "bool_replications", "fractional_seed"],
+             "fractional_replications", "bool_replications", "fractional_seed",
+             "fractional_horizon", "bool_horizon"],
     )
     def test_hand_built_spec_meets_the_loader_checks(self, tmp_path, field, value, message):
         spec = small_spec(tmp_path)
@@ -261,7 +265,7 @@ class TestSweepMatchesCells:
         regret = run_experiment(spec)["regret"].read_text()
         spec = dataclasses.replace(spec, out_dir=str(tmp_path / "ledgers"))
         ledgers = run_experiment(spec, ledgers=True)["ledgers"].read_text()
-        configs = [spec.run_config(p, horizon) for p in spec.policies for horizon in spec.sweep]
+        configs = list(spec.cells)
 
         reports = estimate_regret(configs, 3)
         assert reports == [estimate_regret([config], 3)[0] for config in configs]
@@ -280,10 +284,10 @@ class TestSweepMatchesCells:
                 stream.write("\n")
         assert ledgers == stream.getvalue()
 
-        kwik = [p for p in spec.policies if p.name == "kwik"]
+        kwik = [cell for cell in spec.cells if cell.policy.name == "kwik"]
         if kwik:
             lines = kwik_report(spec)["kwik"].read_text().splitlines()[1:]
-            assert lines == [_kwik_row(spec.run_config(kwik[0], horizon)) for horizon in spec.sweep]
+            assert lines == [_kwik_row(cell) for cell in kwik]
 
     def test_every_caller_draws_once_per_replication(self, tmp_path, monkeypatch):
         # kwik_report runs replication 0 of every horizon on one draw, at the
@@ -301,7 +305,7 @@ class TestSweepMatchesCells:
         assert [line.split(",")[0] for line in lines[1:]] == ["100", "200", "400"]
         assert draws == [(400, 0)]
         draws.clear()
-        check_deterrent(spec.run_config(spec.policies[0], 50), 4)
+        check_deterrent(dataclasses.replace(spec.cells[0], horizon=50), 4)
         assert draws == [(50, rep) for rep in range(4)]
 
     @pytest.mark.parametrize("ledgers", [False, True])
@@ -346,7 +350,7 @@ class TestSweepMatchesCells:
             cost={"kind": "uniform", "c_min": 1.0, "c_max": 2.0}, sweep=list(range(3, 15)),
             replications=2,
         )
-        configs = [spec.run_config(p, horizon) for p in spec.policies for horizon in spec.sweep]
+        configs = list(spec.cells)
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "ledgers.jsonl.0.tmp").write_text("stale\n")
         soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
@@ -559,11 +563,9 @@ class TestKwikReport:
             kwik_report(spec)
 
     def test_singleton_cases_refused_by_the_run_config(self, tmp_path):
-        # A hand-built spec skips the loader's cell check; RunConfig still refuses it.
-        spec = dataclasses.replace(small_spec(tmp_path), policies=kwik_spec(tmp_path).policies)
-        with pytest.raises(ConfigurationError, match="^kwik policy requires vector cases$"):
-            kwik_report(spec)
-        # Every horizon's run config is built before the output directory.
+        # A hand-built spec builds its cells as a loaded one does; RunConfig refuses this one.
+        with pytest.raises(ConfigurationError, match=r"^policies\[0\] \(kwik\): kwik policy requires vector cases$"):
+            kwik_report(dataclasses.replace(small_spec(tmp_path), policies=kwik_spec(tmp_path).policies))
         assert not (tmp_path / "out").exists()
 
 

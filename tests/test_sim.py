@@ -483,7 +483,7 @@ class TestCutRuns:
 )
 def test_regret_does_not_depend_on_keeping_records():
     spec = load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
-    cells = [spec.run_config(next(p for p in spec.policies if p.name == "etc"), 1000)]
+    cells = [cell for cell in spec.cells if cell.policy.name == "etc" and cell.horizon == 1000]
     assert estimate_regret(cells, 2) == estimate_regret(cells, 2, lambda *args: None)
 
 
@@ -534,11 +534,19 @@ class TestRunConfigValidation:
             (lambda: estimate_regret([constant_config()], 2.5), "replications must be an integer, got 2.5"),
             (lambda: check_deterrent(constant_config(), 2.5), "replications must be an integer, got 2.5"),
             (lambda: check_deterrent(constant_config(), True), "replications must be an integer, got True"),
+            # refused before the books of 10**11 replications are allocated
+            (
+                lambda: estimate_regret([constant_config()], 10**11),
+                r"cells \* replications must be <= 16777216, got 1 \* 100000000000",
+            ),
+            (lambda: BallCases(2.5), "cases.dim must be an integer, got 2.5"),
+            (lambda: BallCases(True), "cases.dim must be an integer, got True"),
         ],
         ids=[
             "negative_seed", "negative_rep", "no_cells", "float_horizon", "bool_horizon", "float_seed",
             "bool_seed", "str_seed", "float_rep", "bool_rep", "float_replications",
-            "float_deterrent_replications", "bool_deterrent_replications",
+            "float_deterrent_replications", "bool_deterrent_replications", "too_many_replications",
+            "float_dim", "bool_dim",
         ],
     )
     def test_public_calls_refuse_bad_input(self, call, message):
