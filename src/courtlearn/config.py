@@ -5,7 +5,8 @@ Every validation error names the offending field path (``cost.c_min``,
 before any run starts.  Counts are checked by ``core._count`` in the class
 that holds them.  Any :class:`ExperimentSpec`, loaded or not, builds its
 (policy, horizon) cells, so a cell that cannot run refuses the spec, as do
-more cells times replications than ``sim._BOOKS_LIMIT`` (2**24).  See the
+more cells times replications than ``sim._BOOKS_LIMIT`` (2**24) and a
+``cases.dim`` above ``sim._DIM_LIMIT`` (127).  See the
 README for the full schema and defaults.
 """
 

@@ -7,14 +7,16 @@ seed and the replication index, so the cells of a sweep share each
 replication's draw.  CSV floats are written with 12 significant digits;
 ledger floats in ``json``'s shortest round-trip form, byte-equal to
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the whole line,
-although each run of equal values in a step column is encoded once, and the
-``t`` and ``cost`` columns once per replication.  The replications are run
-by ``sim.estimate_regret``, which cuts a policy's shorter horizons from its
-run at the longest one where the policy's law does not read the horizon;
-this module sees only the reports it returns and the ledgers it hands to a
-per-run hook, replication by replication, policy by policy, and by
-ascending horizon within a policy.  A run writes every output to a
-temporary name and renames them all at the end.
+although each run of equal values in a step column is encoded once, the
+``t`` column once per sweep and the ``cost`` column once per replication.
+Ledger lines are written as ASCII bytes to binary part files, each column
+streamed piece by piece, and end in ``\\n`` on every platform.  The
+replications are run by ``sim.estimate_regret``, which cuts a policy's
+shorter horizons from its run at the longest one where the policy's law
+does not read the horizon; this module sees only the reports it returns and
+the ledgers it hands to a per-run hook, replication by replication, policy
+by policy, and by ascending horizon within a policy.  A run writes every
+output to a temporary name and renames them all at the end.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import math
 import os
 import re
 import shutil
+from itertools import chain, repeat
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -44,6 +47,12 @@ KWIK_COLUMNS = (
     "fraction_predictions_within_eps,max_abs_prediction_error"
 )
 _LEDGER_PART = re.compile(r"ledgers\.jsonl\.[0-9]+\.tmp")
+# Bytes a ledger part buffers before it writes to its file.
+_PART_BUFFER = 64 * 1024
+# The most steps one piece of a column's text covers.
+_PIECE = 4096
+# ``json.dumps(..., separators=(",", ":"))`` without building an encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _csv_row(values: tuple, file_name: str) -> str:
@@ -81,41 +90,63 @@ def _write_text(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _column_json(column: np.ndarray) -> str:
-    """A step column's JSON array body, byte-equal to ``json``'s encoding of
+def _column_json(column: np.ndarray) -> Iterable[bytes | memoryview]:
+    """A step column's JSON array body as a lazy sequence of ASCII pieces,
+    whose concatenation is byte-equal to ``json``'s encoding of
     ``column.tolist()`` (bool columns as 0/1).  The column is bool, int64 or
     float64, as in ``sim.STEP_COLUMNS``.
 
     Runs of equal values are found on the int64 bit view, which keeps -0.0
     apart from 0.0.  When at most half the steps start a run, the run values
-    are encoded once, by ``json``, and each run's text is repeated by ``str``
-    multiplication; any other column is encoded by ``json`` as a whole.
+    are encoded once, by ``json``, and each run's text is repeated by bytes
+    multiplication; any other column is encoded by ``json`` ``_PIECE`` values
+    at a time.  A piece covers at most ``_PIECE`` steps, so no text the
+    length of a long column is built; a bool column is one view of an array
+    of its characters.
     """
     if column.dtype == bool:
         chars = np.full(2 * len(column), ord(","), dtype=np.uint8)
         chars[::2] = column
         chars[::2] += ord("0")
-        return chars[:-1].tobytes().decode("ascii")
+        return (chars.data[:-1],)
     bits = column.view(np.int64)
     ends = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, len(column))
     if 2 * len(ends) > len(column):
-        return json.dumps(column.tolist(), separators=(",", ":"))[1:-1]
-    texts = json.dumps(column[ends - 1].tolist(), separators=(",", ":"))[1:-1].split(",")
+        return _dense_pieces(column)
+    texts = _ENCODER.encode(column[ends - 1].tolist())[1:-1].encode("ascii").split(b",")
     counts = np.diff(ends, prepend=0)
     counts[-1] -= 1  # the last step's text goes in without its comma
-    return "".join([*map(str.__mul__, [t + "," for t in texts], counts.tolist()), texts[-1]])
+    return chain(_run_pieces([t + b"," for t in texts], counts.tolist()), texts[-1:])
+
+
+def _dense_pieces(column: np.ndarray) -> Iterator[bytes]:
+    """``json``'s text of ``_PIECE`` values at a time; each piece after the first starts with its comma."""
+    for lo in range(0, len(column), _PIECE):
+        text = _ENCODER.encode(column[lo : lo + _PIECE].tolist())[1:-1]
+        yield (f",{text}" if lo else text).encode("ascii")
+
+
+def _run_pieces(texts: list[bytes], counts: list[int]) -> Iterator[bytes]:
+    """Each run's text ``count`` times over; a run longer than ``_PIECE``
+    steps goes in pieces of ``_PIECE`` steps, all one bytes object."""
+    for text, count in zip(texts, counts):
+        if count > _PIECE:
+            yield from repeat(text * _PIECE, count // _PIECE)
+            count %= _PIECE
+        yield text * count
 
 
 def _ledger_line(
-    stream: TextIO, policy: str, horizon: int, rep: int, ledger: RunLedger,
-    shared: dict[str, str] | None = None,
+    stream: BinaryIO, policy: str, horizon: int, rep: int, ledger: RunLedger,
+    shared: dict[str, list[bytes]] | None = None,
 ) -> None:
     """Write one replication's JSONL line (without its newline) to ``stream``.
 
     The bytes equal ``json.dumps(line, sort_keys=True, separators=(",", ":"))``
-    of the whole line, but each step column is encoded by :func:`_column_json`
-    and written as its own piece, so the line is never held as one string.
-    ``shared`` maps a column's name to its text when it is already encoded.
+    of the whole line, in ASCII, but each step column is streamed as the
+    pieces of :func:`_column_json` through ``stream.writelines``, so neither
+    the line nor a whole column is held as one string.  ``shared`` maps a
+    column's name to its pieces when they are already encoded.
     """
     header = json.dumps(
         {
@@ -134,49 +165,62 @@ def _ledger_line(
     )
     # Quotes inside JSON strings are escaped, so this text can only be the key.
     head, _, tail = header.partition('"steps":null')
-    stream.write(head)
-    stream.write('"steps":{')
+    stream.write(f'{head}"steps":{{'.encode("ascii"))
     for i, name in enumerate(sorted(ledger.steps)):
-        stream.write(f'{"," if i else ""}{json.dumps(name)}:[')
-        text = shared.get(name) if shared else None
-        stream.write(_column_json(ledger.steps[name]) if text is None else text)
-        stream.write("]")
-    stream.write("}")
-    stream.write(tail)
+        stream.write(f'{"," if i else ""}{json.dumps(name)}:['.encode("ascii"))
+        pieces = shared.get(name) if shared else None
+        stream.writelines(_column_json(ledger.steps[name]) if pieces is None else pieces)
+        stream.write(b"]")
+    stream.write(f"}}{tail}".encode("ascii"))
+
+
+def _prefix_pieces(cache: dict[int, list[bytes]], column: np.ndarray, horizon: int) -> list[bytes]:
+    """``column[:horizon]``'s pieces, kept in ``cache`` by horizon.
+
+    A new horizon encodes only the steps since the longest cached horizon
+    below it and adds them to that horizon's pieces after a comma.  That is
+    byte-equal to the prefix's own encoding, whichever path
+    :func:`_column_json` takes for each segment, as all are the text of
+    ``json``.
+    """
+    if horizon not in cache:
+        done = max((h for h in cache if h < horizon), default=0)
+        pieces = list(_column_json(column[done:horizon]))
+        cache[horizon] = [*cache[done], b",", *pieces] if done else pieces
+    return cache[horizon]
 
 
 def _ledger_writer(configs: list[RunConfig], parts: list[Path]):
     """A sweep's per-run hook (see ``sim.estimate_regret``): each ledger's line goes to its cell's part.
 
-    The ``t`` and ``cost`` columns are the same for every cell of a
-    replication, up to the cell's horizon, so the hook keeps each horizon's
-    text for the replication.  It encodes them in segments between
-    consecutive horizons: the first ledger of a replication at a new horizon
-    adds the steps since the longest horizon below it that has a text, and
-    a horizon's text is its segments joined by commas.  That is byte-equal
-    to the prefix's own encoding, whichever path :func:`_column_json` takes
-    for each, as all are the text of ``json.dumps``.  A part is opened for
-    each line, never kept open, so a sweep of any number of cells holds one
-    part open at a time; replication 0 truncates the part, so a part left
-    behind by a killed run is not kept.
+    The ``t`` column is 1..T in every run, and the ``cost`` column is the
+    same for every cell of a replication, up to the cell's horizon.  So the
+    hook encodes ``t`` once per sweep and ``cost`` once per replication, in
+    segments between consecutive horizons (:func:`_prefix_pieces`).  A part
+    is a binary file with a ``_PART_BUFFER`` write buffer, so every line ends
+    in ``\\n`` on every platform.  A part is opened for each line, never kept
+    open, so a sweep of any number of cells holds one part open at a time;
+    replication 0 truncates the part, so a part left behind by a killed run
+    is not kept.
     """
-    current, texts = -1, {}  # texts: horizon -> {name: text} of the current replication
+    t_pieces: dict[int, list[bytes]] = {}  # for the whole sweep
+    cost_pieces: dict[int, list[bytes]] = {}  # for the current replication
+    current = -1
 
     def write(rep: int, index: int, ledger: RunLedger) -> None:
-        nonlocal current, texts
+        nonlocal current
         config = configs[index]
         horizon = config.horizon
         if rep != current:
-            current, texts = rep, {}
-        if horizon not in texts:
-            done = max((h for h in texts if h < horizon), default=0)
-            texts[horizon] = {}
-            for name in ("t", "cost"):
-                piece = _column_json(ledger.steps[name][done:horizon])
-                texts[horizon][name] = f"{texts[done][name]},{piece}" if done else piece
-        with parts[index].open("w" if rep == 0 else "a") as stream:
-            _ledger_line(stream, config.policy.name, horizon, rep, ledger, texts[horizon])
-            stream.write("\n")
+            current = rep
+            cost_pieces.clear()
+        shared = {
+            "t": _prefix_pieces(t_pieces, ledger.steps["t"], horizon),
+            "cost": _prefix_pieces(cost_pieces, ledger.steps["cost"], horizon),
+        }
+        with parts[index].open("wb" if rep == 0 else "ab", buffering=_PART_BUFFER) as stream:
+            _ledger_line(stream, config.policy.name, horizon, rep, ledger, shared)
+            stream.write(b"\n")
 
     return write
 

@@ -102,15 +102,21 @@ _STREAM_POLICY = 4
 # headroom below the float maximum (about 1.8e8) keeps sums of such totals
 # over replications finite as well.
 _TOTAL_LIMIT = 1e300
+# The most bytes one stacked array of a sweep or a run may take.
+_STACK_BYTES = 2**29
 # A sweep refuses more cells times replications than this: its books hold four
-# float64 numbers per cell and replication, so they stay at or below 512 MiB.
-_BOOKS_LIMIT = 2**24
+# float64 numbers per cell and replication, so they stay within _STACK_BYTES.
+_BOOKS_LIMIT = _STACK_BYTES // 32
 
 # Steps in a visit search's first window, and in its window after a reset.
 _FIRST_WINDOW = 64
 # A visit search's window stops doubling here: it bounds the search arrays,
 # (window, dim + 1) rows for the kwik gate.
 _LAST_WINDOW = 4096
+# RunConfig refuses a larger case dimension.  A kwik re-decision picks a
+# (dim + 1)^2 float64 spectrum for each of up to _LAST_WINDOW - 1 rows, and
+# that stack stays within _STACK_BYTES; so dim <= 127.
+_DIM_LIMIT = math.isqrt(_STACK_BYTES // (8 * (_LAST_WINDOW - 1))) - 1
 # Queued court visits that set off a stacked fit, and the most guessed kwik visits decomposed at once.
 _FLUSH = 256
 # Rows per stacked prediction product.
@@ -170,6 +176,11 @@ class RunConfig:
                 f"horizon must be <= 2**53, up to which float64 step numbers are exact, got {self.horizon}"
             )
         case_dim = self.cases.dim
+        if case_dim is not None and case_dim > _DIM_LIMIT:
+            raise ConfigurationError(
+                f"cases.dim must be <= {_DIM_LIMIT}, so that a run's stacked (dim + 1)^2 arrays"
+                f" stay within {_STACK_BYTES >> 20} MiB, got {case_dim}"
+            )
         if isinstance(self.truth, LinearTruth):
             if case_dim is None or case_dim != self.truth.dim:
                 raise ConfigurationError(

@@ -1,5 +1,6 @@
 """Config parsing: defaults, field-pathed errors, and validation."""
 
+import dataclasses
 import json
 import re
 import warnings
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from courtlearn import sim
 from courtlearn.cli import main
 from courtlearn.config import load_config, parse_config
-from courtlearn.core import ConfigurationError, PointMassCosts, SingletonCases, UniformCosts
+from courtlearn.core import BallCases, ConfigurationError, PointMassCosts, SingletonCases, UniformCosts
 
 
 def minimal_config(**overrides):
@@ -456,6 +458,36 @@ class TestFieldPathedErrors:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "cells * replications must be <= 16777216, got 3 * 100000000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [127, 128, 10**12])
+    def test_case_dimension_beyond_the_stack_bound_refused_at_load(self, tmp_path, capsys, dim):
+        # a kwik re-decision stacks a (dim + 1)^2 float64 spectrum for each of
+        # up to _LAST_WINDOW - 1 rows; 127 is the largest dim within 512 MiB,
+        # and 10**12 would otherwise load and die drawing a (T, dim) array
+        stacked = (sim._LAST_WINDOW - 1) * 8 * (dim + 1) ** 2
+        ok = dim == 127
+        assert (stacked <= 2**29) == ok
+        data = minimal_config(cases={"kind": "ball", "dim": dim}, learner={"kind": "ols"}, sweep=[10],
+                              replications=2)
+        base = parse_config(minimal_config(cases={"kind": "ball", "dim": 2}, learner={"kind": "ols"}))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        if ok:
+            assert parse_config(data).cells[0].cases.dim == dim
+            assert dataclasses.replace(base, cases=BallCases(dim)).cells[0].cases.dim == dim
+            assert main(["run", str(path), "--out", str(out)]) == 0
+            assert len((out / "regret.csv").read_text().splitlines()) == 2
+            return
+        message = (f"policies[0] (no_subsidy): cases.dim must be <= 127, so that a run's stacked"
+                   f" (dim + 1)^2 arrays stay within 512 MiB, got {dim}")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(data)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(base, cases=BallCases(dim))
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["config", "flag"])

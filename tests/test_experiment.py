@@ -1,5 +1,6 @@
 """Result emission: CSV contracts, reproducibility, ledgers, and the CLI."""
 
+import collections
 import dataclasses
 import io
 import json
@@ -264,7 +265,7 @@ class TestSweepMatchesCells:
         # the last digits of etc's rows
         regret = run_experiment(spec)["regret"].read_text()
         spec = dataclasses.replace(spec, out_dir=str(tmp_path / "ledgers"))
-        ledgers = run_experiment(spec, ledgers=True)["ledgers"].read_text()
+        ledgers = run_experiment(spec, ledgers=True)["ledgers"].read_bytes()
         configs = list(spec.cells)
 
         reports = estimate_regret(configs, 3)
@@ -277,11 +278,11 @@ class TestSweepMatchesCells:
             ), "regret.csv"))
         assert regret.splitlines()[1:] == rows
 
-        stream = io.StringIO()
+        stream = io.BytesIO()
         for config in configs:
             for rep in range(3):
                 _ledger_line(stream, config.policy.name, config.horizon, rep, run(config, rep))
-                stream.write("\n")
+                stream.write(b"\n")
         assert ledgers == stream.getvalue()
 
         kwik = [cell for cell in spec.cells if cell.policy.name == "kwik"]
@@ -338,6 +339,29 @@ class TestSweepMatchesCells:
         kwik_report(kwik_spec(tmp_path, sweep=[100, 200, 400]))
         assert runs == [("kwik", [100, 200, 400])]
 
+    def test_t_is_encoded_once_per_sweep(self, tmp_path, monkeypatch):
+        # t is 1..T in every run, so each of its segments between consecutive
+        # horizons is encoded once for the sweep, whatever the replication and
+        # policy counts; the whole columns a line encodes start at step 1,
+        # where m_before, the other int64 column, is 0
+        segments = collections.Counter()
+        column_json = experiment._column_json
+
+        def counting(column):
+            if column.dtype == np.int64 and column.size and column[0] >= 1:
+                if np.array_equal(column, np.arange(column[0], column[0] + column.size)):
+                    segments[column[0].item(), column[-1].item()] += 1
+            return column_json(column)
+
+        monkeypatch.setattr(experiment, "_column_json", counting)
+        spec = small_spec(tmp_path, replications=3)
+        assert len(spec.policies) == 2 and spec.sweep == (50, 100, 200)
+        ledgers = run_experiment(spec, ledgers=True)["ledgers"].read_text().splitlines()
+        assert segments == {(1, 50): 1, (51, 100): 1, (101, 200): 1}
+        assert [json.loads(line)["steps"]["t"] for line in ledgers] == [
+            list(range(1, config.horizon + 1)) for config in spec.cells for _ in range(3)
+        ]
+
     def test_ledgers_of_more_cells_than_the_open_file_limit(self, tmp_path):
         # each cell's ledger part is open only while one line is written, so
         # the cell count is not bounded by the process's open-file limit; a
@@ -359,15 +383,15 @@ class TestSweepMatchesCells:
         assert limit - len(open_fds) < len(configs)
         resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
         try:
-            ledgers = run_experiment(spec, ledgers=True)["ledgers"].read_text()
+            ledgers = run_experiment(spec, ledgers=True)["ledgers"].read_bytes()
         finally:
             resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
-        stream = io.StringIO()
+        stream = io.BytesIO()
         for config in configs:
             for rep in range(2):
                 _ledger_line(stream, config.policy.name, config.horizon, rep, run(config, rep))
-                stream.write("\n")
+                stream.write(b"\n")
         assert ledgers == stream.getvalue()
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "ledgers.jsonl", "regret.csv", "slopes.csv",
@@ -403,7 +427,7 @@ def _ledger(steps, total_loss=1.5):
 
 
 def _streamed(policy, horizon, rep, ledger):
-    stream = io.StringIO()
+    stream = io.BytesIO()
     _ledger_line(stream, policy, horizon, rep, ledger)
     return stream.getvalue()
 
@@ -459,7 +483,7 @@ class TestLedgerEncoding:
     def test_streamed_line_matches_json_dumps(self, steps, policy, total_loss, rep):
         ledger = _ledger(steps, total_loss)
         horizon = len(steps["t"])
-        assert _streamed(policy, horizon, rep, ledger) == ledger_line(policy, horizon, rep, ledger)
+        assert _streamed(policy, horizon, rep, ledger) == ledger_line(policy, horizon, rep, ledger).encode()
 
     @pytest.mark.parametrize("horizon", [0, 1, 3, 8])
     @pytest.mark.parametrize("distinct", ["constant", "few", "all", "runs", "runs+1"])
@@ -490,7 +514,7 @@ class TestLedgerEncoding:
         steps["compelled"] = np.zeros(horizon, dtype=bool)
         steps["went_to_court"] = np.ones(horizon, dtype=bool)
         ledger = _ledger(steps)
-        assert _streamed("etc", horizon, 0, ledger) == ledger_line("etc", horizon, 0, ledger)
+        assert _streamed("etc", horizon, 0, ledger) == ledger_line("etc", horizon, 0, ledger).encode()
 
     def test_run_expansion_peak_memory_is_bounded(self):
         # a piecewise-constant column of 200 runs: the peak holds the run
@@ -500,16 +524,45 @@ class TestLedgerEncoding:
         column = np.repeat(rng.random(200), 1000)
         tracemalloc.start()
         try:
-            text = experiment._column_json(column)
+            text = b"".join(experiment._column_json(column))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text == json.dumps(column.tolist(), separators=(",", ":"))[1:-1]
+        assert text == json.dumps(column.tolist(), separators=(",", ":"))[1:-1].encode()
         assert peak < 2.5 * len(text)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, experiment._PIECE + 1])
+    def test_long_columns_go_in_pieces_of_bounded_steps(self, offset):
+        # a dense column goes in chunks of _PIECE values, a run longer than
+        # _PIECE steps in pieces of _PIECE steps: no piece holds more commas
+        steps = experiment._PIECE + offset
+        rng = np.random.default_rng(steps)
+        columns = [rng.random(steps), np.arange(1, steps + 1), np.full(steps, 0.5),
+                   np.repeat([1.5, -0.0, 0.0], [1, steps - 2, 1])]
+        for column in columns:
+            pieces = list(experiment._column_json(column))
+            assert b"".join(pieces) == json.dumps(column.tolist(), separators=(",", ":"))[1:-1].encode()
+            assert max(piece.count(b",") for piece in pieces) <= experiment._PIECE
+
+    def test_streamed_column_peak_memory_is_a_fraction_of_its_text(self):
+        # the same column written by _ledger_line: it goes to the stream run
+        # piece by run piece, so the peak is far below the column's text
+        rng = np.random.default_rng(5)
+        column = np.repeat(rng.random(200), 1000)
+        text = json.dumps(column.tolist(), separators=(",", ":"))
+        ledger = _ledger({"applied_decision": column})
+        with open(os.devnull, "wb") as stream:
+            tracemalloc.start()
+            try:
+                _ledger_line(stream, "etc", len(column), 0, ledger)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.25 * len(text)
 
     def test_ledger_without_steps(self):
         ledger = _ledger({})
-        assert _streamed("etc", 5, 1, ledger) == ledger_line("etc", 5, 1, ledger)
+        assert _streamed("etc", 5, 1, ledger) == ledger_line("etc", 5, 1, ledger).encode()
 
 
 class TestSlopeFit:
