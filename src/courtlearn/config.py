@@ -2,12 +2,16 @@
 
 Every validation error names the offending field path (``cost.c_min``,
 ``policies[1].epsilon``, ``sweep[2]``, ...) so a sweep that dies does so
-before any run starts.  Counts are checked by ``core._count`` in the class
-that holds them.  Any :class:`ExperimentSpec`, loaded or not, builds its
-(policy, horizon) cells, so a cell that cannot run refuses the spec, as do
-more cells times replications than ``sim._BOOKS_LIMIT`` (2**24) and a
-``cases.dim`` above ``sim._DIM_LIMIT`` (127).  See the
-README for the full schema and defaults.
+before any run starts.  Each tagged section (truth, cases, cost, a policy)
+is read alike: its tag, the named class's fields in order (a defaulted one
+only when given), its unknown keys, and last the class's own checks, whose
+errors read ``path (tag): ...`` unless they name their field.  A key given
+twice in the file is refused.  Counts are checked by ``core._count`` in the
+class that holds them.  Any :class:`ExperimentSpec`, loaded or not, builds
+its (policy, horizon) cells, so a cell that cannot run refuses the spec, as
+do more cells times replications than ``sim._BOOKS_LIMIT`` (2**24) and a
+``cases.dim`` above ``sim._DIM_LIMIT`` (127).  See the README for the full
+schema and defaults.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
-from .core import CaseSpec, ConfigurationError, CostModel, GroundTruth, SingletonCases, _count
+from .core import CaseSpec, ConfigurationError, CostModel, GroundTruth, _count
 from .learners import LearnerFamily, LearnerKind
 from .policies import PolicyConfig
 from .sim import RunConfig, _replications
@@ -27,7 +31,6 @@ __all__ = ["ExperimentSpec", "load_config", "parse_config"]
 
 DEFAULT_REPLICATIONS = 100
 
-_POLICY_CONFIGS = {config_class.name: config_class for config_class in get_args(PolicyConfig)}
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -106,8 +109,8 @@ class _Reader:
             raise ConfigurationError(f"missing required field {self._at(key)}")
         return default
 
-    def number(self, key: str, default: float | None = None) -> float:
-        return _finite(self.require(key, default), self._at(key))
+    def number(self, key: str) -> float:
+        return _finite(self.require(key), self._at(key))
 
     def numbers(self, key: str) -> list[float]:
         values = self.require(key)
@@ -121,8 +124,8 @@ class _Reader:
             raise ConfigurationError(f"{self._at(key)}: expected a string, got {value!r}")
         return value
 
-    def child(self, key: str) -> "_Reader":
-        return _Reader(self.require(key), self._at(key))
+    def child(self, key: str, default: dict | None = None) -> "_Reader":
+        return _Reader(self.require(key, default), self._at(key))
 
 
 def _finite(value: Any, path: str) -> float:
@@ -139,42 +142,44 @@ def _finite(value: Any, path: str) -> float:
 
 # The reader of a section field by its type (an integer's class checks it); any other
 # type is a vector of numbers.
-_FIELD_READERS = {float: _Reader.number, int: _Reader.require}
+_FIELD_READERS = {float: _Reader.number, float | None: _Reader.number, int: _Reader.require}
+
+
+def _tagged(reader: _Reader, tag: str, choices: dict, noun: str) -> Any:
+    """The choice the section's ``tag`` names; an unknown name is refused with the valid ones."""
+    name = reader.string(tag)
+    if name not in choices:
+        raise ConfigurationError(
+            f"{reader._at(tag)}: unknown {noun} {name!r} (expected one of {', '.join(choices)})"
+        )
+    return choices[name]
 
 
 def _parse_kind(reader: _Reader, tag: str, union: Any, noun: str) -> Any:
     """The member of ``union`` whose ``tag`` constant the section names, built from its fields.
 
-    Each dataclass field is read by its type, in field order; the section's
-    other keys are refused.
+    Each dataclass field is read by its type, in field order, a defaulted one
+    only when given; the section's other keys are refused before the class's checks.
     """
-    classes = {getattr(cls, tag): cls for cls in get_args(union)}
-    name = reader.string(tag)
-    if name not in classes:
-        raise ConfigurationError(f"{reader._at(tag)}: unknown {noun} {name!r}")
-    cls = classes[name]
+    cls = _tagged(reader, tag, {getattr(member, tag): member for member in get_args(union)}, noun)
     hints = get_type_hints(cls)
     values = {
         f.name: _FIELD_READERS.get(hints[f.name], _Reader.numbers)(reader, f.name)
         for f in fields(cls)
+        if f.default is MISSING or f.name in reader.data
     }
-    try:
-        section = cls(**values)
-    except ConfigurationError as exc:
-        # Cost and case checks name their field (``cost.c``); a truth's rule checks get the prefix.
-        if str(exc).startswith(reader.path):
-            raise
-        raise ConfigurationError(f"{reader.path}: {exc}") from None
     reader.reject_unknown()
-    return section
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        # A check that names its field (``cost.c must be > 0``) keeps its own path.
+        if str(exc).startswith(f"{reader.path}."):
+            raise
+        raise ConfigurationError(f"{reader.path} ({getattr(cls, tag)}): {exc}") from None
 
 
 def _parse_learner(reader: _Reader) -> LearnerKind:
-    kind = reader.string("kind")
-    families = {f.value: f for f in LearnerFamily}
-    if kind not in families:
-        raise ConfigurationError(f"{reader._at('kind')}: unknown learner {kind!r}")
-    family = families[kind]
+    family = _tagged(reader, "kind", {f.value: f for f in LearnerFamily}, "learner")
     # Only the norm-constrained family reads a radius; elsewhere the key is refused as unknown.
     keys = ["err_constant"]
     if family is LearnerFamily.NORM_CONSTRAINED:
@@ -187,36 +192,18 @@ def _parse_learner(reader: _Reader) -> LearnerKind:
 def _parse_policy(entry: Any, path: str) -> PolicyConfig:
     if isinstance(entry, str):
         entry = {"name": entry}
-    reader = _Reader(entry, path)
-    name = reader.string("name")
-    if name not in _POLICY_CONFIGS:
-        raise ConfigurationError(
-            f"{path}.name: unknown policy {name!r} (expected one of {', '.join(_POLICY_CONFIGS)})"
-        )
-    config_class = _POLICY_CONFIGS[name]
-    params = {
-        f.name: reader.number(f.name)
-        for f in fields(config_class)
-        if f.default is MISSING or f.name in entry
-    }
-    reader.reject_unknown()
-    if "alpha1" in params and "alpha1_constant" in params:
+    policy = _parse_kind(_Reader(entry, path), "name", PolicyConfig, "policy")
+    # kwik's alpha1_constant only derives a missing alpha1, so beside alpha1 it would be ignored.
+    if "alpha1" in entry and "alpha1_constant" in entry:
         raise ConfigurationError(f"{path}.alpha1_constant: ignored when {path}.alpha1 is set")
-    try:
-        return config_class(**params)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path} ({name}): {exc}") from None
+    return policy
 
 
 def parse_config(data: dict) -> ExperimentSpec:
     """Validate a parsed config mapping into an :class:`ExperimentSpec`."""
     root = _Reader(data)
     truth = _parse_kind(root.child("truth"), "family", GroundTruth, "family")
-    cases = (
-        _parse_kind(root.child("cases"), "kind", CaseSpec, "case space")
-        if "cases" in data
-        else SingletonCases()
-    )
+    cases = _parse_kind(root.child("cases", {"kind": "singleton"}), "kind", CaseSpec, "case space")
     costs = _parse_kind(root.child("cost"), "kind", CostModel, "cost model")
     learner = _parse_learner(root.child("learner"))
 
@@ -251,15 +238,27 @@ def parse_config(data: dict) -> ExperimentSpec:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's mapping; a key given twice is refused, since only its last value would count."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigurationError(f"key {key!r} given twice")
+        data[key] = value
+    return data
+
+
 def load_config(path: str | Path) -> ExperimentSpec:
     """Read and validate an experiment config file (JSON)."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config file {path}: {exc}") from None
     # ValueError covers JSONDecodeError, UnicodeDecodeError and integers past int's digit limit.
     except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from None

@@ -244,7 +244,7 @@ class TestFieldPathedErrors:
 
     def test_truth_rule_errors_keep_the_section_prefix(self):
         data = minimal_config(truth={"family": "constant", "mu": 3.0, "sigma": 0.5, "alpha": 2.0})
-        with pytest.raises(ConfigurationError, match=r"^truth: constant rule value 3\.0 outside"):
+        with pytest.raises(ConfigurationError, match=r"^truth \(constant\): constant rule value 3\.0 outside"):
             parse_config(data)
 
     @pytest.mark.parametrize(
@@ -252,11 +252,20 @@ class TestFieldPathedErrors:
         [
             (
                 {"truth": {"family": "cubic", "sigma": 0.5, "alpha": 2.0}},
-                "truth.family: unknown family 'cubic'",
+                "truth.family: unknown family 'cubic' (expected one of constant, linear)",
             ),
-            ({"cases": {"kind": "cube"}}, "cases.kind: unknown case space 'cube'"),
-            ({"cost": {"kind": "free"}}, "cost.kind: unknown cost model 'free'"),
-            ({"learner": {"kind": "svm"}}, "learner.kind: unknown learner 'svm'"),
+            (
+                {"cases": {"kind": "cube"}},
+                "cases.kind: unknown case space 'cube' (expected one of singleton, ball)",
+            ),
+            (
+                {"cost": {"kind": "free"}},
+                "cost.kind: unknown cost model 'free' (expected one of point, uniform, sequence)",
+            ),
+            (
+                {"learner": {"kind": "svm"}},
+                "learner.kind: unknown learner 'svm' (expected one of empirical_mean, ols, norm_constrained)",
+            ),
             ({"cases": {"kind": "ball", "dim": 1.5}}, "cases.dim must be an integer, got 1.5"),
             ({"cost": {"kind": "uniform", "c_min": 1.0}}, "missing required field cost.c_max"),
             (
@@ -265,7 +274,7 @@ class TestFieldPathedErrors:
                     "cases": {"kind": "ball", "dim": 1},
                     "learner": {"kind": "ols"},
                 },
-                "truth: beta0 + |beta| = 2.1 exceeds alpha = 1.0",
+                "truth (linear): beta0 + |beta| = 2.1 exceeds alpha = 1.0",
             ),
             ({"truth": [1.0, 0.5, 2.0]}, "truth: expected an object"),
             ({"cost": {"kind": "sequence", "costs": []}}, "cost.costs: expected a non-empty list"),
@@ -286,12 +295,17 @@ class TestFieldPathedErrors:
                 "learner.err_constant must be > 0, got 0.0",
             ),
             ({"learner": {"kind": "norm_constrained", "radius": -1.0}}, "learner.radius must be > 0, got -1.0"),
+            # the unknown key is refused before the class checks the rule value
+            (
+                {"truth": {"family": "constant", "mu": 3.0, "sigma": 0.5, "alpha": 2.0, "sigmaa": 0.1}},
+                "truth.sigmaa: unknown field",
+            ),
         ],
         ids=[
             "unknown_family", "unknown_case_space", "unknown_cost_model", "unknown_learner",
             "fractional_dim", "missing_c_max", "linear_rule", "section_not_object", "empty_costs",
             "beta_not_list", "policies_not_list", "sweep_not_list", "sweep_zero", "sweep_bool",
-            "err_constant_zero", "radius_negative",
+            "err_constant_zero", "radius_negative", "unknown_key_before_rule",
         ],
     )
     def test_single_error_message(self, overrides, message):
@@ -302,7 +316,7 @@ class TestFieldPathedErrors:
         "truth, message",
         [
             ({"family": "constant", "alpha": 1.0}, "missing required field truth.mu"),
-            ({"family": "cubic"}, "truth.family: unknown family 'cubic'"),
+            ({"family": "cubic"}, "truth.family: unknown family 'cubic' (expected one of constant, linear)"),
         ],
         ids=["constant_without_fields", "unknown_family_alone"],
     )
@@ -588,8 +602,25 @@ class TestLoadConfig:
             # past Python's limit on the digits of an int read from text
             (lambda path: path.write_text('{"seed": ' + "9" * 5000 + "}"), "is not valid JSON"),
             (lambda path: path.write_text("[" * 3000), "is not valid JSON"),
+            # a repeated key would keep only its last value: here the run would write only no_subsidy rows
+            (
+                lambda path: path.write_text(
+                    '{"policies": ["etc", "dynamic_compelling"], ' + json.dumps(minimal_config())[1:]
+                ),
+                "config file config.json: key 'policies' given twice",
+            ),
+            (
+                lambda path: path.write_text(
+                    json.dumps(minimal_config(policies=["?"]))
+                    .replace('"?"', '{"name": "etc", "name": "no_subsidy"}')
+                ),
+                "config file config.json: key 'name' given twice",
+            ),
         ],
-        ids=["directory", "not_utf8", "int_too_long", "nested_too_deep"],
+        ids=[
+            "directory", "not_utf8", "int_too_long", "nested_too_deep",
+            "repeated_top_level_key", "repeated_policy_key",
+        ],
     )
     def test_unreadable_file_is_a_configuration_error(self, tmp_path, monkeypatch, capsys, write, message):
         monkeypatch.chdir(tmp_path)  # the config's default out_dir is relative
