@@ -266,14 +266,14 @@ class RunLedger:
 
     ``steps`` maps each per-step column name (``sim.STEP_COLUMNS``) to an
     array over the run's steps; it is empty when the run kept no records.
+    A ledger holds only what its run computed: its seed and digest are its
+    ``RunConfig``'s.
     """
 
     steps: dict[str, np.ndarray]
     total_loss: float
     court_count: int
     total_subsidy_paid: float
-    seed: int
-    config_digest: str
 
 
 def canonical_digest(mapping: dict) -> str:

@@ -15,7 +15,10 @@ replications are run by ``sim.estimate_regret``, which cuts a policy's
 shorter horizons from its run at the longest one where the policy's law
 does not read the horizon; this module sees only the reports it returns and
 the ledgers it hands to a per-run hook, replication by replication, policy
-by policy, and by ascending horizon within a policy.  A run writes every
+by policy, and by ascending horizon within a policy.  A ledger holds only
+what its run computed; each line's identity (policy, T, replication, seed
+and ``config_digest``) comes from its cell's config, and this module is the
+only one that digests a config, once per cell per sweep.  A run writes every
 output to a temporary name and renames them all at the end.
 """
 
@@ -137,11 +140,12 @@ def _run_pieces(texts: list[bytes], counts: list[int]) -> Iterator[bytes]:
 
 
 def _ledger_line(
-    stream: BinaryIO, policy: str, horizon: int, rep: int, ledger: RunLedger,
-    shared: dict[str, list[bytes]] | None = None,
+    stream: BinaryIO, cell: dict, ledger: RunLedger, shared: dict[str, list[bytes]] | None = None
 ) -> None:
     """Write one replication's JSONL line (without its newline) to ``stream``.
 
+    ``cell`` is the line's identity, from its cell's config (see
+    :func:`_ledger_writer`); the ledger adds its totals and step columns.
     The bytes equal ``json.dumps(line, sort_keys=True, separators=(",", ":"))``
     of the whole line, in ASCII, but each step column is streamed as the
     pieces of :func:`_column_json` through ``stream.writelines``, so neither
@@ -150,11 +154,7 @@ def _ledger_line(
     """
     header = json.dumps(
         {
-            "policy": policy,
-            "T": horizon,
-            "replication": rep,
-            "seed": ledger.seed,
-            "config_digest": ledger.config_digest,
+            **cell,
             "total_loss": ledger.total_loss,
             "court_count": ledger.court_count,
             "total_subsidy_paid": ledger.total_subsidy_paid,
@@ -193,24 +193,27 @@ def _prefix_pieces(cache: dict[int, list[bytes]], column: np.ndarray, horizon: i
 def _ledger_writer(configs: list[RunConfig], parts: list[Path]):
     """A sweep's per-run hook (see ``sim.estimate_regret``): each ledger's line goes to its cell's part.
 
-    The ``t`` column is 1..T in every run, and the ``cost`` column is the
-    same for every cell of a replication, up to the cell's horizon.  So the
-    hook encodes ``t`` once per sweep and ``cost`` once per replication, in
-    segments between consecutive horizons (:func:`_prefix_pieces`).  A part
-    is a binary file with a ``_PART_BUFFER`` write buffer, so every line ends
-    in ``\\n`` on every platform.  A part is opened for each line, never kept
-    open, so a sweep of any number of cells holds one part open at a time;
-    replication 0 truncates the part, so a part left behind by a killed run
-    is not kept.
+    A line's identity is its cell's policy, horizon ``T``, seed and
+    ``config_digest``, each cell digested once per sweep, and the
+    replication.  The ``t`` column is 1..T in every run, and the ``cost``
+    column is the same for every cell of a replication, up to the cell's
+    horizon.  So the hook encodes ``t`` once per sweep and ``cost`` once per
+    replication, in segments between consecutive horizons
+    (:func:`_prefix_pieces`).  A part is a binary file with a
+    ``_PART_BUFFER`` write buffer, so every line ends in ``\\n`` on every
+    platform.  A part is opened for each line, never kept open, so a sweep
+    of any number of cells holds one part open at a time; replication 0
+    truncates the part, so a part left behind by a killed run is not kept.
     """
+    cells = [{"policy": c.policy.name, "T": c.horizon, "seed": c.seed, "config_digest": c.digest()}
+             for c in configs]
     t_pieces: dict[int, list[bytes]] = {}  # for the whole sweep
     cost_pieces: dict[int, list[bytes]] = {}  # for the current replication
     current = -1
 
     def write(rep: int, index: int, ledger: RunLedger) -> None:
         nonlocal current
-        config = configs[index]
-        horizon = config.horizon
+        horizon = configs[index].horizon
         if rep != current:
             current = rep
             cost_pieces.clear()
@@ -219,7 +222,7 @@ def _ledger_writer(configs: list[RunConfig], parts: list[Path]):
             "cost": _prefix_pieces(cost_pieces, ledger.steps["cost"], horizon),
         }
         with parts[index].open("wb" if rep == 0 else "ab", buffering=_PART_BUFFER) as stream:
-            _ledger_line(stream, config.policy.name, horizon, rep, ledger, shared)
+            _ledger_line(stream, {**cells[index], "replication": rep}, ledger, shared)
             stream.write(b"\n")
 
     return write
@@ -316,8 +319,10 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
     Replication 0 only, so the sweep driver draws the environment once and
     runs the policy once, at the longest horizon, cutting every shorter
     horizon from that run; prediction accuracy is measured against the true
-    rule on every settled case.  kwik.csv is written to a temporary name and
-    renamed into place, so a failed write leaves an earlier kwik.csv whole.
+    rule on every settled case.  ``compelled_count`` counts the cases the gate
+    compelled, so an agent who litigates on its own is in neither count.
+    kwik.csv is written to a temporary name and renamed into place, so a
+    failed write leaves an earlier kwik.csv whole.
     """
     # Policy names are unique in a spec, so these are one policy's cells.
     configs = [config for config in spec.cells if config.policy.name == "kwik"]
@@ -338,7 +343,7 @@ def kwik_report(spec: ExperimentSpec) -> dict[str, Path]:
         fraction = within / predicted if predicted else 1.0
         max_error = errors.max().item() if predicted else 0.0
         row = (config.horizon, config.cases.dim, epsilon, config.policy.delta, predicted,
-               ledger.court_count, fraction, max_error)
+               int(steps["compelled"].sum()), fraction, max_error)
         lines.append(_csv_row(row, "kwik.csv"))
 
     estimate_regret(configs, 1, add_row)

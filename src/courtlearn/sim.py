@@ -45,7 +45,8 @@ the run at horizon T, and a cut past the start of the run's closed-form tail
 prices its own tail steps, as a run alone at T does.  A policy whose law
 reads the horizon runs each cell alone, on its horizon's view.  The driver
 hands over the ledgers policy by policy, by ascending horizon within one, so
-one long run's ledger is alive at a time.  It is the only loop over
+one long run's ledger is alive at a time.  A ledger holds only what its run
+computed, so ``estimate_regret`` digests no config.  It is the only loop over
 replications: every caller, ``check_deterrent`` and the ``experiment``
 module included, runs through it.
 """
@@ -315,16 +316,15 @@ def run(config: RunConfig, rep: int = 0, keep_records: bool = True) -> RunLedger
     ``keep_records=False`` leaves ``ledger.steps`` empty (the totals are
     still exact); use it when aggregating many replications.
     """
-    return _simulate([config], [config.digest()], draw_environment(config, rep), rep, keep_records)[0]
+    return _simulate(config, [config.horizon], draw_environment(config, rep), rep, keep_records)[0]
 
 
 def _simulate(
-    configs: list[RunConfig], digests: list[str], env: Environment, rep: int, keep_records: bool
+    config: RunConfig, horizons: list[int], env: Environment, rep: int, keep_records: bool
 ) -> list[RunLedger]:
-    """One replication's run at the last config's horizon, and its ledger at every config's.
+    """One replication's run of ``config``, and its ledger cut at each of ``horizons``.
 
-    The configs differ only in horizon, ascending; the last one's is ``env``'s.
-    ``digests`` holds each config's ``digest()``, which its ledger carries.
+    ``horizons`` ascend, and the last is ``config``'s, which is ``env``'s.
     The run takes its policy's actions (``horizon_actions``), searches for the
     court visits, fits after each, then scores.  Scoring derives the subsidy
     paid, the start ``end`` of the closed-form tail (at or past the policy's
@@ -342,7 +342,6 @@ def _simulate(
     the same order, as in the case-by-case loop of ``tests/oracle.py``, so
     ledgers and totals are bit for bit the same.
     """
-    config = configs[-1]
     T = config.horizon
     alpha = config.truth.alpha
     kind = config.learner
@@ -401,26 +400,23 @@ def _simulate(
             settlement[visits] = _clip(_predict(xs[visits], coefs, np.arange(len(visits))), alpha)
         else:
             settlement = rules[m_before]
-        steps = _step_columns(
-            {
-                "t": np.arange(1, end + 1),
-                "cost": costs,
-                "subsidy": np.zeros(end) if bases is None else _offers(bases, 2.0 * pre_errs),
-                "compelled": compel,
-                "went_to_court": went,
-                "applied_decision": applied,
-                "true_value": env.f_values,
-                "squared_error": squared,
-                "court_cost_incurred": np.where(went, costs, 0.0),
-                "pre_step_err_bound": pre_errs,
-                "m_before": m_before,
-                "settlement_value": settlement,
-            }
-        )
+        steps = {
+            "t": np.arange(1, end + 1),
+            "cost": costs,
+            "subsidy": np.zeros(end) if bases is None else _offers(bases, 2.0 * pre_errs),
+            "compelled": compel,
+            "went_to_court": went,
+            "applied_decision": applied,
+            "true_value": env.f_values,
+            "squared_error": squared,
+            "court_cost_incurred": np.where(went, costs, 0.0),
+            "pre_step_err_bound": pre_errs,
+            "m_before": m_before,
+            "settlement_value": settlement,
+        }
     ledgers = []
-    horizons = [cut.horizon for cut in configs]
     counts_at = np.searchsorted(visits, horizons).tolist()
-    for cut, digest, horizon, count in zip(configs, digests, horizons, counts_at):
+    for horizon, count in zip(horizons, counts_at):
         scored = min(horizon, end)  # past end, the formula prices the cut's own tail steps
         ledgers.append(
             RunLedger(
@@ -428,8 +424,6 @@ def _simulate(
                 total_loss=(losses.item(scored - 1) if scored else 0.0) + (horizon - scored) * tail_rate,
                 court_count=count,
                 total_subsidy_paid=paid.item(count - 1) if count else 0.0,
-                seed=cut.seed,
-                config_digest=digest,
             )
         )
     return ledgers
@@ -644,11 +638,6 @@ def _clip(raw: np.ndarray, alpha: float) -> np.ndarray:
     return raw
 
 
-def _step_columns(columns: dict) -> dict[str, np.ndarray]:
-    """``STEP_COLUMNS``, in order and dtype, from a mapping of name to values."""
-    return {name: np.asarray(columns[name], dtype=dtype) for name, dtype in STEP_COLUMNS.items()}
-
-
 def _offers(bases: np.ndarray, two_err) -> np.ndarray:
     """Each step's offer ``max(0.0, base - two_err)`` from its ``subsidy_bases`` entry."""
     shifted = bases - two_err
@@ -718,15 +707,12 @@ def estimate_regret(
         raise ConfigurationError("the cells of one sweep may differ only in policy and horizon")
     # Per cell: the online loss, offline loss, court count and subsidy paid of each replication.
     books = np.empty((len(configs), 4, replications))
-    digests = [config.digest() for config in configs]  # once per sweep, not per replication
     for rep in range(replications):
-        _replicate(configs, digests, longest, rep, books[:, :, rep], each)
+        _replicate(configs, longest, rep, books[:, :, rep], each)
     return [_regret_report(config, cell) for config, cell in zip(configs, books)]
 
 
-def _replicate(
-    configs: list[RunConfig], digests: list[str], longest: RunConfig, rep: int, books: np.ndarray, each
-) -> None:
+def _replicate(configs: list[RunConfig], longest: RunConfig, rep: int, books: np.ndarray, each) -> None:
     """One replication of every cell, booked into ``books`` (one row per cell).
 
     Every horizon runs on a view of the one draw (``_prefix``).  A policy's
@@ -735,7 +721,6 @@ def _replicate(
     otherwise each cell runs alone.  The cells are booked policy by policy,
     by ascending horizon within one, and a run's ledgers are views of its
     longest one's columns, so one long ledger is alive at a time.  The
-    ledgers carry the cells' ``digests``, computed once per sweep.  The
     environment and the ledgers are freed on return, before the next draw.
     """
     env = draw_environment(longest, rep)
@@ -761,9 +746,9 @@ def _replicate(
             key=lambda i: configs[i].horizon,
         )
         for run in [[i] for i in indices] if "horizon" in policy.run_fields else [indices]:
-            prefix = prefixes[configs[run[-1]].horizon]
-            cells = [configs[i] for i in run]
-            ledgers = dict(zip(run, _simulate(cells, [digests[i] for i in run], prefix, rep, keep_records)))
+            config = configs[run[-1]]
+            horizons = [configs[i].horizon for i in run]
+            ledgers = dict(zip(run, _simulate(config, horizons, prefixes[config.horizon], rep, keep_records)))
             for i in run:
                 book(i, ledgers.pop(i))
 

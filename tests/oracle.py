@@ -31,7 +31,12 @@ import numpy as np
 from courtlearn.core import ConstantTruth, RunLedger, augment, decompose
 from courtlearn.learners import LearnerFamily, _fit_linear
 from courtlearn.policies import KwikConfig, agent_decision, subsidy_tail_probability
-from courtlearn.sim import _STREAM_POLICY, STEP_COLUMNS, RunConfig, Environment, _step_columns, _stream
+from courtlearn.sim import _STREAM_POLICY, STEP_COLUMNS, RunConfig, Environment, _stream
+
+
+def _step_columns(columns: dict) -> dict[str, np.ndarray]:
+    """``STEP_COLUMNS``, in order and dtype, from a mapping of name to values."""
+    return {name: np.asarray(columns[name], dtype=dtype) for name, dtype in STEP_COLUMNS.items()}
 
 
 def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
@@ -147,24 +152,19 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
         total_loss=total_loss,
         court_count=court_count,
         total_subsidy_paid=subsidy_paid,
-        seed=config.seed,
-        config_digest=config.digest(),
     )
 
 
-def ledger_line(policy: str, horizon: int, rep: int, ledger: RunLedger) -> str:
-    """One replication's JSONL line.  Bool columns are written as 0/1, and
+def ledger_line(cell: dict, ledger: RunLedger) -> str:
+    """One replication's JSONL line: the identity ``cell`` (policy, T,
+    replication, seed, config_digest) and the ledger.  Bool columns are written as 0/1, and
     ``tolist`` hands floats to ``json`` as Python floats, written by repr."""
     steps = {
         name: (column.astype(np.int64) if column.dtype == bool else column).tolist()
         for name, column in ledger.steps.items()
     }
     payload = {
-        "policy": policy,
-        "T": horizon,
-        "replication": rep,
-        "seed": ledger.seed,
-        "config_digest": ledger.config_digest,
+        **cell,
         "total_loss": ledger.total_loss,
         "court_count": ledger.court_count,
         "total_subsidy_paid": ledger.total_subsidy_paid,

@@ -281,7 +281,7 @@ class TestSweepMatchesCells:
         stream = io.BytesIO()
         for config in configs:
             for rep in range(3):
-                _ledger_line(stream, config.policy.name, config.horizon, rep, run(config, rep))
+                _ledger_line(stream, _config_cell(config, rep), run(config, rep))
                 stream.write(b"\n")
         assert ledgers == stream.getvalue()
 
@@ -317,9 +317,9 @@ class TestSweepMatchesCells:
         runs = []
         simulate = sim._simulate
 
-        def counting(configs, *args):
-            runs.append((configs[0].policy.name, [config.horizon for config in configs]))
-            return simulate(configs, *args)
+        def counting(config, horizons, *args):
+            runs.append((config.policy.name, list(horizons)))
+            return simulate(config, horizons, *args)
 
         monkeypatch.setattr(sim, "_simulate", counting)
         spec = small_spec(
@@ -390,7 +390,7 @@ class TestSweepMatchesCells:
         stream = io.BytesIO()
         for config in configs:
             for rep in range(2):
-                _ledger_line(stream, config.policy.name, config.horizon, rep, run(config, rep))
+                _ledger_line(stream, _config_cell(config, rep), run(config, rep))
                 stream.write(b"\n")
         assert ledgers == stream.getvalue()
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
@@ -409,7 +409,16 @@ def _kwik_row(config):
     fraction = int((errors <= epsilon).sum()) / predicted if predicted else 1.0
     max_error = errors.max().item() if predicted else 0.0
     return _csv_row((config.horizon, config.cases.dim, epsilon, config.policy.delta, predicted,
-                     ledger.court_count, fraction, max_error), "kwik.csv")
+                     int(steps["compelled"].sum()), fraction, max_error), "kwik.csv")
+
+
+def _config_cell(config, rep):
+    """A ledger line's identity, from its cell's config."""
+    return _cell(config.policy.name, config.horizon, rep, config.seed, config.digest())
+
+
+def _cell(policy, horizon, rep, seed=7, config_digest="0123456789abcdef"):
+    return {"policy": policy, "T": horizon, "replication": rep, "seed": seed, "config_digest": config_digest}
 
 
 # Values whose JSON text differs from a naive formatting, or that a
@@ -421,14 +430,13 @@ INT64_EXTREMES = [-(2**63), 2**63 - 1, 0, -1]
 
 def _ledger(steps, total_loss=1.5):
     return RunLedger(
-        steps=steps, total_loss=total_loss, court_count=3, total_subsidy_paid=0.25,
-        seed=7, config_digest="0123456789abcdef",
+        steps=steps, total_loss=total_loss, court_count=3, total_subsidy_paid=0.25
     )
 
 
-def _streamed(policy, horizon, rep, ledger):
+def _streamed(cell, ledger):
     stream = io.BytesIO()
-    _ledger_line(stream, policy, horizon, rep, ledger)
+    _ledger_line(stream, cell, ledger)
     return stream.getvalue()
 
 
@@ -482,8 +490,8 @@ class TestLedgerEncoding:
     )
     def test_streamed_line_matches_json_dumps(self, steps, policy, total_loss, rep):
         ledger = _ledger(steps, total_loss)
-        horizon = len(steps["t"])
-        assert _streamed(policy, horizon, rep, ledger) == ledger_line(policy, horizon, rep, ledger).encode()
+        cell = _cell(policy, len(steps["t"]), rep)
+        assert _streamed(cell, ledger) == ledger_line(cell, ledger).encode()
 
     @pytest.mark.parametrize("horizon", [0, 1, 3, 8])
     @pytest.mark.parametrize("distinct", ["constant", "few", "all", "runs", "runs+1"])
@@ -514,7 +522,8 @@ class TestLedgerEncoding:
         steps["compelled"] = np.zeros(horizon, dtype=bool)
         steps["went_to_court"] = np.ones(horizon, dtype=bool)
         ledger = _ledger(steps)
-        assert _streamed("etc", horizon, 0, ledger) == ledger_line("etc", horizon, 0, ledger).encode()
+        cell = _cell("etc", horizon, 0)
+        assert _streamed(cell, ledger) == ledger_line(cell, ledger).encode()
 
     def test_run_expansion_peak_memory_is_bounded(self):
         # a piecewise-constant column of 200 runs: the peak holds the run
@@ -554,7 +563,7 @@ class TestLedgerEncoding:
         with open(os.devnull, "wb") as stream:
             tracemalloc.start()
             try:
-                _ledger_line(stream, "etc", len(column), 0, ledger)
+                _ledger_line(stream, _cell("etc", len(column), 0), ledger)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -562,7 +571,8 @@ class TestLedgerEncoding:
 
     def test_ledger_without_steps(self):
         ledger = _ledger({})
-        assert _streamed("etc", 5, 1, ledger) == ledger_line("etc", 5, 1, ledger).encode()
+        cell = _cell("etc", 5, 1)
+        assert _streamed(cell, ledger) == ledger_line(cell, ledger).encode()
 
 
 class TestSlopeFit:
@@ -593,6 +603,26 @@ class TestKwikReport:
         assert predicted > 0
         # zero noise: once the gate opens, the fitted rule is exact
         assert float(row["fraction_predictions_within_eps"]) == 1.0
+
+    def test_compelled_count_leaves_out_voluntary_visits(self, tmp_path):
+        # Costs as low as 0.05 send agents to court on their own while the
+        # gate is still shut: the visits are more than the compelled cases.
+        spec = kwik_spec(
+            tmp_path,
+            truth={"family": "linear", "beta": [0.15, 0.15, 0.15], "beta0": 0.5, "sigma": 0.1, "alpha": 1.0},
+            cases={"kind": "ball", "dim": 3},
+            cost={"kind": "uniform", "c_min": 0.05, "c_max": 1.0},
+            learner={"kind": "norm_constrained", "err_constant": 20.0},
+            policies=[{"name": "kwik", "epsilon": 0.25, "delta": 0.05, "alpha1_constant": 15.0}],
+            sweep=[1000],
+            seed=7,
+        )
+        row = dict(zip(KWIK_COLUMNS.split(","), kwik_report(spec)["kwik"].read_text().splitlines()[1].split(",")))
+        ledger = run(spec.cells[0], 0)
+        compelled = int(row["compelled_count"])
+        assert compelled == int(ledger.steps["compelled"].sum())
+        assert int(row["predicted_count"]) + compelled < 1000
+        assert compelled < ledger.court_count
 
     def test_an_interrupted_write_leaves_the_earlier_output(self, tmp_path, monkeypatch):
         spec = kwik_spec(tmp_path)

@@ -1,5 +1,6 @@
 """Simulation loop protocol, loss accounting, baseline pairing, and regret."""
 
+import json
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from courtlearn import sim
-from courtlearn.config import load_config
+from courtlearn.config import ExperimentSpec, load_config
 from courtlearn.core import (
     ConfigurationError,
     ConstantTruth,
@@ -18,6 +19,7 @@ from courtlearn.core import (
     BallCases,
     UniformCosts,
 )
+from courtlearn.experiment import run_experiment
 from courtlearn.learners import LearnerFamily, LearnerKind, err_bound
 from courtlearn.policies import (
     DynamicCompellingConfig,
@@ -168,7 +170,7 @@ class TestRunProtocol:
         a, b = run(config), run(config)
         assert a.total_loss == b.total_loss
         assert a.court_count == b.court_count
-        assert a.config_digest == b.config_digest
+        assert a.total_subsidy_paid == b.total_subsidy_paid
         for name in ("applied_decision", "cost", "subsidy"):
             np.testing.assert_array_equal(a.steps[name], b.steps[name])
 
@@ -368,8 +370,10 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match="differ only in policy and horizon"):
             estimate_regret([cell(100), cell(200, beta=0.2)], 1)
 
-    def test_each_cell_is_digested_once_per_sweep(self, monkeypatch):
-        digested, ledgers = [], []
+    def test_each_cell_is_digested_once_per_sweep(self, monkeypatch, tmp_path):
+        # A ledger carries no digest, so estimate_regret computes none; the ledger
+        # writer digests each cell once, whatever the replication count.
+        digested = []
         digest = RunConfig.digest
 
         def counting(config):
@@ -377,16 +381,24 @@ class TestSweep:
             return digest(config)
 
         monkeypatch.setattr(RunConfig, "digest", counting)
+        policies = (NoSubsidyConfig(), EtcConfig())
         configs = [
             constant_config(horizon=horizon, policy=policy, costs=UniformCosts(0.5, 1.5), seed=4)
-            for policy in (NoSubsidyConfig(), EtcConfig())
+            for policy in policies
             for horizon in (10, 100)
         ]
-        estimate_regret(configs, 3, lambda rep, index, ledger: ledgers.append((index, ledger)))
-        assert sorted(map(configs.index, digested)) == list(range(len(configs)))
-        assert len(ledgers) == 3 * len(configs)
-        for index, ledger in ledgers:
-            assert ledger.config_digest == digest(configs[index])
+        estimate_regret(configs, 3)
+        estimate_regret(configs, 3, lambda rep, index, ledger: None)
+        assert digested == []
+
+        base = configs[0]
+        spec = ExperimentSpec(base.truth, base.cases, base.costs, base.learner, policies, (10, 100),
+                              replications=3, seed=4, out_dir=str(tmp_path))
+        lines = run_experiment(spec, ledgers=True)["ledgers"].read_text().splitlines()
+        assert sorted(map(spec.cells.index, digested)) == list(range(len(spec.cells)))
+        assert len(lines) == 3 * len(spec.cells)
+        for index, line in enumerate(lines):
+            assert json.loads(line)["config_digest"] == digest(spec.cells[index // 3])
 
 
 # Window edges of the visit search (sim._FIRST_WINDOW, sim._LAST_WINDOW) and one step past.
@@ -424,13 +436,16 @@ def _cut_configs(family, policy, horizons, dim, seed):
 
 
 def _driver_runs(monkeypatch, configs, replications, keep_records):
-    """``(rep, configs, ledgers)`` of every ``sim._simulate`` call the sweep driver makes."""
+    """``(rep, configs, ledgers)`` of every ``sim._simulate`` call that
+    ``estimate_regret`` makes, with ``configs`` the cells at its cut horizons."""
     runs = []
     simulate = sim._simulate
+    by_horizon = {config.horizon: config for config in configs}
 
-    def recording(cuts, digests, env, rep, keep):
-        ledgers = simulate(cuts, digests, env, rep, keep)
-        runs.append((rep, cuts, ledgers))
+    def recording(config, horizons, env, rep, keep):
+        assert config is by_horizon[horizons[-1]] and horizons == sorted(horizons)
+        ledgers = simulate(config, horizons, env, rep, keep)
+        runs.append((rep, [by_horizon[horizon] for horizon in horizons], ledgers))
         return ledgers
 
     monkeypatch.setattr(sim, "_simulate", recording)
@@ -444,9 +459,7 @@ def _assert_direct(rep, config, ledger, keep_records):
     direct = run(config, rep, keep_records)
     for name in ("total_loss", "total_subsidy_paid"):
         assert getattr(ledger, name).hex() == getattr(direct, name).hex(), (config.horizon, name)
-    assert (ledger.court_count, ledger.config_digest, ledger.seed) == (
-        direct.court_count, direct.config_digest, direct.seed
-    )
+    assert ledger.court_count == direct.court_count
     assert list(ledger.steps) == list(direct.steps)
     for name, want in direct.steps.items():
         got = ledger.steps[name]
