@@ -18,27 +18,31 @@ largest settlement shift a court visit could produce); ties litigate.
 
 A policy is its frozen config, which holds only the policy's own parameters:
 its law reads the horizon, the truth's alpha and the cost model's range from
-the run.  ``horizon_actions(run, rng)`` states a config's actions for the
-``sim.RunConfig`` ``run``, steps 1..T at once, as (compel mask, subsidy
-bases, active).  The mask is a bool array of length T.  The bases are
+the run.  ``actions(run, rng, lo, hi)`` states a config's actions for the
+``sim.RunConfig`` ``run`` on steps lo + 1 .. hi, as (compel mask, subsidy
+bases), drawn from ``rng`` in step order; so consecutive step ranges give
+the bits of one draw over their union.  The mask is a bool array of length
+hi - lo, or ``None`` for a policy that never compels.  The bases are
 ``None`` for a policy that never offers, else the offer at step t is
-``max(0.0, bases[t - 1] - 2 * err_before)``: all-zero bases, even a
+``max(0.0, bases[t - 1 - lo] - 2 * err_before)``: all-zero bases, even a
 zero-stride ``np.broadcast_to``, would make the visit search compute every
 window's offers, about 10-20% more time per ``no_subsidy`` or
-``dynamic_compelling`` run (mean learner, T = 1e5, on one Xeon core).  From
-step active + 1 on, the policy neither compels nor offers.  The first four
+``dynamic_compelling`` run (mean learner, T = 1e5, on one Xeon core).
+``active(run)`` is the number of leading steps on which the policy may act:
+from step active + 1 on, it neither compels nor offers.  The first four
 policies are state-free: their law does not read the court history (an offer
-reads it only through the error bound), so their mask and bases are drawn up
-front, one uniform per step from ``rng`` (none for ``no_subsidy`` and
-``etc``).  Each law is stated once: ``etc_compel_count`` gives the compel
-phase's length, ``transition_step`` the subsidy law's early phase, and
-``dynamic_compel_probability``, ``subsidy_tail_probability`` and
-``subsidy_bases`` work elementwise on the step numbers.  The kwik gate reads
-the court history, so ``kwik``'s mask starts all False, with active = T, and
-the visit search sets it where the gate fires.  ``_gate`` checks many case
-rows in one stacked pass, at ``KwikConfig.thresholds``: a window of rows on
-the spectrum frozen since the last court visit, or rows each on the prefix
-of the court rows its guessed count implies.
+reads it only through the error bound), so the visit search draws their
+actions window by window as it reaches them, one uniform per step from
+``rng`` (none for ``no_subsidy`` and ``etc``).  Each law is stated once:
+``etc_compel_count`` gives the compel phase's length, ``transition_step``
+the subsidy law's early phase, and ``dynamic_compel_probability``,
+``subsidy_tail_probability`` and ``subsidy_bases`` work elementwise on the
+step numbers.  The kwik gate reads the court history, so ``kwik`` states no
+actions, with active = T, and the visit search keeps its own mask, which it
+sets where the gate fires.  ``_gate`` checks many case rows in one stacked
+pass, at ``KwikConfig.thresholds``: a window of rows on the spectrum frozen
+since the last court visit, or rows each on the prefix of the court rows its
+guessed count implies.
 """
 
 from __future__ import annotations
@@ -193,8 +197,11 @@ class NoSubsidyConfig:
     tag: ClassVar[int] = 1
     run_fields: ClassVar[tuple[str, ...]] = ()
 
-    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
-        return np.zeros(run.horizon, dtype=bool), None, 0
+    def actions(self, run, rng, lo: int, hi: int) -> tuple[None, None]:
+        return None, None
+
+    def active(self, run) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -205,11 +212,11 @@ class EtcConfig:
     tag: ClassVar[int] = 2
     run_fields: ClassVar[tuple[str, ...]] = ("horizon", "alpha", "c_max")
 
-    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
-        count = etc_compel_count(run.horizon, run.truth.alpha, run.costs.c_max)
-        compel = np.zeros(run.horizon, dtype=bool)
-        compel[:count] = True
-        return compel, None, count
+    def actions(self, run, rng, lo: int, hi: int) -> tuple[np.ndarray, None]:
+        return np.arange(lo, hi) < self.active(run), None
+
+    def active(self, run) -> int:
+        return etc_compel_count(run.horizon, run.truth.alpha, run.costs.c_max)
 
 
 @dataclass(frozen=True)
@@ -220,9 +227,12 @@ class DynamicCompellingConfig:
     tag: ClassVar[int] = 3
     run_fields: ClassVar[tuple[str, ...]] = ("alpha", "c_max")
 
-    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
-        p = dynamic_compel_probability(np.arange(1, run.horizon + 1), run.truth.alpha, run.costs.c_max)
-        return rng.random(run.horizon) < p, None, run.horizon
+    def actions(self, run, rng, lo: int, hi: int) -> tuple[np.ndarray, None]:
+        p = dynamic_compel_probability(np.arange(lo + 1, hi + 1), run.truth.alpha, run.costs.c_max)
+        return rng.random(hi - lo) < p, None
+
+    def active(self, run) -> int:
+        return run.horizon
 
 
 @dataclass(frozen=True)
@@ -237,13 +247,16 @@ class SubsidySamplingConfig:
     tag: ClassVar[int] = 4
     run_fields: ClassVar[tuple[str, ...]] = ("alpha", "c_min", "c_max")
 
-    def horizon_actions(self, run, rng) -> tuple[np.ndarray, np.ndarray, int]:
+    def actions(self, run, rng, lo: int, hi: int) -> tuple[None, np.ndarray]:
         alpha, c_min = run.truth.alpha, run.costs.c_min
         bases = subsidy_bases(
-            rng.random(run.horizon), np.arange(1, run.horizon + 1), alpha, c_min, run.costs.c_max,
+            rng.random(hi - lo), np.arange(lo + 1, hi + 1), alpha, c_min, run.costs.c_max,
             transition_step(alpha, c_min),
         )
-        return np.zeros(run.horizon, dtype=bool), bases, run.horizon
+        return None, bases
+
+    def active(self, run) -> int:
+        return run.horizon
 
 
 @dataclass(frozen=True)
@@ -290,8 +303,11 @@ class KwikConfig:
             )
         return alpha1, alpha2
 
-    def horizon_actions(self, run, rng) -> tuple[np.ndarray, None, int]:
-        return np.zeros(run.horizon, dtype=bool), None, run.horizon
+    def actions(self, run, rng, lo: int, hi: int) -> tuple[None, None]:
+        return None, None
+
+    def active(self, run) -> int:
+        return run.horizon
 
 
 PolicyConfig = Union[

@@ -10,10 +10,11 @@ The learner changes only when a case goes to court, so one driver computes
 every run in two phases.  The search (``_visits``) finds the court visits:
 it needs only the error bound, which depends on the visit count alone, and
 for ``kwik`` the spectrum of the courted Gram matrix, never a fitted rule.
-Every policy states its actions for the whole horizon up front
-(``horizon_actions``), as (compel mask, subsidy bases, active) with
-``active`` the number of leading steps on which it may act; the mask of a
-``kwik`` run starts all False and its gate sets it as the search goes.  Each
+Every policy states its actions by step range (``actions``), as (compel
+mask, subsidy bases), and ``active``, the number of leading steps on which
+it may act.  The search of a state-free run draws them window by window as
+its rounds reach them and keeps each kept visit's subsidy base; the mask of
+a ``kwik`` run starts all False and its gate sets it as the search goes.  Each
 round guesses a window of up to ``_LAST_WINDOW`` steps at the current state,
 decides the steps after the first guessed visit again at the states the
 guessed visits imply (for ``kwik``, the first k of them, their Gram prefixes
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -269,7 +271,9 @@ class Environment:
 
     ``outcomes`` holds the would-be court information for every step, settled
     or not; the online run only ever reads the entries of litigated steps,
-    while the offline baseline scores them all.
+    while the offline baseline scores them all.  A constant truth's
+    ``f_values`` is ``mu`` broadcast to the horizon: a read-only view with
+    stride 0, which every reader takes as the array of T copies, bit for bit.
     """
 
     xs: np.ndarray | None
@@ -300,7 +304,7 @@ def draw_environment(config: RunConfig, rep: int = 0) -> Environment:
     )
     truth = config.truth
     if isinstance(truth, ConstantTruth):
-        f_values = np.full(T, truth.mu)
+        f_values = np.broadcast_to(np.float64(truth.mu), (T,))
     else:
         f_values = _predict(xs, np.append(truth.beta, truth.beta0)[None], np.zeros(T, dtype=np.intp))
     outcomes = _stream(seed, rep, _STREAM_NOISE).standard_normal(T)
@@ -325,11 +329,15 @@ def _simulate(
     """One replication's run of ``config``, and its ledger cut at each of ``horizons``.
 
     ``horizons`` ascend, and the last is ``config``'s, which is ``env``'s.
-    The run takes its policy's actions (``horizon_actions``), searches for the
-    court visits, fits after each, then scores.  Scoring derives the subsidy
-    paid, the start ``end`` of the closed-form tail (at or past the policy's
-    ``active``, and T when records are kept or the learner is linear) and the
-    records' ``pre_step_err_bound`` from the visits and one error-bound table.
+    The run searches for the court visits, drawing its policy's actions
+    (``actions``) as the search reaches them, fits after each, then scores.
+    Without records a run holds the actions of one search round at a time;
+    with records it draws them for the whole horizon at once, for its
+    ``compelled`` and ``subsidy`` columns.  Scoring derives the subsidy paid
+    (from the kept visits' subsidy bases), the start ``end`` of the
+    closed-form tail (at or past the policy's ``active``, and T when records
+    are kept or the learner is linear) and the records'
+    ``pre_step_err_bound`` from the visits and one error-bound table.
     The rule after each visit is repeated over the steps up to the next (the
     spans), and without records the squared errors, each visit's court fee
     and their ``np.cumsum`` are computed in place in that array.
@@ -351,24 +359,23 @@ def _simulate(
     costs = env.costs
     xs = env.xs
     fits = _LinearFits(kind, xs, env.outcomes) if linear else None
-    rng = _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
-    compel, bases, active = policy.horizon_actions(config, rng)
-    tail_from = T if keep_records or linear else active
+    tail_from = T if keep_records or linear else policy.active(config)
 
     def bound(m: np.ndarray) -> np.ndarray:
         return err_bound(kind, m, config.truth.sigma, alpha, dim)
 
     if isinstance(policy, KwikConfig):
-        rule = _KwikDecisions(costs, compel, fits, xs, policy.thresholds(dim))
+        rule = _KwikDecisions(costs, fits, xs, policy.thresholds(dim))
     else:
-        rule = _Decisions(costs, compel, bases, fits)
+        rng = _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
+        rule = _Decisions(costs, partial(policy.actions, config, rng), fits, T if keep_records else 0)
     found = _visits(T, rule, bound, config.costs.c_min, tail_from)
     visits = np.array(found, dtype=np.intp)  # the dtype holds for no visit too
 
     counts = np.arange(len(visits) + 1)
     errs = bound(counts)  # the error bound by court count
     # np.cumsum adds in visit order, as a sequential loop would
-    paid = np.zeros(len(visits)) if bases is None else np.cumsum(_offers(bases[visits], 2.0 * errs[:-1]))
+    paid = np.zeros(len(visits)) if rule.bases is None else np.cumsum(_offers(rule.visit_bases(), 2.0 * errs[:-1]))
     end = T
     if 2.0 * errs.item(-1) < config.costs.c_min:  # no visit can follow the last past tail_from
         end = min(max(found[-1] + 1 if found else 0, tail_from), T)
@@ -403,8 +410,9 @@ def _simulate(
         steps = {
             "t": np.arange(1, end + 1),
             "cost": costs,
-            "subsidy": np.zeros(end) if bases is None else _offers(bases, 2.0 * pre_errs),
-            "compelled": compel,
+            # The rule's actions cover the whole horizon, drawn at once.
+            "subsidy": np.zeros(end) if rule.bases is None else _offers(rule.bases, 2.0 * pre_errs),
+            "compelled": np.zeros(end, dtype=bool) if rule.compel is None else rule.compel,
             "went_to_court": went,
             "applied_decision": applied,
             "true_value": env.f_values,
@@ -486,26 +494,51 @@ class _Decisions:
     all or one per step, and a re-decision gets ``counts``, the guessed visits
     before each step; ``verify`` says how many of a round's guessed visits
     (window indices) it verifies, here all; ``keep`` takes the kept visits.
+
+    ``actions(lo, hi)`` draws the policy's (compel mask, subsidy bases) for
+    steps lo .. hi - 1, each ``None`` when the policy never acts so.  The
+    rule buffers them from step index ``self.lo`` to ``self.hi``, first
+    ``actions(0, drawn)``.  A guess that reaches past the buffer draws on to
+    its end and drops the steps before its start: rounds only move forward,
+    and a re-decision stays inside its round's window.  ``keep`` records the
+    subsidy base of each kept visit.
     """
 
     restart = False  # the window doubles after a round kept whole
 
-    def __init__(self, costs: np.ndarray, compel: np.ndarray, bases: np.ndarray | None, fits: _LinearFits | None):
-        self.costs, self.compel, self.bases, self.fits = costs, compel, bases, fits
+    def __init__(self, costs: np.ndarray, actions: Callable, fits: _LinearFits | None, drawn: int):
+        self.costs, self.actions, self.fits = costs, actions, fits
+        self.lo, self.hi = 0, drawn
+        self.compel, self.bases = actions(0, drawn)
+        self.kept_bases: list[np.ndarray] = []
 
     def decide(self, lo: int, hi: int, err, counts: np.ndarray | None = None) -> np.ndarray:
-        offers = 0.0 if self.bases is None else _offers(self.bases[lo:hi], 2.0 * err)
+        if hi > self.hi:
+            compel, bases = self.actions(self.hi, hi)
+            drop = lo - self.lo
+            self.compel = None if compel is None else np.concatenate((self.compel[drop:], compel))
+            self.bases = None if bases is None else np.concatenate((self.bases[drop:], bases))
+            self.lo, self.hi = lo, hi
+        steps = slice(lo - self.lo, hi - self.lo)
+        offers = 0.0 if self.bases is None else _offers(self.bases[steps], 2.0 * err)
         went = policies.agent_decision(self.costs[lo:hi], offers, err)
-        went |= self.compel[lo:hi]
+        if self.compel is not None:
+            went |= self.compel[steps]
         return went
 
     def verify(self, guessed: np.ndarray) -> int:
         return len(guessed)
 
     def keep(self, visits: list[int], whole: bool) -> None:
+        if self.bases is not None:
+            self.kept_bases.append(self.bases[[v - self.lo for v in visits]])
         if self.fits is not None:  # at most _FLUSH at a time, so no stacked fit holds 2 * _FLUSH
             for lo in range(0, len(visits), _FLUSH):
                 self.fits.add(visits[lo : lo + _FLUSH])
+
+    def visit_bases(self) -> np.ndarray:
+        """The subsidy base of each kept visit, in visit order."""
+        return np.concatenate([np.empty(0), *self.kept_bases])
 
 
 class _KwikDecisions(_Decisions):
@@ -526,9 +559,10 @@ class _KwikDecisions(_Decisions):
 
     restart = True  # the window restarts after every round with a guessed visit
 
-    def __init__(self, costs: np.ndarray, compel: np.ndarray, fits: _LinearFits | None, xs: np.ndarray,
+    def __init__(self, costs: np.ndarray, fits: _LinearFits | None, xs: np.ndarray,
                  thresholds: tuple[float, float]):
-        super().__init__(costs, compel, None, fits)
+        self.costs, self.fits = costs, fits
+        self.compel, self.bases = np.zeros(len(costs), dtype=bool), None
         self.xs, self.thresholds = xs, thresholds
         self.gram = np.zeros((xs.shape[1] + 1,) * 2)
         self.spectrum = decompose(self.gram)

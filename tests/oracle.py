@@ -39,6 +39,15 @@ def _step_columns(columns: dict) -> dict[str, np.ndarray]:
     return {name: np.asarray(columns[name], dtype=dtype) for name, dtype in STEP_COLUMNS.items()}
 
 
+def whole_actions(run: RunConfig, rng) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """A policy's actions for the whole horizon, from one ``actions(run, rng, 0, T)``
+    call, as (compel mask, subsidy bases, active); a ``None`` mask is all False."""
+    compel, bases = run.policy.actions(run, rng, 0, run.horizon)
+    if compel is None:
+        compel = np.zeros(run.horizon, dtype=bool)
+    return compel, bases, run.policy.active(run)
+
+
 def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool) -> RunLedger:
     """Reference path: one case at a time; only the kwik gate acts per case."""
     T = config.horizon
@@ -50,7 +59,7 @@ def step_loop(config: RunConfig, env: Environment, rep: int, keep_records: bool)
     policy = config.policy
     state_free = not isinstance(policy, KwikConfig)
     rng = _stream(config.seed, rep, _STREAM_POLICY, policy.tag)
-    compel, bases, active = policy.horizon_actions(config, rng)
+    compel, bases, active = whole_actions(config, rng)
     compel = compel.tolist()
     bases = [0.0] * T if bases is None else bases.tolist()
     if not state_free:

@@ -33,7 +33,7 @@ from courtlearn.policies import (
     subsidy_tail_probability,
     transition_step,
 )
-from oracle import sample_subsidy, step_loop
+from oracle import sample_subsidy, step_loop, whole_actions
 
 
 class _Replay:
@@ -393,11 +393,10 @@ def _traced_peak(call):
 
 
 # The scoring pass and the policy laws write into arrays they already own: a
-# run without records holds its decisions (overwritten by its losses), its
-# compel mask, and for subsidy_sampling its bases and the law's passes over
-# the step numbers.  Peaks in units of one float64 array of the horizon.  The
-# no_subsidy run scores its whole horizon: after its one visit 2 * err ==
-# c_min, so the tail skip stays off.
+# run without records holds its decisions (overwritten by its losses) and
+# one search round's actions.  Peaks in units of one float64 array of the
+# horizon.  The no_subsidy run scores its whole horizon: after its one visit
+# 2 * err == c_min, so the tail skip stays off.
 _RUN_PEAKS = [(NoSubsidyConfig(), 2.5), (EtcConfig(), 2.5), (DynamicCompellingConfig(), 2.5),
               (SubsidySamplingConfig(), 6.0)]
 
@@ -408,6 +407,18 @@ def test_run_without_records_has_no_throwaway_horizon_arrays(policy, bound):
     config = _mean_config(policy, horizon)
     env = sim.draw_environment(config, 0)
     assert _traced_peak(lambda: _simulate(config, env, 0, keep_records=False)) <= bound * 8 * horizon
+
+
+@pytest.mark.parametrize("policy", [DynamicCompellingConfig(), SubsidySamplingConfig()], ids=lambda p: p.name)
+def test_run_without_records_holds_one_round_of_actions(policy):
+    # The search draws the policy's actions window by window and keeps one
+    # round's, at most 2 * sim._LAST_WINDOW steps, so a run's peak is its
+    # scoring array (8 B a step) and what the search keeps per visit; a whole
+    # horizon's mask and bases took 17 and 43 B a step.
+    horizon = 10**6
+    config = _mean_config(policy, horizon, seed=7)
+    env = sim.draw_environment(config, 0)
+    assert _traced_peak(lambda: _simulate(config, env, 0, keep_records=False)) < 10 * horizon
 
 
 def test_environment_and_mean_baseline_have_no_throwaway_horizon_arrays():
@@ -513,7 +524,7 @@ def test_horizon_actions_replay_select(config):
     horizon, err = config.horizon, 0.3
     rng_whole = np.random.default_rng(17)
     rng_steps = np.random.default_rng(17)
-    compel, bases, _ = config.policy.horizon_actions(config, rng_whole)
+    compel, bases, _ = whole_actions(config, rng_whole)
     for t in range(1, horizon + 1):
         compelled, offer = _scalar_step(config, t, err, rng_steps)
         assert compelled == bool(compel[t - 1])
@@ -528,7 +539,7 @@ def test_horizon_actions_replay_select(config):
 def test_dynamic_compel_mask_matches_per_step_draws():
     alpha, c_max, horizon = 3.0, 1.0, 2000
     config = _mean_config(DynamicCompellingConfig(), horizon, alpha=alpha, costs=PointMassCosts(c_max))
-    mask, _, _ = config.policy.horizon_actions(config, np.random.default_rng(4))
+    mask, _, _ = whole_actions(config, np.random.default_rng(4))
     rng = np.random.default_rng(4)
     expected = [rng.random() < dynamic_compel_probability(t, alpha, c_max)
                 for t in range(1, horizon + 1)]

@@ -34,7 +34,7 @@ from courtlearn.policies import (
     transition_step,
 )
 from courtlearn.sim import RunConfig, _offers
-from oracle import kwik_gate
+from oracle import kwik_gate, whole_actions
 
 
 def _offer(t, two_err, alpha, c_min, c_max, phase1, u):
@@ -191,39 +191,47 @@ class TestKwikGate:
 
 
 class TestSelect:
-    """Each policy's whole-horizon actions (compel mask, subsidy bases, active)."""
+    """Each policy's actions by step range (compel mask, subsidy bases) and its ``active``."""
 
     @pytest.mark.parametrize("horizon", [1, 7, 500])
     @pytest.mark.parametrize("cls", typing.get_args(PolicyConfig), ids=lambda cls: cls.name)
     def test_horizon_actions_contract(self, cls, horizon):
-        # Every policy states a bool mask and None or float bases over the
-        # whole horizon, and neither compels nor offers from index active on.
+        # The window contract: on steps lo + 1 .. hi every policy states None
+        # or a bool mask, and None or float bases, each of length hi - lo, and
+        # neither compels nor offers from step index active on.
         policy = cls(epsilon=0.1, delta=0.1) if cls is KwikConfig else cls()
         run = _run_config(policy, cases=BallCases(2), costs=UniformCosts(1.0, 4.0), horizon=horizon, alpha=2.0)
-        compel, bases, active = policy.horizon_actions(run, np.random.default_rng(horizon))
-        assert isinstance(compel, np.ndarray) and compel.dtype == np.bool_ and compel.shape == (horizon,)
-        assert bases is None or (
-            isinstance(bases, np.ndarray) and bases.dtype == np.float64 and bases.shape == (horizon,)
-        )
+        rng = np.random.default_rng(horizon)
+        active = policy.active(run)
         assert 0 <= active <= horizon
-        assert not compel[active:].any()
-        assert bases is None or not (bases[active:] > 0.0).any()
+        cuts = sorted({0, horizon // 3, active, horizon})
+        for lo, hi in zip(cuts, cuts[1:]):
+            compel, bases = policy.actions(run, rng, lo, hi)
+            assert compel is None or (
+                isinstance(compel, np.ndarray) and compel.dtype == np.bool_ and compel.shape == (hi - lo,)
+            )
+            assert bases is None or (
+                isinstance(bases, np.ndarray) and bases.dtype == np.float64 and bases.shape == (hi - lo,)
+            )
+            if lo >= active:
+                assert compel is None or not compel.any()
+                assert bases is None or not (bases > 0.0).any()
 
     def test_no_subsidy_always_idle(self):
         run = _run_config(NoSubsidyConfig(), horizon=1000)
-        compel, bases, active = run.policy.horizon_actions(run, np.random.default_rng(0))
+        compel, bases, active = whole_actions(run, np.random.default_rng(0))
         assert compel.shape == (1000,) and not compel.any() and bases is None and active == 0
 
     def test_kwik_mask_starts_empty(self):
         # The visit search sets the mask where the gate fires.
         run = _run_config(KwikConfig(epsilon=0.1, delta=0.1), cases=BallCases(2), horizon=50)
-        compel, bases, active = run.policy.horizon_actions(run, np.random.default_rng(0))
+        compel, bases, active = whole_actions(run, np.random.default_rng(0))
         assert compel.shape == (50,) and not compel.any() and bases is None and active == 50
 
     def test_etc_threshold(self):
         run = _run_config(EtcConfig(), horizon=100, alpha=2.0, costs=PointMassCosts(4.0))
         rng = np.random.default_rng(0)
-        compel, bases, active = run.policy.horizon_actions(run, rng)
+        compel, bases, active = whole_actions(run, rng)
         assert compel[10 - 1] and not compel[11 - 1]
         assert compel[:10].all() and not compel[10:].any() and bases is None
         assert active == 10
@@ -239,14 +247,14 @@ class TestSelect:
         rng = np.random.default_rng(3)
         for policy in (EtcConfig(), DynamicCompellingConfig()):
             run = _run_config(policy, horizon=50, costs=PointMassCosts(1.0))
-            compel, bases, active = policy.horizon_actions(run, rng)
+            compel, bases, active = whole_actions(run, rng)
             assert compel.shape == (50,) and bases is None
             assert active == (8 if isinstance(policy, EtcConfig) else 50)  # etc: ceil(sqrt(50))
 
     def test_subsidy_policy_never_compels(self):
         rng = np.random.default_rng(4)
         run = _run_config(SubsidySamplingConfig(), horizon=199, costs=UniformCosts(4.0, 12.0))
-        compel, bases, active = run.policy.horizon_actions(run, rng)
+        compel, bases, active = whole_actions(run, rng)
         assert compel.shape == (199,) and not compel.any() and bases.shape == (199,) and active == 199
         assert np.isfinite(bases).all() and (bases >= 0.0).all()
 
@@ -272,9 +280,44 @@ class TestSelect:
                             SubsidySamplingConfig())
         except ConfigurationError:  # outside the t = 1 region, or an unbounded total
             reject()
-        _, bases, _ = run.policy.horizon_actions(run, np.random.default_rng(seed))
+        _, bases, _ = whole_actions(run, np.random.default_rng(seed))
         assert np.isfinite(bases).all()
         assert ((bases == 0.0) | (bases == c_max) | ((c_min <= bases) & (bases <= c_max))).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        policy=st.sampled_from([NoSubsidyConfig(), EtcConfig(), DynamicCompellingConfig(), SubsidySamplingConfig()]),
+        horizon=st.integers(1, 5000),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+        alpha=st.floats(0.05, 5.0),
+        c_min=st.floats(1.0, 5.0),
+        width=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # subsidy_sampling with phase 1 (alpha > sqrt(c_min), 16 steps here), cut inside it, and without it
+    @example(policy=SubsidySamplingConfig(), horizon=3000, fractions=[0.001, 0.005, 0.5], alpha=4.0, c_min=1.0,
+             width=3.0, seed=0)
+    @example(policy=SubsidySamplingConfig(), horizon=3000, fractions=[0.001, 0.005, 0.5], alpha=1.0, c_min=1.0,
+             width=3.0, seed=0)
+    def test_windows_equal_the_whole_draw(self, policy, horizon, fractions, alpha, c_min, width, seed):
+        # Actions drawn window by window over any split of the horizon are the
+        # whole draw's, bit for bit, and leave the stream where it leaves it.
+        try:
+            run = RunConfig(horizon, ConstantTruth(alpha / 2, alpha / 2, alpha), SingletonCases(),
+                            UniformCosts(c_min, c_min + width), LearnerKind(LearnerFamily.EMPIRICAL_MEAN), policy)
+        except ConfigurationError:  # outside subsidy_sampling's t = 1 region
+            reject()
+        cuts = [0, *sorted(int(f * horizon) for f in fractions), horizon]
+        whole_rng, window_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        whole = policy.actions(run, whole_rng, 0, horizon)
+        windows = [policy.actions(run, window_rng, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        for i, part in enumerate(whole):
+            if part is None:
+                assert all(window[i] is None for window in windows)
+            else:
+                joined = np.concatenate([window[i] for window in windows])
+                assert joined.dtype == part.dtype and joined.tobytes() == part.tobytes()
+        assert window_rng.random() == whole_rng.random()
 
 
 class TestPolicyConfigs:

